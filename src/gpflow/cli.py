@@ -8,36 +8,37 @@ non-convergence or failed checks, 1 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
 import numpy as np
 
-from .analysis import (convergence_study, eigengap_study, exact_case,
-                       convexity_check, dense_Au, m_matrix_check,
+from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
+                       dense_Au, eigengap_study, m_matrix_check,
                        monotonicity_oracle, perron_check, rate_fit)
 from .config import ConfigError, RunConfig, parse_config
-from .energy import (Problem, State, eigenvalue_from_energy, energy,
-                     eigenvalue_estimate, retract)
-from .flows import (FlowConfig, FlowKind, RunReport, StopRule,
-                    default_initial_state, run)
-from .grids import GridSpec, Scheme, TensorOperator
+from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
+from .flows import FlowConfig, FlowKind, RunReport, default_initial_state, run
+from .grids import GridSpec, TensorOperator
 from .linalg import FastSolver, SolverError
 
 FMT = "%.16e"  # 17 significant digits
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return FMT % float(x)
 
 
 def _write_csv(path, header, rows, created):
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
     created.append(path)
 
 
@@ -48,10 +49,9 @@ def _write_trace(prefix, report: RunReport, created, tag=""):
     _write_csv(path, ["iter", "energy", "residual", "lambda", "step"], rows, created)
 
 
-def _write_summary(prefix, report: RunReport, problem, created):
-    state = report.final_state
-    rows = [(eigenvalue_estimate(state, problem), energy(state, problem),
-             report.iterations, report.wall_seconds)]
+def _write_summary(prefix, report: RunReport, created):
+    last = report.records[-1]
+    rows = [(last.eigenvalue, last.energy, report.iterations, report.wall_seconds)]
     _write_csv(f"{prefix}_summary.csv",
                ["lambda", "energy", "iterations", "wall_seconds"], rows, created)
 
@@ -63,15 +63,12 @@ def _build(cfg: RunConfig):
     return disc, problem
 
 
-def _initial(cfg: RunConfig, disc, problem) -> State:
-    return default_initial_state(disc, cfg.initial, problem)
-
-
 def run_solve(cfg: RunConfig, created) -> int:
     disc, problem = _build(cfg)
-    report = run(cfg.flow, problem, _initial(cfg, disc, problem), cfg.stop)
+    report = run(cfg.flow, problem, default_initial_state(disc, cfg.initial, problem),
+                 cfg.stop)
     _write_trace(cfg.prefix, report, created)
-    _write_summary(cfg.prefix, report, problem, created)
+    _write_summary(cfg.prefix, report, created)
     return 0 if report.converged else 2
 
 
@@ -90,13 +87,10 @@ def run_convergence(cfg: RunConfig, created) -> int:
             rows.append((name, r.label, r.h, r.lambda_err, r.lambda_order,
                          r.energy_err, r.energy_order, r.sup_err, r.sup_order,
                          r.iterations, int(r.converged)))
-    path = f"{cfg.prefix}_table.csv"
-    with open(path, "w") as f:
-        f.write("scheme,grid,h,lambda_err,lambda_order,energy_err,"
-                "energy_order,sup_err,sup_order,iterations,converged\n")
-        for row in rows:
-            f.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
-    created.append(path)
+    _write_csv(f"{cfg.prefix}_table.csv",
+               ["scheme", "grid", "h", "lambda_err", "lambda_order", "energy_err",
+                "energy_order", "sup_err", "sup_order", "iterations", "converged"],
+               rows, created)
     return 0 if ok else 2
 
 
@@ -121,7 +115,7 @@ def run_compare(cfg: RunConfig, created) -> int:
     disc, problem = _build(cfg)
     kinds = [FlowKind.MODIFIED_H1, FlowKind.BFSP, FlowKind.L2,
              FlowKind.A0, FlowKind.AU]
-    u0 = _initial(cfg, disc, problem)
+    u0 = default_initial_state(disc, cfg.initial, problem)
     summary = []
     status = 0
     for kind in kinds:
@@ -129,18 +123,14 @@ def run_compare(cfg: RunConfig, created) -> int:
                           dt=cfg.flow.dt)
         report = run(flow, problem, u0, cfg.stop)
         _write_trace(cfg.prefix, report, created, tag=f"_{kind.value}")
-        state = report.final_state
-        summary.append((kind.value, eigenvalue_estimate(state, problem),
-                        energy(state, problem), report.iterations,
-                        report.wall_seconds))
+        last = report.records[-1]
+        summary.append((kind.value, last.eigenvalue, last.energy,
+                        report.iterations, report.wall_seconds))
         if not report.converged:
             status = 2
-    path = f"{cfg.prefix}_summary.csv"
-    with open(path, "w") as f:
-        f.write("flow,lambda,energy,iterations,wall_seconds\n")
-        for row in summary:
-            f.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
-    created.append(path)
+    _write_csv(f"{cfg.prefix}_summary.csv",
+               ["flow", "lambda", "energy", "iterations", "wall_seconds"],
+               summary, created)
     return status
 
 
@@ -150,7 +140,8 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
     disc, problem = _build(cfg)
     checks: list[tuple[str, bool]] = []
 
-    report = run(cfg.flow, problem, _initial(cfg, disc, problem), cfg.stop)
+    report = run(cfg.flow, problem, default_initial_state(disc, cfg.initial, problem),
+                 cfg.stop)
     checks.append(("flow converged", report.converged))
     state = report.final_state
     checks.append(("energy monotone decreasing",
@@ -159,8 +150,7 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
     checks.append(("eigenvalue identity lambda = 2E + (beta/2)<u^2,u^2>",
                    abs(lam - eigenvalue_from_energy(state, problem)) <= 1e-10 * max(1, abs(lam))))
 
-    monotone = cfg.grid.scheme is Scheme.FD2 or (
-        cfg.grid.scheme is Scheme.SEM and cfg.grid.degree == 1)
+    monotone = _is_monotone_scheme(disc)
     if monotone:
         checks.append(("converged state entrywise positive",
                        bool(np.min(state.coeffs) > 0)))
@@ -190,12 +180,8 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
     for name, ok in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     print(f"{passed}/{len(checks)} checks passed")
-    path = f"{cfg.prefix}_table.csv"
-    with open(path, "w") as f:
-        f.write("check,passed\n")
-        for name, ok in checks:
-            f.write(f"{name},{int(ok)}\n")
-    created.append(path)
+    _write_csv(f"{cfg.prefix}_table.csv", ["check", "passed"],
+               [(name, int(ok)) for name, ok in checks], created)
     return 0 if passed == len(checks) else 2
 
 
@@ -215,16 +201,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to an INI run config")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None, help="override the output prefix")
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            os.environ["OMP_NUM_THREADS"] = str(args.threads)
 
     try:
         with open(args.config) as f:

@@ -48,7 +48,6 @@ _FLOWS = {k.value: k for k in FlowKind}
 @dataclass
 class RunConfig:
     grid: GridSpec
-    potential_name: str
     potential_fn: object        # callable coords -> node values
     beta: float
     flow: FlowConfig
@@ -82,12 +81,7 @@ def _tokenize(text: str):
         yield ln, section, key, value
 
 
-def _numval(entry, key, kind=float):
-    ln, value = entry
-    return _number(ln, key, value, kind)
-
-
-def _number(ln, key, value, kind=float):
+def _number(ln, value, key, kind=float):
     try:
         x = kind(value)
     except ValueError:
@@ -105,19 +99,19 @@ def _parse_potential(ln, value, beta):
     if name == "constant":
         if arg is None:
             raise ConfigError(ln, "constant potential needs a value: constant(c)")
-        return name, potentials.constant(_number(ln, "potential", arg))
+        return potentials.constant(_number(ln, arg, "potential"))
     if name == "file":
         if not arg:
             raise ConfigError(ln, "file potential needs a path: file(path)")
-        return name, potentials.from_file(arg)
+        return potentials.from_file(arg)
     if arg is not None:
         raise ConfigError(ln, f"potential {name!r} takes no argument")
     if name == "sin2_product":
-        return name, potentials.sin2_product
+        return potentials.sin2_product
     if name == "harmonic_lattice":
-        return name, potentials.harmonic_lattice
+        return potentials.harmonic_lattice
     if name == "exact_case":
-        return name, potentials.exact_case_potential(beta)
+        return potentials.exact_case_potential(beta)
     raise ConfigError(ln, f"unknown potential {name!r}")
 
 
@@ -153,40 +147,40 @@ def parse_config(text: str) -> RunConfig:
         scheme, degree = _scheme_token(ln, tok.lower())
     if scheme is Scheme.SEM and ("grid", "degree") in values:
         ln_d, dv = values[("grid", "degree")]
-        degree = int(_number(ln_d, "degree", dv, int))
-    d = int(_numval(get("grid", "d", "1"), "d", int))
-    cells = int(_numval(get("grid", "cells", "32"), "cells", int))
-    half_width = _numval(get("grid", "half_width", "1"), "half_width")
+        degree = int(_number(ln_d, dv, "degree", int))
+    d = int(_number(*get("grid", "d", "1"), "d", int))
+    cells = int(_number(*get("grid", "cells", "32"), "cells", int))
+    half_width = _number(*get("grid", "half_width", "1"), "half_width")
     try:
         grid = GridSpec(half_width, d, cells, scheme, degree)
     except ValueError as e:
         raise ConfigError(get("grid", "scheme")[0], str(e))
 
     # problem
-    beta = _numval(get("problem", "beta", "0"), "beta")
+    beta = _number(*get("problem", "beta", "0"), "beta")
     if beta < 0:
         raise ConfigError(get("problem", "beta")[0], f"beta must be >= 0, got {beta}")
     ln, pot = get("problem", "potential", None)
     if pot is None:
         raise ConfigError(0, "missing key 'potential' in section [problem]")
-    pot_name, pot_fn = _parse_potential(ln, pot, beta)
+    pot_fn = _parse_potential(ln, pot, beta)
 
     # flow
     ln, kind_tok = get("flow", "kind", "modified_h1")
     if kind_tok not in _FLOWS:
         raise ConfigError(ln, f"unknown flow kind {kind_tok!r}")
-    alpha = _numval(get("flow", "alpha", "0.15"), "alpha")
+    alpha = _number(*get("flow", "alpha", "0.15"), "alpha")
     if alpha < 0:
         raise ConfigError(get("flow", "alpha")[0], f"alpha must be >= 0, got {alpha}")
     ln, tau_tok = get("flow", "tau", "1")
     if tau_tok.strip().lower() == "linesearch":
         step = LineSearchStep()
     else:
-        tau = _number(ln, "tau", tau_tok)
+        tau = _number(ln, tau_tok, "tau")
         if tau <= 0:
             raise ConfigError(ln, f"tau must be positive, got {tau}")
         step = FixedStep(tau)
-    dt = _numval(get("flow", "dt", "0.1"), "dt")
+    dt = _number(*get("flow", "dt", "0.1"), "dt")
     if dt <= 0:
         raise ConfigError(get("flow", "dt")[0], f"dt must be positive, got {dt}")
     flow = FlowConfig(kind=_FLOWS[kind_tok], alpha=alpha, step=step, dt=dt)
@@ -196,9 +190,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(ln, f"initial must be 'constant' or 'linear', got {initial!r}")
 
     # stop
-    tol = _numval(get("stop", "tol", "1e-12"), "tol")
-    max_iter = int(_numval(get("stop", "max_iter", "500"), "max_iter", int))
-    stall = int(_numval(get("stop", "stall_window", "10"), "stall_window", int))
+    tol = _number(*get("stop", "tol", "1e-12"), "tol")
+    max_iter = int(_number(*get("stop", "max_iter", "500"), "max_iter", int))
+    stall = int(_number(*get("stop", "stall_window", "10"), "stall_window", int))
     try:
         stop = StopRule(residual_tol=tol, stall_window=stall, max_iter=max_iter)
     except ValueError as e:
@@ -208,13 +202,13 @@ def parse_config(text: str) -> RunConfig:
     levels = []
     if ("study", "levels") in values:
         ln, lv = values[("study", "levels")]
-        levels = [int(_number(ln, "levels", t, int)) for t in lv.split()]
+        levels = [int(_number(ln, t, "levels", int)) for t in lv.split()]
     schemes = []
     if ("study", "schemes") in values:
         ln, sv = values[("study", "schemes")]
         schemes = [_scheme_token(ln, t.lower()) for t in sv.split()]
 
     prefix = get("output", "prefix", "gpflow")[1]
-    return RunConfig(grid=grid, potential_name=pot_name, potential_fn=pot_fn,
+    return RunConfig(grid=grid, potential_fn=pot_fn,
                      beta=beta, flow=flow, stop=stop, initial=initial,
                      prefix=prefix, study_levels=levels, study_schemes=schemes)

@@ -117,24 +117,20 @@ def sobolev_gradient(state: State, problem: Problem, solver: FastSolver) -> np.n
     return solver.solve(euclidean_gradient(state, problem))
 
 
-def riemannian_gradient(state: State, problem: Problem, solver: FastSolver,
-                        return_rayleigh: bool = False):
-    """Sobolev gradient projected onto the tangent space of the h-unit sphere.
+def riemannian_gradient(state: State, problem: Problem, G) -> np.ndarray:
+    """Metric gradient G A_u u projected onto the tangent space of the h-unit
+    sphere, for any inverse metric G with a .solve method (a FastSolver for
+    the modified H1 metric).
 
-    Returns the tangent gradient g with <u, g>_h = 0; optionally also the
-    generalized Rayleigh quotient used in the projection (the eigenvalue
-    estimate gamma at convergence).
+    Returns the tangent gradient g with <u, g>_h = 0.
     """
     state.require_normalized()
     u = state.coeffs
     disc = state.disc
-    grad = sobolev_gradient(state, problem, solver)
-    Gu = solver.solve(u)
+    grad = G.solve(euclidean_gradient(state, problem))
+    Gu = G.solve(u)
     gamma = inner_h(disc, u, grad) / inner_h(disc, u, Gu)
-    g = grad - gamma * Gu
-    if return_rayleigh:
-        return g, gamma
-    return g
+    return grad - gamma * Gu
 
 
 def retract(disc, u: np.ndarray) -> np.ndarray:

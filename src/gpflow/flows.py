@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .energy import (Problem, State, apply_Au, energy, euclidean_gradient,
-                     eigenvalue_estimate, inner_h, residual, retract,
-                     riemannian_gradient)
+from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
+                     inner_h, residual, retract, riemannian_gradient)
 from .grids import TensorOperator
 from .linalg import FastSolver, SolverError, pcg
 
@@ -64,12 +64,15 @@ class FlowConfig:
         return 0.0 if self.kind is FlowKind.H1_SEMINORM else self.alpha
 
 
+# relative improvement of the best residual that resets the stall window
+STALL_RTOL = 1e-14
+
+
 @dataclass(frozen=True)
 class StopRule:
     residual_tol: float = 1e-12
     stall_window: int = 10
     max_iter: int = 500
-    stall_rtol: float = 1e-14
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -111,13 +114,6 @@ class RunReport:
         return np.array([r.residual for r in self.records])
 
 
-def step_modified_h1(state: State, problem: Problem, tau: float,
-                     solver: FastSolver) -> State:
-    """u <- R_h(u - tau * Riemannian gradient) under the modified H1 metric."""
-    g = riemannian_gradient(state, problem, solver)
-    return State(retract(state.disc, state.coeffs - tau * g), state.disc)
-
-
 def step_bfsp(state: State, problem: Problem, dt: float, alpha: float,
               solver: FastSolver | None = None) -> State:
     """Backward-forward Euler with stabilization shift, then renormalize."""
@@ -130,46 +126,49 @@ def step_bfsp(state: State, problem: Problem, dt: float, alpha: float,
     return State(retract(disc, solver.solve(rhs)), disc)
 
 
-def _metric_gradient(state: State, problem: Problem, metric: FlowKind,
-                     precond: FastSolver) -> np.ndarray:
-    """Riemannian gradient for the L2 / A0 / AU metrics (G_X = I, (-Delta+V)^{-1},
-    A_u^{-1}); G_X applications by PCG with the Laplacian preconditioner."""
-    state.require_normalized()
-    u = state.coeffs
-    disc = state.disc
-    eg = euclidean_gradient(state, problem)
+def _pcg_inverse(apply_A, precond: FastSolver, weights: np.ndarray, name: str):
+    """G = A^{-1} applied by PCG with the unshifted fast solver as preconditioner."""
+    def solve(w):
+        x, _, ok = pcg(apply_A, precond.solve, w, weights, tol=1e-12, maxiter=1000)
+        if not ok:
+            raise SolverError(f"{name} metric solve did not converge")
+        return x
+    return SimpleNamespace(solve=solve)
 
-    if metric is FlowKind.L2:
-        apply_G = lambda w: w
-    elif metric is FlowKind.A0:
-        def apply_op(w):
-            return disc.apply_neg_laplacian(w) + problem.potential * w
-        def apply_G(w):
-            x, _, ok = pcg(apply_op, precond.solve, w, disc.weights,
-                           tol=1e-12, maxiter=1000)
-            if not ok:
-                raise SolverError("A0 metric solve did not converge")
-            return x
-    elif metric is FlowKind.AU:
-        def apply_G(w):
-            x, _, ok = pcg(lambda z: apply_Au(state, problem, z), precond.solve,
-                           w, disc.weights, tol=1e-12, maxiter=1000)
-            if not ok:
-                raise SolverError("AU metric solve did not converge")
-            return x
+
+def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
+    """state -> G, the inverse metric of a gradient flow (an object with .solve).
+
+    modified H1 / H1 seminorm: (-Delta_h + alpha I)^{-1}; L2: I;
+    A0: (-Delta_h + V)^{-1}; AU: A_u^{-1} at the given state.
+    """
+    if kind is FlowKind.AU:
+        precond = FastSolver(disc, 0.0)
+        return lambda state: _pcg_inverse(
+            lambda z: apply_Au(state, problem, z), precond, disc.weights, "AU")
+    if kind in (FlowKind.MODIFIED_H1, FlowKind.H1_SEMINORM):
+        G = FastSolver(disc, alpha)
+    elif kind is FlowKind.L2:
+        G = SimpleNamespace(solve=lambda w: w)
+    elif kind is FlowKind.A0:
+        G = _pcg_inverse(
+            lambda w: disc.apply_neg_laplacian(w) + problem.potential * w,
+            FastSolver(disc, 0.0), disc.weights, "A0")
     else:
-        raise ValueError(f"not a plain-metric flow: {metric}")
-
-    grad = apply_G(eg)
-    Gu = apply_G(u)
-    gamma = inner_h(disc, u, grad) / inner_h(disc, u, Gu)
-    return grad - gamma * Gu
+        raise ValueError(f"not a gradient flow: {kind}")
+    return lambda state: G
 
 
-def step_metric(state: State, problem: Problem, tau: float, metric: FlowKind,
-                precond: FastSolver) -> State:
-    g = _metric_gradient(state, problem, metric, precond)
-    return State(retract(state.disc, state.coeffs - tau * g), state.disc)
+def gradient_step(state: State, problem: Problem, G,
+                  policy: FixedStep | LineSearchStep) -> tuple[State, float]:
+    """u <- R_h(u - tau g) with g the Riemannian gradient under the inverse
+    metric G and tau fixed or from the line search."""
+    g = riemannian_gradient(state, problem, G)
+    if isinstance(policy, LineSearchStep):
+        tau = line_search_step(state, problem, g, policy)
+    else:
+        tau = policy.tau
+    return State(retract(state.disc, state.coeffs - tau * g), state.disc), tau
 
 
 def line_search_step(state: State, problem: Problem, g: np.ndarray,
@@ -218,11 +217,14 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     alpha = flow.effective_alpha
     if flow.kind is FlowKind.BFSP:
         solver = FastSolver(disc, alpha + 1.0 / flow.dt)
+
+        def step(state):
+            return step_bfsp(state, problem, flow.dt, alpha, solver), flow.dt
     else:
-        solver = FastSolver(disc, alpha)
-    precond = None
-    if flow.kind in (FlowKind.L2, FlowKind.A0, FlowKind.AU):
-        precond = FastSolver(disc, 0.0)
+        G_at = metric_inverse(flow.kind, problem, disc, alpha)
+
+        def step(state):
+            return gradient_step(state, problem, G_at(state), flow.step)
 
     state = u0
     records = [IterationRecord(0, energy(state, problem),
@@ -233,23 +235,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     reason = "max_iter"
     for it in range(1, stop.max_iter + 1):
         try:
-            if flow.kind in (FlowKind.MODIFIED_H1, FlowKind.H1_SEMINORM):
-                g = riemannian_gradient(state, problem, solver)
-                if isinstance(flow.step, LineSearchStep):
-                    tau = line_search_step(state, problem, g, flow.step)
-                else:
-                    tau = flow.step.tau
-                state = State(retract(disc, state.coeffs - tau * g), disc)
-            elif flow.kind is FlowKind.BFSP:
-                tau = flow.dt
-                state = step_bfsp(state, problem, flow.dt, alpha, solver)
-            else:
-                g = _metric_gradient(state, problem, flow.kind, precond)
-                if isinstance(flow.step, LineSearchStep):
-                    tau = line_search_step(state, problem, g, flow.step)
-                else:
-                    tau = flow.step.tau
-                state = State(retract(disc, state.coeffs - tau * g), disc)
+            state, tau = step(state)
         except SolverError:
             reason = "step_failure"
             break
@@ -260,7 +246,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
         if rec.residual <= stop.residual_tol:
             reason = "tol"
             break
-        if rec.residual < best * (1.0 - stop.stall_rtol):
+        if rec.residual < best * (1.0 - STALL_RTOL):
             best = rec.residual
             best_iter = it
         elif it - best_iter >= stop.stall_window:

@@ -167,6 +167,11 @@ def build_1d(spec: GridSpec) -> Operator1D:
                       np.ascontiguousarray(S_g[keep, keep]), spec.scheme)
 
 
+def axis_apply(mat: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the 1D matrix along one axis of a grid array: (I x mat x I) X."""
+    return np.moveaxis(np.tensordot(mat, X, axes=([1], [axis])), 0, axis)
+
+
 class TensorOperator:
     """Kronecker-sum action of -Delta_h, S and M on [-L, L]^d grid vectors.
 
@@ -194,15 +199,12 @@ class TensorOperator:
             raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
         return u
 
-    def _axis_sum(self, mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         U = self._check(u).reshape(self.shape)
         out = np.zeros_like(U)
         for axis in range(self.dim):
-            out += np.moveaxis(np.tensordot(mat, U, axes=([1], [axis])), 0, axis)
+            out += axis_apply(self._lap1d, U, axis)
         return out.reshape(-1)
-
-    def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
-        return self._axis_sum(self._lap1d, u)
 
     def apply_mass(self, u: np.ndarray) -> np.ndarray:
         return self.weights * self._check(u)

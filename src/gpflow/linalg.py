@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grids import Operator1D, TensorOperator
+from .grids import Operator1D, TensorOperator, axis_apply
 
 
 class SolverError(RuntimeError):
@@ -78,18 +78,14 @@ class FastSolver:
             raise ValueError(f"expected vector of length {self.op.ndof}, got shape {X.shape}")
         X = X.reshape(self.op.shape)
         for axis, F in enumerate(self._fwd):
-            X = np.moveaxis(np.tensordot(F, X, axes=([1], [axis])), 0, axis)
+            X = axis_apply(F, X, axis)
         X = X / self._denominator
         for axis, B in enumerate(self._bwd):
-            X = np.moveaxis(np.tensordot(B, X, axes=([1], [axis])), 0, axis)
+            X = axis_apply(B, X, axis)
         return X.reshape(-1)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.op.apply_neg_laplacian(u) + self.alpha * np.asarray(u, dtype=float)
-
-
-def solve_shifted(solver: FastSolver, b: np.ndarray) -> np.ndarray:
-    return solver.solve(b)
 
 
 class PCGBreakdown(SolverError):

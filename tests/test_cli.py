@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -216,6 +218,8 @@ prefix = {prefix}
     table = read_csv(prefix + "_table.csv").splitlines()
     assert table[0] == "check,passed"
     assert all(line.endswith(",1") for line in table[1:])
+    rows = list(csv.reader(io.StringIO(read_csv(prefix + "_table.csv"))))
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_cli_determinism(tmp_path):

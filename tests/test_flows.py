@@ -6,9 +6,8 @@ from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            inner_h, norm_X, norm_h, residual, retract,
                            riemannian_gradient)
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
-                          StopRule, _metric_gradient, default_initial_state,
-                          line_search_step, run, step_bfsp, step_metric,
-                          step_modified_h1)
+                          StopRule, default_initial_state, gradient_step,
+                          line_search_step, metric_inverse, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
 from gpflow.potentials import sin2_product
@@ -49,7 +48,7 @@ def test_config_validation():
 def test_modified_h1_ground_state_fixed_point():
     state, problem, disc = converged_ground_state()
     fs = FastSolver(disc, problem.alpha)
-    nxt = step_modified_h1(state, problem, 1.0, fs)
+    nxt, _ = gradient_step(state, problem, fs, FixedStep(1.0))
     assert norm_h(disc, nxt.coeffs - state.coeffs) <= 1e-10
 
 
@@ -67,7 +66,7 @@ def test_modified_h1_contracts_excited_component():
     v2 = retract(disc, np.sin(2.0 * np.pi * (x + 1.0) / 2.0))
     u = retract(disc, v1 + 0.5 * v2)
     tau = 0.7
-    nxt = step_modified_h1(State(u, disc), problem, tau, fs)
+    nxt, _ = gradient_step(State(u, disc), problem, fs, FixedStep(tau))
     before = abs(inner_h(disc, u, v2)) / abs(inner_h(disc, u, v1))
     after = abs(inner_h(disc, nxt.coeffs, v2)) / abs(inner_h(disc, nxt.coeffs, v1))
     assert after < before
@@ -87,7 +86,7 @@ def test_modified_h1_energy_nonincrease_random_starts():
     rng = np.random.default_rng(0)
     for _ in range(20):
         s = State(retract(disc, rng.standard_normal(disc.ndof)), disc)
-        nxt = step_modified_h1(s, problem, 0.1, fs)
+        nxt, _ = gradient_step(s, problem, fs, FixedStep(0.1))
         assert energy(nxt, problem) <= energy(s, problem) + 1e-12
 
 
@@ -166,17 +165,16 @@ def test_bfsp_small_step_stalls_at_floor_large_step_worse():
 @pytest.mark.parametrize("metric", [FlowKind.L2, FlowKind.A0, FlowKind.AU])
 def test_metric_updates_are_tangent(metric):
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
-    precond = FastSolver(disc, 0.0)
     rng = np.random.default_rng(0)
     s = State(retract(disc, rng.standard_normal(disc.ndof)), disc)
-    g = _metric_gradient(s, problem, metric, precond)
+    g = riemannian_gradient(s, problem, metric_inverse(metric, problem, disc, 0.0)(s))
     assert abs(inner_h(disc, s.coeffs, g)) <= 1e-10 * max(1.0, norm_h(disc, g))
 
 
 def test_au_metric_ground_state_fixed_point():
     state, problem, disc = converged_ground_state()
-    precond = FastSolver(disc, 0.0)
-    nxt = step_metric(state, problem, 1.0, FlowKind.AU, precond)
+    G = metric_inverse(FlowKind.AU, problem, disc, 0.0)(state)
+    nxt, _ = gradient_step(state, problem, G, FixedStep(1.0))
     assert norm_h(disc, nxt.coeffs - state.coeffs) <= 1e-8
 
 
@@ -184,21 +182,20 @@ def test_l2_metric_reduces_rayleigh_quotient():
     """beta=0, V = 0: small-step L2 flow is a shifted power-like iteration."""
     disc = TensorOperator(GridSpec(1.0, 1, 16, Scheme.FD2))
     problem = Problem(np.zeros(disc.ndof), 0.0)
-    precond = FastSolver(disc, 0.0)
     rng = np.random.default_rng(2)
     s = State(retract(disc, np.abs(rng.standard_normal(disc.ndof)) + 0.1), disc)
     tau = 1e-3
     lam0 = eigenvalue_estimate(s, problem)
-    nxt = step_metric(s, problem, tau, FlowKind.L2, precond)
+    G = metric_inverse(FlowKind.L2, problem, disc, 0.0)(s)
+    nxt, _ = gradient_step(s, problem, G, FixedStep(tau))
     assert eigenvalue_estimate(nxt, problem) < lam0
 
 
 def test_metric_gradient_rejects_wrong_kind():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 0.0)
-    s = default_initial_state(disc)
     with pytest.raises(ValueError):
-        _metric_gradient(s, problem, FlowKind.BFSP, FastSolver(disc, 0.0))
+        metric_inverse(FlowKind.BFSP, problem, disc, 0.0)
 
 
 def test_line_search_matches_scan_oracle():

@@ -4,8 +4,7 @@ import scipy.linalg
 
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import (FastSolver, PCGBreakdown, SolverError,
-                           generalized_sym_eig, lowest_two_eigenpairs, pcg,
-                           solve_shifted)
+                           generalized_sym_eig, lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
 from test_tensor import dense_lap
@@ -95,7 +94,6 @@ def test_fast_solver_alpha_zero_poisson():
     b = np.ones(disc.ndof)
     x = fs.solve(b)
     assert np.allclose(disc.apply_neg_laplacian(x), b, atol=1e-11)
-    assert np.allclose(solve_shifted(fs, b), x)
 
 
 def test_fast_solver_rejects_negative_shift():
