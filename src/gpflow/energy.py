@@ -1,9 +1,10 @@
 """Discrete GP energy, inner products, gradients, retraction and residuals.
 
 Everything here is a pure function of (coefficients, discretization,
-problem).  The discretization handle only needs `weights`,
-`apply_neg_laplacian` and `apply_mass`, so tensor grids and P1 meshes are
-interchangeable.
+problem).  The discretization handle only needs `weights` and
+`apply_neg_laplacian`, so tensor grids and P1 meshes are interchangeable.
+-Delta_h u is computed at most once per state and shared by the energy,
+the residual, the Rayleigh value and the gradient.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ class Problem:
 
 @dataclass
 class State:
-    """Coefficient vector on interior nodes with its discretization handle."""
+    """Coefficient vector on interior nodes with its discretization handle.
+
+    <u, u>_h and -Delta_h u are cached on first use, so `coeffs` must not be
+    mutated after construction.
+    """
 
     coeffs: np.ndarray
     disc: object
     _h_norm_sq: float = field(default=None, repr=False)
+    _neg_lap: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -56,6 +62,13 @@ class State:
     @property
     def h_norm_sq(self) -> float:
         return self._h_norm_sq
+
+    @property
+    def neg_lap(self) -> np.ndarray:
+        """-Delta_h u, computed on first use."""
+        if self._neg_lap is None:
+            self._neg_lap = self.disc.apply_neg_laplacian(self.coeffs)
+        return self._neg_lap
 
     @property
     def is_normalized(self) -> bool:
@@ -92,9 +105,10 @@ def energy(state: State, problem: Problem) -> float:
     """E_h(u) = 1/2 u'Su + 1/2 u'MVu + beta/4 (u^2)'M u^2."""
     u = state.coeffs
     disc = state.disc
-    kinetic = 0.5 * inner_h(disc, u, disc.apply_neg_laplacian(u))
-    potential = 0.5 * float(np.dot(disc.weights * problem.potential, u * u))
-    quartic = 0.25 * problem.beta * float(np.dot(disc.weights, u ** 4))
+    u2 = u * u  # products, not pow: libm pow is slow on negative entries
+    kinetic = 0.5 * inner_h(disc, u, state.neg_lap)
+    potential = 0.5 * float(np.dot(disc.weights * problem.potential, u2))
+    quartic = 0.25 * problem.beta * float(np.dot(disc.weights, u2 * u2))
     return kinetic + potential + quartic
 
 
@@ -109,7 +123,8 @@ def apply_Au(state: State, problem: Problem, w: np.ndarray) -> np.ndarray:
 
 def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
     """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry."""
-    return apply_Au(state, problem, state.coeffs)
+    u = state.coeffs
+    return state.neg_lap + (problem.potential + problem.beta * u ** 2) * u
 
 
 def sobolev_gradient(state: State, problem: Problem, solver: FastSolver) -> np.ndarray:
@@ -156,8 +171,9 @@ def residual(state: State, problem: Problem, weighted: bool = False) -> float:
     if hn == 0:
         raise NormalizationError("residual of the zero vector is undefined")
     v = u / hn
-    F = (disc.apply_neg_laplacian(v) + problem.potential * v
-         + problem.beta * v ** 3)
+    # -Delta_h is linear, so -Delta_h v = (-Delta_h u) / |u|_h
+    F = (state.neg_lap / hn + problem.potential * v
+         + problem.beta * (v * v) * v)
     if weighted:
         nrm = lambda w: norm_h(disc, w)
     else:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
-                     inner_h, residual, retract, riemannian_gradient)
+                     inner_h, norm_h, residual, retract, riemannian_gradient)
 from .grids import TensorOperator
 from .linalg import FastSolver, SolverError, pcg
 
@@ -66,6 +66,9 @@ class FlowConfig:
 
 # relative improvement of the best residual that resets the stall window
 STALL_RTOL = 1e-14
+# relative energy rise inside the stall window that makes a gradient-flow
+# stall a divergence (the flow's energy must not rise)
+ENERGY_RISE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,9 @@ class IterationRecord:
 class RunReport:
     records: list[IterationRecord]
     final_state: State
-    reason: str  # "tol" | "stall" | "max_iter" | "step_failure"
+    # "tol" | "stall" | "diverged" (a gradient flow stalled while its energy
+    # rose) | "max_iter" | "step_failure"
+    reason: str
     wall_seconds: float
 
     @property
@@ -112,6 +117,15 @@ class RunReport:
     @property
     def residuals(self) -> np.ndarray:
         return np.array([r.residual for r in self.records])
+
+    @property
+    def best_residual(self) -> float:
+        return min(r.residual for r in self.records)
+
+    @property
+    def best_iter(self) -> int:
+        """Index of the first record with the best residual."""
+        return min(self.records, key=lambda r: r.residual).index
 
 
 def step_bfsp(state: State, problem: Problem, dt: float, alpha: float,
@@ -178,9 +192,14 @@ def line_search_step(state: State, problem: Problem, g: np.ndarray,
     gnorm = np.sqrt(max(inner_h(disc, g, g), 0.0))
     if gnorm == 0:
         return policy.lo
+    # -Delta_h is linear: each trial point's Laplacian is a vector update
+    lap_g = disc.apply_neg_laplacian(g)
 
     def phi(tau):
-        val = energy(State(retract(disc, state.coeffs - tau * g), disc), problem)
+        w = state.coeffs - tau * g
+        nrm = norm_h(disc, w)
+        trial = State(w / nrm, disc, _neg_lap=(state.neg_lap - tau * lap_g) / nrm)
+        val = energy(trial, problem)
         if not np.isfinite(val):
             raise SolverError(f"non-finite energy in line search at tau={tau}")
         return val
@@ -250,6 +269,9 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
             best = rec.residual
             best_iter = it
         elif it - best_iter >= stop.stall_window:
-            reason = "stall"
+            window = np.array([r.energy for r in records[-stop.stall_window - 1:]])
+            rose = np.diff(window).max() > ENERGY_RISE_RTOL * abs(window[-1])
+            # BFSP is no gradient flow: its energy may rise near its fixed point
+            reason = "diverged" if rose and flow.kind is not FlowKind.BFSP else "stall"
             break
     return RunReport(records, state, reason, time.perf_counter() - t0)

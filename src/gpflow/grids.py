@@ -15,6 +15,7 @@ sum of 1D operators via per-axis contractions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,8 +169,15 @@ def build_1d(spec: GridSpec) -> Operator1D:
 
 
 def axis_apply(mat: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the 1D matrix along one axis of a grid array: (I x mat x I) X."""
-    return np.moveaxis(np.tensordot(mat, X, axes=([1], [axis])), 0, axis)
+    """Apply the 1D matrix along one axis of a grid array: (I x mat x I) X.
+
+    One GEMM (last axis) or one batched GEMM (any other axis) on a reshaped
+    view of X; the result is C-contiguous and no transposed copy is made.
+    """
+    n = X.shape[axis]
+    if axis == X.ndim - 1:
+        return (X.reshape(-1, n) @ mat.T).reshape(X.shape)
+    return np.matmul(mat, X.reshape(math.prod(X.shape[:axis]), n, -1)).reshape(X.shape)
 
 
 class TensorOperator:
@@ -201,8 +209,8 @@ class TensorOperator:
 
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         U = self._check(u).reshape(self.shape)
-        out = np.zeros_like(U)
-        for axis in range(self.dim):
+        out = axis_apply(self._lap1d, U, 0)
+        for axis in range(1, self.dim):
             out += axis_apply(self._lap1d, U, axis)
         return out.reshape(-1)
 

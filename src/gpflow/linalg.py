@@ -79,7 +79,7 @@ class FastSolver:
         X = X.reshape(self.op.shape)
         for axis, F in enumerate(self._fwd):
             X = axis_apply(F, X, axis)
-        X = X / self._denominator
+        X /= self._denominator  # X is already a fresh array here
         for axis, B in enumerate(self._bwd):
             X = axis_apply(B, X, axis)
         return X.reshape(-1)

@@ -10,7 +10,7 @@ from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                           line_search_step, metric_inverse, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
-from gpflow.potentials import sin2_product
+from gpflow.potentials import harmonic_lattice, sin2_product
 
 from test_tensor import dense_lap
 
@@ -308,6 +308,8 @@ def test_report_schema():
     assert report.wall_seconds >= 0
     assert report.records[0].step_size == 0.0
     assert all(r.step_size > 0 for r in report.records[1:])
+    assert report.best_residual == report.residuals.min() == report.records[-1].residual
+    assert report.best_iter == report.iterations
 
 
 def test_default_initial_state_constant():
@@ -332,3 +334,44 @@ def test_default_initial_state_linear_is_linear_ground_state():
         default_initial_state(disc, "linear")
     with pytest.raises(ValueError):
         default_initial_state(disc, "quadratic", problem)
+
+
+def test_stall_with_rising_energy_is_diverged():
+    """A gradient flow whose step is far above its stability threshold
+    stalls with the energy going up: that is no convergence."""
+    disc = TensorOperator(GridSpec(8.0, 1, 64, Scheme.FD2))
+    problem = Problem(harmonic_lattice(disc.node_coordinates()), 1600.0, 10.0)
+    report = run(FlowConfig(alpha=10.0, step=FixedStep(0.5)), problem,
+                 default_initial_state(disc),
+                 StopRule(residual_tol=1e-12, stall_window=10, max_iter=3000))
+    assert report.reason == "diverged"
+    assert not report.converged
+    assert np.diff(report.energies[-11:]).max() > 1e-12 * abs(report.energies[-1])
+    assert report.best_residual < report.records[-1].residual
+    assert report.best_iter < report.iterations
+
+
+@pytest.mark.parametrize("policy, laplacians_per_iter",
+                         [(FixedStep(0.5), 1), (LineSearchStep(), 2)])
+def test_operator_counts_per_iteration(monkeypatch, policy, laplacians_per_iter):
+    """-Delta_h u is applied once per accepted iterate and shared by every
+    diagnostic and the gradient; the line search adds one -Delta_h g."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
+    u0 = default_initial_state(disc)
+    counts = {"lap": 0, "solve": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
+                        counted(TensorOperator.apply_neg_laplacian, "lap"))
+    monkeypatch.setattr(FastSolver, "solve", counted(FastSolver.solve, "solve"))
+    k = 6
+    report = run(FlowConfig(alpha=problem.alpha, step=policy), problem, u0,
+                 StopRule(residual_tol=0.0, stall_window=50, max_iter=k))
+    assert report.iterations == k
+    assert counts["lap"] == laplacians_per_iter * k + 1
+    assert counts["solve"] == 2 * k
