@@ -3,8 +3,8 @@
 
 Runs FD2, SEM(2) and COMPACT4 on a pair of refinement levels each and
 prints eigenvalue/energy errors with observed orders.  The full-size
-levels (39^3 / 79^3 for the finite-difference schemes) take a couple of
-minutes; pass --small for a quick smoke run.
+levels (39^3 / 79^3 for the finite-difference schemes) take about ten
+seconds on a 2-core machine; pass --small for a quick smoke run.
 """
 
 import argparse

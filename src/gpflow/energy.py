@@ -156,14 +156,13 @@ def retract(disc, u: np.ndarray) -> np.ndarray:
     return u / nrm
 
 
-def residual(state: State, problem: Problem, weighted: bool = False) -> float:
+def residual(state: State, problem: Problem) -> float:
     """Relative residue || u/|u| - F(u)/|F(u)| || with F = -Delta_h u + Vu + beta u^3.
 
     F is evaluated at the h-normalized state (the manifold the flow lives
     on; the cubic term is not scale invariant), and the misalignment of the
-    two unit directions is measured in the plain Euclidean coefficient norm
-    by default; weighted=True swaps in the h-norm.  Exact eigenpairs give 0
-    and rescaling u changes nothing.
+    two unit directions is measured in the plain Euclidean coefficient norm.
+    Exact eigenpairs give 0 and rescaling u changes nothing.
     """
     u = state.coeffs
     disc = state.disc
@@ -174,14 +173,10 @@ def residual(state: State, problem: Problem, weighted: bool = False) -> float:
     # -Delta_h is linear, so -Delta_h v = (-Delta_h u) / |u|_h
     F = (state.neg_lap / hn + problem.potential * v
          + problem.beta * (v * v) * v)
-    if weighted:
-        nrm = lambda w: norm_h(disc, w)
-    else:
-        nrm = lambda w: float(np.linalg.norm(w))
-    Fn = nrm(F)
+    Fn = float(np.linalg.norm(F))
     if Fn == 0:
         return 1.0
-    return nrm(v / nrm(v) - F / Fn)
+    return float(np.linalg.norm(v / np.linalg.norm(v) - F / Fn))
 
 
 def eigenvalue_estimate(state: State, problem: Problem) -> float:

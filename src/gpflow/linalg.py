@@ -1,17 +1,21 @@
-"""Fast shifted-Laplacian solves, PCG, and lowest generalized eigenpairs.
+"""Fast shifted-Laplacian solves, PCG, and LOBPCG for the lowest eigenpairs.
 
 The shifted solve (-Delta_h + alpha I)^{-1} is done by per-axis
 diagonalization of the 1D pencil S z = mu M z: forward transform, division
 by the Kronecker-sum eigenvalues plus alpha, back transform.  Cost is
-O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.
+O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.  It is
+also the preconditioner of the metric flows' PCG and of the eigensolver,
+scipy's LOBPCG.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import lobpcg
 
 from .grids import Operator1D, TensorOperator, axis_apply
 
@@ -133,74 +137,55 @@ def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500, x0=None):
 
 @dataclass
 class EigenResult:
-    """Two lowest eigenpairs of an <.,.>_h-symmetric operator A v = lambda v."""
+    """Lowest eigenpairs of an <.,.>_h-symmetric operator A v = lambda v;
+    lambda1 and v1 are None when one pair was asked for."""
 
     lambda0: float
-    lambda1: float
+    lambda1: float | None
     v0: np.ndarray
-    v1: np.ndarray
+    v1: np.ndarray | None
 
     @property
     def gap(self) -> float:
         return self.lambda1 - self.lambda0
 
 
-def _h_normalize(v, weights):
-    nrm = np.sqrt(float(np.dot(v * weights, v)))
-    if nrm == 0:
-        raise SolverError("zero vector in eigen iteration")
-    return v / nrm
-
-
-def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, maxiter=500,
-                          solve_inner=None, rng=None) -> EigenResult:
-    """Deflated inverse iteration for the two smallest eigenvalues.
+def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
+                          k=2) -> EigenResult:
+    """The k (1 or 2) smallest eigenpairs by LOBPCG (Knyazev 2001).
 
     apply_A acts on coefficient vectors and is symmetric w.r.t. the weighted
-    inner product.  Inner solves A x = v use pcg; solve_inner, when given, is
-    used as the preconditioner (typically a FastSolver.solve for a shifted
-    Laplacian close to A).
+    inner product; solve_inner, when given, is the preconditioner (typically
+    a FastSolver.solve for a shifted Laplacian close to A).  LOBPCG runs on
+    the similar standard problem in y = sqrt(w) v, where the h-norm is the
+    2-norm.  Every returned pair meets ||A v - lambda v||_h <= tol |lambda|,
+    else SolverError; lambdas ascend, and each v is h-normalized with a
+    nonnegative weighted mean.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = len(weights)
-    precond = solve_inner if solve_inner is not None else (lambda r: r)
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k}")
+    s = np.sqrt(weights)[:, None]
 
-    def inner(u, v):
-        return float(np.dot(u * weights, v))
+    def similar(f):  # Y -> s f(Y / s), column by column
+        return lambda Y: s * np.column_stack([f(x) for x in (Y / s).T])
 
-    def solve_A(b, x0):
-        x, _, ok = pcg(apply_A, precond, b, weights, tol=1e-12, maxiter=2000, x0=x0)
-        if not ok:
-            raise SolverError("inner pcg did not converge in eigen iteration")
-        return x
-
-    pairs = []
-    deflate: list[np.ndarray] = []
-    for which in range(2):
-        v = _h_normalize(rng.standard_normal(n), weights)
-        for d in deflate:
-            v -= inner(v, d) * d
-        v = _h_normalize(v, weights)
-        lam = inner(v, apply_A(v))
-        x_prev = None
-        for it in range(maxiter):
-            x = solve_A(v, x_prev)
-            for d in deflate:
-                x -= inner(x, d) * d
-            v = _h_normalize(x, weights)
-            x_prev = x
-            Av = apply_A(v)
-            lam = inner(v, Av)
-            resid = Av - lam * v
-            if np.sqrt(inner(resid, resid)) <= tol * abs(lam):
-                break
-        else:
-            raise SolverError(f"eigenpair {which} did not converge in {maxiter} iterations")
-        # sign: nonnegative weighted mean
-        if float(np.dot(weights, v)) < 0:
-            v = -v
-        pairs.append((lam, v))
-        deflate.append(v)
-
-    (l0, v0), (l1, v1) = sorted(pairs, key=lambda p: p[0])
-    return EigenResult(lambda0=l0, lambda1=l1, v0=v0, v1=v1)
+    A = similar(apply_A)
+    M = None if solve_inner is None else similar(solve_inner)
+    Y = np.random.default_rng(0).standard_normal((len(weights), k))
+    # lobpcg's tol is absolute: when |lambda| < 1, go on from the last block
+    atol = tol
+    for _ in range(2):
+        with warnings.catch_warnings():  # the contract is checked below
+            warnings.simplefilter("ignore", UserWarning)
+            lam, Y = lobpcg(A, Y, M=M, tol=atol, maxiter=500, largest=False)
+        res = np.linalg.norm(A(Y) - Y * lam, axis=0)
+        if np.all(res <= tol * np.abs(lam)):
+            break
+        atol = tol * float(np.min(np.abs(lam)))
+    else:
+        raise SolverError(f"LOBPCG missed ||A v - lambda v||_h <= {tol} |lambda|: "
+                          f"residuals {res}, lambda {lam}")
+    V = Y / s
+    V *= np.where(weights @ V < 0, -1.0, 1.0)
+    lambda1, v1 = (float(lam[1]), V[:, 1]) if k == 2 else (None, None)
+    return EigenResult(lambda0=float(lam[0]), lambda1=lambda1, v0=V[:, 0], v1=v1)

@@ -140,7 +140,6 @@ def test_residual_exact_eigenpair_zero():
     x = disc.ops[0].nodes
     v = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
     assert residual(State(v, disc), problem) <= 1e-13
-    assert residual(State(v, disc), problem, weighted=True) <= 1e-13
 
 
 def test_residual_nonlinear_exact_eigenpair_zero():

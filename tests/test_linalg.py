@@ -174,7 +174,8 @@ def test_lowest_two_dense_oracle():
     assert res.gap > 0
 
 
-def test_lowest_two_closed_form_fd2_2d():
+@pytest.mark.parametrize("k", [2, 1])
+def test_lowest_two_closed_form_fd2_2d(k):
     """beta=0, V=c: lambda0 = 2 mu1 + c, lambda1 = mu1 + mu2 + c."""
     c = 0.7
     spec = GridSpec(1.0, 2, 10, Scheme.FD2)
@@ -183,9 +184,12 @@ def test_lowest_two_closed_form_fd2_2d():
     mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
     fs = FastSolver(disc, c)
     res = lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + c * u,
-                                disc.weights, tol=1e-10, solve_inner=fs.solve)
+                                disc.weights, tol=1e-10, solve_inner=fs.solve, k=k)
     assert res.lambda0 == pytest.approx(2 * mu(1) + c, rel=1e-9)
-    assert res.lambda1 == pytest.approx(mu(1) + mu(2) + c, rel=1e-9)
+    if k == 2:
+        assert res.lambda1 == pytest.approx(mu(1) + mu(2) + c, rel=1e-9)
+    else:
+        assert res.lambda1 is None and res.v1 is None
     # ground mode positive after sign normalization
     assert np.min(res.v0) > 0
 
@@ -196,3 +200,13 @@ def test_lowest_two_diagonal():
     res = lowest_two_eigenpairs(lambda u: d * u, w, tol=1e-12)
     assert res.lambda0 == pytest.approx(1.0, abs=1e-9)
     assert res.lambda1 == pytest.approx(2.0, abs=1e-9)
+
+
+def test_lowest_two_unreachable_tol_raises():
+    spec = GridSpec(1.0, 1, 33, Scheme.FD2)
+    disc = TensorOperator(spec)
+    V = np.random.default_rng(3).uniform(0.0, 5.0, size=disc.ndof)
+    fs = FastSolver(disc, 1.0)
+    with pytest.raises(SolverError):
+        lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + V * u,
+                              disc.weights, tol=1e-30, solve_inner=fs.solve)
