@@ -19,7 +19,8 @@ from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
                        monotonicity_oracle, perron_check, rate_fit)
 from .config import ConfigError, RunConfig, parse_config
 from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
-from .flows import FlowConfig, FlowKind, RunReport, default_initial_state, run
+from .flows import (FixedStep, FlowConfig, FlowKind, RunReport,
+                    default_initial_state, run)
 from .grids import GridSpec, TensorOperator
 from .linalg import FastSolver, SolverError
 
@@ -76,8 +77,7 @@ def run_convergence(cfg: RunConfig, created) -> int:
     levels = cfg.study_levels or [cfg.grid.cells_per_dim, 2 * cfg.grid.cells_per_dim]
     schemes = cfg.study_schemes or [(cfg.grid.scheme, cfg.grid.degree)]
     table = convergence_study(schemes, levels, cfg.grid.dim, cfg.beta,
-                              alpha=cfg.flow.alpha,
-                              tau=getattr(cfg.flow.step, "tau", 1.0),
+                              alpha=cfg.flow.alpha, tau=cfg.flow.step.tau,
                               initial=cfg.initial)
     rows = []
     ok = True
@@ -104,7 +104,7 @@ def run_eigengap(cfg: RunConfig, created) -> int:
         return Problem(V, cfg.beta, cfg.flow.effective_alpha)
 
     rows = eigengap_study(specs, problem_for, alpha=cfg.flow.alpha,
-                          tau=getattr(cfg.flow.step, "tau", 1.0), stop=cfg.stop)
+                          tau=cfg.flow.step.tau, stop=cfg.stop)
     _write_csv(f"{cfg.prefix}_table.csv", ["h", "lambda0", "lambda1", "gap"],
                [(r.h, r.lambda0, r.lambda1, r.gap) for r in rows], created)
     return 0 if all(r.gap > 0 for r in rows) else 2
@@ -185,6 +185,16 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
     return 0 if passed == len(checks) else 2
 
 
+def _study_flow_error(cfg: RunConfig) -> str | None:
+    """convergence and eigengap run the modified-H1 flow at a fixed step;
+    a config asking for another flow or for the line search is an error."""
+    if cfg.flow.kind is not FlowKind.MODIFIED_H1:
+        return f"[flow] kind = {cfg.flow.kind.value}: this study runs modified_h1 only"
+    if not isinstance(cfg.flow.step, FixedStep):
+        return "[flow] tau = linesearch: this study needs a numeric step"
+    return None
+
+
 _COMMANDS = {
     "solve": run_solve,
     "convergence": run_convergence,
@@ -210,6 +220,11 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
+    if args.subcommand in ("convergence", "eigengap"):
+        error = _study_flow_error(cfg)
+        if error:
+            print(f"config error: {error}", file=sys.stderr)
+            return 1
 
     if args.out is not None:
         cfg.prefix = args.out

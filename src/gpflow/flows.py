@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+import numpy.polynomial.polynomial as P
 
 from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
-                     inner_h, norm_h, residual, retract, riemannian_gradient)
+                     residual, retract, riemannian_gradient)
 from .grids import TensorOperator
 from .linalg import FastSolver, SolverError, pcg
 
@@ -38,8 +38,6 @@ class FixedStep:
 class LineSearchStep:
     lo: float = 1e-3
     hi: float = 4.0
-    tol: float = 1e-4
-    max_evals: int = 100
 
     def __post_init__(self):
         if not 0 < self.lo < self.hi:
@@ -185,28 +183,89 @@ def gradient_step(state: State, problem: Problem, G,
     return State(retract(state.disc, state.coeffs - tau * g), state.disc), tau
 
 
+@dataclass(frozen=True)
+class LineEnergy:
+    """phi(tau) = E_h(R_h(u - tau g)) in closed form.
+
+    With w = u - tau g and n(tau) = <w, w>_h,
+
+        phi(tau) = e0 + A(tau) / n(tau) + (beta/4) Q(tau) / n(tau)^2,
+
+    e0 = phi(0), A of degree 2 and Q of degree 4 with no constant term
+    (coefficient arrays, lowest degree first).  Taking phi(0) out before
+    the sums are combined keeps phi(tau) - phi(0) accurate where phi itself
+    varies only in its last digits.
+    """
+
+    e0: float
+    A: np.ndarray
+    Q: np.ndarray
+    n: np.ndarray
+    beta: float
+
+    def rise(self, tau):
+        """phi(tau) - phi(0)."""
+        n = P.polyval(tau, self.n)
+        return P.polyval(tau, self.A) / n + 0.25 * self.beta * P.polyval(tau, self.Q) / (n * n)
+
+    def stationary_points(self) -> np.ndarray:
+        """Roots of phi' n^3 = (A'n - An')n + (beta/4)(Q'n - 2Qn'), complex
+        ones included; its degree-5 terms cancel exactly."""
+        A, Q, n = self.A, self.Q, self.n
+        dn = P.polyder(n)
+        num = P.polyadd(
+            P.polymul(P.polysub(P.polymul(P.polyder(A), n), P.polymul(A, dn)), n),
+            0.25 * self.beta * P.polysub(P.polymul(P.polyder(Q), n), 2 * P.polymul(Q, dn)))
+        return P.polyroots(num)
+
+
+def line_energy(state: State, problem: Problem, g: np.ndarray,
+                lap_g: np.ndarray) -> LineEnergy:
+    """phi(tau) = E_h(R_h(u - tau g)) from 14 weighted sums, given lap_g = -Delta_h g."""
+    u = state.coeffs
+    wu = state.disc.weights * u
+    wg = state.disc.weights * g
+    a, b, c = state.h_norm_sq, np.dot(wu, g), np.dot(wg, g)
+    # 1/2 <w, (-Delta_h + V) w>_h = k0 - 2 tau k1 + tau^2 k2
+    t = problem.potential * u
+    k0 = 0.5 * (np.dot(wu, state.neg_lap) + np.dot(wu, t))
+    k1 = 0.5 * (np.dot(wg, state.neg_lap) + np.dot(wg, t))
+    np.multiply(problem.potential, g, out=t)
+    k2 = 0.5 * (np.dot(wg, lap_g) + np.dot(wg, t))
+    # <w^2, w^2>_h = sum_j binom(4, j) (-tau)^j q_j with q_j = <u^(4-j), g^j>_h
+    np.multiply(wu, u, out=t)
+    np.multiply(t, g, out=wu)
+    q2 = np.dot(wu, g)
+    t *= u
+    q0, q1 = np.dot(t, u), np.dot(t, g)
+    np.multiply(wg, g, out=t)
+    t *= g
+    q3, q4 = np.dot(t, u), np.dot(t, g)
+
+    n = np.array([a, -2.0 * b, c])
+    e_quad, e_quart = k0 / a, q0 / (a * a)
+    # phi(tau) - phi(0): subtract phi(0) n / n and phi(0) n^2 / n^2 termwise
+    A = np.array([0.0, 2.0 * (e_quad * b - k1), k2 - e_quad * c])
+    Q = np.array([q0, -4.0 * q1, 6.0 * q2, -4.0 * q3, q4]) - e_quart * P.polymul(n, n)
+    Q[0] = 0.0
+    return LineEnergy(float(e_quad + 0.25 * problem.beta * e_quart), A, Q, n,
+                      problem.beta)
+
+
 def line_search_step(state: State, problem: Problem, g: np.ndarray,
                      policy: LineSearchStep) -> float:
-    """Step size minimizing tau -> E_h(R_h(u - tau g)) over [lo, hi]."""
-    disc = state.disc
-    gnorm = np.sqrt(max(inner_h(disc, g, g), 0.0))
-    if gnorm == 0:
+    """Exact minimizer of tau -> E_h(R_h(u - tau g)) over [lo, hi]: the best
+    of the two ends and the stationary points of the closed form inside.
+    A zero gradient gives lo."""
+    if not g.any():
         return policy.lo
-    # -Delta_h is linear: each trial point's Laplacian is a vector update
-    lap_g = disc.apply_neg_laplacian(g)
-
-    def phi(tau):
-        w = state.coeffs - tau * g
-        nrm = norm_h(disc, w)
-        trial = State(w / nrm, disc, _neg_lap=(state.neg_lap - tau * lap_g) / nrm)
-        val = energy(trial, problem)
-        if not np.isfinite(val):
-            raise SolverError(f"non-finite energy in line search at tau={tau}")
-        return val
-
-    res = minimize_scalar(phi, bounds=(policy.lo, policy.hi), method="bounded",
-                          options={"xatol": policy.tol, "maxiter": policy.max_evals})
-    return float(res.x)
+    phi = line_energy(state, problem, g, state.disc.apply_neg_laplacian(g))
+    if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
+        raise SolverError("non-finite energy in line search")
+    # a complex pair near a double root still marks a stationary point
+    taus = np.concatenate(([policy.lo, policy.hi],
+                           np.clip(phi.stationary_points().real, policy.lo, policy.hi)))
+    return float(taus[np.argmin(phi.rise(taus))])
 
 
 def default_initial_state(disc, kind: str = "constant",

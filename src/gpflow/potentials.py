@@ -15,7 +15,13 @@ def constant(c: float):
 
 def sin2_product(coords: np.ndarray) -> np.ndarray:
     """prod_i sin^2(pi x_i / 4)."""
-    return np.prod(np.sin(np.pi * coords / 4.0) ** 2, axis=1)
+    s = np.sin(np.pi * coords / 4.0)
+    s *= s
+    # column by column: np.prod over short rows is ~4x slower, same bits
+    v = s[:, 0].copy()
+    for col in s.T[1:]:
+        v *= col
+    return v
 
 
 def harmonic_lattice(coords: np.ndarray) -> np.ndarray:

@@ -246,6 +246,23 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
+@pytest.mark.parametrize("subcommand", ["convergence", "eigengap"])
+@pytest.mark.parametrize("flow, key", [("tau = linesearch", "tau"),
+                                       ("kind = l2", "kind"),
+                                       ("kind = h1_seminorm", "kind")])
+def test_cli_study_rejects_flow_it_cannot_run(tmp_path, capsys, subcommand,
+                                              flow, key):
+    """The studies run modified H1 at a fixed step; asking for anything else
+    is a config error, not a silent tau = 1 modified-H1 run."""
+    prefix = str(tmp_path / "x")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "[flow]\n", f"[flow]\n{flow}\n"), name="study.ini")
+    assert main([subcommand, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[flow] {key} =" in err
+    assert not os.path.exists(prefix + "_table.csv")
+
+
 def test_cli_nonconvergence_exit_2(tmp_path):
     prefix = str(tmp_path / "n")
     cfg = small_cfg(tmp_path, prefix, extra="")
