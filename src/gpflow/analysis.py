@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import Problem, State, apply_Au, energy, eigenvalue_estimate, retract
-from .flows import FixedStep, FlowConfig, FlowKind, RunReport, StopRule, run
+from .energy import Problem, State, apply_Au, energy
+from .flows import (FixedStep, FlowConfig, FlowKind, RunReport, StopRule,
+                    default_initial_state, run)
 from .grids import GridSpec, Scheme, TensorOperator
 from .linalg import EigenResult, FastSolver, lowest_two_eigenpairs
 
@@ -86,7 +87,6 @@ def solve_exact_case(spec: GridSpec, beta: float, alpha: float = 0.2,
                      tau: float = 1.0, stop: StopRule | None = None,
                      initial: str = "constant"):
     """Run the modified-H1 flow on the manufactured case; returns (report, case)."""
-    from .flows import default_initial_state
     disc = TensorOperator(spec)
     case = exact_case(disc, beta)
     problem = Problem(case.potential, beta, alpha)
@@ -113,9 +113,7 @@ def convergence_study(schemes, levels, d: int, beta: float,
         for cells in levels:
             spec = GridSpec(1.0, d, cells, scheme, degree)
             report, case = solve_exact_case(spec, beta, alpha, tau, initial=initial)
-            state = report.final_state
-            lam = eigenvalue_estimate(state, Problem(case.potential, beta, alpha))
-            en = energy(state, Problem(case.potential, beta, alpha))
+            state, last = report.final_state, report.records[-1]
             u = state.coeffs
             if float(np.dot(state.disc.weights, u)) < 0:
                 u = -u
@@ -123,8 +121,8 @@ def convergence_study(schemes, levels, d: int, beta: float,
             n = spec.interior_per_dim
             rows.append(ConvergenceRow(
                 label=f"{n}^{d}", h=spec.cell_size,
-                lambda_err=abs(lam - case.lambda_star),
-                energy_err=abs(en - case.energy_star),
+                lambda_err=abs(last.eigenvalue - case.lambda_star),
+                energy_err=abs(last.energy - case.energy_star),
                 sup_err=sup,
                 iterations=report.iterations,
                 converged=report.converged,
@@ -225,7 +223,7 @@ def eigengap_study(specs, problem_for, alpha: float = 0.2, tau: float = 1.0,
     for spec in specs:
         disc = TensorOperator(spec)
         problem = problem_for(disc)
-        u0 = State(retract(disc, np.ones(disc.ndof)), disc)
+        u0 = default_initial_state(disc)
         flow = FlowConfig(kind=FlowKind.MODIFIED_H1, alpha=alpha, step=FixedStep(tau))
         report = run(flow, problem, u0,
                      stop or StopRule(residual_tol=1e-12, stall_window=10, max_iter=400))

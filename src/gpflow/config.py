@@ -2,7 +2,8 @@
 
 Sections and keys:
 
-    [grid]     scheme (fd2|compact4|sem), degree, d, cells, half_width
+    [grid]     scheme (fd2 | compact4 | sem<k>, k the SEM degree), d, cells,
+               half_width
     [problem]  potential (exact_case | sin2_product | harmonic_lattice |
                constant(c) | file(path)), beta
     [flow]     kind, alpha, tau (number or 'linesearch'), dt, initial
@@ -33,7 +34,7 @@ class ConfigError(ValueError):
 
 
 _KNOWN = {
-    "grid": {"scheme", "degree", "d", "cells", "half_width"},
+    "grid": {"scheme", "d", "cells", "half_width"},
     "problem": {"potential", "beta"},
     "flow": {"kind", "alpha", "tau", "dt", "initial"},
     "stop": {"tol", "max_iter", "stall_window"},
@@ -41,7 +42,6 @@ _KNOWN = {
     "output": {"prefix"},
 }
 
-_SCHEMES = {"fd2": Scheme.FD2, "compact4": Scheme.COMPACT4, "sem": Scheme.SEM}
 _FLOWS = {k.value: k for k in FlowKind}
 
 
@@ -121,7 +121,7 @@ def _scheme_token(ln, tok):
     if not m:
         raise ConfigError(ln, f"unknown scheme {tok!r}")
     if m.group(1):
-        return _SCHEMES[m.group(1)], 1
+        return Scheme(m.group(1)), 1
     return Scheme.SEM, int(m.group(2))
 
 
@@ -141,13 +141,7 @@ def parse_config(text: str) -> RunConfig:
 
     # grid
     ln, tok = get("grid", "scheme", "fd2")
-    scheme = _SCHEMES.get(tok.lower())
-    degree = 1
-    if scheme is None:
-        scheme, degree = _scheme_token(ln, tok.lower())
-    if scheme is Scheme.SEM and ("grid", "degree") in values:
-        ln_d, dv = values[("grid", "degree")]
-        degree = int(_number(ln_d, dv, "degree", int))
+    scheme, degree = _scheme_token(ln, tok.lower())
     d = int(_number(*get("grid", "d", "1"), "d", int))
     cells = int(_number(*get("grid", "cells", "32"), "cells", int))
     half_width = _number(*get("grid", "half_width", "1"), "half_width")

@@ -1,15 +1,17 @@
 """1D operator construction and tensor-product discretizations on [-L, L]^d.
 
-Three schemes share one interface:
+Three schemes share one interface and one assembly path:
 
-* FD2      -- classical second-order centered differences, trapezoid weights.
 * SEM(k)   -- Q^k spectral elements collocated at Gauss-Lobatto nodes with
-              Gauss-Lobatto (lumped) mass; SEM(1) coincides with FD2.
+              Gauss-Lobatto (lumped) mass.
+* FD2      -- classical second-order centered differences with trapezoid
+              weights, built as SEM(1), with which it coincides.
 * COMPACT4 -- fourth-order Pade compact Laplacian T^{-1} K with the FD2
               energy (trapezoid weights); only the Laplacian changes.
 
-The d-dimensional Laplacian is never materialized: it acts as a Kronecker
-sum of 1D operators via per-axis contractions.
+A grid has one 1D operator, shared by every axis.  The d-dimensional
+Laplacian is never materialized: it acts as the Kronecker sum of that
+operator via per-axis contractions.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def lagrange_diff_matrix(nodes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Operator1D:
-    """Interior-node 1D operator bundle for one axis.
+    """Interior-node 1D operator bundle, shared by every axis of a grid.
 
     S is the stiffness matrix (symmetric PSD), weights the diagonal of the
     lumped mass matrix.  mass_aux is the tridiagonal Pade matrix T for
@@ -110,7 +112,6 @@ class Operator1D:
     nodes: np.ndarray
     weights: np.ndarray
     stiffness: np.ndarray
-    scheme: Scheme
     mass_aux: np.ndarray | None = None
     _lap: np.ndarray | None = field(default=None, repr=False)
 
@@ -129,23 +130,14 @@ class Operator1D:
 
 
 def build_1d(spec: GridSpec) -> Operator1D:
-    """Assemble the 1D interior operators for the spec's scheme."""
+    """Assemble the 1D interior operators for the spec's scheme.
+
+    Every scheme goes through the Q^k assembly loop; FD2 and COMPACT4 are
+    its k = 1 case, and COMPACT4 adds the tridiagonal Pade matrix T.
+    """
     L = spec.half_width
     h = spec.cell_size
-    if spec.scheme is Scheme.FD2 or spec.scheme is Scheme.COMPACT4:
-        n = spec.cells_per_dim - 1
-        nodes = -L + h * np.arange(1, n + 1)
-        weights = np.full(n, h)
-        S = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
-             + np.diag(np.full(n - 1, -1.0), -1)) / h
-        if spec.scheme is Scheme.COMPACT4:
-            T = (np.diag(np.full(n, 10.0 / 12.0))
-                 + np.diag(np.full(n - 1, 1.0 / 12.0), 1)
-                 + np.diag(np.full(n - 1, 1.0 / 12.0), -1))
-            return Operator1D(nodes, weights, S, spec.scheme, mass_aux=T)
-        return Operator1D(nodes, weights, S, spec.scheme)
-
-    k = spec.degree
+    k = spec.degree if spec.scheme is Scheme.SEM else 1
     ref_nodes, ref_w = gauss_lobatto_rule(k)
     D = lagrange_diff_matrix(ref_nodes)
     # local stiffness: exact since grad products have degree 2k-2 <= 2k-1
@@ -164,8 +156,14 @@ def build_1d(spec: GridSpec) -> Operator1D:
         S_g[idx, idx] += Sloc
     # eliminate Dirichlet boundary nodes
     keep = slice(1, n_total - 1)
+    T = None
+    if spec.scheme is Scheme.COMPACT4:
+        n = n_total - 2
+        T = (np.diag(np.full(n, 10.0 / 12.0))
+             + np.diag(np.full(n - 1, 1.0 / 12.0), 1)
+             + np.diag(np.full(n - 1, 1.0 / 12.0), -1))
     return Operator1D(nodes_g[keep], weights_g[keep],
-                      np.ascontiguousarray(S_g[keep, keep]), spec.scheme)
+                      np.ascontiguousarray(S_g[keep, keep]), mass_aux=T)
 
 
 def axis_apply(mat: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
@@ -181,15 +179,15 @@ def axis_apply(mat: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
 
 
 class TensorOperator:
-    """Kronecker-sum action of -Delta_h, S and M on [-L, L]^d grid vectors.
+    """Kronecker-sum action of -Delta_h on [-L, L]^d grid vectors, with the
+    tensor-product mass weights.  Every axis carries the same 1D operator `op`.
 
     Vectors are flattened C-order over the (n, ..., n) interior grid.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        op = build_1d(spec)
-        self.ops = [op] * spec.dim
+        self.op = op = build_1d(spec)
         self.dim = spec.dim
         self.n = op.n
         self.shape = (op.n,) * spec.dim
@@ -201,28 +199,17 @@ class TensorOperator:
         self.weights = tensor_w.reshape(-1)
         self._lap1d = op.laplacian_matrix()
 
-    def _check(self, u: np.ndarray) -> np.ndarray:
+    def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.ndof,):
             raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
-        return u
-
-    def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
-        U = self._check(u).reshape(self.shape)
+        U = u.reshape(self.shape)
         out = axis_apply(self._lap1d, U, 0)
         for axis in range(1, self.dim):
             out += axis_apply(self._lap1d, U, axis)
         return out.reshape(-1)
 
-    def apply_mass(self, u: np.ndarray) -> np.ndarray:
-        return self.weights * self._check(u)
-
-    def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
-        # S_d = M_d (-Delta_h) since the mass is diagonal on every axis
-        return self.weights * self.apply_neg_laplacian(u)
-
     def node_coordinates(self) -> np.ndarray:
         """(ndof, dim) array of interior node coordinates, C-order."""
-        axes = [op.nodes for op in self.ops]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*[self.op.nodes] * self.dim, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)

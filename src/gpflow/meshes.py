@@ -66,37 +66,39 @@ def write_mesh(path, mesh: TriMesh2D) -> None:
             f.write(f"{i} {j} {k}\n")
 
 
-def _triangle_geometry(mesh: TriMesh2D, t: int):
-    """Signed area and per-corner cotangents of triangle t."""
-    i, j, k = mesh.triangles[t]
-    p = mesh.vertices
-    e_jk = p[k] - p[j]
-    e_ki = p[i] - p[k]
-    e_ij = p[j] - p[i]
-    area2 = e_ij[0] * (-e_ki[1]) - e_ij[1] * (-e_ki[0])  # 2 * signed area
-    if area2 <= 0:
-        raise MeshError(f"triangle {t} has non-positive area {area2 / 2.0}")
+def _triangle_geometry(mesh: TriMesh2D):
+    """Areas (T,) and per-corner cotangents (T, 3) of every triangle."""
+    p = mesh.vertices[mesh.triangles]  # (T, 3, 2): corners i, j, k
+    e_jk = p[:, 2] - p[:, 1]
+    e_ki = p[:, 0] - p[:, 2]
+    e_ij = p[:, 1] - p[:, 0]
+    area2 = e_ij[:, 0] * (-e_ki[:, 1]) - e_ij[:, 1] * (-e_ki[:, 0])  # 2 * signed area
+    bad = np.flatnonzero(area2 <= 0)
+    if len(bad):
+        raise MeshError(f"triangle {bad[0]} has non-positive area {area2[bad[0]] / 2.0}")
     # cot at corner i = (opposite edge dot products) / (2 area)
-    cots = np.array([
-        -np.dot(e_ij, e_ki),
-        -np.dot(e_jk, e_ij),
-        -np.dot(e_ki, e_jk),
-    ]) / area2
+    cots = np.stack([
+        -(e_ij * e_ki).sum(axis=1),
+        -(e_jk * e_ij).sum(axis=1),
+        -(e_ki * e_jk).sum(axis=1),
+    ], axis=1) / area2[:, None]
     return area2 / 2.0, cots
+
+
+def _opposite_edges(mesh: TriMesh2D):
+    """Endpoints (a, b), each (T, 3), of the edge opposite each corner."""
+    return mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
 
 
 def edge_cotangent_sums(mesh: TriMesh2D):
     """Sorted edge (i, j) -> (sum of opposite cotangents, incident triangle count)."""
-    sums: dict[tuple[int, int], list] = {}
-    for t in range(len(mesh.triangles)):
-        _, cots = _triangle_geometry(mesh, t)
-        i, j, k = mesh.triangles[t]
-        for (a, b), c in (((j, k), cots[0]), ((k, i), cots[1]), ((i, j), cots[2])):
-            key = (a, b) if a < b else (b, a)
-            entry = sums.setdefault(key, [0.0, 0])
-            entry[0] += c
-            entry[1] += 1
-    return {k: (v[0], v[1]) for k, v in sums.items()}
+    _, cots = _triangle_geometry(mesh)
+    a, b = (e.ravel() for e in _opposite_edges(mesh))
+    edges, which, counts = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1),
+                                     axis=0, return_inverse=True, return_counts=True)
+    sums = np.bincount(which.ravel(), weights=cots.ravel(), minlength=len(edges))
+    return {(int(i), int(j)): (float(v), int(c))
+            for (i, j), v, c in zip(edges, sums, counts)}
 
 
 @dataclass
@@ -114,12 +116,6 @@ class AssembledOperator:
             raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
         return (self.stiffness @ u) / self.weights
 
-    def apply_mass(self, u: np.ndarray) -> np.ndarray:
-        return self.weights * np.asarray(u, dtype=float)
-
-    def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
-        return self.stiffness @ np.asarray(u, dtype=float)
-
 
 def p1_assemble(mesh: TriMesh2D) -> AssembledOperator:
     """Cotangent stiffness and one-third-area lumped mass on interior vertices."""
@@ -127,21 +123,15 @@ def p1_assemble(mesh: TriMesh2D) -> AssembledOperator:
     if len(interior) == 0:
         raise MeshError("mesh has no interior vertex")
     nv = len(mesh.vertices)
-    renum = -np.ones(nv, dtype=int)
-    renum[interior] = np.arange(len(interior))
-
-    full = sp.lil_matrix((nv, nv))
-    lumped = np.zeros(nv)
-    for t in range(len(mesh.triangles)):
-        area, cots = _triangle_geometry(mesh, t)
-        i, j, k = mesh.triangles[t]
-        for (a, b), c in (((j, k), cots[0]), ((k, i), cots[1]), ((i, j), cots[2])):
-            half = c / 2.0
-            full[a, b] -= half
-            full[b, a] -= half
-            full[a, a] += half
-            full[b, b] += half
-        lumped[[i, j, k]] += area / 3.0
+    area, cots = _triangle_geometry(mesh)
+    a, b = _opposite_edges(mesh)
+    half = cots / 2.0
+    # each corner adds half its cotangent to S_aa and S_bb and takes it from S_ab, S_ba
+    full = sp.coo_matrix((np.concatenate([-half, -half, half, half], axis=None),
+                          (np.concatenate([a, b, a, b], axis=None),
+                           np.concatenate([b, a, a, b], axis=None))), shape=(nv, nv))
+    lumped = np.bincount(mesh.triangles.ravel(), weights=np.repeat(area / 3.0, 3),
+                         minlength=nv)
 
     S = full.tocsr()[interior][:, interior]
     return AssembledOperator(

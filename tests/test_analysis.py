@@ -155,7 +155,7 @@ def test_perron_linear_sine_mode():
     rep = perron_check(lambda w: disc.apply_neg_laplacian(w), disc,
                        solve_inner=fs.solve)
     assert rep.positive_eigenvector and rep.positive_gap
-    x = disc.ops[0].nodes
+    x = disc.op.nodes
     mode = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
     assert np.allclose(rep.eigen.v0 / np.linalg.norm(rep.eigen.v0),
                        mode / np.linalg.norm(mode), atol=1e-7)

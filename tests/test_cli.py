@@ -77,6 +77,7 @@ prefix = out/run1
 
 @pytest.mark.parametrize("text,line,match", [
     ("[grid]\nscheme = fd2\nwhat = 3\n", 3, "unknown key"),
+    ("[grid]\nscheme = sem5\ndegree = 3\n", 3, "unknown key"),
     ("[nope]\n", 1, "unknown section"),
     ("x = 1\n", 1, "before any"),
     ("[grid]\njunk line\n", 2, "key = value"),
@@ -87,6 +88,8 @@ prefix = out/run1
     (MINIMAL + "[flow]\nkind = cg\n", 10, "unknown flow kind"),
     (MINIMAL + "[flow]\ninitial = random\n", 10, "initial"),
     ("[grid]\nscheme = fd3\n[problem]\npotential = constant(1)\n", 2,
+     "unknown scheme"),
+    ("[grid]\nscheme = sem\n[problem]\npotential = constant(1)\n", 2,
      "unknown scheme"),
     (MINIMAL.replace("constant(1)", "constant"), 7, "needs a value"),
     (MINIMAL.replace("constant(1)", "mystery"), 7, "unknown potential"),

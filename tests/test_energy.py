@@ -137,7 +137,7 @@ def test_residual_exact_eigenpair_zero():
     spec = GridSpec(1.0, 1, 16, Scheme.FD2)
     disc = TensorOperator(spec)
     problem = Problem(np.full(disc.ndof, 0.4), 0.0)
-    x = disc.ops[0].nodes
+    x = disc.op.nodes
     v = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
     assert residual(State(v, disc), problem) <= 1e-13
 

@@ -62,7 +62,7 @@ def test_modified_h1_contracts_excited_component():
     problem = Problem(np.full(disc.ndof, alpha), 0.0, alpha)
     fs = FastSolver(disc, alpha)
     h = spec.cell_size
-    x = disc.ops[0].nodes
+    x = disc.op.nodes
     mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
     v1 = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
     v2 = retract(disc, np.sin(2.0 * np.pi * (x + 1.0) / 2.0))
@@ -120,7 +120,7 @@ def test_bfsp_laplacian_eigenvector_fixed_point():
     spec = GridSpec(1.0, 1, 16, Scheme.FD2)
     disc = TensorOperator(spec)
     problem = Problem(np.zeros(disc.ndof), 0.0, 0.5)
-    x = disc.ops[0].nodes
+    x = disc.op.nodes
     u = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
     nxt = step_bfsp(State(u, disc), problem, 0.1, 0.5)
     assert np.allclose(nxt.coeffs, u, atol=1e-12)

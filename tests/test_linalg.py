@@ -73,13 +73,27 @@ def test_fast_solver_matches_dense(spec):
         assert np.allclose(fs.apply(x), b, atol=1e-11 * max(1.0, np.abs(b).max()))
 
 
+def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
+    """Every axis shares one 1D operator, so a 3D solver needs one eigensolve."""
+    calls = []
+
+    def counted(op):
+        calls.append(op)
+        return generalized_sym_eig(op)
+
+    monkeypatch.setattr("gpflow.linalg.generalized_sym_eig", counted)
+    disc = TensorOperator(GridSpec(1.0, 3, 4, Scheme.COMPACT4))
+    FastSolver(disc, 0.2)
+    assert len(calls) == 1
+
+
 def test_fast_solver_eigenvector_division():
     spec = GridSpec(1.0, 2, 8, Scheme.FD2)
     disc = TensorOperator(spec)
     alpha = 0.3
     fs = FastSolver(disc, alpha)
     h = spec.cell_size
-    x1 = disc.ops[0].nodes
+    x1 = disc.op.nodes
     v1 = np.sin(np.pi * (x1 + 1.0) / 2.0)
     v2 = np.sin(2 * np.pi * (x1 + 1.0) / 2.0)
     mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2

@@ -55,9 +55,9 @@ def test_sem1_equals_fd2():
     for Nc in (4, 9, 32):
         fd = build_1d(GridSpec(1.0, 1, Nc, Scheme.FD2))
         sem = build_1d(GridSpec(1.0, 1, Nc, Scheme.SEM, 1))
-        assert np.max(np.abs(fd.stiffness - sem.stiffness)) <= 1e-15 * np.abs(fd.stiffness).max()
-        assert np.max(np.abs(fd.weights - sem.weights)) <= 1e-15
-        assert np.allclose(fd.nodes, sem.nodes, atol=1e-15)
+        assert np.array_equal(fd.nodes, sem.nodes)
+        assert np.array_equal(fd.weights, sem.weights)
+        assert np.array_equal(fd.stiffness, sem.stiffness)
 
 
 def test_sem2_single_cell_against_quadrature_oracle():

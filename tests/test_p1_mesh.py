@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
@@ -138,3 +139,41 @@ def test_edge_cotangent_sums_interior_edge_counts_both_sides():
     # axis-aligned interior edges: 45 + 90 -> cot sum 1
     assert min(v for v, _ in sums.values()) >= -1e-13
     assert max(shared.values()) == pytest.approx(2.0)
+
+
+def test_vectorized_assembly_matches_per_triangle_loop():
+    """Stiffness, lumped mass and edge sums against a per-triangle loop.
+
+    The loop takes each dot product with np.dot, so cotangents may differ in
+    the last bit; the mass is summed in the same order and must be equal."""
+    rng = np.random.default_rng(3)
+    mesh = delaunay_mesh(rng.uniform(-1, 1, size=(80, 2)))
+    nv = len(mesh.vertices)
+    full = sp.lil_matrix((nv, nv))
+    lumped = np.zeros(nv)
+    sums = {}
+    for i, j, k in mesh.triangles:
+        p = mesh.vertices
+        e_jk, e_ki, e_ij = p[k] - p[j], p[i] - p[k], p[j] - p[i]
+        area2 = e_ij[0] * (-e_ki[1]) - e_ij[1] * (-e_ki[0])
+        cots = np.array([-np.dot(e_ij, e_ki), -np.dot(e_jk, e_ij),
+                         -np.dot(e_ki, e_jk)]) / area2
+        for (a, b), c in (((j, k), cots[0]), ((k, i), cots[1]), ((i, j), cots[2])):
+            full[a, b] -= c / 2.0
+            full[b, a] -= c / 2.0
+            full[a, a] += c / 2.0
+            full[b, b] += c / 2.0
+            entry = sums.setdefault((min(a, b), max(a, b)), [0.0, 0])
+            entry[0] += c
+            entry[1] += 1
+        lumped[[i, j, k]] += (area2 / 2.0) / 3.0
+    interior = mesh.interior_indices
+    want = full.toarray()[np.ix_(interior, interior)]
+    op = p1_assemble(mesh)
+    assert np.allclose(op.stiffness.toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert np.array_equal(op.weights, lumped[interior])
+    got = edge_cotangent_sums(mesh)
+    assert got.keys() == sums.keys()
+    for e, (v, count) in sums.items():
+        assert got[e][1] == count
+        assert abs(got[e][0] - v) <= 1e-14 * max(1.0, abs(v))
