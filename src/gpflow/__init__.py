@@ -1,8 +1,8 @@
 """Gross-Pitaevskii ground states by Riemannian Sobolev gradient descent."""
 
 from .grids import GridSpec, Scheme, TensorOperator, gauss_lobatto_rule
-from .meshes import TriMesh2D, p1_assemble, read_mesh, write_mesh
-from .linalg import FastSolver, lowest_two_eigenpairs, pcg
+from .meshes import TriMesh2D, p1_assemble
+from .linalg import lowest_two_eigenpairs, pcg, shifted_solver
 from .energy import Problem, State, energy, residual, retract
 from .flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                     StopRule, default_initial_state, run)
@@ -13,8 +13,8 @@ from .config import RunConfig, parse_config
 
 __all__ = [
     "GridSpec", "Scheme", "TensorOperator", "gauss_lobatto_rule",
-    "TriMesh2D", "p1_assemble", "read_mesh", "write_mesh",
-    "FastSolver", "lowest_two_eigenpairs", "pcg",
+    "TriMesh2D", "p1_assemble",
+    "lowest_two_eigenpairs", "pcg", "shifted_solver",
     "Problem", "State", "energy", "residual", "retract",
     "FixedStep", "FlowConfig", "FlowKind", "LineSearchStep", "StopRule",
     "default_initial_state", "run",

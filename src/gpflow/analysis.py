@@ -24,7 +24,7 @@ from .energy import Problem, State, apply_Au, energy
 from .flows import (FixedStep, FlowConfig, FlowKind, RunReport, StopRule,
                     default_initial_state, run)
 from .grids import GridSpec, Scheme, TensorOperator
-from .linalg import EigenResult, FastSolver, lowest_two_eigenpairs
+from .linalg import EigenResult, lowest_two_eigenpairs, shifted_solver
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,11 @@ class ExactCase:
     rho_star: float
 
 
-def _node_coordinates(disc) -> np.ndarray:
-    if hasattr(disc, "node_coordinates"):
-        return disc.node_coordinates()
-    return np.asarray(disc.nodes)
-
-
 def exact_case(disc, beta: float) -> ExactCase:
     """Manufactured ground state on [-1, 1]^d evaluated at the disc's nodes."""
     if hasattr(disc, "spec") and disc.spec.half_width != 1.0:
         raise ValueError("the manufactured case lives on [-1, 1]^d (half_width 1)")
-    coords = _node_coordinates(disc)
+    coords = disc.node_coordinates()
     d = coords.shape[1]
     u = np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
     lam = d * np.pi ** 2 / 4.0 + beta
@@ -231,7 +225,7 @@ def eigengap_study(specs, problem_for, alpha: float = 0.2, tau: float = 1.0,
             raise RuntimeError(f"ground state did not converge on {spec}")
         star = report.final_state
         shift = float(np.mean(problem.potential + problem.beta * star.coeffs ** 2))
-        pre = FastSolver(disc, max(shift, 1e-3))
+        pre = shifted_solver(disc, max(shift, 1e-3))
         res = lowest_two_eigenpairs(lambda w: apply_Au(star, problem, w),
                                     disc.weights, tol=1e-9, solve_inner=pre.solve)
         rows.append(EigengapRow(h=spec.cell_size, lambda0=res.lambda0,

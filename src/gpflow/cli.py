@@ -18,11 +18,11 @@ from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
                        dense_Au, eigengap_study, m_matrix_check,
                        monotonicity_oracle, perron_check, rate_fit)
 from .config import ConfigError, RunConfig, parse_config
-from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
+from .energy import Problem, apply_Au, eigenvalue_estimate, eigenvalue_from_energy
 from .flows import (FixedStep, FlowConfig, FlowKind, RunReport,
                     default_initial_state, run)
 from .grids import GridSpec, TensorOperator
-from .linalg import FastSolver, SolverError
+from .linalg import SolverError, shifted_solver
 
 FMT = "%.16e"  # 17 significant digits
 
@@ -60,7 +60,7 @@ def _write_summary(prefix, report: RunReport, created):
 def _build(cfg: RunConfig):
     disc = TensorOperator(cfg.grid)
     V = np.asarray(cfg.potential_fn(disc.node_coordinates()), dtype=float)
-    problem = Problem(V, cfg.beta, cfg.flow.effective_alpha)
+    problem = Problem(V, cfg.beta, cfg.flow.alpha)
     return disc, problem
 
 
@@ -101,7 +101,7 @@ def run_eigengap(cfg: RunConfig, created) -> int:
 
     def problem_for(disc):
         V = np.asarray(cfg.potential_fn(disc.node_coordinates()), dtype=float)
-        return Problem(V, cfg.beta, cfg.flow.effective_alpha)
+        return Problem(V, cfg.beta, cfg.flow.alpha)
 
     rows = eigengap_study(specs, problem_for, alpha=cfg.flow.alpha,
                           tau=cfg.flow.step.tau, stop=cfg.stop)
@@ -166,8 +166,7 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
             checks.append(("E(sqrt(v)) Hessian PSD", cv.hessian_psd))
             checks.append(("E(u) >= E(|u|)", cv.abs_value_inequality))
         shift = max(float(np.min(problem.potential)), 1e-2)
-        pre = FastSolver(disc, shift)
-        from .energy import apply_Au
+        pre = shifted_solver(disc, shift)
         pr = perron_check(lambda w: apply_Au(state, problem, w), disc,
                           solve_inner=pre.solve)
         checks.append(("ground-state eigenvalue simple (gap > 0)", pr.positive_gap))

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import FastSolver
-
 NORMALIZATION_TOL = 1e-10
 
 
@@ -126,15 +124,15 @@ def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
     return state.neg_lap + (problem.potential + problem.beta * u ** 2) * u
 
 
-def sobolev_gradient(state: State, problem: Problem, solver: FastSolver) -> np.ndarray:
-    """(-Delta_h + alpha I)^{-1} A_u u."""
+def sobolev_gradient(state: State, problem: Problem, solver) -> np.ndarray:
+    """(-Delta_h + alpha I)^{-1} A_u u, with solver a shifted_solver."""
     return solver.solve(euclidean_gradient(state, problem))
 
 
 def riemannian_gradient(state: State, problem: Problem, G) -> np.ndarray:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
-    sphere, for any inverse metric G with a .solve method (a FastSolver for
-    the modified H1 metric).
+    sphere, for any inverse metric G with a .solve method (a shifted_solver
+    for the modified H1 metric).
 
     Returns the tangent gradient g with <u, g>_h = 0.
     """

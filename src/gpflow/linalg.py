@@ -1,22 +1,27 @@
-"""Fast shifted-Laplacian solves, PCG, and LOBPCG for the lowest eigenpairs.
+"""Shifted-Laplacian solves, PCG, and LOBPCG for the lowest eigenpairs.
 
-The shifted solve (-Delta_h + alpha I)^{-1} is done by fast diagonalization
-(Lynch, Rice & Thomas 1964): one eigendecomposition of the grid's 1D pencil
-S z = mu M z, then per axis a forward transform, division by the
-Kronecker-sum eigenvalues plus alpha, and per axis a back transform.  Cost is
-O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.  It is
-also the preconditioner of the metric flows' PCG and of the eigensolver,
-scipy's LOBPCG.
+`shifted_solver(disc, alpha)` picks the solver for (-Delta_h + alpha I)^{-1}.
+On a tensor grid it is a FastSolver, by fast diagonalization (Lynch, Rice &
+Thomas 1964): one eigendecomposition of the grid's 1D pencil S z = mu M z,
+then per axis a forward transform, division by the Kronecker-sum
+eigenvalues plus alpha, and per axis a back transform.  Cost is
+O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.  On an
+assembled P1 mesh it is one sparse LU of S + alpha M, and
+solve(b) = (S + alpha M)^{-1} M b.  The shifted solver is also the
+preconditioner of the metric flows' PCG and of the eigensolver, scipy's
+LOBPCG.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import lobpcg
+import scipy.sparse as sp
+from scipy.sparse.linalg import factorized, lobpcg
 
 from .grids import Operator1D, TensorOperator, axis_apply
 
@@ -63,7 +68,6 @@ class FastSolver:
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op = op
-        self.alpha = alpha
         e = generalized_sym_eig(op.op)
         self._fwd = e.vectors.T * op.op.weights[None, :]  # c = Z^T M u
         self._bwd = e.vectors
@@ -86,8 +90,16 @@ class FastSolver:
             X = axis_apply(self._bwd, X, axis)
         return X.reshape(-1)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.op.apply_neg_laplacian(u) + self.alpha * np.asarray(u, dtype=float)
+
+def shifted_solver(disc, alpha: float):
+    """(-Delta_h + alpha I)^{-1} as an object with .solve: a FastSolver on a
+    tensor grid, else (an assembled P1 operator) one sparse LU of S + alpha M."""
+    if isinstance(disc, TensorOperator):
+        return FastSolver(disc, alpha)
+    if alpha < 0:
+        raise ValueError(f"shift alpha must be >= 0, got {alpha}")
+    lu = factorized((disc.stiffness + alpha * sp.diags(disc.weights)).tocsc())
+    return SimpleNamespace(solve=lambda b: lu(disc.weights * b))
 
 
 class PCGBreakdown(SolverError):
@@ -96,7 +108,7 @@ class PCGBreakdown(SolverError):
         self.iteration = iteration
 
 
-def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500, x0=None):
+def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500):
     """Preconditioned CG in the weighted inner product <u, v> = u^T diag(w) v.
 
     apply_A must be symmetric positive definite in that inner product and
@@ -108,11 +120,11 @@ def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500, x0=None):
     def inner(u, v):
         return float(np.dot(u * weights, v))
 
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - apply_A(x) if x0 is not None else b.copy()
     bnorm = np.sqrt(inner(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0, True
+    x = np.zeros_like(b)
+    r = b.copy()
     z = apply_P(r)
     p = z.copy()
     rz = inner(r, z)
@@ -154,9 +166,9 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
 
     apply_A acts on coefficient vectors and is symmetric w.r.t. the weighted
     inner product; solve_inner, when given, is the preconditioner (typically
-    a FastSolver.solve for a shifted Laplacian close to A).  LOBPCG runs on
-    the similar standard problem in y = sqrt(w) v, where the h-norm is the
-    2-norm.  Every returned pair meets ||A v - lambda v||_h <= tol |lambda|,
+    the solve of a shifted_solver for a shifted Laplacian close to A).
+    LOBPCG runs on the similar standard problem in y = sqrt(w) v, where the
+    h-norm is the 2-norm.  Every returned pair meets ||A v - lambda v||_h <= tol |lambda|,
     else SolverError; lambdas ascend, and each v is h-normalized with a
     nonnegative weighted mean.
     """

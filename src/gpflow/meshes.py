@@ -41,31 +41,6 @@ class TriMesh2D:
         return np.flatnonzero(~self.boundary_mask)
 
 
-def read_mesh(path) -> TriMesh2D:
-    """Plain-text mesh: 'V T' header, V lines 'x y flag', T lines 'i j k'."""
-    with open(path) as f:
-        tokens = f.read().split()
-    if len(tokens) < 2:
-        raise MeshError(f"{path}: missing header")
-    nv, nt = int(tokens[0]), int(tokens[1])
-    need = 2 + 3 * nv + 3 * nt
-    if len(tokens) != need:
-        raise MeshError(f"{path}: expected {need} fields, found {len(tokens)}")
-    body = tokens[2:]
-    verts = np.array(body[:3 * nv], dtype=float).reshape(nv, 3)
-    tris = np.array(body[3 * nv:], dtype=int).reshape(nt, 3)
-    return TriMesh2D(verts[:, :2], tris, verts[:, 2] != 0)
-
-
-def write_mesh(path, mesh: TriMesh2D) -> None:
-    with open(path, "w") as f:
-        f.write(f"{len(mesh.vertices)} {len(mesh.triangles)}\n")
-        for (x, y), flag in zip(mesh.vertices, mesh.boundary_mask):
-            f.write(f"{float(x)!r} {float(y)!r} {int(flag)}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-
-
 def _triangle_geometry(mesh: TriMesh2D):
     """Areas (T,) and per-corner cotangents (T, 3) of every triangle."""
     p = mesh.vertices[mesh.triangles]  # (T, 3, 2): corners i, j, k
@@ -90,15 +65,23 @@ def _opposite_edges(mesh: TriMesh2D):
     return mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
 
 
+def _edge_sums(mesh: TriMesh2D):
+    """Edges (E, 2) as i < j in sorted order, the sum of their opposite
+    cotangents (E,) and their incident triangle counts (E,)."""
+    _, cots = _triangle_geometry(mesh)
+    a, b = (e.ravel().astype(np.int64) for e in _opposite_edges(mesh))
+    nv = len(mesh.vertices)
+    # one integer key per edge sorts as the (i, j) pairs do
+    keys, which, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                    return_inverse=True, return_counts=True)
+    sums = np.bincount(which, weights=cots.ravel(), minlength=len(keys))
+    return np.stack(np.divmod(keys, nv), axis=1), sums, counts
+
+
 def edge_cotangent_sums(mesh: TriMesh2D):
     """Sorted edge (i, j) -> (sum of opposite cotangents, incident triangle count)."""
-    _, cots = _triangle_geometry(mesh)
-    a, b = (e.ravel() for e in _opposite_edges(mesh))
-    edges, which, counts = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1),
-                                     axis=0, return_inverse=True, return_counts=True)
-    sums = np.bincount(which.ravel(), weights=cots.ravel(), minlength=len(edges))
     return {(int(i), int(j)): (float(v), int(c))
-            for (i, j), v, c in zip(edges, sums, counts)}
+            for (i, j), v, c in zip(*_edge_sums(mesh))}
 
 
 @dataclass
@@ -109,6 +92,9 @@ class AssembledOperator:
     weights: np.ndarray
     nodes: np.ndarray
     ndof: int
+
+    def node_coordinates(self) -> np.ndarray:
+        return self.nodes
 
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -156,12 +142,14 @@ def mesh_monotonicity_check(mesh: TriMesh2D, tol_geom: float = 1e-12) -> Monoton
     with a single incident triangle only touch eliminated boundary rows, so
     they are excluded.
     """
-    interior = {e: v for e, (v, count) in edge_cotangent_sums(mesh).items()
-                if count == 2}
-    if not interior:
+    edges, sums, counts = _edge_sums(mesh)
+    edges, sums = edges[counts == 2], sums[counts == 2]
+    if not len(sums):
         return MonotonicityReport(ok=True, worst_edge=(-1, -1), worst_value=np.inf)
-    worst_edge, worst = min(interior.items(), key=lambda kv: kv[1])
-    return MonotonicityReport(ok=worst >= -tol_geom, worst_edge=worst_edge, worst_value=worst)
+    k = np.argmin(sums)  # the first of equal minima, in sorted edge order
+    worst = float(sums[k])
+    return MonotonicityReport(ok=worst >= -tol_geom, worst_edge=tuple(map(int, edges[k])),
+                              worst_value=worst)
 
 
 def structured_right_triangle_mesh(cells: int, lo: float = 0.0, hi: float = 1.0) -> TriMesh2D:

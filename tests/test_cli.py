@@ -86,6 +86,8 @@ prefix = out/run1
     (MINIMAL + "[flow]\nalpha = -1\n", 10, "alpha must be >= 0"),
     (MINIMAL + "[flow]\ntau = 0\n", 10, "tau must be positive"),
     (MINIMAL + "[flow]\nkind = cg\n", 10, "unknown flow kind"),
+    # the H1 seminorm flow is kind = modified_h1 with alpha = 0
+    (MINIMAL + "[flow]\nkind = h1_seminorm\n", 10, "unknown flow kind"),
     (MINIMAL + "[flow]\ninitial = random\n", 10, "initial"),
     ("[grid]\nscheme = fd3\n[problem]\npotential = constant(1)\n", 2,
      "unknown scheme"),
@@ -251,8 +253,7 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("subcommand", ["convergence", "eigengap"])
 @pytest.mark.parametrize("flow, key", [("tau = linesearch", "tau"),
-                                       ("kind = l2", "kind"),
-                                       ("kind = h1_seminorm", "kind")])
+                                       ("kind = l2", "kind")])
 def test_cli_study_rejects_flow_it_cannot_run(tmp_path, capsys, subcommand,
                                               flow, key):
     """The studies run modified H1 at a fixed step; asking for anything else

@@ -68,7 +68,8 @@ def test_sobolev_gradient_definition():
     fs = FastSolver(disc, problem.alpha)
     s = rand_state(disc, rng)
     g = sobolev_gradient(s, problem, fs)
-    assert np.allclose(fs.apply(g), euclidean_gradient(s, problem), atol=1e-10)
+    assert np.allclose(disc.apply_neg_laplacian(g) + problem.alpha * g,
+                       euclidean_gradient(s, problem), atol=1e-10)
 
 
 @settings(max_examples=100, deadline=None)

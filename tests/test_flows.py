@@ -44,7 +44,6 @@ def test_config_validation():
         StopRule(max_iter=0)
     with pytest.raises(ValueError):
         StopRule(stall_window=1)
-    assert FlowConfig(kind=FlowKind.H1_SEMINORM, alpha=0.3).effective_alpha == 0.0
 
 
 def test_modified_h1_ground_state_fixed_point():
@@ -315,11 +314,12 @@ def test_run_exact_case_residual_decreasing_and_positive_limit():
 
 
 def test_h1_seminorm_flow_converges():
+    """The H1 seminorm flow is the modified-H1 flow with alpha = 0."""
     spec = GridSpec(1.0, 1, 24, Scheme.FD2)
     disc = TensorOperator(spec)
     case = exact_case(disc, 2.0)
     problem = Problem(case.potential, 2.0, 0.0)
-    report = run(FlowConfig(kind=FlowKind.H1_SEMINORM, alpha=0.3,
+    report = run(FlowConfig(kind=FlowKind.MODIFIED_H1, alpha=0.0,
                             step=FixedStep(1.0)),
                  problem, default_initial_state(disc),
                  StopRule(residual_tol=1e-12, max_iter=200))

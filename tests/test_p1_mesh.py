@@ -4,9 +4,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
+from gpflow.energy import Problem, apply_Au
+from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
+                          StopRule, default_initial_state, run)
+from gpflow.linalg import lowest_two_eigenpairs, shifted_solver
 from gpflow.meshes import (MeshError, TriMesh2D, edge_cotangent_sums,
-                           mesh_monotonicity_check, p1_assemble, read_mesh,
-                           structured_right_triangle_mesh, write_mesh)
+                           mesh_monotonicity_check, p1_assemble,
+                           structured_right_triangle_mesh)
 
 
 def delaunay_mesh(points: np.ndarray) -> TriMesh2D:
@@ -22,6 +26,25 @@ def delaunay_mesh(points: np.ndarray) -> TriMesh2D:
         if e1[0] * e2[1] - e1[1] * e2[0] < 0:
             tris[t] = (i, k, j)
     return TriMesh2D(points, tris, boundary)
+
+
+def jittered_mesh(n: int, seed: int, jitter: float = 0.3) -> TriMesh2D:
+    """Delaunay mesh of the (n+1)^2 grid on the unit square, interior points
+    moved by up to `jitter` cells in each coordinate."""
+    x = np.linspace(0.0, 1.0, n + 1)
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = np.all((pts > 0) & (pts < 1), axis=1)
+    rng = np.random.default_rng(seed)
+    pts[inside] += rng.uniform(-jitter, jitter, size=(int(inside.sum()), 2)) / n
+    mesh = delaunay_mesh(pts)
+    assert np.array_equal(mesh.boundary_mask, ~inside)
+    return mesh
+
+
+def harmonic_problem(disc, beta=10.0, alpha=1.0):
+    """V = 50 |x - (1/2, 1/2)|^2 on the unit square."""
+    return Problem(50.0 * np.sum((disc.node_coordinates() - 0.5) ** 2, axis=1),
+                   beta, alpha)
 
 
 def test_structured_mesh_equals_five_point_stencil():
@@ -114,23 +137,6 @@ def test_degenerate_triangle_rejected():
         p1_assemble(mesh)
 
 
-def test_mesh_io_roundtrip(tmp_path):
-    mesh = structured_right_triangle_mesh(3, lo=-1.0, hi=1.0)
-    path = tmp_path / "m.txt"
-    write_mesh(path, mesh)
-    back = read_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary_mask, mesh.boundary_mask)
-
-
-def test_read_mesh_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("3 1\n0 0 1\n1 0 1\n")
-    with pytest.raises(MeshError, match="expected"):
-        read_mesh(p)
-
-
 def test_edge_cotangent_sums_interior_edge_counts_both_sides():
     mesh = structured_right_triangle_mesh(2)
     sums = edge_cotangent_sums(mesh)
@@ -177,3 +183,54 @@ def test_vectorized_assembly_matches_per_triangle_loop():
     for e, (v, count) in sums.items():
         assert got[e][1] == count
         assert abs(got[e][0] - v) <= 1e-14 * max(1.0, abs(v))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_shifted_solver_inverts_p1_shifted_laplacian(alpha):
+    disc = p1_assemble(jittered_mesh(8, seed=1))
+    solver = shifted_solver(disc, alpha)
+    b = np.random.default_rng(2).standard_normal(disc.ndof)
+    x = solver.solve(b)
+    assert np.allclose(disc.apply_neg_laplacian(x) + alpha * x, b,
+                       rtol=0, atol=1e-12 * np.abs(b).max())
+    with pytest.raises(ValueError, match="alpha"):
+        shifted_solver(disc, -1.0)
+
+
+def test_modified_h1_on_p1_meshes_is_mesh_independent():
+    """The paper's theorem for P1 on shape-regular meshes: the eigengap of
+    A_u* has a mesh-independent lower bound, so the flow's iteration count
+    does not grow under refinement."""
+    iterations, gaps = [], []
+    for n in (16, 32, 64):
+        mesh = jittered_mesh(n, seed=n)
+        assert mesh_monotonicity_check(mesh).ok
+        disc = p1_assemble(mesh)
+        problem = harmonic_problem(disc)
+        report = run(FlowConfig(kind=FlowKind.MODIFIED_H1, alpha=1.0, step=FixedStep(1.0)),
+                     problem, default_initial_state(disc),
+                     StopRule(residual_tol=1e-10, max_iter=100))
+        assert report.reason == "tol"
+        star = report.final_state
+        eig = lowest_two_eigenpairs(lambda w: apply_Au(star, problem, w), disc.weights,
+                                    tol=1e-9, solve_inner=shifted_solver(disc, 1.0).solve)
+        iterations.append(report.iterations)
+        gaps.append(eig.gap)
+    assert max(iterations) - min(iterations) <= 2
+    assert max(gaps) <= 1.1 * min(gaps)
+
+
+def test_p1_gradient_flows_reach_one_energy():
+    disc = p1_assemble(jittered_mesh(16, seed=4))
+    problem = harmonic_problem(disc)
+    u0 = default_initial_state(disc)
+    stop = StopRule(residual_tol=1e-10, max_iter=200)
+    energies = []
+    for kind, step in [(FlowKind.MODIFIED_H1, FixedStep(1.0)),
+                       (FlowKind.MODIFIED_H1, LineSearchStep()),
+                       (FlowKind.A0, FixedStep(1.0)),
+                       (FlowKind.AU, FixedStep(1.0))]:
+        report = run(FlowConfig(kind=kind, alpha=1.0, step=step), problem, u0, stop)
+        assert report.reason == "tol", (kind, step)
+        energies.append(report.records[-1].energy)
+    assert max(energies) - min(energies) <= 1e-12 * abs(energies[0])

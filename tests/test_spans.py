@@ -22,8 +22,7 @@ _spec = importlib.util.spec_from_file_location("gsbench_spans", _path)
 spans = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
 
-GRADIENT_FLOWS = [FlowKind.MODIFIED_H1, FlowKind.H1_SEMINORM, FlowKind.L2,
-                  FlowKind.A0, FlowKind.AU]
+GRADIENT_FLOWS = [FlowKind.MODIFIED_H1, FlowKind.L2, FlowKind.A0, FlowKind.AU]
 
 
 def sites():
@@ -69,3 +68,10 @@ def test_bfsp_traces_one_step_per_iteration():
     report, names = traced_run(FlowKind.BFSP)
     assert names.count("flows.step_bfsp") == report.iterations
     assert names.count("energy.riemannian_gradient") == 0
+
+
+def test_tensor_grid_solves_trace_through_fast_solver():
+    """shifted_solver builds the FastSolver class the tracer patches."""
+    report, names = traced_run(FlowKind.MODIFIED_H1)
+    assert names.count("linalg.fastsolver_init") == 1
+    assert names.count("linalg.solve") >= 2 * report.iterations
