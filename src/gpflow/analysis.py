@@ -24,7 +24,8 @@ from .energy import Problem, State, apply_Au, energy
 from .flows import (FixedStep, FlowConfig, FlowKind, RunReport, StopRule,
                     default_initial_state, run)
 from .grids import GridSpec, Scheme, TensorOperator
-from .linalg import EigenResult, lowest_two_eigenpairs, shifted_solver
+from .linalg import lowest_two_eigenpairs, shifted_solver
+from .potentials import _u_star, exact_case_potential
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,12 @@ def exact_case(disc, beta: float) -> ExactCase:
         raise ValueError("the manufactured case lives on [-1, 1]^d (half_width 1)")
     coords = disc.node_coordinates()
     d = coords.shape[1]
-    u = np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
     lam = d * np.pi ** 2 / 4.0 + beta
     return ExactCase(
         beta=beta,
         dim=d,
-        potential=beta * (1.0 - u ** 2),
-        u_star=u,
+        potential=exact_case_potential(beta)(coords),
+        u_star=_u_star(coords),
         lambda_star=lam,
         energy_star=lam / 2.0 - (beta / 4.0) * (3.0 / 4.0) ** d,
         rho_star=(3.0 / 4.0) ** d,
@@ -92,8 +92,8 @@ def solve_exact_case(spec: GridSpec, beta: float, alpha: float = 0.2,
 
 
 def convergence_study(schemes, levels, d: int, beta: float,
-                      alpha: float = 0.2, tau: float = 1.0,
-                      initial: str = "constant") -> dict[str, list[ConvergenceRow]]:
+                      alpha: float = 0.2, tau: float = 1.0, initial: str = "constant",
+                      stop: StopRule | None = None) -> dict[str, list[ConvergenceRow]]:
     """Errors and observed orders of the manufactured case per scheme and level.
 
     `levels` holds cells_per_dim values; successive levels are assumed to
@@ -106,7 +106,7 @@ def convergence_study(schemes, levels, d: int, beta: float,
         rows = []
         for cells in levels:
             spec = GridSpec(1.0, d, cells, scheme, degree)
-            report, case = solve_exact_case(spec, beta, alpha, tau, initial=initial)
+            report, case = solve_exact_case(spec, beta, alpha, tau, stop, initial)
             state, last = report.final_state, report.records[-1]
             u = state.coeffs
             if float(np.dot(state.disc.weights, u)) < 0:
@@ -159,13 +159,13 @@ def m_matrix_check(A) -> MMatrixReport:
     return MMatrixReport(True, "")
 
 
-def monotonicity_oracle(A: np.ndarray, tol: float = 1e-12) -> bool:
+def monotonicity_oracle(A: np.ndarray) -> bool:
     """Explicit-inverse check that A^{-1} >= 0 entrywise (small dense only)."""
     A = np.asarray(A, dtype=float)
     if A.shape[0] > 200:
         raise ValueError("monotonicity oracle is restricted to n <= 200")
     inv = np.linalg.inv(A)
-    return bool(np.min(inv) >= -tol * np.max(np.abs(inv)))
+    return bool(np.min(inv) >= -1e-12 * np.max(np.abs(inv)))
 
 
 def dense_neg_laplacian(disc) -> np.ndarray:
@@ -183,23 +183,6 @@ def dense_neg_laplacian(disc) -> np.ndarray:
 def dense_Au(state: State, problem: Problem) -> np.ndarray:
     return (dense_neg_laplacian(state.disc)
             + np.diag(problem.potential + problem.beta * state.coeffs ** 2))
-
-
-@dataclass(frozen=True)
-class PerronReport:
-    gap: float
-    min_entry: float
-    positive_eigenvector: bool
-    positive_gap: bool
-    eigen: EigenResult
-
-
-def perron_check(apply_A, disc, tol: float = 1e-9, solve_inner=None) -> PerronReport:
-    res = lowest_two_eigenpairs(apply_A, disc.weights, tol=tol, solve_inner=solve_inner)
-    min_entry = float(np.min(res.v0))
-    return PerronReport(gap=res.gap, min_entry=min_entry,
-                        positive_eigenvector=min_entry > 0,
-                        positive_gap=res.gap > 0, eigen=res)
 
 
 @dataclass
@@ -250,13 +233,14 @@ def _is_monotone_scheme(disc) -> bool:
 
 
 def convexity_check(disc, problem: Problem, samples: int = 20,
-                    rng=None, fd_step: float = 1e-5) -> ConvexityReport:
+                    rng=None) -> ConvexityReport:
     """(a) finite-difference Hessian of v -> E_h(sqrt(v)) is PSD at random
     positive v; (b) E_h(u) >= E_h(|u|) for random u.  Monotone schemes only."""
     if not _is_monotone_scheme(disc):
         return ConvexityReport(False, np.nan, np.nan, False, False)
     rng = np.random.default_rng(0) if rng is None else rng
     n = disc.ndof
+    step = 1e-5  # finite-difference step of the Hessian
 
     def E_of_v(v):
         return energy(State(np.sqrt(v), disc), problem)
@@ -269,12 +253,12 @@ def convexity_check(disc, problem: Problem, samples: int = 20,
         H = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                ei = np.zeros(n); ei[i] = fd_step
-                ej = np.zeros(n); ej[j] = fd_step
+                ei = np.zeros(n); ei[i] = step
+                ej = np.zeros(n); ej[j] = step
                 H[i, j] = H[j, i] = (
                     E_of_v(v + ei + ej) - E_of_v(v + ei - ej)
                     - E_of_v(v - ei + ej) + E_of_v(v - ei - ej)
-                ) / (4.0 * fd_step ** 2)
+                ) / (4.0 * step ** 2)
         scale = max(scale, float(np.max(np.abs(H))))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(H)[0]))
 

@@ -44,6 +44,10 @@ _KNOWN = {
 
 _FLOWS = {k.value: k for k in FlowKind}
 
+# first word of a GridSpec error -> the [grid] key whose value it rejects
+_GRID_ERROR_KEYS = {"half_width": "half_width", "dim": "d", "cells_per_dim": "cells",
+                    "grid": "cells", "SEM": "scheme"}
+
 
 @dataclass
 class RunConfig:
@@ -148,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         grid = GridSpec(half_width, d, cells, scheme, degree)
     except ValueError as e:
-        raise ConfigError(get("grid", "scheme")[0], str(e))
+        raise ConfigError(get("grid", _GRID_ERROR_KEYS[str(e).split()[0]])[0], str(e))
 
     # problem
     beta = _number(*get("problem", "beta", "0"), "beta")
@@ -189,8 +193,8 @@ def parse_config(text: str) -> RunConfig:
     stall = int(_number(*get("stop", "stall_window", "10"), "stall_window", int))
     try:
         stop = StopRule(residual_tol=tol, stall_window=stall, max_iter=max_iter)
-    except ValueError as e:
-        raise ConfigError(get("stop", "tol")[0], str(e))
+    except ValueError as e:  # a StopRule error begins with the key it rejects
+        raise ConfigError(get("stop", str(e).split()[0])[0], str(e))
 
     # study
     levels = []

@@ -85,17 +85,8 @@ def inner_h(disc, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u * disc.weights, v))
 
 
-def inner_X(disc, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
-    """Modified-H1 inner product u^T (S + alpha M) v."""
-    return inner_h(disc, u, disc.apply_neg_laplacian(v)) + alpha * inner_h(disc, u, v)
-
-
 def norm_h(disc, u: np.ndarray) -> float:
     return np.sqrt(max(inner_h(disc, u, u), 0.0))
-
-
-def norm_X(disc, alpha: float, u: np.ndarray) -> float:
-    return np.sqrt(max(inner_X(disc, alpha, u, u), 0.0))
 
 
 def energy(state: State, problem: Problem) -> float:
@@ -122,11 +113,6 @@ def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
     """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry."""
     u = state.coeffs
     return state.neg_lap + (problem.potential + problem.beta * u ** 2) * u
-
-
-def sobolev_gradient(state: State, problem: Problem, solver) -> np.ndarray:
-    """(-Delta_h + alpha I)^{-1} A_u u, with solver a shifted_solver."""
-    return solver.solve(euclidean_gradient(state, problem))
 
 
 def riemannian_gradient(state: State, problem: Problem, G) -> np.ndarray:

@@ -32,14 +32,14 @@ class FixedStep:
             raise ValueError(f"fixed step size must be positive, got {self.tau}")
 
 
+# the interval the line search takes its step from
+LINE_SEARCH_LO = 1e-3
+LINE_SEARCH_HI = 4.0
+
+
 @dataclass(frozen=True)
 class LineSearchStep:
-    lo: float = 1e-3
-    hi: float = 4.0
-
-    def __post_init__(self):
-        if not 0 < self.lo < self.hi:
-            raise ValueError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
+    """Step by the exact line search over [LINE_SEARCH_LO, LINE_SEARCH_HI]."""
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,11 @@ class RunReport:
 
 
 def step_bfsp(state: State, problem: Problem, dt: float, alpha: float,
-              solver=None) -> State:
-    """Backward-forward Euler with stabilization shift, then renormalize."""
+              solver) -> State:
+    """Backward-forward Euler with stabilization shift, then renormalize;
+    solver is shifted_solver(disc, alpha + 1/dt)."""
     state.require_normalized()
     disc = state.disc
-    if solver is None:
-        solver = shifted_solver(disc, alpha + 1.0 / dt)
     u = state.coeffs
     rhs = (alpha + 1.0 / dt - problem.potential - problem.beta * u ** 2) * u
     return State(retract(disc, solver.solve(rhs)), disc)
@@ -171,7 +170,7 @@ def gradient_step(state: State, problem: Problem, G,
     metric G and tau fixed or from the line search."""
     g = riemannian_gradient(state, problem, G)
     if isinstance(policy, LineSearchStep):
-        tau = line_search_step(state, problem, g, policy)
+        tau = line_search_step(state, problem, g)
     else:
         tau = policy.tau
     return State(retract(state.disc, state.coeffs - tau * g), state.disc), tau
@@ -246,19 +245,18 @@ def line_energy(state: State, problem: Problem, g: np.ndarray,
                       problem.beta)
 
 
-def line_search_step(state: State, problem: Problem, g: np.ndarray,
-                     policy: LineSearchStep) -> float:
-    """Exact minimizer of tau -> E_h(R_h(u - tau g)) over [lo, hi]: the best
-    of the two ends and the stationary points of the closed form inside.
-    A zero gradient gives lo."""
+def line_search_step(state: State, problem: Problem, g: np.ndarray) -> float:
+    """Exact minimizer of tau -> E_h(R_h(u - tau g)) over [LINE_SEARCH_LO,
+    LINE_SEARCH_HI]: the best of the two ends and the stationary points of
+    the closed form inside.  A zero gradient gives LINE_SEARCH_LO."""
+    lo, hi = LINE_SEARCH_LO, LINE_SEARCH_HI
     if not g.any():
-        return policy.lo
+        return lo
     phi = line_energy(state, problem, g, state.disc.apply_neg_laplacian(g))
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point
-    taus = np.concatenate(([policy.lo, policy.hi],
-                           np.clip(phi.stationary_points().real, policy.lo, policy.hi)))
+    taus = np.concatenate(([lo, hi], np.clip(phi.stationary_points().real, lo, hi)))
     return float(taus[np.argmin(phi.rise(taus))])
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -113,7 +113,6 @@ class Operator1D:
     weights: np.ndarray
     stiffness: np.ndarray
     mass_aux: np.ndarray | None = None
-    _lap: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -121,12 +120,10 @@ class Operator1D:
 
     def laplacian_matrix(self) -> np.ndarray:
         """Dense -Delta_h = M^{-1} S (or T^{-1} M^{-1} S for COMPACT4)."""
-        if self._lap is None:
-            lap = self.stiffness / self.weights[:, None]
-            if self.mass_aux is not None:
-                lap = np.linalg.solve(self.mass_aux, lap)
-            self._lap = lap
-        return self._lap
+        lap = self.stiffness / self.weights[:, None]
+        if self.mass_aux is None:
+            return lap
+        return np.linalg.solve(self.mass_aux, lap)
 
 
 def build_1d(spec: GridSpec) -> Operator1D:

@@ -135,8 +135,8 @@ class MonotonicityReport:
     worst_value: float
 
 
-def mesh_monotonicity_check(mesh: TriMesh2D, tol_geom: float = 1e-12) -> MonotonicityReport:
-    """Check cot theta1 + cot theta2 >= -tol on every interior edge.
+def mesh_monotonicity_check(mesh: TriMesh2D) -> MonotonicityReport:
+    """Check cot theta1 + cot theta2 >= -1e-12 on every interior edge.
 
     Equivalent to the Delaunay lens condition theta1 + theta2 <= pi.  Edges
     with a single incident triangle only touch eliminated boundary rows, so
@@ -148,7 +148,7 @@ def mesh_monotonicity_check(mesh: TriMesh2D, tol_geom: float = 1e-12) -> Monoton
         return MonotonicityReport(ok=True, worst_edge=(-1, -1), worst_value=np.inf)
     k = np.argmin(sums)  # the first of equal minima, in sorted edge order
     worst = float(sums[k])
-    return MonotonicityReport(ok=worst >= -tol_geom, worst_edge=tuple(map(int, edges[k])),
+    return MonotonicityReport(ok=worst >= -1e-12, worst_edge=tuple(map(int, edges[k])),
                               worst_value=worst)
 
 

@@ -30,11 +30,15 @@ def harmonic_lattice(coords: np.ndarray) -> np.ndarray:
             + 100.0 * np.sum(np.sin(np.pi * coords / 4.0) ** 2, axis=1))
 
 
+def _u_star(coords: np.ndarray) -> np.ndarray:
+    """u* = prod_i sin(pi (x_i + 1) / 2), the manufactured ground state on [-1, 1]^d."""
+    return np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
+
+
 def exact_case_potential(beta: float):
-    """V = beta (1 - u*^2) for the manufactured ground state on [-1, 1]^d."""
+    """V = beta (1 - u*^2), whose ground state is u* (see gpflow.analysis)."""
     def V(coords: np.ndarray) -> np.ndarray:
-        u = np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
-        return beta * (1.0 - u ** 2)
+        return beta * (1.0 - _u_star(coords) ** 2)
     return V
 
 

@@ -12,9 +12,8 @@ from gpflow.analysis import (convergence_study, convexity_check, dense_Au,
                              eigengap_study, exact_case, m_matrix_check,
                              monotonicity_oracle, rate_fit, solve_exact_case)
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
-                           eigenvalue_from_energy, inner_h, norm_X, norm_h,
-                           residual, retract, riemannian_gradient,
-                           sobolev_gradient)
+                           eigenvalue_from_energy, inner_h, norm_h,
+                           residual, retract, riemannian_gradient)
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, StopRule,
                           default_initial_state, run)
 from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
@@ -22,6 +21,7 @@ from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
 from gpflow.linalg import FastSolver
 from gpflow.potentials import harmonic_lattice, sin2_product
 
+from test_energy import norm_X, sobolev_gradient
 from test_tensor import dense_lap
 
 

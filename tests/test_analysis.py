@@ -4,12 +4,11 @@ import pytest
 from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit,
                              convergence_study, convexity_check, dense_Au,
                              eigengap_study, exact_case, m_matrix_check,
-                             monotonicity_oracle, perron_check, rate_fit,
-                             solve_exact_case)
+                             monotonicity_oracle, rate_fit, solve_exact_case)
 from gpflow.energy import Problem, State, inner_h, retract
 from gpflow.flows import RunReport, IterationRecord, StopRule
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
-from gpflow.linalg import FastSolver
+from gpflow.linalg import FastSolver, lowest_two_eigenpairs
 
 
 def test_exact_case_values_3d():
@@ -152,12 +151,12 @@ def test_perron_linear_sine_mode():
     spec = GridSpec(1.0, 1, 32, Scheme.FD2)
     disc = TensorOperator(spec)
     fs = FastSolver(disc, 0.1)
-    rep = perron_check(lambda w: disc.apply_neg_laplacian(w), disc,
-                       solve_inner=fs.solve)
-    assert rep.positive_eigenvector and rep.positive_gap
+    res = lowest_two_eigenpairs(lambda w: disc.apply_neg_laplacian(w), disc.weights,
+                                solve_inner=fs.solve)
+    assert res.v0.min() > 0 and res.gap > 0
     x = disc.op.nodes
     mode = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
-    assert np.allclose(rep.eigen.v0 / np.linalg.norm(rep.eigen.v0),
+    assert np.allclose(res.v0 / np.linalg.norm(res.v0),
                        mode / np.linalg.norm(mode), atol=1e-7)
 
 
@@ -168,12 +167,12 @@ def test_perron_gap_approaches_continuum():
         spec = GridSpec(1.0, 1, cells, Scheme.FD2)
         disc = TensorOperator(spec)
         fs = FastSolver(disc, 0.1)
-        rep = perron_check(lambda w: disc.apply_neg_laplacian(w), disc,
-                           solve_inner=fs.solve)
+        res = lowest_two_eigenpairs(lambda w: disc.apply_neg_laplacian(w), disc.weights,
+                                    solve_inner=fs.solve)
         h = spec.cell_size
         mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
-        assert rep.gap == pytest.approx(mu(2) - mu(1), rel=1e-7)
-        gaps.append(rep.gap)
+        assert res.gap == pytest.approx(mu(2) - mu(1), rel=1e-7)
+        gaps.append(res.gap)
     assert gaps[-1] == pytest.approx(3 * np.pi ** 2 / 4, rel=5e-3)
 
 
@@ -184,9 +183,9 @@ def test_perron_converged_2d_ground_state():
     from gpflow.energy import apply_Au
     disc = state.disc
     fs = FastSolver(disc, 1.0)
-    rep = perron_check(lambda w: apply_Au(state, problem, w), disc,
-                       solve_inner=fs.solve)
-    assert rep.positive_eigenvector and rep.positive_gap
+    res = lowest_two_eigenpairs(lambda w: apply_Au(state, problem, w), disc.weights,
+                                solve_inner=fs.solve)
+    assert res.v0.min() > 0 and res.gap > 0
 
 
 def test_eigengap_study_stable_across_levels():

@@ -96,6 +96,17 @@ prefix = out/run1
     (MINIMAL.replace("constant(1)", "constant"), 7, "needs a value"),
     (MINIMAL.replace("constant(1)", "mystery"), 7, "unknown potential"),
     (MINIMAL.replace("beta = 0", "beta = -2"), 8, "beta must be >= 0"),
+    # GridSpec and StopRule errors name the line of the value they reject
+    ("[grid]\nscheme = fd2\n[problem]\npotential = constant(1)\n"
+     "[stop]\ntol = 1e-8\nmax_iter = 0\n", 7, "max_iter must be >= 1"),
+    ("[grid]\nscheme = fd2\n[problem]\npotential = constant(1)\n"
+     "[stop]\nstall_window = 1\n", 6, "stall_window must be >= 2"),
+    ("[grid]\nd = 4\n[problem]\npotential = constant(1)\n", 2,
+     "dim must be 1, 2 or 3"),
+    ("[grid]\nscheme = fd2\ncells = 0\n[problem]\npotential = constant(1)\n", 3,
+     "cells_per_dim must be >= 1"),
+    ("[grid]\nscheme = fd2\nhalf_width = -1\n[problem]\npotential = constant(1)\n", 3,
+     "half_width must be positive"),
 ])
 def test_parse_errors_with_line_numbers(text, line, match):
     with pytest.raises(ConfigError, match=match) as e:
@@ -225,6 +236,41 @@ prefix = {prefix}
     assert all(line.endswith(",1") for line in table[1:])
     rows = list(csv.reader(io.StringIO(read_csv(prefix + "_table.csv"))))
     assert all(len(row) == 2 for row in rows)
+
+
+def test_cli_verify_short_converged_run(tmp_path, capsys):
+    """A run that converges in fewer iterations than a rate fit needs (16
+    here) skips that check and passes the others."""
+    prefix = str(tmp_path / "v")
+    cfg = write_cfg(tmp_path, f"""
+[grid]
+scheme = fd2
+d = 2
+cells = 6
+[problem]
+potential = exact_case
+beta = 2
+[flow]
+alpha = 0.2
+[output]
+prefix = {prefix}
+""")
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 10 and "[FAIL]" not in out
+    assert "10/10 checks passed" in out
+    assert "geometric residual decay" not in out
+
+
+def test_cli_convergence_honours_stop(tmp_path):
+    prefix = str(tmp_path / "c")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "max_iter = 100", "tol = 1e-4\nmax_iter = 3"), name="short.ini")
+    assert main(["convergence", "--config", cfg]) == 2
+    table = read_csv(prefix + "_table.csv").splitlines()
+    assert len(table) == 3
+    assert all(line.split(",")[-1] == "0" for line in table[1:])
+    assert all(line.split(",")[-2] == "3" for line in table[1:])
 
 
 def test_cli_determinism(tmp_path):

@@ -4,16 +4,17 @@ import scipy.linalg
 
 from gpflow.analysis import dense_neg_laplacian, exact_case, solve_exact_case
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
-                           inner_h, norm_X, norm_h, residual, retract,
+                           inner_h, norm_h, residual, retract,
                            riemannian_gradient)
-from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
-                          StopRule, default_initial_state, gradient_step,
-                          line_energy, line_search_step, metric_inverse, run,
-                          step_bfsp)
+from gpflow.flows import (LINE_SEARCH_HI, LINE_SEARCH_LO, FixedStep,
+                          FlowConfig, FlowKind, LineSearchStep, StopRule,
+                          default_initial_state, gradient_step, line_energy,
+                          line_search_step, metric_inverse, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
-from gpflow.linalg import FastSolver, SolverError
+from gpflow.linalg import FastSolver, SolverError, shifted_solver
 from gpflow.potentials import harmonic_lattice, sin2_product
 
+from test_energy import norm_X
 from test_tensor import dense_lap
 
 
@@ -34,8 +35,6 @@ def converged_ground_state(spec=None, beta=2.0, alpha=0.2):
 def test_config_validation():
     with pytest.raises(ValueError):
         FixedStep(0.0)
-    with pytest.raises(ValueError):
-        LineSearchStep(lo=1.0, hi=0.5)
     with pytest.raises(ValueError):
         FlowConfig(alpha=-0.1)
     with pytest.raises(ValueError):
@@ -121,7 +120,7 @@ def test_bfsp_laplacian_eigenvector_fixed_point():
     problem = Problem(np.zeros(disc.ndof), 0.0, 0.5)
     x = disc.op.nodes
     u = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
-    nxt = step_bfsp(State(u, disc), problem, 0.1, 0.5)
+    nxt = step_bfsp(State(u, disc), problem, 0.1, 0.5, shifted_solver(disc, 0.5 + 1.0 / 0.1))
     assert np.allclose(nxt.coeffs, u, atol=1e-12)
 
 
@@ -130,7 +129,8 @@ def test_bfsp_matches_dense_formula():
     rng = np.random.default_rng(1)
     u = retract(disc, rng.standard_normal(disc.ndof))
     dt, alpha = 0.2, 0.7
-    nxt = step_bfsp(State(u, disc), problem, dt, alpha)
+    nxt = step_bfsp(State(u, disc), problem, dt, alpha,
+                    shifted_solver(disc, alpha + 1.0 / dt))
     A = dense_lap(disc) + (alpha + 1.0 / dt) * np.eye(disc.ndof)
     rhs = (alpha + 1.0 / dt - problem.potential - problem.beta * u ** 2) * u
     want = np.linalg.solve(A, rhs)
@@ -143,7 +143,8 @@ def test_bfsp_requires_normalized():
     problem = Problem(np.ones(disc.ndof), 1.0)
     from gpflow.energy import NormalizationError
     with pytest.raises(NormalizationError):
-        step_bfsp(State(2.0 * np.ones(disc.ndof), disc), problem, 0.1, 0.5)
+        step_bfsp(State(2.0 * np.ones(disc.ndof), disc), problem, 0.1, 0.5,
+                  shifted_solver(disc, 0.5 + 1.0 / 0.1))
 
 
 def test_bfsp_small_step_stalls_at_floor_large_step_worse():
@@ -204,10 +205,9 @@ def test_line_search_matches_scan_oracle():
     fs = FastSolver(disc, problem.alpha)
     s = default_initial_state(disc)
     g = riemannian_gradient(s, problem, fs)
-    policy = LineSearchStep(lo=1e-3, hi=4.0)
-    tau_star = line_search_step(s, problem, g, policy)
+    tau_star = line_search_step(s, problem, g)
 
-    taus = np.linspace(policy.lo, policy.hi, 10_000)
+    taus = np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 10_000)
     phis = [energy(State(retract(disc, s.coeffs - t * g), disc), problem)
             for t in taus]
     tau_scan = taus[int(np.argmin(phis))]
@@ -232,8 +232,7 @@ def test_line_energy_matches_energy_of_retracted_point(spec, potential):
     s = State(retract(disc, u), disc)
     g = riemannian_gradient(s, problem, FastSolver(disc, problem.alpha))
     phi = line_energy(s, problem, g, disc.apply_neg_laplacian(g))
-    policy = LineSearchStep()
-    for tau in np.linspace(policy.lo, policy.hi, 5):
+    for tau in np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 5):
         want = energy(State(retract(disc, s.coeffs - tau * g), disc), problem)
         assert abs(phi.e0 + phi.rise(tau) - want) <= 1e-12 * abs(want)
 
@@ -254,8 +253,7 @@ def test_line_search_zero_gradient_returns_lo():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 0.0)
     s = default_initial_state(disc)
-    policy = LineSearchStep()
-    assert line_search_step(s, problem, np.zeros(disc.ndof), policy) == policy.lo
+    assert line_search_step(s, problem, np.zeros(disc.ndof)) == LINE_SEARCH_LO
 
 
 def test_line_search_non_finite_energy_raises():
@@ -264,7 +262,7 @@ def test_line_search_non_finite_energy_raises():
     s = default_initial_state(disc)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverError, match="non-finite"):
-        line_search_step(s, problem, np.full(disc.ndof, 1e300), LineSearchStep())
+        line_search_step(s, problem, np.full(disc.ndof, 1e300))
 
 
 def test_line_search_run_iteration_count_close_to_fixed():
