@@ -32,7 +32,7 @@ def main():
           f"{'E_err':>12}{'order':>8}{'iters':>7}")
     for scheme, levels in jobs:
         table = convergence_study([scheme], levels, args.d, args.beta,
-                                  alpha=0.2, tau=1.0, initial=args.initial)
+                                  initial=args.initial)
         for name, rows in table.items():
             for r in rows:
                 order = "" if r.lambda_order != r.lambda_order else f"{r.lambda_order:.3f}"

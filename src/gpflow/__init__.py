@@ -7,8 +7,8 @@ from .energy import Problem, State, energy, residual, retract
 from .flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                     StopRule, default_initial_state, run)
 from .analysis import (convergence_study, convexity_check, eigengap_study,
-                       exact_case, m_matrix_check, monotonicity_oracle,
-                       rate_fit)
+                       exact_case, linearized_eigenpairs, m_matrix_check,
+                       monotonicity_oracle, rate_fit)
 from .config import RunConfig, parse_config
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "FixedStep", "FlowConfig", "FlowKind", "LineSearchStep", "StopRule",
     "default_initial_state", "run",
     "convergence_study", "convexity_check", "eigengap_study", "exact_case",
-    "m_matrix_check", "monotonicity_oracle", "rate_fit",
+    "linearized_eigenpairs", "m_matrix_check", "monotonicity_oracle", "rate_fit",
     "RunConfig", "parse_config",
 ]

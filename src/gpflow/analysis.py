@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .energy import Problem, State, apply_Au, energy
-from .flows import (FixedStep, FlowConfig, FlowKind, RunReport, StopRule,
-                    default_initial_state, run)
+from .flows import FlowConfig, RunReport, StopRule, default_initial_state, run
 from .grids import GridSpec, Scheme, TensorOperator
 from .linalg import lowest_two_eigenpairs, shifted_solver
 from .potentials import _u_star, exact_case_potential
@@ -77,23 +76,22 @@ def _order(coarse: float, fine: float) -> float:
     return np.log2(coarse / fine)
 
 
-def solve_exact_case(spec: GridSpec, beta: float, alpha: float = 0.2,
-                     tau: float = 1.0, stop: StopRule | None = None,
-                     initial: str = "constant"):
-    """Run the modified-H1 flow on the manufactured case; returns (report, case)."""
+# the studies' flow: modified H1 with alpha = 0.2 at the fixed step tau = 1
+STUDY_FLOW = FlowConfig(alpha=0.2)
+
+
+def solve_exact_case(spec: GridSpec, beta: float, flow: FlowConfig = STUDY_FLOW,
+                     stop: StopRule = StopRule(), initial: str = "constant"):
+    """Run `flow` from `initial` on the manufactured case; returns (report, case)."""
     disc = TensorOperator(spec)
     case = exact_case(disc, beta)
-    problem = Problem(case.potential, beta, alpha)
-    u0 = default_initial_state(disc, initial, problem)
-    if stop is None:
-        stop = StopRule(residual_tol=1e-12, stall_window=10, max_iter=200)
-    flow = FlowConfig(kind=FlowKind.MODIFIED_H1, alpha=alpha, step=FixedStep(tau))
-    return run(flow, problem, u0, stop), case
+    problem = Problem(case.potential, beta, flow.alpha)
+    return run(flow, problem, default_initial_state(disc, initial, problem), stop), case
 
 
 def convergence_study(schemes, levels, d: int, beta: float,
-                      alpha: float = 0.2, tau: float = 1.0, initial: str = "constant",
-                      stop: StopRule | None = None) -> dict[str, list[ConvergenceRow]]:
+                      flow: FlowConfig = STUDY_FLOW, stop: StopRule = StopRule(),
+                      initial: str = "constant") -> dict[str, list[ConvergenceRow]]:
     """Errors and observed orders of the manufactured case per scheme and level.
 
     `levels` holds cells_per_dim values; successive levels are assumed to
@@ -106,7 +104,7 @@ def convergence_study(schemes, levels, d: int, beta: float,
         rows = []
         for cells in levels:
             spec = GridSpec(1.0, d, cells, scheme, degree)
-            report, case = solve_exact_case(spec, beta, alpha, tau, stop, initial)
+            report, case = solve_exact_case(spec, beta, flow, stop, initial)
             state, last = report.final_state, report.records[-1]
             u = state.coeffs
             if float(np.dot(state.disc.weights, u)) < 0:
@@ -193,24 +191,29 @@ class EigengapRow:
     gap: float
 
 
-def eigengap_study(specs, problem_for, alpha: float = 0.2, tau: float = 1.0,
-                   stop: StopRule | None = None) -> list[EigengapRow]:
-    """Gap of A_{u*} across refinement levels; u* from a converged flow run."""
+def linearized_eigenpairs(state: State, problem: Problem):
+    """Lowest two eigenpairs of A_u = -Delta_h + V + beta u^2 at `state` by
+    LOBPCG, preconditioned by -Delta_h shifted by the mean of V + beta u^2."""
+    disc = state.disc
+    shift = float(np.mean(problem.potential + problem.beta * state.coeffs ** 2))
+    pre = shifted_solver(disc, max(shift, 1e-3))
+    return lowest_two_eigenpairs(lambda w: apply_Au(state, problem, w),
+                                 disc.weights, tol=1e-9, solve_inner=pre.solve)
+
+
+def eigengap_study(specs, problem_for, flow: FlowConfig = STUDY_FLOW,
+                   stop: StopRule = StopRule(),
+                   initial: str = "constant") -> list[EigengapRow]:
+    """Gap of A_{u*} across refinement levels; u* from a converged `flow` run
+    from `initial`."""
     rows = []
     for spec in specs:
         disc = TensorOperator(spec)
         problem = problem_for(disc)
-        u0 = default_initial_state(disc)
-        flow = FlowConfig(kind=FlowKind.MODIFIED_H1, alpha=alpha, step=FixedStep(tau))
-        report = run(flow, problem, u0,
-                     stop or StopRule(residual_tol=1e-12, stall_window=10, max_iter=400))
+        report = run(flow, problem, default_initial_state(disc, initial, problem), stop)
         if not report.converged:
             raise RuntimeError(f"ground state did not converge on {spec}")
-        star = report.final_state
-        shift = float(np.mean(problem.potential + problem.beta * star.coeffs ** 2))
-        pre = shifted_solver(disc, max(shift, 1e-3))
-        res = lowest_two_eigenpairs(lambda w: apply_Au(star, problem, w),
-                                    disc.weights, tol=1e-9, solve_inner=pre.solve)
+        res = linearized_eigenpairs(report.final_state, problem)
         rows.append(EigengapRow(h=spec.cell_size, lambda0=res.lambda0,
                                 lambda1=res.lambda1, gap=res.gap))
     return rows

@@ -10,20 +10,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
-                       dense_Au, eigengap_study, m_matrix_check,
-                       monotonicity_oracle, rate_fit)
+                       dense_Au, eigengap_study, linearized_eigenpairs,
+                       m_matrix_check, monotonicity_oracle, rate_fit)
 from .config import ConfigError, RunConfig, parse_config
-from .energy import Problem, apply_Au, eigenvalue_estimate, eigenvalue_from_energy
-from .flows import (FixedStep, FlowConfig, FlowKind, RunReport,
-                    default_initial_state, run)
+from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
+from .flows import FlowKind, RunReport, default_initial_state, run
 from .grids import GridSpec, TensorOperator
-from .linalg import SolverError, lowest_two_eigenpairs, shifted_solver
+from .linalg import SolverError
 
 FMT = "%.16e"  # 17 significant digits
 
@@ -77,8 +77,7 @@ def run_convergence(cfg: RunConfig, created) -> int:
     levels = cfg.study_levels or [cfg.grid.cells_per_dim, 2 * cfg.grid.cells_per_dim]
     schemes = cfg.study_schemes or [(cfg.grid.scheme, cfg.grid.degree)]
     table = convergence_study(schemes, levels, cfg.grid.dim, cfg.beta,
-                              alpha=cfg.flow.alpha, tau=cfg.flow.step.tau,
-                              initial=cfg.initial, stop=cfg.stop)
+                              cfg.flow, cfg.stop, cfg.initial)
     rows = []
     ok = True
     for name, scheme_rows in table.items():
@@ -99,7 +98,7 @@ def run_eigengap(cfg: RunConfig, created) -> int:
     specs = [GridSpec(cfg.grid.half_width, cfg.grid.dim, c,
                       cfg.grid.scheme, cfg.grid.degree) for c in levels]
     rows = eigengap_study(specs, lambda disc: _problem(cfg, disc),
-                          alpha=cfg.flow.alpha, tau=cfg.flow.step.tau, stop=cfg.stop)
+                          cfg.flow, cfg.stop, cfg.initial)
     _write_csv(f"{cfg.prefix}_table.csv", ["h", "lambda0", "lambda1", "gap"],
                [(r.h, r.lambda0, r.lambda1, r.gap) for r in rows], created)
     return 0 if all(r.gap > 0 for r in rows) else 2
@@ -115,9 +114,7 @@ def run_compare(cfg: RunConfig, created) -> int:
     summary = []
     status = 0
     for kind in kinds:
-        flow = FlowConfig(kind=kind, alpha=cfg.flow.alpha, step=cfg.flow.step,
-                          dt=cfg.flow.dt)
-        report = run(flow, problem, u0, cfg.stop)
+        report = run(dataclasses.replace(cfg.flow, kind=kind), problem, u0, cfg.stop)
         _write_trace(cfg.prefix, report, created, tag=f"_{kind.value}")
         last = report.records[-1]
         summary.append((kind.value, last.eigenvalue, last.energy,
@@ -130,9 +127,8 @@ def run_compare(cfg: RunConfig, created) -> int:
     return status
 
 
-def run_verify(cfg: RunConfig, created, seed=0) -> int:
+def run_verify(cfg: RunConfig, created) -> int:
     """Structural checks on the configured problem; prints pass counts."""
-    rng = np.random.default_rng(seed)
     disc = TensorOperator(cfg.grid)
     problem = _problem(cfg, disc)
     checks: list[tuple[str, bool]] = []
@@ -158,14 +154,11 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
             mm = m_matrix_check(Ah)
             checks.append(("A_u M-matrix sufficient condition", mm.passes_sufficient))
             checks.append(("A_u inverse nonnegative", monotonicity_oracle(A)))
-        cv = convexity_check(disc, problem, samples=5, rng=rng)
+        cv = convexity_check(disc, problem, samples=5)
         if cv.supported:
             checks.append(("E(sqrt(v)) Hessian PSD", cv.hessian_psd))
             checks.append(("E(u) >= E(|u|)", cv.abs_value_inequality))
-        shift = max(float(np.min(problem.potential)), 1e-2)
-        pre = shifted_solver(disc, shift)
-        eig = lowest_two_eigenpairs(lambda w: apply_Au(state, problem, w),
-                                    disc.weights, solve_inner=pre.solve)
+        eig = linearized_eigenpairs(state, problem)
         checks.append(("ground-state eigenvalue simple (gap > 0)", eig.gap > 0))
         checks.append(("lowest eigenvector positive", eig.v0.min() > 0))
     with contextlib.suppress(ValueError):  # too few iterations to fit a rate
@@ -178,16 +171,6 @@ def run_verify(cfg: RunConfig, created, seed=0) -> int:
     _write_csv(f"{cfg.prefix}_table.csv", ["check", "passed"],
                [(name, int(ok)) for name, ok in checks], created)
     return 0 if passed == len(checks) else 2
-
-
-def _study_flow_error(cfg: RunConfig) -> str | None:
-    """convergence and eigengap run the modified-H1 flow at a fixed step;
-    a config asking for another flow or for the line search is an error."""
-    if cfg.flow.kind is not FlowKind.MODIFIED_H1:
-        return f"[flow] kind = {cfg.flow.kind.value}: this study runs modified_h1 only"
-    if not isinstance(cfg.flow.step, FixedStep):
-        return "[flow] tau = linesearch: this study needs a numeric step"
-    return None
 
 
 _COMMANDS = {
@@ -205,7 +188,6 @@ def main(argv=None) -> int:
                                      "by Riemannian Sobolev gradient descent")
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to an INI run config")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="override the output prefix")
     args = parser.parse_args(argv)
 
@@ -215,11 +197,11 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    if args.subcommand in ("convergence", "eigengap"):
-        error = _study_flow_error(cfg)
-        if error:
-            print(f"config error: {error}", file=sys.stderr)
-            return 1
+    if args.subcommand in ("convergence", "eigengap") and cfg.flow.kind is FlowKind.BFSP:
+        # BFSP's fixed point depends on dt: not the discrete ground state a study measures
+        print("config error: [flow] kind = bfsp: the studies need a gradient flow",
+              file=sys.stderr)
+        return 1
 
     if args.out is not None:
         cfg.prefix = args.out
@@ -229,8 +211,6 @@ def main(argv=None) -> int:
 
     created: list[str] = []
     try:
-        if args.subcommand == "verify":
-            return run_verify(cfg, created, seed=args.seed)
         return _COMMANDS[args.subcommand](cfg, created)
     except (SolverError, RuntimeError, ValueError) as e:
         for path in created:

@@ -168,20 +168,14 @@ def parse_config(text: str) -> RunConfig:
     if kind_tok not in _FLOWS:
         raise ConfigError(ln, f"unknown flow kind {kind_tok!r}")
     alpha = _number(*get("flow", "alpha", "0.15"), "alpha")
-    if alpha < 0:
-        raise ConfigError(get("flow", "alpha")[0], f"alpha must be >= 0, got {alpha}")
     ln, tau_tok = get("flow", "tau", "1")
-    if tau_tok.strip().lower() == "linesearch":
-        step = LineSearchStep()
-    else:
-        tau = _number(ln, tau_tok, "tau")
-        if tau <= 0:
-            raise ConfigError(ln, f"tau must be positive, got {tau}")
-        step = FixedStep(tau)
+    tau = None if tau_tok.strip().lower() == "linesearch" else _number(ln, tau_tok, "tau")
     dt = _number(*get("flow", "dt", "0.1"), "dt")
-    if dt <= 0:
-        raise ConfigError(get("flow", "dt")[0], f"dt must be positive, got {dt}")
-    flow = FlowConfig(kind=_FLOWS[kind_tok], alpha=alpha, step=step, dt=dt)
+    try:
+        step = LineSearchStep() if tau is None else FixedStep(tau)
+        flow = FlowConfig(kind=_FLOWS[kind_tok], alpha=alpha, step=step, dt=dt)
+    except ValueError as e:  # an alpha, tau or dt error begins with its key
+        raise ConfigError(get("flow", str(e).split()[0])[0], str(e))
 
     ln, initial = get("flow", "initial", "constant")
     if initial not in ("constant", "linear"):

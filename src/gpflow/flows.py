@@ -29,7 +29,7 @@ class FixedStep:
 
     def __post_init__(self):
         if self.tau <= 0:
-            raise ValueError(f"fixed step size must be positive, got {self.tau}")
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 # the interval the line search takes its step from
@@ -52,8 +52,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.kind is FlowKind.BFSP and self.dt <= 0:
-            raise ValueError(f"BFSP time step must be positive, got {self.dt}")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 # relative improvement of the best residual that resets the stall window

@@ -34,11 +34,11 @@ def report(num, ok, detail):
 def table_3d():
     """FD2 / SEM(2) / COMPACT4 error tables for the 3D manufactured case."""
     fd = convergence_study([(Scheme.FD2, 1)], [40, 80], 3, 1.0,
-                           alpha=0.2, tau=1.0, initial="linear")["fd2"]
+                           initial="linear")["fd2"]
     sem = convergence_study([(Scheme.SEM, 2)], [5, 10], 3, 1.0,
-                            alpha=0.2, tau=1.0, initial="linear")["sem2"]
+                            initial="linear")["sem2"]
     cp = convergence_study([(Scheme.COMPACT4, 1)], [40, 80], 3, 1.0,
-                           alpha=0.2, tau=1.0, initial="linear")["compact4"]
+                           initial="linear")["compact4"]
     return {"fd2": fd, "sem2": sem, "compact4": cp}
 
 

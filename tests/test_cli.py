@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import gpflow.analysis
 from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
 from gpflow.flows import FixedStep, FlowKind, LineSearchStep
@@ -85,6 +86,9 @@ prefix = out/run1
      "expected a int"),
     (MINIMAL + "[flow]\nalpha = -1\n", 10, "alpha must be >= 0"),
     (MINIMAL + "[flow]\ntau = 0\n", 10, "tau must be positive"),
+    (MINIMAL + "[flow]\ntau = abc\n", 10, "tau: expected a float"),
+    # FixedStep and FlowConfig errors name the line of the value they reject
+    (MINIMAL + "[flow]\nalpha = 0.2\ndt = 0\n", 11, "dt must be positive"),
     (MINIMAL + "[flow]\nkind = cg\n", 10, "unknown flow kind"),
     # the H1 seminorm flow is kind = modified_h1 with alpha = 0
     (MINIMAL + "[flow]\nkind = h1_seminorm\n", 10, "unknown flow kind"),
@@ -298,19 +302,45 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("subcommand", ["convergence", "eigengap"])
-@pytest.mark.parametrize("flow, key", [("tau = linesearch", "tau"),
-                                       ("kind = l2", "kind")])
-def test_cli_study_rejects_flow_it_cannot_run(tmp_path, capsys, subcommand,
-                                              flow, key):
-    """The studies run modified H1 at a fixed step; asking for anything else
-    is a config error, not a silent tau = 1 modified-H1 run."""
+def test_cli_study_rejects_flow_it_cannot_run(tmp_path, capsys, subcommand):
+    """BFSP's fixed point depends on dt, so it is not the discrete ground state
+    a study measures; asking for it is a config error."""
     prefix = str(tmp_path / "x")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
-        "[flow]\n", f"[flow]\n{flow}\n"), name="study.ini")
+        "[flow]\n", "[flow]\nkind = bfsp\n"), name="study.ini")
     assert main([subcommand, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and f"[flow] {key} =" in err
+    assert "config error" in err and "[flow] kind =" in err
     assert not os.path.exists(prefix + "_table.csv")
+
+
+@pytest.mark.parametrize("tau, iterations", [("1", "10"), ("linesearch", "9")])
+def test_cli_convergence_runs_configured_flow(tmp_path, tau, iterations):
+    """The study runs the [flow] it is given: the line search takes one
+    iteration fewer than tau = 1 on both levels (32 and 64 cells)."""
+    prefix = str(tmp_path / "c")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "[flow]\n", f"[flow]\ntau = {tau}\n"), name="study.ini")
+    assert main(["convergence", "--config", cfg]) == 0
+    table = read_csv(prefix + "_table.csv").splitlines()
+    assert [line.split(",")[-2] for line in table[1:]] == [iterations, iterations]
+
+
+def test_cli_eigengap_honours_initial(tmp_path, monkeypatch):
+    starts = []
+    real = gpflow.analysis.default_initial_state
+
+    def spy(disc, kind="constant", problem=None):
+        starts.append(kind)
+        return real(disc, kind, problem)
+
+    monkeypatch.setattr(gpflow.analysis, "default_initial_state", spy)
+    prefix = str(tmp_path / "g")
+    cfg = small_cfg(tmp_path, prefix, extra="[study]\nlevels = 16 32\n")
+    cfg = write_cfg(tmp_path, open(cfg).read().replace(
+        "[flow]\n", "[flow]\ninitial = linear\n"), name="linear.ini")
+    assert main(["eigengap", "--config", cfg]) == 0
+    assert starts == ["linear", "linear"]
 
 
 def test_cli_nonconvergence_exit_2(tmp_path):

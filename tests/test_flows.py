@@ -26,19 +26,21 @@ def exact_problem(spec, beta, alpha=0.2):
 
 def converged_ground_state(spec=None, beta=2.0, alpha=0.2):
     spec = spec or GridSpec(1.0, 2, 16, Scheme.FD2)
-    report, case = solve_exact_case(spec, beta, alpha)
+    report, case = solve_exact_case(spec, beta, FlowConfig(alpha=alpha))
     assert report.reason == "tol"
     disc = report.final_state.disc
     return report.final_state, Problem(case.potential, beta, alpha), disc
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tau must be positive"):
         FixedStep(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha must be >= 0"):
         FlowConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dt must be positive"):
         FlowConfig(kind=FlowKind.BFSP, dt=0.0)
+    with pytest.raises(ValueError, match="^dt must be positive"):
+        FlowConfig(dt=-1.0)  # checked for every kind, as the config parser does
     with pytest.raises(ValueError):
         StopRule(max_iter=0)
     with pytest.raises(ValueError):
