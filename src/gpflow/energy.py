@@ -3,13 +3,14 @@
 Everything here is a pure function of (coefficients, discretization,
 problem).  The discretization handle only needs `weights` and
 `apply_neg_laplacian`, so tensor grids and P1 meshes are interchangeable.
--Delta_h u is computed at most once per state and shared by the energy,
-the residual, the Rayleigh value and the gradient.
+-Delta_h u and A_u u are held on the state and shared by the energy, the
+residual, the Rayleigh value and the gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,38 +42,33 @@ class Problem:
 class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
-    <u, u>_h is cached at construction and -Delta_h u on first use, so
-    `coeffs` must not be mutated after construction.
+    <u, u>_h is cached at construction, -Delta_h u (unless a step carried
+    it in) and A_u u on first use, so `coeffs` must not be mutated after
+    construction.  `transformed` is the FastSolver transform forward(u).
     """
 
     coeffs: np.ndarray
     disc: object
-    _h_norm_sq: float = field(init=False, repr=False)
-    _neg_lap: np.ndarray | None = field(default=None, init=False, repr=False)
+    _neg_lap: np.ndarray | None = field(default=None, repr=False)
+    transformed: np.ndarray | None = field(default=None, repr=False)
+    h_norm_sq: float = field(init=False, repr=False)
+    _Au_u: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("state coefficients must be finite")
-        self._h_norm_sq = float(np.dot(self.coeffs * self.disc.weights, self.coeffs))
-
-    @property
-    def h_norm_sq(self) -> float:
-        return self._h_norm_sq
+        self.h_norm_sq = float(np.dot(self.coeffs * self.disc.weights, self.coeffs))
 
     @property
     def neg_lap(self) -> np.ndarray:
-        """-Delta_h u, computed on first use."""
+        """-Delta_h u, computed on first use unless carried in."""
         if self._neg_lap is None:
             self._neg_lap = self.disc.apply_neg_laplacian(self.coeffs)
         return self._neg_lap
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.h_norm_sq - 1.0) <= NORMALIZATION_TOL
-
     def require_normalized(self):
-        if not self.is_normalized:
+        if abs(self.h_norm_sq - 1.0) > NORMALIZATION_TOL:
             raise NormalizationError(
                 f"state is not h-normalized: <u,u>_h = {self.h_norm_sq!r}")
 
@@ -110,25 +106,44 @@ def apply_Au(state: State, problem: Problem, w: np.ndarray) -> np.ndarray:
 
 
 def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
-    """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry."""
-    u = state.coeffs
-    return state.neg_lap + (problem.potential + problem.beta * u ** 2) * u
+    """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry, held on
+    the state for the last problem asked (do not mutate it)."""
+    if state._Au_u is None or state._Au_u[0] is not problem:
+        u = state.coeffs
+        state._Au_u = (problem, state.neg_lap
+                       + (problem.potential + problem.beta * u ** 2) * u)
+    return state._Au_u[1]
 
 
-def riemannian_gradient(state: State, problem: Problem, G) -> np.ndarray:
+class Gradient(NamedTuple):
+    """g = G (A_u u - gamma u); `transformed` is forward(g) for a FastSolver G."""
+
+    g: np.ndarray
+    gamma: float
+    transformed: np.ndarray | None
+
+
+def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere, for any inverse metric G with a .solve method (a shifted_solver
-    for the modified H1 metric).
-
-    Returns the tangent gradient g with <u, g>_h = 0.
+    for the modified H1 metric), so <u, g>_h = 0.  A FastSolver works on
+    transforms, <u, G x>_h = forward(u)^T D^{-1} forward(x): one forward
+    pass of A_u u and one backward pass.
     """
     state.require_normalized()
     u = state.coeffs
-    disc = state.disc
-    grad = G.solve(euclidean_gradient(state, problem))
-    Gu = G.solve(u)
-    gamma = inner_h(disc, u, grad) / inner_h(disc, u, Gu)
-    return grad - gamma * Gu
+    if not hasattr(G, "forward"):
+        grad = G.solve(euclidean_gradient(state, problem))
+        Gu = G.solve(u)
+        gamma = inner_h(state.disc, u, grad) / inner_h(state.disc, u, Gu)
+        return Gradient(grad - gamma * Gu, gamma, None)
+    if state.transformed is None:
+        state.transformed = G.forward(u)
+    c_u, D = state.transformed, G.denominator
+    c = G.forward(euclidean_gradient(state, problem)) / D  # forward(G A_u u)
+    gamma = float(np.dot(c_u, c)) / float(np.dot(c_u / D, c_u))
+    c -= gamma / D * c_u
+    return Gradient(G.backward(c), gamma, c)
 
 
 def retract(disc, u: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 
 from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
-                     residual, retract, riemannian_gradient)
+                     euclidean_gradient, norm_h, residual, retract,
+                     riemannian_gradient)
 from .linalg import SolverError, pcg, shifted_solver
 
 
@@ -61,6 +62,9 @@ STALL_RTOL = 1e-14
 # relative energy rise inside the stall window that makes a gradient-flow
 # stall a divergence (the flow's energy must not rise)
 ENERGY_RISE_RTOL = 1e-12
+# modified-H1 steps recompute -Delta_h u and forward(u) (carried, they drift
+# by ~1e-14) once the last residual is within this factor of the tolerance
+REFRESH_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,7 @@ class RunReport:
     # rose) | "max_iter" | "step_failure"
     reason: str
     wall_seconds: float
+    refreshes: int = 0  # modified-H1 steps that recomputed their carried values
 
     @property
     def iterations(self) -> int:
@@ -167,13 +172,33 @@ def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
 def gradient_step(state: State, problem: Problem, G,
                   policy: FixedStep | LineSearchStep) -> tuple[State, float]:
     """u <- R_h(u - tau g) with g the Riemannian gradient under the inverse
-    metric G and tau fixed or from the line search."""
-    g = riemannian_gradient(state, problem, G)
-    if isinstance(policy, LineSearchStep):
-        tau = line_search_step(state, problem, g)
-    else:
-        tau = policy.tau
-    return State(retract(state.disc, state.coeffs - tau * g), state.disc), tau
+    metric G and tau fixed or from the line search.  A shifted solver
+    G = (-Delta_h + alpha I)^{-1} gives -Delta_h g = A_u u - gamma u - alpha g
+    with no Laplacian, and the new state carries -Delta_h u' and, for a
+    FastSolver, forward(u') by linearity."""
+    g, gamma, c = riemannian_gradient(state, problem, G)
+    alpha = getattr(G, "alpha", None)
+    lap_g = None
+    if alpha is not None:
+        lap_g = g * -alpha
+        lap_g += euclidean_gradient(state, problem)
+        state._Au_u = None  # its last use here: free it before the next arrays
+        lap_g -= gamma * state.coeffs
+    tau = (line_search_step(state, problem, g, lap_g)
+           if isinstance(policy, LineSearchStep) else policy.tau)
+    w = g  # u - tau g, built in g's buffer; every update below is in place
+    w *= -tau
+    w += state.coeffs
+    nrm = norm_h(state.disc, w)
+    w /= nrm  # R_h(u - tau g), as `retract` computes it
+    if alpha is None:
+        return State(w, state.disc), tau
+    for old, d in ((state.neg_lap, lap_g), (state.transformed, c)):
+        if d is not None:  # d <- (old - tau d) / nrm
+            d *= -tau
+            d += old
+            d /= nrm
+    return State(w, state.disc, lap_g, c), tau
 
 
 @dataclass(frozen=True)
@@ -245,14 +270,17 @@ def line_energy(state: State, problem: Problem, g: np.ndarray,
                       problem.beta)
 
 
-def line_search_step(state: State, problem: Problem, g: np.ndarray) -> float:
+def line_search_step(state: State, problem: Problem, g: np.ndarray,
+                     lap_g: np.ndarray | None = None) -> float:
     """Exact minimizer of tau -> E_h(R_h(u - tau g)) over [LINE_SEARCH_LO,
     LINE_SEARCH_HI]: the best of the two ends and the stationary points of
-    the closed form inside.  A zero gradient gives LINE_SEARCH_LO."""
+    the closed form inside, from lap_g = -Delta_h g (applied if None).  A
+    zero gradient gives LINE_SEARCH_LO."""
     lo, hi = LINE_SEARCH_LO, LINE_SEARCH_HI
     if not g.any():
         return lo
-    phi = line_energy(state, problem, g, state.disc.apply_neg_laplacian(g))
+    phi = line_energy(state, problem, g, state.disc.apply_neg_laplacian(g)
+                      if lap_g is None else lap_g)
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point
@@ -294,7 +322,8 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
         def step(state):
             return gradient_step(state, problem, G_at(state), flow.step)
 
-    state = u0
+    refreshes = 0
+    state = State(u0.coeffs, disc)  # fills no cache of the caller's state
     records = [IterationRecord(0, energy(state, problem),
                                residual(state, problem),
                                eigenvalue_estimate(state, problem), 0.0)]
@@ -302,11 +331,15 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     best_iter = 0
     reason = "max_iter"
     for it in range(1, stop.max_iter + 1):
+        refresh = records[-1].residual <= REFRESH_FACTOR * stop.residual_tol
         try:
             state, tau = step(state)
         except SolverError:
             reason = "step_failure"
             break
+        if refresh and flow.kind is FlowKind.MODIFIED_H1:  # drop what it carried
+            state = State(state.coeffs, disc)
+            refreshes += 1
         rec = IterationRecord(it, energy(state, problem),
                               residual(state, problem),
                               eigenvalue_estimate(state, problem), tau)
@@ -323,4 +356,5 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
             # BFSP is no gradient flow: its energy may rise near its fixed point
             reason = "diverged" if rose and flow.kind is not FlowKind.BFSP else "stall"
             break
-    return RunReport(records, state, reason, time.perf_counter() - t0)
+    return RunReport(records, State(state.coeffs, disc),  # no carried values
+                     reason, time.perf_counter() - t0, refreshes)

@@ -62,44 +62,55 @@ def generalized_sym_eig(op: Operator1D) -> Eigen1D:
 
 
 class FastSolver:
-    """Direct tensor-product solver for (-Delta_h + alpha I) x = b."""
+    """Direct tensor-product solver for (-Delta_h + alpha I) x = b:
+    solve(b) = backward(forward(b) / denominator), forward(b) = Z^T M b and
+    backward(c) = Z c each one pass per axis."""
 
     def __init__(self, op: TensorOperator, alpha: float):
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op = op
+        self.alpha = alpha
         e = generalized_sym_eig(op.op)
         self._fwd = e.vectors.T * op.op.weights[None, :]  # c = Z^T M u
         self._bwd = e.vectors
         total = e.values
         for _ in range(op.dim - 1):
             total = total[..., None] + e.values
-        self._denominator = total + alpha
-        if np.any(self._denominator <= 0):
+        self.denominator = (total + alpha).reshape(-1)
+        if np.any(self.denominator <= 0):
             raise SolverError("shifted operator is singular")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def _transform(self, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
         X = np.asarray(b, dtype=float)
         if X.shape != (self.op.ndof,):
             raise ValueError(f"expected vector of length {self.op.ndof}, got shape {X.shape}")
         X = X.reshape(self.op.shape)
         for axis in range(self.op.dim):
-            X = axis_apply(self._fwd, X, axis)
-        X /= self._denominator  # X is already a fresh array here
-        for axis in range(self.op.dim):
-            X = axis_apply(self._bwd, X, axis)
-        return X.reshape(-1)
+            X = axis_apply(mat, X, axis)
+        return X.reshape(-1)  # a fresh array
+
+    def forward(self, b: np.ndarray) -> np.ndarray:  # Z^T M b
+        return self._transform(self._fwd, b)
+
+    def backward(self, c: np.ndarray) -> np.ndarray:  # Z c, forward's inverse
+        return self._transform(self._bwd, c)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        c = self.forward(b)
+        c /= self.denominator
+        return self.backward(c)
 
 
 def shifted_solver(disc, alpha: float):
-    """(-Delta_h + alpha I)^{-1} as an object with .solve: a FastSolver on a
-    tensor grid, else (an assembled P1 operator) one sparse LU of S + alpha M."""
+    """(-Delta_h + alpha I)^{-1} with .solve and its shift .alpha: a FastSolver
+    on a tensor grid, else (an assembled P1 operator) one sparse LU of S + alpha M."""
     if isinstance(disc, TensorOperator):
         return FastSolver(disc, alpha)
     if alpha < 0:
         raise ValueError(f"shift alpha must be >= 0, got {alpha}")
     lu = factorized((disc.stiffness + alpha * sp.diags(disc.weights)).tocsc())
-    return SimpleNamespace(solve=lambda b: lu(disc.weights * b))
+    return SimpleNamespace(solve=lambda b: lu(disc.weights * b), alpha=alpha)
 
 
 class PCGBreakdown(SolverError):

@@ -177,7 +177,7 @@ def test_criterion_8_property_suite():
         check("solver bound", norm_X(disc, alpha, fs.solve(z))
               <= norm_h(disc, z) / np.sqrt(alpha) * (1 + 1e-12))
         s = State(u, disc)
-        g = riemannian_gradient(s, problem, fs)
+        g = riemannian_gradient(s, problem, fs).g
         check("tangency", abs(inner_h(disc, u, g)) <= 1e-10 * max(1.0, norm_h(disc, g)))
         check("projection shrinks", norm_X(disc, alpha, g)
               <= norm_X(disc, alpha, sobolev_gradient(s, problem, fs)) * (1 + 1e-12))
@@ -194,7 +194,7 @@ def test_criterion_8_property_suite():
     state = default_initial_state(disc)
     hold = total = 0
     while residual(state, problem) > 1e-11 and total < 200:
-        g = riemannian_gradient(state, problem, fs)
+        g = riemannian_gradient(state, problem, fs).g
         nxt = State(retract(disc, state.coeffs - tau * g), disc)
         e0 = energy(state, problem)
         drop = e0 - energy(nxt, problem)

@@ -1,0 +1,50 @@
+"""The ordering and summary of scripts/bench_pairs.py (the runs themselves
+are not exercised here)."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _path)
+bench_pairs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_sides_alternate_which_runs_first():
+    orders = [bench_pairs.order(i) for i in range(10)]
+    assert orders[0] == ("base", "work") and orders[1] == ("work", "base")
+    assert all(sorted(o) == ["base", "work"] for o in orders)
+    assert sum(o[0] == "base" for o in orders) == 5
+
+
+def run(pair, side, flow_s, rss, failed=0, workload="w"):
+    return {"pair": pair, "workload": workload, "side": side, "failed": failed,
+            "metrics": {"flow_s": flow_s, "peak_rss_mb": rss}}
+
+
+def test_summary_quartiles_changes_and_wins():
+    runs = []
+    for i, (b, v) in enumerate([(10.0, 7.0), (12.0, 8.0), (11.0, 12.0), (9.0, 6.0),
+                                (10.0, 5.0)]):
+        runs += [run(i, "base", b, 100.0), run(i, "work", v, 100.0 + i, failed=i == 4)]
+    runs.append(run(5, "base", 99.0, 1.0))  # no partner: left out
+    s = bench_pairs.summarize(runs, {"flow_s": "lower", "peak_rss_mb": "lower"})["w"]
+    assert s["pairs"] == 5 and s["failed"] == {"base": 0, "work": 1}
+    flow = s["flow_s"]
+    assert flow["base"] == {"q1": 10.0, "median": 10.0, "q3": 11.0}
+    assert flow["work"] == {"q1": 6.0, "median": 7.0, "q3": 8.0}
+    assert flow["relative_change"]["median"] == pytest.approx(-1.0 / 3.0)
+    assert flow["work_better"] == 4
+    # a tie is no win; higher RSS loses
+    assert s["peak_rss_mb"]["work_better"] == 0
+    assert s["peak_rss_mb"]["relative_change"]["q1"] == pytest.approx(0.01)
+
+
+def test_summary_honours_higher_is_better():
+    runs = [run(0, "base", 1.0, 1.0), run(0, "work", 2.0, 1.0),
+            run(1, "base", 1.0, 1.0), run(1, "work", 0.5, 1.0)]
+    s = bench_pairs.summarize(runs, {"flow_s": "higher"})["w"]
+    assert s["flow_s"]["work_better"] == 1

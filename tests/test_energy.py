@@ -91,7 +91,7 @@ def test_riemannian_gradient_tangent_and_smaller(seed):
     disc, problem, rng = make(seed=seed)
     fs = FastSolver(disc, problem.alpha)
     s = rand_state(disc, rng)
-    g = riemannian_gradient(s, problem, fs)
+    g = riemannian_gradient(s, problem, fs).g
     # tangency in <.,.>_h
     assert abs(inner_h(disc, s.coeffs, g)) <= 1e-10 * max(1.0, norm_h(disc, g))
     # ||grad_R||_X <= ||grad_X||_X

@@ -6,10 +6,11 @@ from gpflow.analysis import dense_neg_laplacian, exact_case, solve_exact_case
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            inner_h, norm_h, residual, retract,
                            riemannian_gradient)
-from gpflow.flows import (LINE_SEARCH_HI, LINE_SEARCH_LO, FixedStep,
-                          FlowConfig, FlowKind, LineSearchStep, StopRule,
-                          default_initial_state, gradient_step, line_energy,
-                          line_search_step, metric_inverse, run, step_bfsp)
+from gpflow.flows import (LINE_SEARCH_HI, LINE_SEARCH_LO, REFRESH_FACTOR,
+                          FixedStep, FlowConfig, FlowKind, LineSearchStep,
+                          StopRule, default_initial_state, gradient_step,
+                          line_energy, line_search_step, metric_inverse, run,
+                          step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver, SolverError, shifted_solver
 from gpflow.potentials import harmonic_lattice, sin2_product
@@ -102,7 +103,7 @@ def test_energy_decay_constant():
     for _ in range(200):
         if residual(state, problem) <= 1e-11:
             break
-        g = riemannian_gradient(state, problem, fs)
+        g = riemannian_gradient(state, problem, fs).g
         nxt = State(retract(disc, state.coeffs - tau * g), disc)
         e0 = energy(state, problem)
         drop = e0 - energy(nxt, problem)
@@ -171,7 +172,7 @@ def test_metric_updates_are_tangent(metric):
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
     rng = np.random.default_rng(0)
     s = State(retract(disc, rng.standard_normal(disc.ndof)), disc)
-    g = riemannian_gradient(s, problem, metric_inverse(metric, problem, disc, 0.0)(s))
+    g = riemannian_gradient(s, problem, metric_inverse(metric, problem, disc, 0.0)(s)).g
     assert abs(inner_h(disc, s.coeffs, g)) <= 1e-10 * max(1.0, norm_h(disc, g))
 
 
@@ -206,7 +207,7 @@ def test_line_search_matches_scan_oracle():
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 10, Scheme.FD2), 4.0)
     fs = FastSolver(disc, problem.alpha)
     s = default_initial_state(disc)
-    g = riemannian_gradient(s, problem, fs)
+    g = riemannian_gradient(s, problem, fs).g
     tau_star = line_search_step(s, problem, g)
 
     taus = np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 10_000)
@@ -232,7 +233,7 @@ def test_line_energy_matches_energy_of_retracted_point(spec, potential):
     rng = np.random.default_rng(7)
     u = default_initial_state(disc).coeffs * (1 + 0.3 * rng.random(disc.ndof))
     s = State(retract(disc, u), disc)
-    g = riemannian_gradient(s, problem, FastSolver(disc, problem.alpha))
+    g = riemannian_gradient(s, problem, FastSolver(disc, problem.alpha)).g
     phi = line_energy(s, problem, g, disc.apply_neg_laplacian(g))
     for tau in np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 5):
         want = energy(State(retract(disc, s.coeffs - tau * g), disc), problem)
@@ -393,14 +394,17 @@ def test_stall_with_rising_energy_is_diverged():
     assert report.best_iter < report.iterations
 
 
-@pytest.mark.parametrize("policy, laplacians_per_iter",
-                         [(FixedStep(0.5), 1), (LineSearchStep(), 2)])
-def test_operator_counts_per_iteration(monkeypatch, policy, laplacians_per_iter):
-    """-Delta_h u is applied once per accepted iterate and shared by every
-    diagnostic and the gradient; the line search adds one -Delta_h g."""
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+@pytest.mark.parametrize("policy", [FixedStep(0.5), LineSearchStep()], ids=str)
+def test_operator_counts_per_iteration(monkeypatch, policy, tol):
+    """A modified-H1 iterate costs one forward pass (of A_u u) and one
+    backward pass, with no solve and no Laplacian: -Delta_h u and forward(u)
+    are carried and -Delta_h g is free, the line search's included.  Only the
+    start and the refreshes near the tolerance apply -Delta_h u and
+    forward(u) to the state itself."""
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
     u0 = default_initial_state(disc)
-    counts = {"lap": 0, "solve": 0}
+    counts = dict.fromkeys(["lap", "forward", "backward", "solve"], 0)
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -410,10 +414,55 @@ def test_operator_counts_per_iteration(monkeypatch, policy, laplacians_per_iter)
 
     monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
                         counted(TensorOperator.apply_neg_laplacian, "lap"))
-    monkeypatch.setattr(FastSolver, "solve", counted(FastSolver.solve, "solve"))
-    k = 6
+    for name in ("forward", "backward", "solve"):
+        monkeypatch.setattr(FastSolver, name, counted(getattr(FastSolver, name), name))
     report = run(FlowConfig(alpha=problem.alpha, step=policy), problem, u0,
-                 StopRule(residual_tol=0.0, stall_window=50, max_iter=k))
-    assert report.iterations == k
-    assert counts["lap"] == laplacians_per_iter * k + 1
-    assert counts["solve"] == 2 * k
+                 StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 200))
+    k, refreshes = report.iterations, report.refreshes
+    if tol == 0:
+        assert report.reason == "max_iter" and k == 6 and refreshes == 0
+        unused = 0
+    else:
+        assert report.reason == "tol" and refreshes >= 1
+        # the last step refreshed; no step follows to take that forward(u)
+        assert report.records[-2].residual <= REFRESH_FACTOR * tol
+        unused = 1
+    assert counts["lap"] == 1 + refreshes
+    assert counts["backward"] == k
+    assert counts["forward"] == 1 + k + refreshes - unused
+    assert counts["solve"] == 0
+
+
+@pytest.mark.parametrize("policy", [FixedStep(1.0), LineSearchStep()], ids=str)
+def test_carried_values_stay_exact_over_20_steps(policy):
+    """-Delta_h u and forward(u), carried by linearity through the steps,
+    match the operators applied to the iterate."""
+    disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    fs = FastSolver(disc, problem.alpha)
+    state = default_initial_state(disc)
+    for _ in range(20):
+        state, _ = gradient_step(state, problem, fs, policy)
+    assert state._neg_lap is not None and state.transformed is not None
+    for carried, exact in [(state.neg_lap, disc.apply_neg_laplacian(state.coeffs)),
+                           (state.transformed, fs.forward(state.coeffs))]:
+        assert np.linalg.norm(carried - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_tol_stop_reports_exact_record_and_final_state():
+    """The refreshes make the stopping record exact, and no final state
+    holds carried values, however the run stopped."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 16, Scheme.FD2), 2.0)
+    u0 = default_initial_state(disc)
+    report = run(FlowConfig(alpha=problem.alpha), problem, u0,
+                 StopRule(residual_tol=1e-11))
+    assert report.reason == "tol" and report.refreshes >= 1
+    s = report.final_state
+    assert np.array_equal(s.neg_lap, disc.apply_neg_laplacian(s.coeffs))
+    assert residual(s, problem) == report.records[-1].residual
+    assert energy(s, problem) == report.records[-1].energy
+    assert u0._neg_lap is None  # run() fills no cache of the caller's state
+    cut = run(FlowConfig(alpha=problem.alpha), problem, u0, StopRule(max_iter=3))
+    assert cut.reason == "max_iter" and cut.refreshes == 0
+    s = cut.final_state
+    assert np.array_equal(s.neg_lap, disc.apply_neg_laplacian(s.coeffs))

@@ -74,6 +74,24 @@ def test_fast_solver_matches_dense(spec):
                            atol=1e-11 * max(1.0, np.abs(b).max()))
 
 
+@pytest.mark.parametrize("spec", [
+    GridSpec(1.0, 2, 8, Scheme.FD2),
+    GridSpec(1.0, 3, 6, Scheme.COMPACT4),
+    GridSpec(1.0, 3, 3, Scheme.SEM, 3),
+], ids=str)
+def test_fast_solver_is_its_two_transform_halves(spec):
+    """solve(b) = backward(forward(b) / D) bit for bit, and backward inverts
+    forward: forward(backward(c)) = c since Z^T M Z = I."""
+    disc = TensorOperator(spec)
+    fs = FastSolver(disc, 0.15)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        b = rng.standard_normal(disc.ndof)
+        assert np.array_equal(fs.solve(b), fs.backward(fs.forward(b) / fs.denominator))
+        c = rng.standard_normal(disc.ndof)
+        assert np.allclose(fs.forward(fs.backward(c)), c, rtol=0, atol=1e-13 * np.abs(c).max())
+
+
 def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
     """Every axis shares one 1D operator, so a 3D solver needs one eigensolve."""
     calls = []

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from gpflow.analysis import linearized_eigenpairs
-from gpflow.energy import Problem
+from gpflow.energy import Problem, euclidean_gradient, riemannian_gradient
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                           StopRule, default_initial_state, run)
+from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import shifted_solver
 from gpflow.meshes import (MeshError, TriMesh2D, edge_cotangent_sums,
                            mesh_monotonicity_check, p1_assemble,
@@ -196,6 +197,22 @@ def test_shifted_solver_inverts_p1_shifted_laplacian(alpha):
                        rtol=0, atol=1e-12 * np.abs(b).max())
     with pytest.raises(ValueError, match="alpha"):
         shifted_solver(disc, -1.0)
+
+
+@pytest.mark.parametrize("mesh", [False, True], ids=["fast_solver", "p1_lu"])
+def test_neg_laplacian_of_gradient_is_free(mesh):
+    """G = (-Delta_h + alpha I)^{-1} exactly, so g = G(A_u u - gamma u) has
+    -Delta_h g = A_u u - gamma u - alpha g, on tensor grids and P1 meshes."""
+    disc = (p1_assemble(jittered_mesh(12, seed=5)) if mesh
+            else TensorOperator(GridSpec(1.0, 2, 6, Scheme.SEM, 3)))
+    problem = harmonic_problem(disc)
+    G = shifted_solver(disc, 0.7)
+    state = default_initial_state(disc)
+    g, gamma, _ = riemannian_gradient(state, problem, G)
+    Au_u = euclidean_gradient(state, problem)
+    free = Au_u - gamma * state.coeffs - G.alpha * g
+    exact = disc.apply_neg_laplacian(g)
+    assert np.linalg.norm(free - exact) <= 1e-12 * np.linalg.norm(Au_u)
 
 
 def test_modified_h1_on_p1_meshes_is_mesh_independent():
