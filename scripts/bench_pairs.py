@@ -1,33 +1,37 @@
 #!/usr/bin/env python3
 """Before/after pairs of the benchmark's end-to-end metrics.
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH_pairs.json
+    python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH_pairs.json
 
 Exports the base revision with `git archive` into a temporary directory
 (no worktree is registered, so an interrupted run leaves `.git` as it
 was), then runs `gsbench/run.py --trace 0` on the base and on the working
-tree once per pair and workload, each in a fresh process.  The side that
-runs first alternates from pair to pair, so a drift of the host's speed
-hits both sides alike; pair i uses seed i + 1 on both sides.  The output
-JSON holds every run and, per workload and metric, the median and
-quartiles of each side and of the per-pair relative change, and how many
-pairs the working tree won.  Metric names and directions come from
-BENCHMARK.json.  Nothing under gsbench/ is changed.
+tree, PAIRS times per workload of BENCHMARK.json, each run in a fresh
+process for the benchmark's run_seconds.  The side that runs first
+alternates from pair to pair, so a drift of the host's speed hits both
+sides alike; pair i uses seed i + 1 on both sides.  The output JSON holds
+every run and, per workload and metric, the median and quartiles of each
+side and of the per-pair relative change, and how many pairs the working
+tree won.  It names the working tree by its HEAD and the SHA-256 of
+`git diff --binary HEAD` taken before the first run (null for a clean
+tree).  Metric names and directions come from BENCHMARK.json.  Nothing
+under gsbench/ is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "work")
+PAIRS = 10
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -81,38 +85,41 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def diff_sha256() -> str | None:
+    """SHA-256 of the working tree's changes against HEAD; None if clean."""
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=ROOT,
+                          capture_output=True, check=True).stdout
+    return hashlib.sha256(diff).hexdigest() if diff else None
+
+
 def export(rev: str, dest: str) -> str:
     """The tree of `rev` unpacked into dest; returns the full sha."""
     sha = git("rev-parse", rev)
-    archive = os.path.join(dest, "base.tar")
-    subprocess.run(["git", "archive", "--format=tar", "-o", archive, sha],
-                   cwd=ROOT, check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(os.path.join(dest, "tree"), filter="data")
+    archive = subprocess.Popen(["git", "archive", "--format=tar", sha],
+                               cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise subprocess.CalledProcessError(archive.returncode, "git archive")
     return sha
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated; default: every workload in BENCHMARK.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="gsbench --seconds; default: BENCHMARK.json's run_seconds")
     ap.add_argument("--out", default="BENCH_pairs.json")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    work = {"head": git("rev-parse", "HEAD"), "diff_sha256": diff_sha256()}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         sha = export(args.base, tmp)
-        trees = {"base": os.path.join(tmp, "tree"), "work": ROOT}
-        for pair in range(args.pairs):
+        trees = {"base": tmp, "work": ROOT}
+        for pair in range(PAIRS):
             for w in workloads:
                 for side in order(pair):
                     r = run_once(trees[side], w, pair + 1, seconds)
@@ -120,10 +127,7 @@ def main(argv=None) -> int:
                                  "seed": pair + 1, **r})
                     print(f"pair {pair} {w} {side}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
-    record = {"base": sha,
-              "work": {"head": git("rev-parse", "HEAD"),
-                       "uncommitted_changes": bool(git("status", "--porcelain"))},
-              "seconds": seconds, "nproc": os.cpu_count(),
+    record = {"base": sha, "work": work, "seconds": seconds, "nproc": os.cpu_count(),
               "summary": summarize(runs, better), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)

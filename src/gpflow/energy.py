@@ -44,7 +44,8 @@ class State:
 
     <u, u>_h is cached at construction, -Delta_h u (unless a step carried
     it in) and A_u u on first use, so `coeffs` must not be mutated after
-    construction.  `transformed` is the FastSolver transform forward(u).
+    construction.  `transformed` is the FastSolver transform forward(u),
+    set by the step that starts or carries it.
     """
 
     coeffs: np.ndarray
@@ -126,19 +127,18 @@ class Gradient(NamedTuple):
 def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere, for any inverse metric G with a .solve method (a shifted_solver
-    for the modified H1 metric), so <u, g>_h = 0.  A FastSolver works on
-    transforms, <u, G x>_h = forward(u)^T D^{-1} forward(x): one forward
-    pass of A_u u and one backward pass.
+    for the modified H1 metric), so <u, g>_h = 0.  A state that holds
+    forward(u) of a FastSolver G works on transforms,
+    <u, G x>_h = forward(u)^T D^{-1} forward(x): one forward pass of A_u u
+    and one backward pass instead of two solves.
     """
     state.require_normalized()
     u = state.coeffs
-    if not hasattr(G, "forward"):
+    if state.transformed is None:
         grad = G.solve(euclidean_gradient(state, problem))
         Gu = G.solve(u)
         gamma = inner_h(state.disc, u, grad) / inner_h(state.disc, u, Gu)
         return Gradient(grad - gamma * Gu, gamma, None)
-    if state.transformed is None:
-        state.transformed = G.forward(u)
     c_u, D = state.transformed, G.denominator
     c = G.forward(euclidean_gradient(state, problem)) / D  # forward(G A_u u)
     gamma = float(np.dot(c_u, c)) / float(np.dot(c_u / D, c_u))

@@ -97,7 +97,7 @@ class RunReport:
     # rose) | "max_iter" | "step_failure"
     reason: str
     wall_seconds: float
-    refreshes: int = 0  # modified-H1 steps that recomputed their carried values
+    refreshes: int = 0  # steps whose carried values were recomputed
 
     @property
     def iterations(self) -> int:
@@ -176,6 +176,8 @@ def gradient_step(state: State, problem: Problem, G,
     G = (-Delta_h + alpha I)^{-1} gives -Delta_h g = A_u u - gamma u - alpha g
     with no Laplacian, and the new state carries -Delta_h u' and, for a
     FastSolver, forward(u') by linearity."""
+    if state.transformed is None and hasattr(G, "forward"):
+        state.transformed = G.forward(state.coeffs)
     g, gamma, c = riemannian_gradient(state, problem, G)
     alpha = getattr(G, "alpha", None)
     lap_g = None
@@ -337,7 +339,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
         except SolverError:
             reason = "step_failure"
             break
-        if refresh and flow.kind is FlowKind.MODIFIED_H1:  # drop what it carried
+        if refresh and state._neg_lap is not None:  # drop what the step carried
             state = State(state.coeffs, disc)
             refreshes += 1
         rec = IterationRecord(it, energy(state, problem),

@@ -202,13 +202,21 @@ def test_shifted_solver_inverts_p1_shifted_laplacian(alpha):
 @pytest.mark.parametrize("mesh", [False, True], ids=["fast_solver", "p1_lu"])
 def test_neg_laplacian_of_gradient_is_free(mesh):
     """G = (-Delta_h + alpha I)^{-1} exactly, so g = G(A_u u - gamma u) has
-    -Delta_h g = A_u u - gamma u - alpha g, on tensor grids and P1 meshes."""
+    -Delta_h g = A_u u - gamma u - alpha g, on tensor grids (the gradient
+    from transforms, as the flow forms it) and P1 meshes."""
     disc = (p1_assemble(jittered_mesh(12, seed=5)) if mesh
             else TensorOperator(GridSpec(1.0, 2, 6, Scheme.SEM, 3)))
     problem = harmonic_problem(disc)
     G = shifted_solver(disc, 0.7)
     state = default_initial_state(disc)
-    g, gamma, _ = riemannian_gradient(state, problem, G)
+    if not mesh:
+        solved = riemannian_gradient(state, problem, G)
+        state.transformed = G.forward(state.coeffs)
+    g, gamma, c = riemannian_gradient(state, problem, G)
+    if not mesh:  # the transform path gives the two-solve gradient
+        assert c is not None and solved.transformed is None
+        assert np.linalg.norm(g - solved.g) <= 1e-12 * np.linalg.norm(solved.g)
+        assert np.array_equal(G.backward(c), g)
     Au_u = euclidean_gradient(state, problem)
     free = Au_u - gamma * state.coeffs - G.alpha * g
     exact = disc.apply_neg_laplacian(g)
