@@ -44,8 +44,7 @@ class State:
 
     <u, u>_h is cached at construction, -Delta_h u (unless a step carried
     it in) and A_u u on first use, so `coeffs` must not be mutated after
-    construction.  `transformed` is the FastSolver transform forward(u),
-    set by the step that starts or carries it.
+    construction.  `transformed` is FastSolver.forward(u), set by a step.
     """
 
     coeffs: np.ndarray
@@ -127,10 +126,9 @@ class Gradient(NamedTuple):
 def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere, for any inverse metric G with a .solve method (a shifted_solver
-    for the modified H1 metric), so <u, g>_h = 0.  A state that holds
-    forward(u) of a FastSolver G works on transforms,
-    <u, G x>_h = forward(u)^T D^{-1} forward(x): one forward pass of A_u u
-    and one backward pass instead of two solves.
+    for the modified H1 metric), so <u, g>_h = 0.  A state holding forward(u)
+    works on transforms, <u, G x>_h = forward(u)^T D^{-1} forward(x): one
+    forward pass of A_u u and one backward pass instead of two solves.
     """
     state.require_normalized()
     u = state.coeffs
