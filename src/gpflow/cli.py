@@ -21,7 +21,7 @@ from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
                        m_matrix_check, monotonicity_oracle, rate_fit)
 from .config import ConfigError, RunConfig, parse_config
 from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
-from .flows import FlowKind, RunReport, default_initial_state, run
+from .flows import FlowKind, RunReport, bfsp_shift, default_initial_state, run
 from .grids import GridSpec, TensorOperator
 from .linalg import SolverError
 
@@ -58,6 +58,11 @@ def _write_summary(prefix, report: RunReport, created):
                ["lambda", "energy", "iterations", "wall_seconds"], rows, created)
 
 
+def _print_run(kind: FlowKind, report: RunReport):
+    print(f"{kind.value}  reason={report.reason}  iterations={report.iterations}  "
+          f"residual={report.records[-1].residual:.3e}")
+
+
 def _problem(cfg: RunConfig, disc) -> Problem:
     V = np.asarray(cfg.potential_fn(disc.node_coordinates()), dtype=float)
     return Problem(V, cfg.beta, cfg.flow.alpha)
@@ -68,6 +73,7 @@ def run_solve(cfg: RunConfig, created) -> int:
     problem = _problem(cfg, disc)
     report = run(cfg.flow, problem, default_initial_state(disc, cfg.initial, problem),
                  cfg.stop)
+    _print_run(cfg.flow.kind, report)
     _write_trace(cfg.prefix, report, created)
     _write_summary(cfg.prefix, report, created)
     return 0 if report.converged else 2
@@ -105,7 +111,7 @@ def run_eigengap(cfg: RunConfig, created) -> int:
 
 
 def run_compare(cfg: RunConfig, created) -> int:
-    """One trace per flow kind with an identical column schema."""
+    """One trace per flow kind with an identical column schema; BFSP at bfsp_shift."""
     disc = TensorOperator(cfg.grid)
     problem = _problem(cfg, disc)
     kinds = [FlowKind.MODIFIED_H1, FlowKind.BFSP, FlowKind.L2,
@@ -114,7 +120,10 @@ def run_compare(cfg: RunConfig, created) -> int:
     summary = []
     status = 0
     for kind in kinds:
-        report = run(dataclasses.replace(cfg.flow, kind=kind), problem, u0, cfg.stop)
+        alpha = bfsp_shift(problem, u0) if kind is FlowKind.BFSP else cfg.flow.alpha
+        report = run(dataclasses.replace(cfg.flow, kind=kind, alpha=alpha),
+                     problem, u0, cfg.stop)
+        _print_run(kind, report)
         _write_trace(cfg.prefix, report, created, tag=f"_{kind.value}")
         last = report.records[-1]
         summary.append((kind.value, last.eigenvalue, last.energy,
@@ -201,6 +210,12 @@ def main(argv=None) -> int:
         # BFSP's fixed point depends on dt: not the discrete ground state a study measures
         print("config error: [flow] kind = bfsp: the studies need a gradient flow",
               file=sys.stderr)
+        return 1
+    # convergence measures its errors against the manufactured case on [-1, 1]^d
+    if args.subcommand == "convergence" and (cfg.potential_fn.__name__ != "exact_case"
+                                             or cfg.grid.half_width != 1.0):
+        print("config error: convergence needs [problem] potential = exact_case "
+              "and [grid] half_width = 1", file=sys.stderr)
         return 1
 
     if args.out is not None:

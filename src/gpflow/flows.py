@@ -136,6 +136,12 @@ def step_bfsp(state: State, problem: Problem, dt: float, alpha: float,
     return State(retract(disc, solver.solve(rhs)), disc)
 
 
+def bfsp_shift(problem: Problem, u0: State) -> float:
+    """BFSP's stabilization shift from the start u0: the midpoint of V + beta u0^2."""
+    b = problem.potential + problem.beta * u0.coeffs ** 2
+    return 0.5 * (float(np.max(b)) + float(np.min(b)))
+
+
 def _pcg_inverse(apply_A, precond, weights: np.ndarray, name: str):
     """G = A^{-1} applied by PCG with the unshifted solver as preconditioner."""
     def solve(w):

@@ -25,6 +25,17 @@ from test_energy import norm_X, sobolev_gradient
 from test_tensor import dense_lap
 
 
+# what the criteria run; tests/test_examples.py checks examples/*.ini against it
+TABLE_3D = {"fd2": ((Scheme.FD2, 1), [40, 80]), "sem2": ((Scheme.SEM, 2), [5, 10]),
+            "compact4": ((Scheme.COMPACT4, 1), [40, 80])}
+SEM5 = (GridSpec(16.0, 3, 20, Scheme.SEM, 5), FlowConfig(alpha=0.15, step=FixedStep(1.0)),
+        StopRule(residual_tol=1e-12, stall_window=10, max_iter=200))
+STRONG = (GridSpec(8.0, 3, 6, Scheme.SEM, 8), FlowConfig(alpha=10.0, step=FixedStep(0.1)),
+          StopRule(residual_tol=1e-12, stall_window=10, max_iter=3000))
+LATTICE = (GridSpec(8.0, 2, 300, Scheme.FD2), FlowConfig(alpha=0.15, step=FixedStep(1.0)),
+           StopRule(residual_tol=1e-10, stall_window=10, max_iter=2000))
+
+
 def report(num, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, detail
@@ -33,13 +44,8 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def table_3d():
     """FD2 / SEM(2) / COMPACT4 error tables for the 3D manufactured case."""
-    fd = convergence_study([(Scheme.FD2, 1)], [40, 80], 3, 1.0,
-                           initial="linear")["fd2"]
-    sem = convergence_study([(Scheme.SEM, 2)], [5, 10], 3, 1.0,
-                            initial="linear")["sem2"]
-    cp = convergence_study([(Scheme.COMPACT4, 1)], [40, 80], 3, 1.0,
-                           initial="linear")["compact4"]
-    return {"fd2": fd, "sem2": sem, "compact4": cp}
+    return {name: convergence_study([scheme], levels, 3, 1.0, initial="linear")[name]
+            for name, (scheme, levels) in TABLE_3D.items()}
 
 
 def test_criterion_1_fd2_errors_and_order(table_3d):
@@ -89,12 +95,10 @@ def test_criterion_4_iteration_counts(table_3d):
 
 
 def test_criterion_5_sem5_large_case():
-    spec = GridSpec(16.0, 3, 20, Scheme.SEM, 5)
+    spec, flow, stop = SEM5
     disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
-    rep = run(FlowConfig(alpha=0.15, step=FixedStep(1.0)), problem,
-              default_initial_state(disc),
-              StopRule(residual_tol=1e-12, stall_window=10, max_iter=200))
+    rep = run(flow, problem, default_initial_state(disc), stop)
     lam = eigenvalue_estimate(rep.final_state, problem)
     lam_ref = 0.143834048046
     rel = abs(lam - lam_ref) / lam_ref
@@ -105,12 +109,10 @@ def test_criterion_5_sem5_large_case():
 
 
 def test_criterion_6_strong_interaction_energy():
-    spec = GridSpec(8.0, 3, 6, Scheme.SEM, 8)
+    spec, flow, stop = STRONG
     disc = TensorOperator(spec)
     problem = Problem(harmonic_lattice(disc.node_coordinates()), 1600.0, 10.0)
-    rep = run(FlowConfig(alpha=10.0, step=FixedStep(0.1)), problem,
-              default_initial_state(disc, "constant"),
-              StopRule(residual_tol=1e-12, stall_window=10, max_iter=3000))
+    rep = run(flow, problem, default_initial_state(disc, "constant"), stop)
     e = energy(rep.final_state, problem)
     ok = rep.converged and f"{e:.4g}" == f"{33.80227900547:.4g}"
     report(6, ok, f"sem8 6^3 beta=1600 tau=0.1: E={e:.6f} "
@@ -120,15 +122,13 @@ def test_criterion_6_strong_interaction_energy():
 
 
 def test_criterion_7_bfsp_slower_than_modified_h1():
-    spec = GridSpec(8.0, 2, 300, Scheme.FD2)
+    spec, flow, stop = LATTICE
     disc = TensorOperator(spec)
-    V = sin2_product(disc.node_coordinates())
-    problem = Problem(V, 5.0, 0.15)
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
     u0 = default_initial_state(disc, "linear", problem)
-    stop = StopRule(residual_tol=1e-10, stall_window=10, max_iter=2000)
 
-    h1 = run(FlowConfig(alpha=0.15, step=FixedStep(1.0)), problem, u0, stop)
-    b = V + problem.beta * u0.coeffs ** 2
+    h1 = run(flow, problem, u0, stop)
+    b = problem.potential + problem.beta * u0.coeffs ** 2
     alpha_bfsp = 0.5 * (float(np.max(b)) + float(np.min(b)))
     bfsp = run(FlowConfig(kind=FlowKind.BFSP, alpha=alpha_bfsp, dt=0.1),
                problem, u0, stop)

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import gpflow.analysis
 from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
-from gpflow.flows import FixedStep, FlowKind, LineSearchStep
+from gpflow.flows import FixedStep, FlowKind, LineSearchStep, run
 from gpflow.grids import Scheme
 from gpflow.potentials import harmonic_lattice
 
@@ -161,10 +162,11 @@ def read_csv(path):
         return f.read()
 
 
-def test_cli_solve_end_to_end(tmp_path):
+def test_cli_solve_end_to_end(tmp_path, capsys):
     prefix = str(tmp_path / "s")
     code = main(["solve", "--config", small_cfg(tmp_path, prefix)])
     assert code == 0
+    assert capsys.readouterr().out.startswith("modified_h1  reason=tol  iterations=")
     trace = read_csv(prefix + "_trace.csv").splitlines()
     assert trace[0] == "iter,energy,residual,lambda,step"
     assert len(trace) >= 3
@@ -199,11 +201,18 @@ def test_cli_eigengap_end_to_end(tmp_path):
     assert len(gaps) == 2 and all(g > 0 for g in gaps)
 
 
-def test_cli_compare_end_to_end(tmp_path):
+def test_cli_compare_end_to_end(tmp_path, capsys, monkeypatch):
     prefix = str(tmp_path / "cmp")
     cfg = small_cfg(tmp_path, prefix)
+    flows = []
+    monkeypatch.setattr(gpflow.cli, "run", lambda f, *a: flows.append(f) or run(f, *a))
     main(["compare", "--config", cfg])  # BFSP may stall; status not asserted
     kinds = ["modified_h1", "bfsp", "l2", "a0", "au"]
+    # BFSP runs at bfsp_shift, the gradient flows at the configured alpha
+    assert [flow.alpha == 0.2 for flow in flows] == [True, False, True, True, True]
+    # one line per run: kind, stop reason, iterations, last residual
+    line = r"(\w+)  reason=(tol|stall|diverged|max_iter|step_failure)  iterations=\d+  "
+    assert [re.match(line, s)[1] for s in capsys.readouterr().out.splitlines()] == kinds
     header = None
     for kind in kinds:
         lines = read_csv(f"{prefix}_{kind}_trace.csv").splitlines()
@@ -301,16 +310,22 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
-@pytest.mark.parametrize("subcommand", ["convergence", "eigengap"])
-def test_cli_study_rejects_flow_it_cannot_run(tmp_path, capsys, subcommand):
+@pytest.mark.parametrize("subcommand, old, new, key", [
+    ("convergence", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),
+    ("eigengap", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),
+    ("convergence", "potential = exact_case", "potential = sin2_product", "potential"),
+    ("convergence", "d = 1", "d = 1\nhalf_width = 8", "half_width"),
+], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width"])
+def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key):
     """BFSP's fixed point depends on dt, so it is not the discrete ground state
-    a study measures; asking for it is a config error."""
+    a study measures, and convergence measures its errors against the
+    manufactured case on [-1, 1]^d: anything else is a config error."""
     prefix = str(tmp_path / "x")
-    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
-        "[flow]\n", "[flow]\nkind = bfsp\n"), name="study.ini")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(old, new),
+                    name="study.ini")
     assert main([subcommand, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "[flow] kind =" in err
+    assert "config error" in err and key in err
     assert not os.path.exists(prefix + "_table.csv")
 
 

@@ -1,0 +1,63 @@
+"""examples/*.ini parse to what their acceptance criteria run, and run shrunk."""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from gpflow.analysis import STUDY_FLOW
+from gpflow.cli import main
+from gpflow.config import parse_config
+from gpflow.energy import Problem
+from gpflow.flows import StopRule, bfsp_shift, default_initial_state
+from gpflow.grids import TensorOperator
+from gpflow.potentials import harmonic_lattice, sin2_product
+
+from test_acceptance import LATTICE, SEM5, STRONG, TABLE_3D
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.mark.parametrize("name, schemes", [("table_fd.ini", ["fd2", "compact4"]),
+                                           ("table_sem2.ini", ["sem2"])])
+def test_table_example_is_the_table_3d_fixture(name, schemes):
+    cfg = parse_config((EXAMPLES / name).read_text())
+    assert [(s, cfg.study_levels) for s in cfg.study_schemes] == [TABLE_3D[s] for s in schemes]
+    assert (cfg.grid.dim, cfg.grid.half_width, cfg.beta) == (3, 1.0, 1.0)
+    assert cfg.potential_fn.__name__ == "exact_case"
+    assert (cfg.flow, cfg.stop, cfg.initial) == (STUDY_FLOW, StopRule(), "linear")
+
+
+@pytest.mark.parametrize("name, criterion, potential, beta, initial", [
+    ("sem5.ini", SEM5, sin2_product, 10.0, "constant"),
+    ("strong.ini", STRONG, harmonic_lattice, 1600.0, "constant"),
+    ("lattice2d.ini", LATTICE, sin2_product, 5.0, "linear"),
+])
+def test_example_is_its_criterion(name, criterion, potential, beta, initial):
+    cfg = parse_config((EXAMPLES / name).read_text())
+    assert (cfg.grid, cfg.flow, cfg.stop) == criterion
+    assert (cfg.potential_fn, cfg.beta, cfg.initial) == (potential, beta, initial)
+
+
+@pytest.mark.parametrize("name, command, key, value, code", [
+    ("table_fd.ini", "convergence", "levels", "8 16", 0),
+    ("table_sem2.ini", "convergence", "levels", "2 4", 0),
+    ("sem5.ini", "solve", "cells", "2", 0),
+    ("strong.ini", "solve", "cells", "2", 2),        # tau = 0.1 diverges here too
+    ("lattice2d.ini", "compare", "cells", "32", 2),  # the L2 flow diverges
+])
+def test_example_runs(tmp_path, name, command, key, value, code):
+    text, n = re.subn(rf"(?m)^{key} = .*", f"{key} = {value}", (EXAMPLES / name).read_text())
+    assert n == 1
+    (tmp_path / name).write_text(text)
+    out = str(tmp_path / "run")
+    assert main([command, "--config", str(tmp_path / name), "--out", out]) == code
+
+
+def test_bfsp_shift_is_criterion_7s():
+    disc = TensorOperator(LATTICE[0])
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    u0 = default_initial_state(disc, "linear", problem)
+    b = problem.potential + problem.beta * u0.coeffs ** 2  # criterion 7's inline shift
+    assert bfsp_shift(problem, u0) == 0.5 * (float(np.max(b)) + float(np.min(b)))
