@@ -107,7 +107,10 @@ def _parse_potential(ln, value, beta):
     if name == "file":
         if not arg:
             raise ConfigError(ln, "file potential needs a path: file(path)")
-        return potentials.from_file(arg)
+        try:
+            return potentials.from_file(arg)
+        except (OSError, ValueError) as e:
+            raise ConfigError(ln, f"potential file {arg!r}: {e}")
     if arg is not None:
         raise ConfigError(ln, f"potential {name!r} takes no argument")
     if name == "sin2_product":

@@ -44,7 +44,9 @@ class State:
 
     <u, u>_h is cached at construction, -Delta_h u (unless a step carried
     it in) and A_u u on first use, so `coeffs` must not be mutated after
-    construction.  `transformed` is FastSolver.forward(u), set by a step.
+    construction.  `transformed` is FastSolver.forward(u), carried in by a
+    step or set by `riemannian_gradient`.  Carried values follow u only to
+    round-off, so `flows.run` decides its tolerance stop on a fresh state.
     """
 
     coeffs: np.ndarray
@@ -126,17 +128,19 @@ class Gradient(NamedTuple):
 def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere, for any inverse metric G with a .solve method (a shifted_solver
-    for the modified H1 metric), so <u, g>_h = 0.  A state holding forward(u)
-    works on transforms, <u, G x>_h = forward(u)^T D^{-1} forward(x): one
-    forward pass of A_u u and one backward pass instead of two solves.
+    for the modified H1 metric), so <u, g>_h = 0.  A G with transforms (a
+    FastSolver) uses <u, G x>_h = forward(u)^T D^{-1} forward(x), kept on the
+    state: one forward pass of A_u u and one backward pass, not two solves.
     """
     state.require_normalized()
     u = state.coeffs
-    if state.transformed is None:
+    if not hasattr(G, "forward"):
         grad = G.solve(euclidean_gradient(state, problem))
         Gu = G.solve(u)
         gamma = inner_h(state.disc, u, grad) / inner_h(state.disc, u, Gu)
         return Gradient(grad - gamma * Gu, gamma, None)
+    if state.transformed is None:
+        state.transformed = G.forward(u)
     c_u, D = state.transformed, G.denominator
     c = G.forward(euclidean_gradient(state, problem)) / D  # forward(G A_u u)
     gamma = float(np.dot(c_u, c)) / float(np.dot(c_u / D, c_u))

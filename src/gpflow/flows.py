@@ -62,9 +62,6 @@ STALL_RTOL = 1e-14
 # relative energy rise inside the stall window that makes a gradient-flow
 # stall a divergence (the flow's energy must not rise)
 ENERGY_RISE_RTOL = 1e-12
-# modified-H1 steps recompute -Delta_h u and forward(u) (carried, they drift
-# by ~1e-14) once the last residual is within this factor of the tolerance
-REFRESH_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class RunReport:
     # rose) | "max_iter" | "step_failure"
     reason: str
     wall_seconds: float
-    refreshes: int = 0  # steps whose carried values were recomputed
+    refreshes: int = 0  # states rebuilt to check a record that met the tolerance
 
     @property
     def iterations(self) -> int:
@@ -182,8 +179,6 @@ def gradient_step(state: State, problem: Problem, G,
     G = (-Delta_h + alpha I)^{-1} gives -Delta_h g = A_u u - gamma u - alpha g
     with no Laplacian, and the new state carries -Delta_h u' and, for a
     FastSolver, forward(u') by linearity."""
-    if state.transformed is None and hasattr(G, "forward"):
-        state.transformed = G.forward(state.coeffs)
     g, gamma, c = riemannian_gradient(state, problem, G)
     alpha = getattr(G, "alpha", None)
     lap_g = None
@@ -330,27 +325,28 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
         def step(state):
             return gradient_step(state, problem, G_at(state), flow.step)
 
+    def record(it, state, tau):
+        return IterationRecord(it, energy(state, problem), residual(state, problem),
+                               eigenvalue_estimate(state, problem), tau)
+
     refreshes = 0
     state = State(u0.coeffs, disc)  # fills no cache of the caller's state
-    records = [IterationRecord(0, energy(state, problem),
-                               residual(state, problem),
-                               eigenvalue_estimate(state, problem), 0.0)]
+    records = [record(0, state, 0.0)]
     best = records[0].residual
     best_iter = 0
     reason = "max_iter"
     for it in range(1, stop.max_iter + 1):
-        refresh = records[-1].residual <= REFRESH_FACTOR * stop.residual_tol
         try:
             state, tau = step(state)
         except SolverError:
             reason = "step_failure"
             break
-        if refresh and state._neg_lap is not None:  # drop what the step carried
+        rec = record(it, state, tau)
+        if rec.residual <= stop.residual_tol:
+            # values a step carried follow u only to round-off: stop on exact ones
             state = State(state.coeffs, disc)
             refreshes += 1
-        rec = IterationRecord(it, energy(state, problem),
-                              residual(state, problem),
-                              eigenvalue_estimate(state, problem), tau)
+            rec = record(it, state, tau)
         records.append(rec)
         if rec.residual <= stop.residual_tol:
             reason = "tol"

@@ -65,7 +65,7 @@ def _opposite_edges(mesh: TriMesh2D):
     return mesh.triangles[:, [1, 2, 0]], mesh.triangles[:, [2, 0, 1]]
 
 
-def _edge_sums(mesh: TriMesh2D):
+def edge_cotangent_sums(mesh: TriMesh2D):
     """Edges (E, 2) as i < j in sorted order, the sum of their opposite
     cotangents (E,) and their incident triangle counts (E,)."""
     _, cots = _triangle_geometry(mesh)
@@ -76,12 +76,6 @@ def _edge_sums(mesh: TriMesh2D):
                                     return_inverse=True, return_counts=True)
     sums = np.bincount(which, weights=cots.ravel(), minlength=len(keys))
     return np.stack(np.divmod(keys, nv), axis=1), sums, counts
-
-
-def edge_cotangent_sums(mesh: TriMesh2D):
-    """Sorted edge (i, j) -> (sum of opposite cotangents, incident triangle count)."""
-    return {(int(i), int(j)): (float(v), int(c))
-            for (i, j), v, c in zip(*_edge_sums(mesh))}
 
 
 @dataclass
@@ -142,7 +136,7 @@ def mesh_monotonicity_check(mesh: TriMesh2D) -> MonotonicityReport:
     with a single incident triangle only touch eliminated boundary rows, so
     they are excluded.
     """
-    edges, sums, counts = _edge_sums(mesh)
+    edges, sums, counts = edge_cotangent_sums(mesh)
     edges, sums = edges[counts == 2], sums[counts == 2]
     if not len(sums):
         return MonotonicityReport(ok=True, worst_edge=(-1, -1), worst_value=np.inf)

@@ -43,9 +43,10 @@ def exact_case_potential(beta: float):
 
 
 def from_file(path: str):
-    """Whitespace-separated node values, one per interior node in C-order."""
+    """Whitespace-separated node values, one per interior node in C-order, read now."""
+    vals = np.loadtxt(path).reshape(-1)
+
     def V(coords: np.ndarray) -> np.ndarray:
-        vals = np.loadtxt(path).reshape(-1)
         if len(vals) != len(coords):
             raise ValueError(
                 f"{path}: {len(vals)} values for {len(coords)} nodes")

@@ -310,6 +310,40 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
+def file_potential_cfg(tmp_path, prefix, path):
+    """small_cfg's 1D fd2 grid (31 interior nodes) with V read from path."""
+    return write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "potential = exact_case", f"potential = file({path})"), name="file.ini")
+
+
+def test_cli_file_potential_round_trip(tmp_path):
+    V = np.linspace(0.0, 3.0, 31) ** 2
+    path = tmp_path / "V.txt"
+    np.savetxt(path, V)
+    cfg = parse_config(open(file_potential_cfg(tmp_path, "f", path)).read())
+    assert np.array_equal(cfg.potential_fn(np.zeros((31, 1))), V)
+    prefix = str(tmp_path / "f")
+    assert main(["solve", "--config", file_potential_cfg(tmp_path, prefix, path)]) == 0
+
+
+def test_cli_file_potential_missing_file_exit_1(tmp_path, capsys):
+    cfg = file_potential_cfg(tmp_path, str(tmp_path / "f"), tmp_path / "absent.txt")
+    line = next(i for i, text in enumerate(open(cfg).read().splitlines(), start=1)
+                if text.startswith("potential"))
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: ") and "absent.txt" in err
+
+
+def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
+    path = tmp_path / "V.txt"
+    np.savetxt(path, np.ones(30))
+    prefix = str(tmp_path / "f")
+    assert main(["solve", "--config", file_potential_cfg(tmp_path, prefix, path)]) == 2
+    assert "30 values for 31 nodes" in capsys.readouterr().err
+    assert not os.path.exists(prefix + "_trace.csv")
+
+
 @pytest.mark.parametrize("subcommand, old, new, key", [
     ("convergence", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),
     ("eigengap", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),

@@ -6,11 +6,11 @@ from gpflow.analysis import dense_neg_laplacian, exact_case, solve_exact_case
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            inner_h, norm_h, residual, retract,
                            riemannian_gradient)
-from gpflow.flows import (LINE_SEARCH_HI, LINE_SEARCH_LO, REFRESH_FACTOR,
-                          FixedStep, FlowConfig, FlowKind, LineSearchStep,
-                          StopRule, default_initial_state, gradient_step,
-                          line_energy, line_search_step, metric_inverse, run,
-                          step_bfsp)
+from gpflow import flows
+from gpflow.flows import (LINE_SEARCH_HI, LINE_SEARCH_LO, FixedStep,
+                          FlowConfig, FlowKind, LineSearchStep, StopRule,
+                          default_initial_state, gradient_step, line_energy,
+                          line_search_step, metric_inverse, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver, SolverError, shifted_solver
 from gpflow.potentials import harmonic_lattice, sin2_product
@@ -400,8 +400,8 @@ def test_operator_counts_per_iteration(monkeypatch, policy, tol):
     """A modified-H1 iterate costs one forward pass (of A_u u) and one
     backward pass, with no solve and no Laplacian: -Delta_h u and forward(u)
     are carried and -Delta_h g is free, the line search's included.  Only the
-    start and the refreshes near the tolerance apply -Delta_h u and
-    forward(u) to the state itself."""
+    start and the states rebuilt to check a record that met the tolerance
+    apply -Delta_h u and forward(u) to the state itself."""
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
     u0 = default_initial_state(disc)
     counts = dict.fromkeys(["lap", "forward", "backward", "solve"], 0)
@@ -424,13 +424,16 @@ def test_operator_counts_per_iteration(monkeypatch, policy, tol):
         unused = 0
     else:
         assert report.reason == "tol" and refreshes >= 1
-        # the last step refreshed; no step follows to take that forward(u)
-        assert report.records[-2].residual <= REFRESH_FACTOR * tol
+        # the stopping state was rebuilt; no step follows to take its forward(u)
         unused = 1
     assert counts["lap"] == 1 + refreshes
     assert counts["backward"] == k
     assert counts["forward"] == 1 + k + refreshes - unused
     assert counts["solve"] == 0
+    if tol > 0:  # the record that stopped the run is the rebuilt state's
+        s = State(report.final_state.coeffs, disc)
+        assert report.records[-1].residual == residual(s, problem) <= tol
+        assert report.records[-1].energy == energy(s, problem)
 
 
 @pytest.mark.parametrize("policy", [FixedStep(1.0), LineSearchStep()], ids=str)
@@ -466,3 +469,30 @@ def test_tol_stop_reports_exact_record_and_final_state():
     assert cut.reason == "max_iter" and cut.refreshes == 0
     s = cut.final_state
     assert np.array_equal(s.neg_lap, disc.apply_neg_laplacian(s.coeffs))
+
+
+def test_tol_stop_is_decided_on_a_fresh_state(monkeypatch):
+    """Carried values that claim convergence do not stop a run: every step
+    here returns a state whose carried -Delta_h u is lam u - (V + beta u^2) u
+    (lam = 1), so its residual reads ~0, and the run still ends on the exact record of
+    an iterate that meets the tolerance."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 16, Scheme.FD2), 2.0)
+    step = flows.gradient_step
+
+    def corrupted(*args):
+        state, tau = step(*args)
+        u = state.coeffs
+        state._neg_lap = u - (problem.potential + problem.beta * u ** 2) * u
+        assert residual(state, problem) <= 1e-14
+        return state, tau
+
+    monkeypatch.setattr(flows, "gradient_step", corrupted)
+    tol = 1e-10
+    report = run(FlowConfig(alpha=problem.alpha), problem,
+                 default_initial_state(disc), StopRule(residual_tol=tol))
+    assert report.reason == "tol" and report.iterations > 1
+    s = report.final_state
+    assert residual(s, problem) <= tol
+    last = report.records[-1]
+    assert (last.energy, last.residual, last.eigenvalue) == (
+        energy(s, problem), residual(s, problem), eigenvalue_estimate(s, problem))

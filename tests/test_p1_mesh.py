@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from gpflow.analysis import linearized_eigenpairs
-from gpflow.energy import Problem, euclidean_gradient, riemannian_gradient
+from gpflow.energy import Problem, euclidean_gradient, inner_h, riemannian_gradient
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                           StopRule, default_initial_state, run)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
@@ -139,9 +139,15 @@ def test_degenerate_triangle_rejected():
         p1_assemble(mesh)
 
 
+def edge_sum_dict(mesh):
+    """Sorted edge (i, j) -> (sum of opposite cotangents, incident triangle count)."""
+    return {(int(i), int(j)): (float(v), int(c))
+            for (i, j), v, c in zip(*edge_cotangent_sums(mesh))}
+
+
 def test_edge_cotangent_sums_interior_edge_counts_both_sides():
     mesh = structured_right_triangle_mesh(2)
-    sums = edge_cotangent_sums(mesh)
+    sums = edge_sum_dict(mesh)
     shared = {e: v for e, (v, n) in sums.items() if n == 2}
     # diagonal edges have two 45-degree opposite angles: cot sum 2
     # axis-aligned interior edges: 45 + 90 -> cot sum 1
@@ -180,7 +186,7 @@ def test_vectorized_assembly_matches_per_triangle_loop():
     op = p1_assemble(mesh)
     assert np.allclose(op.stiffness.toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max())
     assert np.array_equal(op.weights, lumped[interior])
-    got = edge_cotangent_sums(mesh)
+    got = edge_sum_dict(mesh)
     assert got.keys() == sums.keys()
     for e, (v, count) in sums.items():
         assert got[e][1] == count
@@ -209,15 +215,18 @@ def test_neg_laplacian_of_gradient_is_free(mesh):
     problem = harmonic_problem(disc)
     G = shifted_solver(disc, 0.7)
     state = default_initial_state(disc)
-    if not mesh:
-        solved = riemannian_gradient(state, problem, G)
-        state.transformed = G.forward(state.coeffs)
     g, gamma, c = riemannian_gradient(state, problem, G)
-    if not mesh:  # the transform path gives the two-solve gradient
-        assert c is not None and solved.transformed is None
-        assert np.linalg.norm(g - solved.g) <= 1e-12 * np.linalg.norm(solved.g)
-        assert np.array_equal(G.backward(c), g)
     Au_u = euclidean_gradient(state, problem)
+    # the two-solve projection: G A_u u - gamma' G u with <u, g>_h = 0
+    u = state.coeffs
+    GAu, Gu = G.solve(Au_u), G.solve(u)
+    solved = GAu - inner_h(disc, u, GAu) / inner_h(disc, u, Gu) * Gu
+    assert np.linalg.norm(g - solved) <= 1e-12 * np.linalg.norm(solved)
+    if mesh:
+        assert c is None
+    else:  # the transform path, forward(u) stored on the state
+        assert np.array_equal(G.backward(c), g)
+        assert np.array_equal(state.transformed, G.forward(u))
     free = Au_u - gamma * state.coeffs - G.alpha * g
     exact = disc.apply_neg_laplacian(g)
     assert np.linalg.norm(free - exact) <= 1e-12 * np.linalg.norm(Au_u)
