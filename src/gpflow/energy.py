@@ -34,19 +34,21 @@ class Problem:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if np.any(self.potential < 0):
-            raise ValueError("potential must be nonnegative at every node")
+        # NaN fails both comparisons; two reductions, no node-sized temporary
+        if not (np.min(self.potential) >= 0 and np.max(self.potential) < np.inf):
+            raise ValueError("potential must be finite and nonnegative at every node")
 
 
 @dataclass
 class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
-    <u, u>_h is cached at construction, -Delta_h u (unless a step carried
-    it in) and A_u u on first use, so `coeffs` must not be mutated after
-    construction.  `transformed` is FastSolver.forward(u), carried in by a
-    step or set by `riemannian_gradient`.  Carried values follow u only to
-    round-off, so `flows.run` decides its tolerance stop on a fresh state.
+    <u, u>_h is cached at construction; -Delta_h u, unless a gradient step
+    carried it in, and A_u u on first use (`riemannian_gradient` frees A_u u
+    for a shifted G), so `coeffs` must not be mutated after construction.
+    `transformed` is FastSolver.forward(u), carried in by a step or set by
+    `riemannian_gradient`.  Carried values follow u only to round-off, so
+    `flows.run` decides its tolerance stop on a fresh state.
     """
 
     coeffs: np.ndarray
@@ -118,34 +120,44 @@ def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
 
 
 class Gradient(NamedTuple):
-    """g = G (A_u u - gamma u); `transformed` is forward(g) for a FastSolver G."""
+    """g = G(A_u u - gamma u), neg_lap = -Delta_h g, transformed = forward(g) or None."""
 
     g: np.ndarray
-    gamma: float
+    neg_lap: np.ndarray
     transformed: np.ndarray | None
 
 
 def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
-    sphere, for any inverse metric G with a .solve method (a shifted_solver
-    for the modified H1 metric), so <u, g>_h = 0.  A G with transforms (a
-    FastSolver) uses <u, G x>_h = forward(u)^T D^{-1} forward(x), kept on the
-    state: one forward pass of A_u u and one backward pass, not two solves.
-    """
+    sphere (<u, g>_h = 0) for any inverse metric G with a .solve method, and
+    -Delta_h g.  A G with transforms (a FastSolver) uses <u, G x>_h =
+    forward(u)^T D^{-1} forward(x), forward(u) kept on the state: one forward
+    pass of A_u u and one backward pass.  A G with a shift alpha inverts
+    -Delta_h + alpha I, so -Delta_h g = A_u u - gamma u - alpha g is free;
+    any other G applies -Delta_h to g once."""
     state.require_normalized()
     u = state.coeffs
-    if not hasattr(G, "forward"):
+    if hasattr(G, "forward"):
+        if state.transformed is None:
+            state.transformed = G.forward(u)
+        c_u, D = state.transformed, G.denominator
+        c = G.forward(euclidean_gradient(state, problem)) / D  # forward(G A_u u)
+        gamma = float(np.dot(c_u, c)) / float(np.dot(c_u / D, c_u))
+        c -= gamma / D * c_u
+        g = G.backward(c)
+    else:
         grad = G.solve(euclidean_gradient(state, problem))
         Gu = G.solve(u)
         gamma = inner_h(state.disc, u, grad) / inner_h(state.disc, u, Gu)
-        return Gradient(grad - gamma * Gu, gamma, None)
-    if state.transformed is None:
-        state.transformed = G.forward(u)
-    c_u, D = state.transformed, G.denominator
-    c = G.forward(euclidean_gradient(state, problem)) / D  # forward(G A_u u)
-    gamma = float(np.dot(c_u, c)) / float(np.dot(c_u / D, c_u))
-    c -= gamma / D * c_u
-    return Gradient(G.backward(c), gamma, c)
+        g, c = grad - gamma * Gu, None
+    alpha = getattr(G, "alpha", None)
+    if alpha is None:
+        return Gradient(g, state.disc.apply_neg_laplacian(g), c)
+    neg_lap = g * -alpha
+    neg_lap += euclidean_gradient(state, problem)
+    state._Au_u = None  # its last use here: free it before the next arrays
+    neg_lap -= gamma * u
+    return Gradient(g, neg_lap, c)
 
 
 def retract(disc, u: np.ndarray) -> np.ndarray:

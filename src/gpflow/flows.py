@@ -11,8 +11,7 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 
 from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
-                     euclidean_gradient, norm_h, residual, retract,
-                     riemannian_gradient)
+                     norm_h, residual, retract, riemannian_gradient)
 from .linalg import SolverError, pcg, shifted_solver
 
 
@@ -122,14 +121,13 @@ class RunReport:
         return min(self.records, key=lambda r: r.residual).index
 
 
-def step_bfsp(state: State, problem: Problem, dt: float, alpha: float,
-              solver) -> State:
-    """Backward-forward Euler with stabilization shift, then renormalize;
-    solver is shifted_solver(disc, alpha + 1/dt)."""
+def step_bfsp(state: State, problem: Problem, solver) -> State:
+    """Backward-forward Euler with stabilization shift, then renormalize; the
+    shift alpha + 1/dt is that of solver = shifted_solver(disc, alpha + 1/dt)."""
     state.require_normalized()
     disc = state.disc
     u = state.coeffs
-    rhs = (alpha + 1.0 / dt - problem.potential - problem.beta * u ** 2) * u
+    rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
     return State(retract(disc, solver.solve(rhs)), disc)
 
 
@@ -175,18 +173,10 @@ def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
 def gradient_step(state: State, problem: Problem, G,
                   policy: FixedStep | LineSearchStep) -> tuple[State, float]:
     """u <- R_h(u - tau g) with g the Riemannian gradient under the inverse
-    metric G and tau fixed or from the line search.  A shifted solver
-    G = (-Delta_h + alpha I)^{-1} gives -Delta_h g = A_u u - gamma u - alpha g
-    with no Laplacian, and the new state carries -Delta_h u' and, for a
-    FastSolver, forward(u') by linearity."""
-    g, gamma, c = riemannian_gradient(state, problem, G)
-    alpha = getattr(G, "alpha", None)
-    lap_g = None
-    if alpha is not None:
-        lap_g = g * -alpha
-        lap_g += euclidean_gradient(state, problem)
-        state._Au_u = None  # its last use here: free it before the next arrays
-        lap_g -= gamma * state.coeffs
+    metric G and tau fixed or from the line search.  The new state carries
+    -Delta_h u' = (-Delta_h u - tau (-Delta_h g)) / |u - tau g|_h and, when
+    the gradient has transforms, forward(u') the same way, by linearity."""
+    g, lap_g, c = riemannian_gradient(state, problem, G)
     tau = (line_search_step(state, problem, g, lap_g)
            if isinstance(policy, LineSearchStep) else policy.tau)
     w = g  # u - tau g, built in g's buffer; every update below is in place
@@ -194,8 +184,6 @@ def gradient_step(state: State, problem: Problem, G,
     w += state.coeffs
     nrm = norm_h(state.disc, w)
     w /= nrm  # R_h(u - tau g), as `retract` computes it
-    if alpha is None:
-        return State(w, state.disc), tau
     for old, d in ((state.neg_lap, lap_g), (state.transformed, c)):
         if d is not None:  # d <- (old - tau d) / nrm
             d *= -tau
@@ -274,16 +262,15 @@ def line_energy(state: State, problem: Problem, g: np.ndarray,
 
 
 def line_search_step(state: State, problem: Problem, g: np.ndarray,
-                     lap_g: np.ndarray | None = None) -> float:
+                     lap_g: np.ndarray) -> float:
     """Exact minimizer of tau -> E_h(R_h(u - tau g)) over [LINE_SEARCH_LO,
     LINE_SEARCH_HI]: the best of the two ends and the stationary points of
-    the closed form inside, from lap_g = -Delta_h g (applied if None).  A
-    zero gradient gives LINE_SEARCH_LO."""
+    the closed form inside, from lap_g = -Delta_h g.  A zero gradient gives
+    LINE_SEARCH_LO."""
     lo, hi = LINE_SEARCH_LO, LINE_SEARCH_HI
     if not g.any():
         return lo
-    phi = line_energy(state, problem, g, state.disc.apply_neg_laplacian(g)
-                      if lap_g is None else lap_g)
+    phi = line_energy(state, problem, g, lap_g)
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point
@@ -318,7 +305,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
         solver = shifted_solver(disc, flow.alpha + 1.0 / flow.dt)
 
         def step(state):
-            return step_bfsp(state, problem, flow.dt, flow.alpha, solver), flow.dt
+            return step_bfsp(state, problem, solver), flow.dt
     else:
         G_at = metric_inverse(flow.kind, problem, disc, flow.alpha)
 

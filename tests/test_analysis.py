@@ -3,9 +3,10 @@ import pytest
 
 from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit,
                              convergence_study, convexity_check, dense_Au,
-                             eigengap_study, exact_case, m_matrix_check,
-                             monotonicity_oracle, rate_fit, solve_exact_case)
-from gpflow.energy import Problem, State, inner_h, retract
+                             dense_neg_laplacian, eigengap_study, exact_case,
+                             m_matrix_check, monotonicity_oracle, rate_fit,
+                             solve_exact_case, sqrt_energy_hessian)
+from gpflow.energy import Problem, State, energy, inner_h, retract
 from gpflow.flows import RunReport, IterationRecord, StopRule
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
@@ -220,6 +221,33 @@ def test_convexity_abs_equality_for_nonnegative():
     rng = np.random.default_rng(1)
     u = np.abs(rng.standard_normal(disc.ndof))
     assert energy(State(u, disc), problem) == energy(State(np.abs(u), disc), problem)
+
+
+def test_sqrt_energy_hessian_matches_finite_differences():
+    """The closed form against the centred finite-difference Hessian of
+    v -> E_h(sqrt(v)) from `energy` (step 1e-5), at 25 dofs."""
+    disc = TensorOperator(GridSpec(1.0, 2, 6, Scheme.FD2))
+    n, step = disc.ndof, 1e-5
+    rng = np.random.default_rng(3)
+    problem = Problem(rng.uniform(0.0, 2.0, size=n), 2.0)
+    v = rng.uniform(0.2, 1.0, size=n)
+    v /= float(np.dot(disc.weights, v))
+
+    def E_of_v(v):
+        return energy(State(np.sqrt(v), disc), problem)
+
+    fd = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            ei = np.zeros(n); ei[i] = step
+            ej = np.zeros(n); ej[j] = step
+            fd[i, j] = fd[j, i] = (
+                E_of_v(v + ei + ej) - E_of_v(v + ei - ej)
+                - E_of_v(v - ei + ej) + E_of_v(v - ei - ej)
+            ) / (4.0 * step ** 2)
+    S = disc.weights[:, None] * dense_neg_laplacian(disc)
+    H = sqrt_energy_hessian(S, disc.weights, problem.beta, v)
+    assert np.linalg.norm(H - fd) <= 1e-4 * np.linalg.norm(H)
 
 
 def test_convexity_sem2_unsupported():

@@ -335,6 +335,21 @@ def test_cli_file_potential_missing_file_exit_1(tmp_path, capsys):
     assert err.startswith(f"config error: line {line}: ") and "absent.txt" in err
 
 
+def test_cli_file_potential_non_finite_exit_1(tmp_path, capsys):
+    V = np.ones(31)
+    V[7] = np.nan
+    path = tmp_path / "V.txt"
+    np.savetxt(path, V)
+    prefix = str(tmp_path / "f")
+    cfg = file_potential_cfg(tmp_path, prefix, path)
+    line = next(i for i, text in enumerate(open(cfg).read().splitlines(), start=1)
+                if text.startswith("potential"))
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: ") and "must be finite" in err
+    assert not os.path.exists(prefix + "_trace.csv")
+
+
 def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
     path = tmp_path / "V.txt"
     np.savetxt(path, np.ones(30))

@@ -49,6 +49,13 @@ def test_problem_validation():
         Problem(np.array([1.0]), 1.0, alpha=-0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_potential(bad):
+    """NaN < 0 is False, so a nonnegativity check alone lets NaN through."""
+    with pytest.raises(ValueError, match="finite"):
+        Problem(np.array([1.0, bad]), 1.0)
+
+
 def test_energy_quadratic_oracle():
     """E_h against a brute-force dense evaluation."""
     disc, problem, rng = make()

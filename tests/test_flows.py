@@ -123,7 +123,7 @@ def test_bfsp_laplacian_eigenvector_fixed_point():
     problem = Problem(np.zeros(disc.ndof), 0.0, 0.5)
     x = disc.op.nodes
     u = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
-    nxt = step_bfsp(State(u, disc), problem, 0.1, 0.5, shifted_solver(disc, 0.5 + 1.0 / 0.1))
+    nxt = step_bfsp(State(u, disc), problem, shifted_solver(disc, 0.5 + 1.0 / 0.1))
     assert np.allclose(nxt.coeffs, u, atol=1e-12)
 
 
@@ -132,8 +132,7 @@ def test_bfsp_matches_dense_formula():
     rng = np.random.default_rng(1)
     u = retract(disc, rng.standard_normal(disc.ndof))
     dt, alpha = 0.2, 0.7
-    nxt = step_bfsp(State(u, disc), problem, dt, alpha,
-                    shifted_solver(disc, alpha + 1.0 / dt))
+    nxt = step_bfsp(State(u, disc), problem, shifted_solver(disc, alpha + 1.0 / dt))
     A = dense_lap(disc) + (alpha + 1.0 / dt) * np.eye(disc.ndof)
     rhs = (alpha + 1.0 / dt - problem.potential - problem.beta * u ** 2) * u
     want = np.linalg.solve(A, rhs)
@@ -146,7 +145,7 @@ def test_bfsp_requires_normalized():
     problem = Problem(np.ones(disc.ndof), 1.0)
     from gpflow.energy import NormalizationError
     with pytest.raises(NormalizationError):
-        step_bfsp(State(2.0 * np.ones(disc.ndof), disc), problem, 0.1, 0.5,
+        step_bfsp(State(2.0 * np.ones(disc.ndof), disc), problem,
                   shifted_solver(disc, 0.5 + 1.0 / 0.1))
 
 
@@ -207,8 +206,8 @@ def test_line_search_matches_scan_oracle():
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 10, Scheme.FD2), 4.0)
     fs = FastSolver(disc, problem.alpha)
     s = default_initial_state(disc)
-    g = riemannian_gradient(s, problem, fs).g
-    tau_star = line_search_step(s, problem, g)
+    g, lap_g, _ = riemannian_gradient(s, problem, fs)
+    tau_star = line_search_step(s, problem, g, lap_g)
 
     taus = np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 10_000)
     phis = [energy(State(retract(disc, s.coeffs - t * g), disc), problem)
@@ -256,16 +255,18 @@ def test_line_search_zero_gradient_returns_lo():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 0.0)
     s = default_initial_state(disc)
-    assert line_search_step(s, problem, np.zeros(disc.ndof)) == LINE_SEARCH_LO
+    zero = np.zeros(disc.ndof)
+    assert line_search_step(s, problem, zero, zero) == LINE_SEARCH_LO
 
 
 def test_line_search_non_finite_energy_raises():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 1.0)
     s = default_initial_state(disc)
+    g = np.full(disc.ndof, 1e300)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverError, match="non-finite"):
-        line_search_step(s, problem, np.full(disc.ndof, 1e300))
+        line_search_step(s, problem, g, disc.apply_neg_laplacian(g))
 
 
 def test_line_search_run_iteration_count_close_to_fixed():
@@ -395,13 +396,20 @@ def test_stall_with_rising_energy_is_diverged():
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-10])
-@pytest.mark.parametrize("policy", [FixedStep(0.5), LineSearchStep()], ids=str)
-def test_operator_counts_per_iteration(monkeypatch, policy, tol):
+@pytest.mark.parametrize("kind, policy", [
+    pytest.param(FlowKind.MODIFIED_H1, FixedStep(0.5), id="FixedStep(tau=0.5)"),
+    pytest.param(FlowKind.MODIFIED_H1, LineSearchStep(), id="LineSearchStep()"),
+    # a fixed L2 step must stay below 2 / lambda_max(-Delta_h) ~ 0.007 here
+    pytest.param(FlowKind.L2, FixedStep(0.005), id="l2-FixedStep(tau=0.005)"),
+    pytest.param(FlowKind.L2, LineSearchStep(), id="l2-LineSearchStep()"),
+])
+def test_operator_counts_per_iteration(monkeypatch, kind, policy, tol):
     """A modified-H1 iterate costs one forward pass (of A_u u) and one
     backward pass, with no solve and no Laplacian: -Delta_h u and forward(u)
-    are carried and -Delta_h g is free, the line search's included.  Only the
-    start and the states rebuilt to check a record that met the tolerance
-    apply -Delta_h u and forward(u) to the state itself."""
+    are carried and -Delta_h g is free, the line search's included.  An L2
+    iterate costs one Laplacian, of its gradient, which the line search
+    reuses.  Only the start and the states rebuilt to check a record that
+    met the tolerance apply -Delta_h u and forward(u) to the state itself."""
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
     u0 = default_initial_state(disc)
     counts = dict.fromkeys(["lap", "forward", "backward", "solve"], 0)
@@ -416,8 +424,8 @@ def test_operator_counts_per_iteration(monkeypatch, policy, tol):
                         counted(TensorOperator.apply_neg_laplacian, "lap"))
     for name in ("forward", "backward", "solve"):
         monkeypatch.setattr(FastSolver, name, counted(getattr(FastSolver, name), name))
-    report = run(FlowConfig(alpha=problem.alpha, step=policy), problem, u0,
-                 StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 200))
+    report = run(FlowConfig(kind=kind, alpha=problem.alpha, step=policy), problem, u0,
+                 StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 300))
     k, refreshes = report.iterations, report.refreshes
     if tol == 0:
         assert report.reason == "max_iter" and k == 6 and refreshes == 0
@@ -426,9 +434,13 @@ def test_operator_counts_per_iteration(monkeypatch, policy, tol):
         assert report.reason == "tol" and refreshes >= 1
         # the stopping state was rebuilt; no step follows to take its forward(u)
         unused = 1
-    assert counts["lap"] == 1 + refreshes
-    assert counts["backward"] == k
-    assert counts["forward"] == 1 + k + refreshes - unused
+    if kind is FlowKind.L2:
+        assert counts["lap"] == 1 + k + refreshes
+        assert counts["forward"] == counts["backward"] == 0
+    else:
+        assert counts["lap"] == 1 + refreshes
+        assert counts["backward"] == k
+        assert counts["forward"] == 1 + k + refreshes - unused
     assert counts["solve"] == 0
     if tol > 0:  # the record that stopped the run is the rebuilt state's
         s = State(report.final_state.coeffs, disc)
@@ -436,19 +448,27 @@ def test_operator_counts_per_iteration(monkeypatch, policy, tol):
         assert report.records[-1].energy == energy(s, problem)
 
 
-@pytest.mark.parametrize("policy", [FixedStep(1.0), LineSearchStep()], ids=str)
-def test_carried_values_stay_exact_over_20_steps(policy):
-    """-Delta_h u and forward(u), carried by linearity through the steps,
-    match the operators applied to the iterate."""
+@pytest.mark.parametrize("kind, policy", [
+    pytest.param(kind, policy, id=str(policy) if kind is FlowKind.MODIFIED_H1
+                 else f"{kind.value}-{policy}")
+    for kind in (FlowKind.MODIFIED_H1, FlowKind.L2, FlowKind.A0, FlowKind.AU)
+    for policy in (FixedStep(1.0), LineSearchStep())])
+def test_carried_values_stay_exact_over_20_steps(kind, policy):
+    """-Delta_h u, and forward(u) for a FastSolver G, carried by linearity
+    through the steps, match the operators applied to the iterate, for every
+    metric."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
-    fs = FastSolver(disc, problem.alpha)
+    G_at = metric_inverse(kind, problem, disc, problem.alpha)
     state = default_initial_state(disc)
     for _ in range(20):
-        state, _ = gradient_step(state, problem, fs, policy)
-    assert state._neg_lap is not None and state.transformed is not None
-    for carried, exact in [(state.neg_lap, disc.apply_neg_laplacian(state.coeffs)),
-                           (state.transformed, fs.forward(state.coeffs))]:
+        state, _ = gradient_step(state, problem, G_at(state), policy)
+    assert state._neg_lap is not None
+    pairs = [(state.neg_lap, disc.apply_neg_laplacian(state.coeffs))]
+    if kind is FlowKind.MODIFIED_H1:
+        assert state.transformed is not None
+        pairs.append((state.transformed, G_at(state).forward(state.coeffs)))
+    for carried, exact in pairs:
         assert np.linalg.norm(carried - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
