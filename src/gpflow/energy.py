@@ -3,8 +3,8 @@
 Everything here is a pure function of (coefficients, discretization,
 problem).  The discretization handle only needs `weights` and
 `apply_neg_laplacian`, so tensor grids and P1 meshes are interchangeable.
--Delta_h u and A_u u are held on the state and shared by the energy, the
-residual, the Rayleigh value and the gradient.
+u*w, -Delta_h u and A_u u are held on the state and shared by the energy,
+the residual, the Rayleigh value and the gradient.
 """
 
 from __future__ import annotations
@@ -43,26 +43,35 @@ class Problem:
 class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
-    <u, u>_h is cached at construction; -Delta_h u, unless a gradient step
-    carried it in, and A_u u on first use (`riemannian_gradient` frees A_u u
-    for a shifted G), so `coeffs` must not be mutated after construction.
-    `transformed` is FastSolver.forward(u), carried in by a step or set by
-    `riemannian_gradient`.  Carried values follow u only to round-off, so
-    `flows.run` decides its tolerance stop on a fresh state.
+    <u, u>_h is cached at construction; -Delta_h u, which every step carries
+    in, u*w and A_u u on first use (`riemannian_gradient` frees A_u u for a
+    shifted G), so `coeffs` must not be mutated after construction.
+    `transformed` is FastSolver.forward(u), carried in by a gradient step or
+    set by `riemannian_gradient`.  Carried values follow u only to round-off,
+    so `flows.run` decides its tolerance stop on a fresh state.
     """
 
     coeffs: np.ndarray
     disc: object
     _neg_lap: np.ndarray | None = field(default=None, repr=False)
     transformed: np.ndarray | None = field(default=None, repr=False)
+    _wu: np.ndarray | None = field(default=None, repr=False)
     h_norm_sq: float = field(init=False, repr=False)
     _Au_u: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if not np.all(np.isfinite(self.coeffs)):
+        wu = self.coeffs * self.disc.weights if self._wu is None else self._wu
+        self.h_norm_sq = float(np.dot(wu, self.coeffs))
+        if not np.isfinite(self.h_norm_sq):  # NaN and +-inf in u propagate into it
             raise ValueError("state coefficients must be finite")
-        self.h_norm_sq = float(np.dot(self.coeffs * self.disc.weights, self.coeffs))
+
+    @property
+    def wu(self) -> np.ndarray:
+        """u*w, so <u, v>_h = dot(wu, v); `flows.run` frees it before each step."""
+        if self._wu is None:
+            self._wu = self.coeffs * self.disc.weights
+        return self._wu
 
     @property
     def neg_lap(self) -> np.ndarray:
@@ -91,12 +100,12 @@ def norm_h(disc, u: np.ndarray) -> float:
 
 def energy(state: State, problem: Problem) -> float:
     """E_h(u) = 1/2 u'Su + 1/2 u'MVu + beta/4 (u^2)'M u^2."""
-    u = state.coeffs
     disc = state.disc
-    u2 = u * u  # products, not pow: libm pow is slow on negative entries
-    kinetic = 0.5 * inner_h(disc, u, state.neg_lap)
+    u2 = state.coeffs * state.coeffs  # products, not pow: libm pow is slow on negative entries
+    kinetic = 0.5 * float(np.dot(state.wu, state.neg_lap))
     potential = 0.5 * float(np.dot(disc.weights * problem.potential, u2))
-    quartic = 0.25 * problem.beta * float(np.dot(disc.weights, u2 * u2))
+    u2 *= u2
+    quartic = 0.25 * problem.beta * float(np.dot(disc.weights, u2))
     return kinetic + potential + quartic
 
 
@@ -114,8 +123,12 @@ def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
     the state for the last problem asked (do not mutate it)."""
     if state._Au_u is None or state._Au_u[0] is not problem:
         u = state.coeffs
-        state._Au_u = (problem, state.neg_lap
-                       + (problem.potential + problem.beta * u ** 2) * u)
+        Au = u * u  # (V + beta u^2) u + -Delta_h u, built in place
+        Au *= problem.beta
+        Au += problem.potential
+        Au *= u
+        Au += state.neg_lap
+        state._Au_u = (problem, Au)
     return state._Au_u[1]
 
 
@@ -201,7 +214,7 @@ def residual(state: State, problem: Problem) -> float:
 def eigenvalue_estimate(state: State, problem: Problem) -> float:
     """Rayleigh value <u, A_u u>_h for an h-normalized state."""
     state.require_normalized()
-    return inner_h(state.disc, state.coeffs, euclidean_gradient(state, problem))
+    return float(np.dot(state.wu, euclidean_gradient(state, problem)))
 
 
 def eigenvalue_from_energy(state: State, problem: Problem) -> float:

@@ -122,13 +122,17 @@ class RunReport:
 
 
 def step_bfsp(state: State, problem: Problem, solver) -> State:
-    """Backward-forward Euler with stabilization shift, then renormalize; the
-    shift alpha + 1/dt is that of solver = shifted_solver(disc, alpha + 1/dt)."""
+    """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = alpha + 1/dt,
+    then R_h(x); it carries -Delta_h x = rhs - s x, so it applies no Laplacian."""
     state.require_normalized()
-    disc = state.disc
     u = state.coeffs
     rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
-    return State(retract(disc, solver.solve(rhs)), disc)
+    x = solver.solve(rhs)
+    rhs -= solver.alpha * x  # -Delta_h x, in rhs's buffer
+    nrm = norm_h(state.disc, x)
+    x /= nrm  # R_h(x), as `retract` computes it
+    rhs /= nrm  # -Delta_h R_h(x), carried to the next record
+    return State(x, state.disc, rhs)
 
 
 def bfsp_shift(problem: Problem, u0: State) -> float:
@@ -182,14 +186,16 @@ def gradient_step(state: State, problem: Problem, G,
     w = g  # u - tau g, built in g's buffer; every update below is in place
     w *= -tau
     w += state.coeffs
-    nrm = norm_h(state.disc, w)
+    ww = w * state.disc.weights  # the new state's u*w, once w is normalized
+    nrm = np.sqrt(max(float(np.dot(ww, w)), 0.0))  # norm_h(disc, w)
     w /= nrm  # R_h(u - tau g), as `retract` computes it
+    np.multiply(w, state.disc.weights, out=ww)
     for old, d in ((state.neg_lap, lap_g), (state.transformed, c)):
         if d is not None:  # d <- (old - tau d) / nrm
             d *= -tau
             d += old
             d /= nrm
-    return State(w, state.disc, lap_g, c), tau
+    return State(w, state.disc, lap_g, c, ww), tau
 
 
 @dataclass(frozen=True)
@@ -323,6 +329,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     best_iter = 0
     reason = "max_iter"
     for it in range(1, stop.max_iter + 1):
+        state._wu = None  # no step reads u*w: free it before the transforms
         try:
             state, tau = step(state)
         except SolverError:

@@ -45,8 +45,8 @@ def exact_case_potential(beta: float):
 def from_file(path: str):
     """Whitespace-separated node values, one per interior node in C-order, read now."""
     vals = np.loadtxt(path).reshape(-1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{path}: potential values must be finite")
+    if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails both
+        raise ValueError(f"{path}: potential values must be finite and nonnegative")
 
     def V(coords: np.ndarray) -> np.ndarray:
         if len(vals) != len(coords):

@@ -350,6 +350,23 @@ def test_cli_file_potential_non_finite_exit_1(tmp_path, capsys):
     assert not os.path.exists(prefix + "_trace.csv")
 
 
+def test_cli_file_potential_negative_exit_1(tmp_path, capsys):
+    """A negative node value is a config error at the potential's line, as
+    NaN is, not a run-time error from `Problem` (exit 2)."""
+    V = np.ones(31)
+    V[7] = -1.0
+    path = tmp_path / "V.txt"
+    np.savetxt(path, V)
+    prefix = str(tmp_path / "f")
+    cfg = file_potential_cfg(tmp_path, prefix, path)
+    line = next(i for i, text in enumerate(open(cfg).read().splitlines(), start=1)
+                if text.startswith("potential"))
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: ") and "nonnegative" in err
+    assert not os.path.exists(prefix + "_trace.csv")
+
+
 def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
     path = tmp_path / "V.txt"
     np.savetxt(path, np.ones(30))

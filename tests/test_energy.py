@@ -56,6 +56,16 @@ def test_problem_rejects_non_finite_potential(bad):
         Problem(np.array([1.0, bad]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_coeffs(bad):
+    """The check reads <u, u>_h, into which NaN and +-inf propagate."""
+    disc, _, _ = make()
+    u = np.ones(disc.ndof)
+    u[3] = bad
+    with pytest.raises(ValueError, match="^state coefficients must be finite$"):
+        State(u, disc)
+
+
 def test_energy_quadratic_oracle():
     """E_h against a brute-force dense evaluation."""
     disc, problem, rng = make()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -448,6 +450,38 @@ def test_operator_counts_per_iteration(monkeypatch, kind, policy, tol):
         assert report.records[-1].energy == energy(s, problem)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+def test_bfsp_step_applies_no_laplacian(monkeypatch, tol):
+    """A BFSP iterate is one solve, and -Delta_h u' comes out of it: only the
+    start and the states rebuilt to check a record that met the tolerance
+    apply -Delta_h.  With V = 0 and beta = 0, BFSP is shifted inverse
+    iteration and its fixed point is the ground state, so a run can stop by
+    tol."""
+    disc = TensorOperator(GridSpec(1.0, 2, 12, Scheme.FD2))
+    problem = Problem(np.zeros(disc.ndof), 0.0, 0.5)
+    u0 = default_initial_state(disc)
+    counts = dict.fromkeys(["lap", "solve"], 0)
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
+                        counted(TensorOperator.apply_neg_laplacian, "lap"))
+    monkeypatch.setattr(FastSolver, "solve", counted(FastSolver.solve, "solve"))
+    report = run(FlowConfig(kind=FlowKind.BFSP, alpha=0.5, dt=0.1), problem, u0,
+                 StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 300))
+    if tol == 0:
+        assert report.reason == "max_iter" and report.iterations == 6
+        assert report.refreshes == 0
+    else:
+        assert report.reason == "tol" and report.refreshes >= 1
+    assert counts["lap"] == 1 + report.refreshes
+    assert counts["solve"] == report.iterations
+
+
 @pytest.mark.parametrize("kind, policy", [
     pytest.param(kind, policy, id=str(policy) if kind is FlowKind.MODIFIED_H1
                  else f"{kind.value}-{policy}")
@@ -470,6 +504,34 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
         pairs.append((state.transformed, G_at(state).forward(state.coeffs)))
     for carried, exact in pairs:
         assert np.linalg.norm(carried - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("policy, vectors", [
+    pytest.param(FixedStep(1.0), 8, id="FixedStep(tau=1.0)"),
+    pytest.param(LineSearchStep(), 10, id="LineSearchStep()")])
+def test_run_peak_memory_in_vectors(policy, vectors):
+    """The most ndof-sized arrays a modified-H1 run() holds at once, above
+    its inputs (numpy reports its buffers to tracemalloc), stays at its
+    count.  The peak is in a 3D transform pass of the step; a state's u*w
+    held through it would add a vector.  A state built from coefficients
+    holds no vector of its own until a diagnostic asks for one."""
+    disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
+    problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
+    u0 = default_initial_state(disc)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        report = run(FlowConfig(alpha=0.15, step=policy), problem, u0, StopRule(max_iter=15))
+        peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        held = State(u0.coeffs, disc)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 15
+    assert peak / (8 * disc.ndof) < vectors + 0.5
+    assert kept / (8 * disc.ndof) < 0.5 and held.h_norm_sq == u0.h_norm_sq
 
 
 def test_tol_stop_reports_exact_record_and_final_state():

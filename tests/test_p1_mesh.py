@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from gpflow.analysis import linearized_eigenpairs
-from gpflow.energy import Problem, euclidean_gradient, inner_h, riemannian_gradient
+from gpflow.energy import (Problem, State, euclidean_gradient, inner_h, retract,
+                           riemannian_gradient)
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
-                          StopRule, default_initial_state, run)
+                          StopRule, default_initial_state, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import shifted_solver
 from gpflow.meshes import (MeshError, TriMesh2D, edge_cotangent_sums,
@@ -234,6 +235,24 @@ def test_neg_laplacian_of_gradient_is_free(mesh, monkeypatch):
         assert np.array_equal(state.transformed, G.forward(u))
     exact = disc.apply_neg_laplacian(g)
     assert np.linalg.norm(lap_g - exact) <= 1e-12 * np.linalg.norm(Au_u)
+
+
+@pytest.mark.parametrize("mesh", [False, True], ids=["fast_solver", "p1_lu"])
+def test_bfsp_carries_neg_laplacian_from_its_solve(mesh):
+    """The shifted solve inverts -Delta_h + s, so x = solve(rhs) has
+    -Delta_h x = rhs - s x: a BFSP step carries -Delta_h u' with no
+    Laplacian, and its coefficients are R_h(solve(rhs)) bit for bit."""
+    disc = (p1_assemble(jittered_mesh(12, seed=5)) if mesh
+            else TensorOperator(GridSpec(1.0, 2, 6, Scheme.SEM, 3)))
+    problem = harmonic_problem(disc)
+    solver = shifted_solver(disc, problem.alpha + 1.0 / 0.1)
+    u = retract(disc, 1.0 + np.random.default_rng(3).random(disc.ndof))
+    nxt = step_bfsp(State(u, disc), problem, solver)
+    assert nxt._neg_lap is not None
+    rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
+    assert np.array_equal(nxt.coeffs, retract(disc, solver.solve(rhs)))
+    exact = disc.apply_neg_laplacian(nxt.coeffs)
+    assert np.linalg.norm(nxt.neg_lap - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_modified_h1_on_p1_meshes_is_mesh_independent():
