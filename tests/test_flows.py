@@ -397,6 +397,14 @@ def test_stall_with_rising_energy_is_diverged():
     assert report.best_iter < report.iterations
 
 
+def counted(counts: dict, fn, key: str):
+    """fn, counting its calls in counts[key]."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-10])
 @pytest.mark.parametrize("kind, policy", [
     pytest.param(FlowKind.MODIFIED_H1, FixedStep(0.5), id="FixedStep(tau=0.5)"),
@@ -415,17 +423,10 @@ def test_operator_counts_per_iteration(monkeypatch, kind, policy, tol):
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
     u0 = default_initial_state(disc)
     counts = dict.fromkeys(["lap", "forward", "backward", "solve"], 0)
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
-                        counted(TensorOperator.apply_neg_laplacian, "lap"))
+                        counted(counts, TensorOperator.apply_neg_laplacian, "lap"))
     for name in ("forward", "backward", "solve"):
-        monkeypatch.setattr(FastSolver, name, counted(getattr(FastSolver, name), name))
+        monkeypatch.setattr(FastSolver, name, counted(counts, getattr(FastSolver, name), name))
     report = run(FlowConfig(kind=kind, alpha=problem.alpha, step=policy), problem, u0,
                  StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 300))
     k, refreshes = report.iterations, report.refreshes
@@ -461,16 +462,9 @@ def test_bfsp_step_applies_no_laplacian(monkeypatch, tol):
     problem = Problem(np.zeros(disc.ndof), 0.0, 0.5)
     u0 = default_initial_state(disc)
     counts = dict.fromkeys(["lap", "solve"], 0)
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
-                        counted(TensorOperator.apply_neg_laplacian, "lap"))
-    monkeypatch.setattr(FastSolver, "solve", counted(FastSolver.solve, "solve"))
+                        counted(counts, TensorOperator.apply_neg_laplacian, "lap"))
+    monkeypatch.setattr(FastSolver, "solve", counted(counts, FastSolver.solve, "solve"))
     report = run(FlowConfig(kind=FlowKind.BFSP, alpha=0.5, dt=0.1), problem, u0,
                  StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 300))
     if tol == 0:
