@@ -46,9 +46,9 @@ class State:
     <u, u>_h is cached at construction; -Delta_h u, which every step carries
     in, u*w and A_u u on first use (`riemannian_gradient` frees A_u u for a
     shifted G), so `coeffs` must not be mutated after construction.
-    `transformed` is FastSolver.forward(u), carried in by a gradient step or
-    set by `riemannian_gradient`.  Carried values follow u only to round-off,
-    so `flows.run` decides its tolerance stop on a fresh state.
+    `transformed` is FastSolver.forward(u), carried in by a gradient step or set
+    by `riemannian_gradient`, and `direction` is a line-search step's.  Carried
+    values follow u only to round-off: `flows.run` stops on a fresh state.
     """
 
     coeffs: np.ndarray
@@ -56,6 +56,7 @@ class State:
     _neg_lap: np.ndarray | None = field(default=None, repr=False)
     transformed: np.ndarray | None = field(default=None, repr=False)
     _wu: np.ndarray | None = field(default=None, repr=False)
+    direction: tuple | None = field(default=None, repr=False)
     h_norm_sq: float = field(init=False, repr=False)
     _Au_u: tuple | None = field(default=None, init=False, repr=False)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -11,7 +12,8 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 
 from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
-                     norm_h, residual, retract, riemannian_gradient)
+                     euclidean_gradient, norm_h, residual, retract,
+                     riemannian_gradient)
 from .linalg import SolverError, pcg, shifted_solver
 
 
@@ -39,7 +41,7 @@ LINE_SEARCH_HI = 4.0
 
 @dataclass(frozen=True)
 class LineSearchStep:
-    """Step by the exact line search over [LINE_SEARCH_LO, LINE_SEARCH_HI]."""
+    """Exact line search over [LINE_SEARCH_LO, LINE_SEARCH_HI] along PR+ directions."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,7 @@ class RunReport:
     reason: str
     wall_seconds: float
     refreshes: int = 0  # states rebuilt to check a record that met the tolerance
+    restarts: int = 0  # line-search iterates that fell back to the gradient
 
     @property
     def iterations(self) -> int:
@@ -125,6 +128,7 @@ def step_bfsp(state: State, problem: Problem, solver) -> State:
     """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = alpha + 1/dt,
     then R_h(x); it carries -Delta_h x = rhs - s x, so it applies no Laplacian."""
     state.require_normalized()
+    state._Au_u = None  # the record's A_u u: no step reads it
     u = state.coeffs
     rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
     x = solver.solve(rhs)
@@ -174,28 +178,64 @@ def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
     return lambda state: G
 
 
+# a line search's d, -Delta_h d, forward(d) (or None), g and <g, g>_X; d is g on restart
+Direction = namedtuple("Direction", "d neg_lap transformed g gg")
+
+
 def gradient_step(state: State, problem: Problem, G,
                   policy: FixedStep | LineSearchStep) -> tuple[State, float]:
-    """u <- R_h(u - tau g) with g the Riemannian gradient under the inverse
-    metric G and tau fixed or from the line search.  The new state carries
-    -Delta_h u' = (-Delta_h u - tau (-Delta_h g)) / |u - tau g|_h and, when
-    the gradient has transforms, forward(u') the same way, by linearity."""
-    g, lap_g, c = riemannian_gradient(state, problem, G)
-    tau = (line_search_step(state, problem, g, lap_g)
-           if isinstance(policy, LineSearchStep) else policy.tau)
-    w = g  # u - tau g, built in g's buffer; every update below is in place
-    w *= -tau
-    w += state.coeffs
-    ww = w * state.disc.weights  # the new state's u*w, once w is normalized
+    """u <- R_h(u - tau d), g the Riemannian gradient under the inverse metric G:
+    d = g at a fixed tau.  The line search's exact tau takes d = g + beta P d' (PR+;
+    P the h-projection onto u's tangent space, (d', g') = `state.direction`, beta =
+    max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <A_u u, v>_h), or d = g if
+    <A_u u, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u'
+    and forward(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`."""
+    u, weights = state.coeffs, state.disc.weights
+    prev, state.direction = state.direction, None
+    if prev is not None:  # P d' and P g'; -Delta_h and forward of P d' by linearity
+        s = float(np.dot(u * weights, prev.d))
+        for v, x in zip(prev[:3], (u, state.neg_lap, state.transformed)):
+            if v is not None:
+                v -= s * x
+        np.subtract(prev.g, float(np.dot(u * weights, prev.g)) * u, out=prev.g)
+    g, lap_g, c = d, lap_d, c_d = riemannian_gradient(state, problem, G)
+    if isinstance(policy, FixedStep):
+        tau, out, direction = policy.tau, (g, lap_g, c), None
+    else:
+        alpha = getattr(G, "alpha", None)  # then A_u u - gamma u = -Delta_h g + alpha g
+        wr = euclidean_gradient(state, problem) * weights if alpha is None else g * alpha
+        if alpha is not None:
+            wr += lap_g
+            wr *= weights
+        gg, beta = float(np.dot(wr, g)), 0.0
+        if prev is not None and prev.gg > 0:
+            beta = max(0.0, (gg - float(np.dot(wr, prev.g))) / prev.gg)
+        if beta > 0 and gg + beta * float(np.dot(wr, prev.d)) > 0:
+            d, lap_d, c_d = prev[:3]
+            for v, x in ((d, g), (lap_d, lap_g), (c_d, c)):
+                if v is not None:
+                    v *= beta
+                    v += x
+        wr = prev = None  # frees g', and d' unless d took its buffers
+        tau, rise = line_search_step(state, problem, d, lap_d)
+        if rise >= 0 and d is not g:
+            d, lap_d, c_d = g, lap_g, c
+            tau, _ = line_search_step(state, problem, d, lap_d)
+        out = (None, None, None) if d is g else (None, lap_g, c)
+        direction = Direction(d, lap_d, c_d, g, gg)
+    w = np.multiply(d, -tau, out=out[0])  # u - tau d; every update below is in place
+    w += u
+    ww = w * weights  # the new state's u*w, once w is normalized
     nrm = np.sqrt(max(float(np.dot(ww, w)), 0.0))  # norm_h(disc, w)
-    w /= nrm  # R_h(u - tau g), as `retract` computes it
-    np.multiply(w, state.disc.weights, out=ww)
-    for old, d in ((state.neg_lap, lap_g), (state.transformed, c)):
-        if d is not None:  # d <- (old - tau d) / nrm
-            d *= -tau
-            d += old
-            d /= nrm
-    return State(w, state.disc, lap_g, c, ww), tau
+    w /= nrm  # R_h(u - tau d), as `retract` computes it
+    np.multiply(w, weights, out=ww)
+    carried = [x if x is None else np.multiply(x, -tau, out=o)
+               for x, o in ((lap_d, out[1]), (c_d, out[2]))]
+    for old, x in zip((state.neg_lap, state.transformed), carried):
+        if x is not None:  # (old - tau x) / nrm
+            x += old
+            x /= nrm
+    return State(w, state.disc, *carried, ww, direction), tau
 
 
 @dataclass(frozen=True)
@@ -236,26 +276,27 @@ class LineEnergy:
 
 def line_energy(state: State, problem: Problem, g: np.ndarray,
                 lap_g: np.ndarray) -> LineEnergy:
-    """phi(tau) = E_h(R_h(u - tau g)) from 14 weighted sums, given lap_g = -Delta_h g."""
-    u = state.coeffs
-    wu = state.disc.weights * u
-    wg = state.disc.weights * g
-    a, b, c = state.h_norm_sq, np.dot(wu, g), np.dot(wg, g)
+    """phi(tau) = E_h(R_h(u - tau g)) from 14 weighted sums and two scratch
+    vectors, given lap_g = -Delta_h g."""
+    u, V, w = state.coeffs, problem.potential, state.disc.weights
+    wg = w * g
+    a, b, c = state.h_norm_sq, np.dot(wg, u), np.dot(wg, g)
     # 1/2 <w, (-Delta_h + V) w>_h = k0 - 2 tau k1 + tau^2 k2
-    t = problem.potential * u
-    k0 = 0.5 * (np.dot(wu, state.neg_lap) + np.dot(wu, t))
-    k1 = 0.5 * (np.dot(wg, state.neg_lap) + np.dot(wg, t))
-    np.multiply(problem.potential, g, out=t)
+    t = V * g
     k2 = 0.5 * (np.dot(wg, lap_g) + np.dot(wg, t))
+    np.multiply(V, u, out=t)
+    t += state.neg_lap
+    t *= w  # w (-Delta_h + V) u
+    k0, k1 = 0.5 * np.dot(t, u), 0.5 * np.dot(t, g)
     # <w^2, w^2>_h = sum_j binom(4, j) (-tau)^j q_j with q_j = <u^(4-j), g^j>_h
-    np.multiply(wu, u, out=t)
-    np.multiply(t, g, out=wu)
-    q2 = np.dot(wu, g)
-    t *= u
-    q0, q1 = np.dot(t, u), np.dot(t, g)
-    np.multiply(wg, g, out=t)
-    t *= g
-    q3, q4 = np.dot(t, u), np.dot(t, g)
+    np.multiply(u, u, out=t)
+    wg *= g
+    q2 = np.dot(wg, t)
+    wg *= g
+    q3, q4 = np.dot(wg, u), np.dot(wg, g)
+    np.multiply(w, t, out=wg)
+    wg *= u
+    q0, q1 = np.dot(wg, u), np.dot(wg, g)
 
     n = np.array([a, -2.0 * b, c])
     e_quad, e_quart = k0 / a, q0 / (a * a)
@@ -268,20 +309,21 @@ def line_energy(state: State, problem: Problem, g: np.ndarray,
 
 
 def line_search_step(state: State, problem: Problem, g: np.ndarray,
-                     lap_g: np.ndarray) -> float:
-    """Exact minimizer of tau -> E_h(R_h(u - tau g)) over [LINE_SEARCH_LO,
-    LINE_SEARCH_HI]: the best of the two ends and the stationary points of
-    the closed form inside, from lap_g = -Delta_h g.  A zero gradient gives
-    LINE_SEARCH_LO."""
+                     lap_g: np.ndarray) -> tuple[float, float]:
+    """Exact minimizer tau of tau -> E_h(R_h(u - tau g)) over [LINE_SEARCH_LO,
+    LINE_SEARCH_HI], with its phi(tau) - phi(0): the best of the two ends and
+    the stationary points of the closed form inside, from lap_g = -Delta_h g.
+    A zero direction gives (LINE_SEARCH_LO, 0)."""
     lo, hi = LINE_SEARCH_LO, LINE_SEARCH_HI
     if not g.any():
-        return lo
+        return lo, 0.0
     phi = line_energy(state, problem, g, lap_g)
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point
     taus = np.concatenate(([lo, hi], np.clip(phi.stationary_points().real, lo, hi)))
-    return float(taus[np.argmin(phi.rise(taus))])
+    rise = phi.rise(taus)
+    return float(taus[np.argmin(rise)]), float(np.min(rise))
 
 
 def default_initial_state(disc, kind: str = "constant",
@@ -322,7 +364,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
         return IterationRecord(it, energy(state, problem), residual(state, problem),
                                eigenvalue_estimate(state, problem), tau)
 
-    refreshes = 0
+    refreshes = restarts = 0
     state = State(u0.coeffs, disc)  # fills no cache of the caller's state
     records = [record(0, state, 0.0)]
     best = records[0].residual
@@ -330,11 +372,13 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     reason = "max_iter"
     for it in range(1, stop.max_iter + 1):
         state._wu = None  # no step reads u*w: free it before the transforms
+        conjugate = state.direction is not None
         try:
             state, tau = step(state)
         except SolverError:
             reason = "step_failure"
             break
+        restarts += conjugate and state.direction.d is state.direction.g
         rec = record(it, state, tau)
         if rec.residual <= stop.residual_tol:
             # values a step carried follow u only to round-off: stop on exact ones
@@ -355,4 +399,4 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
             reason = "diverged" if rose and flow.kind is not FlowKind.BFSP else "stall"
             break
     return RunReport(records, State(state.coeffs, disc),  # no carried values
-                     reason, time.perf_counter() - t0, refreshes)
+                     reason, time.perf_counter() - t0, refreshes, restarts)
