@@ -69,7 +69,7 @@ class State:
 
     @property
     def wu(self) -> np.ndarray:
-        """u*w, so <u, v>_h = dot(wu, v); `flows.run` frees it before each step."""
+        """u*w, so <u, v>_h = dot(wu, v); each step frees it before its solves."""
         if self._wu is None:
             self._wu = self.coeffs * self.disc.weights
         return self._wu

@@ -128,7 +128,7 @@ def step_bfsp(state: State, problem: Problem, solver) -> State:
     """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = alpha + 1/dt,
     then R_h(x); it carries -Delta_h x = rhs - s x, so it applies no Laplacian."""
     state.require_normalized()
-    state._Au_u = None  # the record's A_u u: no step reads it
+    state._Au_u = state._wu = None  # the record's A_u u and u*w: no step reads them
     u = state.coeffs
     rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
     x = solver.solve(rhs)
@@ -192,12 +192,9 @@ def gradient_step(state: State, problem: Problem, G,
     and forward(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`."""
     u, weights = state.coeffs, state.disc.weights
     prev, state.direction = state.direction, None
-    if prev is not None:  # P d' and P g'; -Delta_h and forward of P d' by linearity
-        s = float(np.dot(u * weights, prev.d))
-        for v, x in zip(prev[:3], (u, state.neg_lap, state.transformed)):
-            if v is not None:
-                v -= s * x
-        np.subtract(prev.g, float(np.dot(u * weights, prev.g)) * u, out=prev.g)
+    if prev is not None:  # P v = v - <u, v>_h u
+        sd, sg = float(np.dot(state.wu, prev.d)), float(np.dot(state.wu, prev.g))
+    state._wu = None  # the record's u*w: free it before the transforms
     g, lap_g, c = d, lap_d, c_d = riemannian_gradient(state, problem, G)
     if isinstance(policy, FixedStep):
         tau, out, direction = policy.tau, (g, lap_g, c), None
@@ -209,13 +206,16 @@ def gradient_step(state: State, problem: Problem, G,
             wr *= weights
         gg, beta = float(np.dot(wr, g)), 0.0
         if prev is not None and prev.gg > 0:
-            beta = max(0.0, (gg - float(np.dot(wr, prev.g))) / prev.gg)
-        if beta > 0 and gg + beta * float(np.dot(wr, prev.d)) > 0:
+            ru = float(np.dot(wr, u))  # <r, P v>_h = <r, v>_h - <u, v>_h <r, u>_h
+            beta = max(0.0, (gg - float(np.dot(wr, prev.g)) + sg * ru) / prev.gg)
+        if beta > 0 and gg + beta * (float(np.dot(wr, prev.d)) - sd * ru) > 0:
             d, lap_d, c_d = prev[:3]
-            for v, x in ((d, g), (lap_d, lap_g), (c_d, c)):
-                if v is not None:
+            for v, x, y in zip(prev[:3], (u, state.neg_lap, state.transformed),
+                               (g, lap_g, c)):
+                if v is not None:  # beta P v + y, with -Delta_h and forward by linearity
+                    v -= np.multiply(x, sd, out=wr)  # wr is spent: scratch
                     v *= beta
-                    v += x
+                    v += y
         wr = prev = None  # frees g', and d' unless d took its buffers
         tau, rise = line_search_step(state, problem, d, lap_d)
         if rise >= 0 and d is not g:
@@ -371,7 +371,6 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     best_iter = 0
     reason = "max_iter"
     for it in range(1, stop.max_iter + 1):
-        state._wu = None  # no step reads u*w: free it before the transforms
         conjugate = state.direction is not None
         try:
             state, tau = step(state)

@@ -300,18 +300,29 @@ def h_residual(state, problem):
 @pytest.mark.parametrize("kind", [FlowKind.MODIFIED_H1, FlowKind.L2, FlowKind.A0,
                                   FlowKind.AU], ids=lambda k: k.value)
 def test_conjugate_directions_are_descent_directions(kind):
-    """Every direction the line search steps along has <r, d>_h > 0, and
-    after the first step most of them are conjugate (d is not g)."""
+    """Every direction the line search steps along is tangent at u, has
+    <r, d>_h > 0, and is the PR+ direction g + beta P d' built from dense
+    projections; after the first step most of them are conjugate (d is not g)."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
     problem = Problem(harmonic_lattice(disc.node_coordinates()), 200.0, 1.0)
     G_at = metric_inverse(kind, problem, disc, problem.alpha)
     state = default_initial_state(disc)
     conjugate = 0
     for _ in range(15):
-        r = h_residual(state, problem)
+        u, r = state.coeffs, h_residual(state, problem)
+        copy = State(u, disc, state.neg_lap.copy(), state.transformed)
+        want = riemannian_gradient(copy, problem, G_at(copy)).g
+        prev = state.direction
+        if prev is not None:
+            P = lambda v: v - inner_h(disc, u, v) * u
+            Au = euclidean_gradient(copy, problem)
+            beta = max(0.0, inner_h(disc, Au, want - P(prev.g)) / prev.gg)
+            want = want + beta * P(prev.d.copy())
         state, _ = gradient_step(state, problem, G_at(state), LineSearchStep())
         d = state.direction.d
+        assert abs(inner_h(disc, u, d)) <= 1e-12 * norm_h(disc, d)
         assert inner_h(disc, r, d) > 0
+        assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
         conjugate += d is not state.direction.g
     assert conjugate >= 10
 
