@@ -197,7 +197,7 @@ def linearized_eigenpairs(state: State, problem: Problem):
     disc = state.disc
     shift = float(np.mean(problem.potential + problem.beta * state.coeffs ** 2))
     pre = shifted_solver(disc, max(shift, 1e-3))
-    return lowest_two_eigenpairs(lambda w: apply_Au(state, problem, w),
+    return lowest_two_eigenpairs(apply_Au(state, problem),
                                  disc.weights, tol=1e-9, solve_inner=pre.solve)
 
 

@@ -3,8 +3,9 @@
 Everything here is a pure function of (coefficients, discretization,
 problem).  The discretization handle only needs `weights` and
 `apply_neg_laplacian`, so tensor grids and P1 meshes are interchangeable.
-u*w, -Delta_h u and A_u u are held on the state and shared by the energy,
-the residual, the Rayleigh value and the gradient.
+u*w and -Delta_h u are held on the state.  One record per state takes the
+energy, the residual and the Rayleigh value from one u^3 and one Vu, and
+holds A_u u, built from the same two, for the gradient.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 NORMALIZATION_TOL = 1e-10
 
@@ -44,8 +46,8 @@ class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
     <u, u>_h is cached at construction; -Delta_h u, which every step carries
-    in, u*w and A_u u on first use (`riemannian_gradient` frees A_u u for a
-    shifted G), so `coeffs` must not be mutated after construction.
+    in, u*w, and the record with A_u u on first use (`riemannian_gradient`
+    takes A_u u's buffer for a shifted G), so `coeffs` must not be mutated.
     `transformed` is FastSolver.forward(u), carried in by a gradient step or set
     by `riemannian_gradient`, and `direction` is a line-search step's.  Carried
     values follow u only to round-off: `flows.run` stops on a fresh state.
@@ -59,6 +61,7 @@ class State:
     direction: tuple | None = field(default=None, repr=False)
     h_norm_sq: float = field(init=False, repr=False)
     _Au_u: tuple | None = field(default=None, init=False, repr=False)
+    _record: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -99,37 +102,65 @@ def norm_h(disc, u: np.ndarray) -> float:
     return np.sqrt(max(inner_h(disc, u, u), 0.0))
 
 
+class Record(NamedTuple):
+    energy: float
+    residual: float
+    eigenvalue: float
+
+
+def _record(state: State, problem: Problem) -> Record:
+    """E, the residual and <u, A_u u>_h from one u^3 and one Vu, held on the
+    state with A_u u = Vu - Delta_h u + beta u^3 for the last problem asked.
+    E = k/2 + p/2 + (beta/4) q from k = <u, -Delta_h u>_h, p = <u, Vu>_h and
+    q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check."""
+    if state._record is None or state._record[0] is not problem:
+        if state.h_norm_sq == 0:
+            raise NormalizationError("residual of the zero vector is undefined")
+        u, wu, neg_lap, beta = state.coeffs, state.wu, state.neg_lap, problem.beta
+        u3 = u * u  # products, not pow: libm pow is slow on negative entries
+        u3 *= u
+        Au = problem.potential * u
+        k, p, q = (float(np.dot(wu, x)) for x in (neg_lap, Au, u3))
+        Au += neg_lap
+        Au = daxpy(u3, Au, a=beta)
+        state._Au_u = (problem, Au)
+        # F(u / |u|_h) |u|_h = A_u u + beta (1/|u|_h^2 - 1) u^3 has F's direction
+        u3 *= beta * (1.0 / state.h_norm_sq - 1.0)
+        F = daxpy(Au, u3)
+        Fn, un, r = float(np.linalg.norm(F)), float(np.linalg.norm(u)), 1.0
+        if Fn != 0:  # || u/|u| - F/|F| || explicitly: 1 - cos loses digits below 1e-8
+            F *= -un / Fn
+            F += u
+            r = float(np.linalg.norm(F)) / un
+        state._record = (problem, Record(0.5 * k + 0.5 * p + 0.25 * beta * q, r,
+                                         float(np.dot(wu, Au))))
+    return state._record[1]
+
+
 def energy(state: State, problem: Problem) -> float:
     """E_h(u) = 1/2 u'Su + 1/2 u'MVu + beta/4 (u^2)'M u^2."""
-    disc = state.disc
-    u2 = state.coeffs * state.coeffs  # products, not pow: libm pow is slow on negative entries
-    kinetic = 0.5 * float(np.dot(state.wu, state.neg_lap))
-    potential = 0.5 * float(np.dot(disc.weights * problem.potential, u2))
-    u2 *= u2
-    quartic = 0.25 * problem.beta * float(np.dot(disc.weights, u2))
-    return kinetic + potential + quartic
+    return _record(state, problem).energy
 
 
-def apply_Au(state: State, problem: Problem, w: np.ndarray) -> np.ndarray:
-    """Linearized operator (-Delta_h + V + beta diag(u^2)) w."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != state.coeffs.shape:
-        raise ValueError(f"length mismatch: {w.shape} vs {state.coeffs.shape}")
-    return (state.disc.apply_neg_laplacian(w)
-            + (problem.potential + problem.beta * state.coeffs ** 2) * w)
+def apply_Au(state: State, problem: Problem):
+    """The linearized operator w -> (-Delta_h + V + beta diag(u^2)) w at the
+    state, its diagonal built once."""
+    diag = problem.potential + problem.beta * state.coeffs ** 2
+
+    def apply(w):
+        w = np.asarray(w, dtype=float)
+        if w.shape != diag.shape:
+            raise ValueError(f"length mismatch: {w.shape} vs {diag.shape}")
+        return state.disc.apply_neg_laplacian(w) + diag * w
+    return apply
 
 
 def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
-    """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry, held on
-    the state for the last problem asked (do not mutate it)."""
+    """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry: the record's,
+    held on the state for the last problem asked (do not mutate it)."""
     if state._Au_u is None or state._Au_u[0] is not problem:
-        u = state.coeffs
-        Au = u * u  # (V + beta u^2) u + -Delta_h u, built in place
-        Au *= problem.beta
-        Au += problem.potential
-        Au *= u
-        Au += state.neg_lap
-        state._Au_u = (problem, Au)
+        state._record = None
+        _record(state, problem)
     return state._Au_u[1]
 
 
@@ -155,9 +186,12 @@ def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
         if state.transformed is None:
             state.transformed = G.forward(u)
         c_u, D = state.transformed, G.denominator
-        c = G.forward(euclidean_gradient(state, problem)) / D  # forward(G A_u u)
-        gamma = float(np.dot(c_u, c)) / float(np.dot(c_u / D, c_u))
-        c -= gamma / D * c_u
+        c = G.forward(euclidean_gradient(state, problem))
+        t = c_u / D  # forward(G u)
+        gamma = float(np.dot(t, c)) / float(np.dot(t, c_u))
+        c /= D  # forward(G A_u u)
+        c = daxpy(t, c, a=-gamma)
+        del t  # before the backward pass
         g = G.backward(c)
     else:
         grad = G.solve(euclidean_gradient(state, problem))
@@ -167,10 +201,9 @@ def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     alpha = getattr(G, "alpha", None)
     if alpha is None:
         return Gradient(g, state.disc.apply_neg_laplacian(g), c)
-    neg_lap = g * -alpha
-    neg_lap += euclidean_gradient(state, problem)
-    state._Au_u = None  # its last use here: free it before the next arrays
-    neg_lap -= gamma * u
+    neg_lap = euclidean_gradient(state, problem)  # its last use: take its buffer
+    state._Au_u = None
+    neg_lap = daxpy(g, daxpy(u, neg_lap, a=-gamma), a=-alpha)
     return Gradient(g, neg_lap, c)
 
 
@@ -188,34 +221,15 @@ def residual(state: State, problem: Problem) -> float:
     F is evaluated at the h-normalized state (the manifold the flow lives
     on; the cubic term is not scale invariant), and the misalignment of the
     two unit directions is measured in the plain Euclidean coefficient norm.
-    Exact eigenpairs give 0 and rescaling u changes nothing.
+    Exact eigenpairs give 0 and rescaling u changes nothing; a zero F gives 1.
     """
-    u = state.coeffs
-    hn2 = state.h_norm_sq
-    if hn2 == 0:
-        raise NormalizationError("residual of the zero vector is undefined")
-    # F(u / |u|_h) |u|_h = -Delta_h u + (V + beta u^2 / |u|_h^2) u has F's
-    # direction; build it in place
-    F = u * u
-    F *= problem.beta / hn2
-    F += problem.potential
-    F *= u
-    F += state.neg_lap
-    Fn = float(np.linalg.norm(F))
-    if Fn == 0:
-        return 1.0
-    un = float(np.linalg.norm(u))
-    # || u/|u| - F/|F| || as an explicit difference (1 - cos loses the digits
-    # below ~1e-8)
-    F *= -un / Fn
-    F += u
-    return float(np.linalg.norm(F)) / un
+    return _record(state, problem).residual
 
 
 def eigenvalue_estimate(state: State, problem: Problem) -> float:
     """Rayleigh value <u, A_u u>_h for an h-normalized state."""
     state.require_normalized()
-    return float(np.dot(state.wu, euclidean_gradient(state, problem)))
+    return _record(state, problem).eigenvalue
 
 
 def eigenvalue_from_energy(state: State, problem: Problem) -> float:

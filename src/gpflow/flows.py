@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as P
+from scipy.linalg.blas import daxpy
 
 from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
                      euclidean_gradient, norm_h, residual, retract,
@@ -164,7 +165,7 @@ def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
     if kind is FlowKind.AU:
         precond = shifted_solver(disc, 0.0)
         return lambda state: _pcg_inverse(
-            lambda z: apply_Au(state, problem, z), precond, disc.weights, "AU")
+            apply_Au(state, problem), precond, disc.weights, "AU")
     if kind is FlowKind.MODIFIED_H1:
         G = shifted_solver(disc, alpha)
     elif kind is FlowKind.L2:
@@ -225,16 +226,14 @@ def gradient_step(state: State, problem: Problem, G,
         direction = Direction(d, lap_d, c_d, g, gg)
     w = np.multiply(d, -tau, out=out[0])  # u - tau d; every update below is in place
     w += u
-    ww = w * weights  # the new state's u*w, once w is normalized
+    ww = w * weights  # the new state's u*w, once both are normalized
     nrm = np.sqrt(max(float(np.dot(ww, w)), 0.0))  # norm_h(disc, w)
     w /= nrm  # R_h(u - tau d), as `retract` computes it
-    np.multiply(w, weights, out=ww)
-    carried = [x if x is None else np.multiply(x, -tau, out=o)
-               for x, o in ((lap_d, out[1]), (c_d, out[2]))]
-    for old, x in zip((state.neg_lap, state.transformed), carried):
-        if x is not None:  # (old - tau x) / nrm
-            x += old
-            x /= nrm
+    ww /= nrm
+    carried = [x if x is None else  # (old - tau x) / nrm
+               daxpy(old, np.multiply(x, -tau / nrm, out=o), a=1.0 / nrm)
+               for x, old, o in ((lap_d, state.neg_lap, out[1]),
+                                 (c_d, state.transformed, out[2]))]
     return State(w, state.disc, *carried, ww, direction), tau
 
 

@@ -184,7 +184,7 @@ def test_perron_converged_2d_ground_state():
     from gpflow.energy import apply_Au
     disc = state.disc
     fs = FastSolver(disc, 1.0)
-    res = lowest_two_eigenpairs(lambda w: apply_Au(state, problem, w), disc.weights,
+    res = lowest_two_eigenpairs(apply_Au(state, problem), disc.weights,
                                 solve_inner=fs.solve)
     assert res.v0.min() > 0 and res.gap > 0
 

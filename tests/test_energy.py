@@ -231,4 +231,41 @@ def test_apply_Au_dense_oracle():
     s = State(u, disc)
     Adense = A + np.diag(problem.potential + problem.beta * u ** 2)
     w = rng.standard_normal(disc.ndof)
-    assert np.allclose(apply_Au(s, problem, w), Adense @ w, atol=1e-11)
+    assert np.allclose(apply_Au(s, problem)(w), Adense @ w, atol=1e-11)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_record_matches_textbook_formulas(scale):
+    """E, the residual and the Rayleigh value, which one record shares u^3
+    and Vu between, against formulas built here from -Delta_h, V and u; the
+    residual of u scaled by 1.7 is that of the h-normalized u."""
+    disc, problem, rng = make(GridSpec(1.0, 2, 8, Scheme.SEM, 3))
+    u = retract(disc, rng.standard_normal(disc.ndof))
+    V, beta, h = problem.potential, problem.beta, lambda a, b: inner_h(disc, a, b)
+    v = scale * u
+    lap = disc.apply_neg_laplacian(v)
+    want_e = 0.5 * h(v, lap) + 0.5 * h(v, V * v) + 0.25 * beta * h(v ** 2, v ** 2)
+    F = disc.apply_neg_laplacian(u) + V * u + beta * u ** 3
+    want_r = np.linalg.norm(u / np.linalg.norm(u) - F / np.linalg.norm(F))
+    s = State(v, disc)
+    assert energy(s, problem) == pytest.approx(want_e, rel=1e-13)
+    assert residual(s, problem) == pytest.approx(want_r, rel=1e-13)
+    if scale == 1.0:
+        assert eigenvalue_estimate(s, problem) == pytest.approx(h(u, F), rel=1e-13)
+    else:
+        with pytest.raises(NormalizationError):
+            eigenvalue_estimate(s, problem)
+
+
+def test_energy_does_not_read_Au_u():
+    """E is its own sum, never taken from A_u u or the Rayleigh value, so
+    `eigenvalue_from_energy` checks them: a wrong A_u u held on the state
+    leaves E bit-identical."""
+    disc, problem, rng = make()
+    u = retract(disc, rng.standard_normal(disc.ndof))
+    want = energy(State(u, disc), problem)
+    s = State(u, disc)
+    s._Au_u = (problem, rng.standard_normal(disc.ndof))
+    assert energy(s, problem) == want
+    s._Au_u = (problem, rng.standard_normal(disc.ndof))
+    assert energy(s, problem) == want

@@ -629,6 +629,29 @@ def test_run_peak_memory_in_vectors(flow, vectors):
     assert kept / (8 * disc.ndof) < 0.5 and held.h_norm_sq == u0.h_norm_sq
 
 
+def test_record_memory_in_vectors():
+    """A record of a state that holds -Delta_h u and u*w allocates at most two
+    ndof-sized arrays at once (u^3, which becomes F, and Vu, which becomes
+    A_u u) and keeps one, A_u u, for the step."""
+    disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
+    problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
+    state = default_initial_state(disc)
+    held = (state.neg_lap, state.wu)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        values = (energy(state, problem), residual(state, problem),
+                  eigenvalue_estimate(state, problem))
+        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(values)) and len(held) == 2
+    assert peak / (8 * disc.ndof) < 2.5
+    assert 0.5 < kept / (8 * disc.ndof) < 1.5
+    assert euclidean_gradient(state, problem) is state._Au_u[1]
+
+
 def test_tol_stop_reports_exact_record_and_final_state():
     """The refreshes make the stopping record exact, and no final state
     holds carried values, however the run stopped."""
