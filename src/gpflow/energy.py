@@ -103,6 +103,8 @@ def norm_h(disc, u: np.ndarray) -> float:
 
 
 class Record(NamedTuple):
+    """One state's E_h(u), residual and Rayleigh value <u, A_u u>_h."""
+
     energy: float
     residual: float
     eigenvalue: float
