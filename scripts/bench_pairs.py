@@ -9,12 +9,14 @@ was), then runs `gsbench/run.py --trace 0` on the base and on the working
 tree, PAIRS times per workload of BENCHMARK.json, each run in a fresh
 process for the benchmark's run_seconds.  The side that runs first
 alternates from pair to pair, so a drift of the host's speed hits both
-sides alike; pair i uses seed i + 1 on both sides.  The output JSON holds
-every run and, per workload and metric, the median and quartiles of each
-side and of the per-pair relative change, and how many pairs the working
-tree won.  It names the working tree by its HEAD and the SHA-256 of
-`git diff --binary HEAD` taken before the first run (null for a clean
-tree).  Metric names and directions come from BENCHMARK.json.  Nothing
+sides alike; pair i uses seed i + 1 on both sides.  Each run records the
+host's 1-minute load average as it starts.  The output JSON holds every
+run, each side's median load per workload (a busy host slows both sides
+and widens the spread), and, per workload and metric, the median and
+quartiles of each side and of the per-pair relative change, and how many
+pairs the working tree won.  It names the working tree by its HEAD and the
+SHA-256 of `git diff --binary HEAD` taken before the first run (null for a
+clean tree).  Metric names and directions come from BENCHMARK.json.  Nothing
 under gsbench/ is changed.
 """
 
@@ -45,9 +47,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: quartiles of each side, of the relative
-    change work/base - 1 within each pair, and the pairs the work side won
-    (strictly better in the metric's direction)."""
+    """Per workload: each side's median load, and per metric the quartiles
+    of each side, of the relative change work/base - 1 within each pair, and
+    the pairs the work side won (strictly better in the metric's direction)."""
     out: dict = {}
     for w in sorted({r["workload"] for r in runs}):
         pairs: dict[int, dict[str, dict]] = {}
@@ -56,7 +58,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r
         complete = [p for p in pairs.values() if set(p) == set(SIDES)]
         out[w] = {"pairs": len(complete),
-                  "failed": {s: sum(p[s]["failed"] for p in complete) for s in SIDES}}
+                  "failed": {s: sum(p[s]["failed"] for p in complete) for s in SIDES},
+                  "load": {s: statistics.median(p[s]["load"] for p in complete)
+                           for s in SIDES}}
         for metric, direction in better.items():
             sign = -1.0 if direction == "lower" else 1.0
             base = [p["base"]["metrics"][metric] for p in complete]
@@ -122,10 +126,11 @@ def main(argv=None) -> int:
         for pair in range(PAIRS):
             for w in workloads:
                 for side in order(pair):
+                    load = os.getloadavg()[0]
                     r = run_once(trees[side], w, pair + 1, seconds)
                     runs.append({"pair": pair, "workload": w, "side": side,
-                                 "seed": pair + 1, **r})
-                    print(f"pair {pair} {w} {side}: " + " ".join(
+                                 "seed": pair + 1, "load": load, **r})
+                    print(f"pair {pair} {w} {side} load={load:.2f}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
     record = {"base": sha, "work": work, "seconds": seconds, "nproc": os.cpu_count(),
               "summary": summarize(runs, better), "runs": runs}

@@ -114,7 +114,8 @@ def _record(state: State, problem: Problem) -> Record:
     """E, the residual and <u, A_u u>_h from one u^3 and one Vu, held on the
     state with A_u u = Vu - Delta_h u + beta u^3 for the last problem asked.
     E = k/2 + p/2 + (beta/4) q from k = <u, -Delta_h u>_h, p = <u, Vu>_h and
-    q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check."""
+    q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check;
+    (k, p, q) is held after the Record for the line search's phi(0)."""
     if state._record is None or state._record[0] is not problem:
         if state.h_norm_sq == 0:
             raise NormalizationError("residual of the zero vector is undefined")
@@ -135,7 +136,7 @@ def _record(state: State, problem: Problem) -> Record:
             F += u
             r = float(np.linalg.norm(F)) / un
         state._record = (problem, Record(0.5 * k + 0.5 * p + 0.25 * beta * q, r,
-                                         float(np.dot(wu, Au))))
+                                         float(np.dot(wu, Au))), (k, p, q))
     return state._record[1]
 
 

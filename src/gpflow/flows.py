@@ -6,15 +6,15 @@ import enum
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 from scipy.linalg.blas import daxpy
 
-from .energy import (Problem, State, apply_Au, energy, eigenvalue_estimate,
-                     euclidean_gradient, norm_h, residual, retract,
-                     riemannian_gradient)
+from .energy import (Problem, State, _record, apply_Au, energy,
+                     eigenvalue_estimate, euclidean_gradient, norm_h, residual,
+                     retract, riemannian_gradient)
 from .linalg import SolverError, pcg, shifted_solver
 
 
@@ -214,8 +214,8 @@ def gradient_step(state: State, problem: Problem, G,
             for v, x, y in zip(prev[:3], (u, state.neg_lap, state.transformed),
                                (g, lap_g, c)):
                 if v is not None:  # beta P v + y, with -Delta_h and forward by linearity
-                    v -= np.multiply(x, sd, out=wr)  # wr is spent: scratch
                     v *= beta
+                    daxpy(x, v, a=-beta * sd)  # in place: v is C-contiguous float64
                     v += y
         wr = prev = None  # frees g', and d' unless d took its buffers
         tau, rise = line_search_step(state, problem, d, lap_d)
@@ -239,9 +239,9 @@ def gradient_step(state: State, problem: Problem, G,
 
 @dataclass(frozen=True)
 class LineEnergy:
-    """phi(tau) = E_h(R_h(u - tau g)) in closed form.
+    """phi(tau) = E_h(R_h(u - tau d)) in closed form.
 
-    With w = u - tau g and n(tau) = <w, w>_h,
+    With v = u - tau d and n(tau) = <v, v>_h,
 
         phi(tau) = e0 + A(tau) / n(tau) + (beta/4) Q(tau) / n(tau)^2,
 
@@ -258,65 +258,64 @@ class LineEnergy:
     beta: float
 
     def rise(self, tau):
-        """phi(tau) - phi(0)."""
-        n = P.polyval(tau, self.n)
-        return P.polyval(tau, self.A) / n + 0.25 * self.beta * P.polyval(tau, self.Q) / (n * n)
+        """phi(tau) - phi(0), each polynomial by Horner's rule."""
+        A, Q, n = (reduce(lambda y, c: y * tau + c, p[::-1])
+                   for p in (self.A, self.Q, self.n))
+        return A / n + 0.25 * self.beta * Q / (n * n)
 
     def stationary_points(self) -> np.ndarray:
         """Roots of phi' n^3 = (A'n - An')n + (beta/4)(Q'n - 2Qn'), complex
-        ones included; its degree-5 terms cancel exactly."""
+        ones included; its degree-5 terms cancel exactly, and `np.roots`
+        drops the leading zero."""
         A, Q, n = self.A, self.Q, self.n
-        dn = P.polyder(n)
-        num = P.polyadd(
-            P.polymul(P.polysub(P.polymul(P.polyder(A), n), P.polymul(A, dn)), n),
-            0.25 * self.beta * P.polysub(P.polymul(P.polyder(Q), n), 2 * P.polymul(Q, dn)))
-        return P.polyroots(num)
+        dA, dQ, dn = (p[1:] * np.arange(1, len(p)) for p in (A, Q, n))
+        num = np.convolve(np.convolve(dA, n) - np.convolve(A, dn), n)
+        num += 0.25 * self.beta * (np.convolve(dQ, n) - 2 * np.convolve(Q, dn))
+        return np.roots(num[::-1])
 
 
-def line_energy(state: State, problem: Problem, g: np.ndarray,
-                lap_g: np.ndarray) -> LineEnergy:
-    """phi(tau) = E_h(R_h(u - tau g)) from 14 weighted sums and two scratch
-    vectors, given lap_g = -Delta_h g."""
-    u, V, w = state.coeffs, problem.potential, state.disc.weights
-    wg = w * g
-    a, b, c = state.h_norm_sq, np.dot(wg, u), np.dot(wg, g)
-    # 1/2 <w, (-Delta_h + V) w>_h = k0 - 2 tau k1 + tau^2 k2
-    t = V * g
-    k2 = 0.5 * (np.dot(wg, lap_g) + np.dot(wg, t))
-    np.multiply(V, u, out=t)
-    t += state.neg_lap
-    t *= w  # w (-Delta_h + V) u
-    k0, k1 = 0.5 * np.dot(t, u), 0.5 * np.dot(t, g)
-    # <w^2, w^2>_h = sum_j binom(4, j) (-tau)^j q_j with q_j = <u^(4-j), g^j>_h
+def line_energy(state: State, problem: Problem, d: np.ndarray,
+                lap_d: np.ndarray) -> LineEnergy:
+    """phi(tau) = E_h(R_h(u - tau d)) from 10 weighted sums, the record's k, p
+    and q for phi(0) (the record is built if the state has none), and two
+    scratch vectors wd = w d and t, given lap_d = -Delta_h d."""
+    _record(state, problem)
+    k, p, q0 = state._record[2]
+    u, w = state.coeffs, state.disc.weights
+    wd = w * d
+    a, b, c = state.h_norm_sq, np.dot(wd, u), np.dot(wd, d)
+    # 1/2 <v, (-Delta_h + V) v>_h = k0 - 2 tau k1 + tau^2 k2, one V wd for k1 and k2
+    t = problem.potential * wd
+    k2 = 0.5 * (np.dot(wd, lap_d) + np.dot(t, d))
+    k1 = 0.5 * (np.dot(wd, state.neg_lap) + np.dot(t, u))
+    # <v^2, v^2>_h = sum_j binom(4, j) (-tau)^j q_j with q_j = <u^(4-j), d^j>_h
     np.multiply(u, u, out=t)
-    wg *= g
-    q2 = np.dot(wg, t)
-    wg *= g
-    q3, q4 = np.dot(wg, u), np.dot(wg, g)
-    np.multiply(w, t, out=wg)
-    wg *= u
-    q0, q1 = np.dot(wg, u), np.dot(wg, g)
+    t *= wd  # w d u^2
+    q1, q2 = np.dot(t, u), np.dot(t, d)
+    wd *= d
+    wd *= d  # w d^3
+    q3, q4 = np.dot(wd, u), np.dot(wd, d)
 
     n = np.array([a, -2.0 * b, c])
-    e_quad, e_quart = k0 / a, q0 / (a * a)
+    e_quad, e_quart = 0.5 * (k + p) / a, q0 / (a * a)
     # phi(tau) - phi(0): subtract phi(0) n / n and phi(0) n^2 / n^2 termwise
     A = np.array([0.0, 2.0 * (e_quad * b - k1), k2 - e_quad * c])
-    Q = np.array([q0, -4.0 * q1, 6.0 * q2, -4.0 * q3, q4]) - e_quart * P.polymul(n, n)
+    Q = np.array([q0, -4.0 * q1, 6.0 * q2, -4.0 * q3, q4]) - e_quart * np.convolve(n, n)
     Q[0] = 0.0
     return LineEnergy(float(e_quad + 0.25 * problem.beta * e_quart), A, Q, n,
                       problem.beta)
 
 
-def line_search_step(state: State, problem: Problem, g: np.ndarray,
-                     lap_g: np.ndarray) -> tuple[float, float]:
-    """Exact minimizer tau of tau -> E_h(R_h(u - tau g)) over [LINE_SEARCH_LO,
+def line_search_step(state: State, problem: Problem, d: np.ndarray,
+                     lap_d: np.ndarray) -> tuple[float, float]:
+    """Exact minimizer tau of tau -> E_h(R_h(u - tau d)) over [LINE_SEARCH_LO,
     LINE_SEARCH_HI], with its phi(tau) - phi(0): the best of the two ends and
-    the stationary points of the closed form inside, from lap_g = -Delta_h g.
-    A zero direction gives (LINE_SEARCH_LO, 0)."""
+    the stationary points of the closed form inside, from lap_d = -Delta_h d.
+    A zero direction (<d, d>_h = 0) gives (LINE_SEARCH_LO, 0)."""
     lo, hi = LINE_SEARCH_LO, LINE_SEARCH_HI
-    if not g.any():
+    phi = line_energy(state, problem, d, lap_d)
+    if phi.n[2] == 0:
         return lo, 0.0
-    phi = line_energy(state, problem, g, lap_g)
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point

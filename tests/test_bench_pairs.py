@@ -20,9 +20,9 @@ def test_sides_alternate_which_runs_first():
     assert sum(o[0] == "base" for o in orders) == 5
 
 
-def run(pair, side, flow_s, rss, failed=0, workload="w"):
+def run(pair, side, flow_s, rss, failed=0, workload="w", load=1.0):
     return {"pair": pair, "workload": workload, "side": side, "failed": failed,
-            "metrics": {"flow_s": flow_s, "peak_rss_mb": rss}}
+            "load": load, "metrics": {"flow_s": flow_s, "peak_rss_mb": rss}}
 
 
 def test_summary_quartiles_changes_and_wins():
@@ -48,3 +48,15 @@ def test_summary_honours_higher_is_better():
             run(1, "base", 1.0, 1.0), run(1, "work", 0.5, 1.0)]
     s = bench_pairs.summarize(runs, {"flow_s": "higher"})["w"]
     assert s["flow_s"]["work_better"] == 1
+
+
+def test_summary_reports_each_sides_median_load_per_workload():
+    runs = []
+    for i, (lb, lw) in enumerate([(0.5, 2.0), (1.5, 3.0), (0.7, 1.0), (9.0, 0.1)]):
+        runs += [run(i, "base", 1.0, 1.0, load=lb), run(i, "work", 1.0, 1.0, load=lw),
+                 run(i, "base", 1.0, 1.0, workload="v", load=4.0),
+                 run(i, "work", 1.0, 1.0, workload="v", load=0.25)]
+    runs.append(run(4, "base", 1.0, 1.0, load=100.0))  # no partner: left out
+    s = bench_pairs.summarize(runs, {"flow_s": "lower"})
+    assert s["w"]["load"] == {"base": 1.1, "work": 1.5}
+    assert s["v"]["load"] == {"base": 4.0, "work": 0.25}

@@ -226,22 +226,75 @@ def test_line_search_matches_scan_oracle():
 
 
 
+@pytest.mark.parametrize("recorded", [True, False], ids=["record", "no_record"])
+@pytest.mark.parametrize("direction", ["gradient", "random"])
 @pytest.mark.parametrize("spec, potential", [
     (GridSpec(8.0, 2, 20, Scheme.FD2), sin2_product),
     (GridSpec(8.0, 3, 3, Scheme.SEM, 3), harmonic_lattice),
 ])
-def test_line_energy_matches_energy_of_retracted_point(spec, potential):
-    """The closed form phi(tau) is E_h(R_h(u - tau g)) at every tau."""
+def test_line_energy_matches_energy_of_retracted_point(spec, potential, direction,
+                                                       recorded):
+    """The closed form phi(tau) is E_h(R_h(u - tau d)) at every tau, for the
+    gradient and for a seeded random d, which is neither tangent nor a
+    gradient, whether the state holds its record (phi(0)'s k0 and q0 come
+    from it) or line_energy builds it."""
     disc = TensorOperator(spec)
     problem = Problem(potential(disc.node_coordinates()), 50.0, 1.0)
     rng = np.random.default_rng(7)
     u = default_initial_state(disc).coeffs * (1 + 0.3 * rng.random(disc.ndof))
-    s = State(retract(disc, u), disc)
-    g = riemannian_gradient(s, problem, FastSolver(disc, problem.alpha)).g
-    phi = line_energy(s, problem, g, disc.apply_neg_laplacian(g))
+    u = retract(disc, u)
+    if direction == "gradient":
+        d = riemannian_gradient(State(u, disc), problem, FastSolver(disc, problem.alpha)).g
+    else:
+        d = retract(disc, rng.standard_normal(disc.ndof))
+        assert abs(inner_h(disc, u, d)) > 1e-3
+    s = State(u, disc)
+    if recorded:
+        energy(s, problem)
+    assert (s._record is not None) == recorded
+    phi = line_energy(s, problem, d, disc.apply_neg_laplacian(d))
     for tau in np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 5):
-        want = energy(State(retract(disc, s.coeffs - tau * g), disc), problem)
+        want = energy(State(retract(disc, s.coeffs - tau * d), disc), problem)
         assert abs(phi.e0 + phi.rise(tau) - want) <= 1e-12 * abs(want)
+
+
+def reference_closed_form(phi):
+    """rise and stationary_points of a LineEnergy with numpy.polynomial."""
+    P = np.polynomial.polynomial
+    A, Q, n, beta = phi.A, phi.Q, phi.n, phi.beta
+
+    def rise(tau):
+        m = P.polyval(tau, n)
+        return P.polyval(tau, A) / m + 0.25 * beta * P.polyval(tau, Q) / (m * m)
+
+    dn = P.polyder(n)
+    num = P.polyadd(
+        P.polymul(P.polysub(P.polymul(P.polyder(A), n), P.polymul(A, dn)), n),
+        0.25 * beta * P.polysub(P.polymul(P.polyder(Q), n), 2 * P.polymul(Q, dn)))
+    return rise, P.polyroots(num)
+
+
+@pytest.mark.parametrize("case", ["random", "beta_0", "A_0"])
+def test_closed_form_matches_numpy_polynomial(case):
+    """Horner's rule and the convolutions give numpy.polynomial's rise and
+    stationary points on seeded random coefficients (n(tau) > 0 as <v, v>_h)."""
+    rng = np.random.default_rng(11)
+    taus = np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 101)
+    for _ in range(50):
+        a, c = rng.uniform(0.5, 2.0, 2)
+        n = np.array([a, -2.0 * rng.uniform(-1.0, 1.0) * np.sqrt(a * c), c])
+        A, Q = rng.standard_normal(3), rng.standard_normal(5)
+        A[0] = Q[0] = 0.0
+        beta = 0.0 if case == "beta_0" else rng.uniform(0.0, 100.0)
+        if case == "A_0":
+            A[:] = 0.0
+        phi = flows.LineEnergy(rng.standard_normal(), A, Q, n, beta)
+        rise, roots = reference_closed_form(phi)
+        np.testing.assert_allclose(phi.rise(taus), rise(taus), rtol=1e-13, atol=0)
+        got = phi.stationary_points()
+        assert len(got) == len(roots) == 4
+        np.testing.assert_allclose(np.sort(got.real), np.sort(roots.real),
+                                   rtol=1e-10, atol=1e-10)
 
 
 def test_line_search_run_energy_never_rises():
@@ -650,6 +703,30 @@ def test_record_memory_in_vectors():
     assert peak / (8 * disc.ndof) < 2.5
     assert 0.5 < kept / (8 * disc.ndof) < 1.5
     assert euclidean_gradient(state, problem) is state._Au_u[1]
+
+
+def test_line_energy_memory_in_vectors():
+    """The line energy of a state that holds its record, -Delta_h u and u*w
+    allocates at most two ndof-sized arrays at once (w d and V w d, then
+    w d u^2) and keeps none."""
+    disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
+    problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
+    state = default_initial_state(disc)
+    energy(state, problem)
+    held = (state.neg_lap, state.wu)
+    d = retract(disc, np.random.default_rng(5).standard_normal(disc.ndof))
+    lap_d = disc.apply_neg_laplacian(d)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        phi = line_energy(state, problem, d, lap_d)
+        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(phi.e0) and len(held) == 2
+    assert peak / (8 * disc.ndof) < 2.5
+    assert kept / (8 * disc.ndof) < 0.5
 
 
 def test_tol_stop_reports_exact_record_and_final_state():
