@@ -245,10 +245,10 @@ class LineEnergy:
 
         phi(tau) = e0 + A(tau) / n(tau) + (beta/4) Q(tau) / n(tau)^2,
 
-    e0 = phi(0), A of degree 2 and Q of degree 4 with no constant term
-    (coefficient arrays, lowest degree first).  Taking phi(0) out before
-    the sums are combined keeps phi(tau) - phi(0) accurate where phi itself
-    varies only in its last digits.
+    e0 = phi(0) (from the record's sums in `line_energy`), A of degree 2 and
+    Q of degree 4 with no constant term (coefficient arrays, lowest degree
+    first).  Taking phi(0) out before the sums are combined keeps
+    phi(tau) - phi(0) accurate where phi itself varies only in its last digits.
     """
 
     e0: float
