@@ -15,6 +15,7 @@ from scipy.linalg.blas import daxpy
 from .energy import (Problem, State, _record, apply_Au, energy,
                      eigenvalue_estimate, euclidean_gradient, norm_h, residual,
                      retract, riemannian_gradient)
+from .grids import TensorOperator
 from .linalg import SolverError, pcg, shifted_solver
 
 
@@ -335,9 +336,12 @@ def default_initial_state(disc, kind: str = "constant",
         # looked up at call time: the benchmark's tracer patches it on gpflow.linalg
         from .linalg import lowest_two_eigenpairs
         pre = shifted_solver(disc, max(float(np.min(problem.potential)), problem.alpha))
+        # LOBPCG from the Laplacian's ground mode z0 x ... x z0; P1 has none: random
+        start = ([reduce(np.multiply.outer, [disc.eigen.vectors[:, 0]] * disc.dim).ravel()]
+                 if isinstance(disc, TensorOperator) else None)
         res = lowest_two_eigenpairs(
             lambda w: disc.apply_neg_laplacian(w) + problem.potential * w,
-            disc.weights, tol=1e-10, solve_inner=pre.solve, k=1)
+            disc.weights, tol=1e-10, solve_inner=pre.solve, k=1, start=start)
         return State(retract(disc, res.v0), disc)
     raise ValueError(f"unknown initial guess kind: {kind}")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -195,6 +196,11 @@ class TensorOperator:
             tensor_w = np.multiply.outer(tensor_w, w)
         self.weights = tensor_w.reshape(-1)
         self._lap1d = op.laplacian_matrix()
+
+    @cached_property
+    def eigen(self):  # the 1D pencil's Eigen1D, shared by every FastSolver here
+        from .linalg import generalized_sym_eig  # linalg imports this module
+        return generalized_sym_eig(self.op)
 
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

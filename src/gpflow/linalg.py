@@ -62,16 +62,16 @@ def generalized_sym_eig(op: Operator1D) -> Eigen1D:
 
 
 class FastSolver:
-    """Direct tensor-product solver for (-Delta_h + alpha I) x = b:
-    solve(b) = backward(forward(b) / denominator), forward(b) = Z^T M b and
-    backward(c) = Z c each one pass per axis."""
+    """Direct tensor-product solver for (-Delta_h + alpha I) x = b: solve(b) =
+    backward(forward(b) / denominator), forward(b) = Z^T M b and backward(c) = Z c
+    each one pass per axis; Z is the grid's 1D eigenbasis `op.eigen`, shared."""
 
     def __init__(self, op: TensorOperator, alpha: float):
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op = op
         self.alpha = alpha
-        e = generalized_sym_eig(op.op)
+        e = op.eigen
         self._fwd = e.vectors.T * op.op.weights[None, :]  # c = Z^T M u
         self._bwd = e.vectors
         total = e.values
@@ -172,12 +172,15 @@ class EigenResult:
 
 
 def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
-                          k=2) -> EigenResult:
+                          k=2, start=None) -> EigenResult:
     """The k (1 or 2) smallest eigenpairs by LOBPCG (Knyazev 2001).
 
     apply_A acts on coefficient vectors and is symmetric w.r.t. the weighted
     inner product; solve_inner, when given, is the preconditioner (typically
     the solve of a shifted_solver for a shifted Laplacian close to A).
+    LOBPCG starts from a seeded random block whose first columns the m <= k
+    vectors in `start` replace; a start must neither be orthogonal to the wanted
+    eigenvectors nor keep a symmetry (a parity, say) that they break.
     LOBPCG runs on the similar standard problem in y = sqrt(w) v, where the
     h-norm is the 2-norm.  Every returned pair meets ||A v - lambda v||_h <= tol |lambda|,
     else SolverError; lambdas ascend, and each v is h-normalized with a
@@ -193,6 +196,8 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
     A = similar(apply_A)
     M = None if solve_inner is None else similar(solve_inner)
     Y = np.random.default_rng(0).standard_normal((len(weights), k))
+    if start is not None:
+        Y[:, :len(start)] = s * np.column_stack(start)
     # lobpcg's tol is absolute: when |lambda| < 1, go on from the last block
     atol = tol
     for _ in range(2):

@@ -4,12 +4,15 @@ import pytest
 from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit,
                              convergence_study, convexity_check, dense_Au,
                              dense_neg_laplacian, eigengap_study, exact_case,
-                             m_matrix_check, monotonicity_oracle, rate_fit,
+                             linearized_eigenpairs, m_matrix_check,
+                             monotonicity_oracle, rate_fit,
                              solve_exact_case, sqrt_energy_hessian)
 from gpflow.energy import Problem, State, energy, inner_h, retract
 from gpflow.flows import RunReport, IterationRecord, StopRule
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
+
+from test_linalg import counting
 
 
 def test_exact_case_values_3d():
@@ -187,6 +190,32 @@ def test_perron_converged_2d_ground_state():
     res = lowest_two_eigenpairs(apply_Au(state, problem), disc.weights,
                                 solve_inner=fs.solve)
     assert res.v0.min() > 0 and res.gap > 0
+
+
+def test_linearized_eigenpairs_start_from_u(monkeypatch):
+    """At a converged state, LOBPCG from [u, a random column] makes fewer
+    A-applications than from the random block (23 against 38 when this was
+    written), to the same lambda0 and lambda1."""
+    seen = {}
+
+    def capture(apply_A, weights, **kw):
+        seen.update(apply_A=apply_A, weights=weights, kw=kw)
+        return lowest_two_eigenpairs(apply_A, weights, **kw)
+
+    report, case = solve_exact_case(GridSpec(1.0, 2, 16, Scheme.FD2), 2.0)
+    assert report.reason == "tol"
+    monkeypatch.setattr("gpflow.analysis.lowest_two_eigenpairs", capture)
+    linearized_eigenpairs(report.final_state, Problem(case.potential, 2.0, 0.2))
+    kw = seen["kw"]
+    u, = kw["start"]
+    assert np.array_equal(u, report.final_state.coeffs)
+    A_u, A_random = counting(seen["apply_A"]), counting(seen["apply_A"])
+    from_u = lowest_two_eigenpairs(A_u, seen["weights"], **kw)
+    from_random = lowest_two_eigenpairs(A_random, seen["weights"], **{**kw, "start": None})
+    assert A_u.calls < A_random.calls
+    for got, want in [(from_u.lambda0, from_random.lambda0),
+                      (from_u.lambda1, from_random.lambda1)]:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_eigengap_study_stable_across_levels():

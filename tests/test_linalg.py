@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gpflow.energy import Problem
+from gpflow.flows import default_initial_state
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import (FastSolver, PCGBreakdown, SolverError,
                            generalized_sym_eig, lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
 from test_tensor import dense_lap
+
+
+def counting(f):
+    """f, counting its calls in .calls."""
+    def counted(*args):
+        counted.calls += 1
+        return f(*args)
+
+    counted.calls = 0
+    return counted
 
 
 ALL_1D = [
@@ -93,7 +105,9 @@ def test_fast_solver_is_its_two_transform_halves(spec):
 
 
 def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
-    """Every axis shares one 1D operator, so a 3D solver needs one eigensolve."""
+    """Every axis shares one 1D operator, and solvers for any shift and the
+    linear start's mode share its eigendecomposition: a grid needs one.  The
+    solves match those of a solver on a grid of its own, bit for bit."""
     calls = []
 
     def counted(op):
@@ -101,9 +115,17 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
         return generalized_sym_eig(op)
 
     monkeypatch.setattr("gpflow.linalg.generalized_sym_eig", counted)
-    disc = TensorOperator(GridSpec(1.0, 3, 4, Scheme.COMPACT4))
-    FastSolver(disc, 0.2)
+    spec = GridSpec(8.0, 3, 8, Scheme.COMPACT4)
+    disc = TensorOperator(spec)
+    solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
+    default_initial_state(disc, "linear",
+                          Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15))
     assert len(calls) == 1
+    b = np.random.default_rng(5).standard_normal(disc.ndof)
+    for fs in solvers:
+        alone = FastSolver(TensorOperator(spec), fs.alpha)
+        assert np.array_equal(fs.denominator, alone.denominator)
+        assert np.array_equal(fs.solve(b), alone.solve(b))
 
 
 def test_fast_solver_eigenvector_division():
