@@ -13,10 +13,12 @@ sides alike; pair i uses seed i + 1 on both sides.  Each run records the
 host's 1-minute load average as it starts.  The output JSON holds every
 run, each side's median load per workload (a busy host slows both sides
 and widens the spread), and, per workload and metric, the median and
-quartiles of each side and of the per-pair relative change, and how many
-pairs the working tree won.  It names the working tree by its HEAD and the
-SHA-256 of `git diff --binary HEAD` taken before the first run (null for a
-clean tree).  Metric names and directions come from BENCHMARK.json.  Nothing
+quartiles of each side and of the per-pair relative change, how many
+pairs the working tree won, whether a claimed gain is met and whether the
+working tree stays within the metric's bound (see `summarize`).  It names
+the working tree by its HEAD and the SHA-256 of `git diff --binary HEAD`
+taken before the first run (null for a clean tree).  Metric names,
+directions and bounds come from BENCHMARK.json, which is read only.  Nothing
 under gsbench/ is changed.
 """
 
@@ -46,10 +48,16 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per workload: each side's median load, and per metric the quartiles
     of each side, of the relative change work/base - 1 within each pair, and
-    the pairs the work side won (strictly better in the metric's direction)."""
+    the pairs the work side won (strictly better in the metric's direction).
+    `claim_met`: the work side won at least 9 in 10 pairs and its median is
+    better than the base's by more than the base's q3 - q1.  `within_bound`:
+    the work median is not worse than the base median by more than the
+    metric's bound times the base median (None for a metric with no bound)."""
+    bounds = bounds or {}
     out: dict = {}
     for w in sorted({r["workload"] for r in runs}):
         pairs: dict[int, dict[str, dict]] = {}
@@ -65,11 +73,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             sign = -1.0 if direction == "lower" else 1.0
             base = [p["base"]["metrics"][metric] for p in complete]
             work = [p["work"]["metrics"][metric] for p in complete]
+            qb, qw = quartiles(base), quartiles(work)
+            won = sum(sign * (v - b) > 0 for b, v in zip(base, work))
+            gain = sign * (qw["median"] - qb["median"])
+            bound = bounds.get(metric)
             out[w][metric] = {
-                "base": quartiles(base),
-                "work": quartiles(work),
+                "base": qb,
+                "work": qw,
                 "relative_change": quartiles([b and v / b - 1.0 for b, v in zip(base, work)]),
-                "work_better": sum(sign * (v - b) > 0 for b, v in zip(base, work)),
+                "work_better": won,
+                "claim_met": won >= 0.9 * len(complete) and gain > qb["q3"] - qb["q1"],
+                "within_bound": None if bound is None else gain >= -bound * abs(qb["median"]),
             }
     return out
 
@@ -118,6 +132,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     work = {"head": git("rev-parse", "HEAD"), "diff_sha256": diff_sha256()}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -133,7 +148,7 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {w} {side} load={load:.2f}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
     record = {"base": sha, "work": work, "seconds": seconds, "nproc": os.cpu_count(),
-              "summary": summarize(runs, better), "runs": runs}
+              "summary": summarize(runs, better, bounds), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
     print(json.dumps(record["summary"], indent=1))

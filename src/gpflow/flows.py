@@ -222,7 +222,9 @@ def gradient_step(state: State, problem: Problem, G,
         tau, rise = line_search_step(state, problem, d, lap_d)
         if rise >= 0 and d is not g:
             d, lap_d, c_d = g, lap_g, c
-            tau, _ = line_search_step(state, problem, d, lap_d)
+            tau, rise = line_search_step(state, problem, d, lap_d)
+        if rise > ENERGY_RISE_RTOL * abs(_record(state, problem).energy):
+            raise SolverError(f"no step along g lowers E: the best raises it by {rise:.3e}")
         out = (None, None, None) if d is g else (None, lap_g, c)
         direction = Direction(d, lap_d, c_d, g, gg)
     w = np.multiply(d, -tau, out=out[0])  # u - tau d; every update below is in place
@@ -309,18 +311,17 @@ def line_energy(state: State, problem: Problem, d: np.ndarray,
 
 def line_search_step(state: State, problem: Problem, d: np.ndarray,
                      lap_d: np.ndarray) -> tuple[float, float]:
-    """Exact minimizer tau of tau -> E_h(R_h(u - tau d)) over [LINE_SEARCH_LO,
-    LINE_SEARCH_HI], with its phi(tau) - phi(0): the best of the two ends and
-    the stationary points of the closed form inside, from lap_d = -Delta_h d.
-    A zero direction (<d, d>_h = 0) gives (LINE_SEARCH_LO, 0)."""
-    lo, hi = LINE_SEARCH_LO, LINE_SEARCH_HI
-    phi = line_energy(state, problem, d, lap_d)
+    """Exact minimizer tau of tau -> E_h(R_h(u - tau d)) over (0, LINE_SEARCH_HI],
+    with its phi(tau) - phi(0): the best of LINE_SEARCH_HI and the stationary
+    points of the closed form inside, from lap_d = -Delta_h d.  A zero
+    direction (<d, d>_h = 0) gives (LINE_SEARCH_LO, 0)."""
+    hi, phi = LINE_SEARCH_HI, line_energy(state, problem, d, lap_d)
     if phi.n[2] == 0:
-        return lo, 0.0
+        return LINE_SEARCH_LO, 0.0
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point
-    taus = np.concatenate(([lo, hi], np.clip(phi.stationary_points().real, lo, hi)))
+    taus = np.append([t for t in phi.stationary_points().real if 0 < t < hi], hi)
     rise = phi.rise(taus)
     return float(taus[np.argmin(rise)]), float(np.min(rise))
 

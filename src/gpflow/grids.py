@@ -20,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -164,16 +165,33 @@ def build_1d(spec: GridSpec) -> Operator1D:
                       np.ascontiguousarray(S_g[keep, keep]), mass_aux=T)
 
 
-def axis_apply(mat: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the 1D matrix along one axis of a grid array: (I x mat x I) X.
-
-    One GEMM (last axis) or one batched GEMM (any other axis) on a reshaped
-    view of X; the result is C-contiguous and no transposed copy is made.
-    """
-    n = X.shape[axis]
+def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray,
+               mat_t: np.ndarray | None = None) -> np.ndarray:
+    """(I x mat x I) X for an (m, n) mat along one axis of a grid array: one
+    batched GEMM on a reshaped view of X, C-contiguous.  The last axis runs
+    (rest, n) slabs times mat_t = mat.T, which a 3D caller keeps contiguous
+    (4.9 ms at 99^3 against 6.2 ms for one tall GEMM)."""
+    shape = X.shape[:axis] + (len(mat),) + X.shape[axis + 1:]
     if axis == X.ndim - 1:
-        return (X.reshape(-1, n) @ mat.T).reshape(X.shape)
-    return np.matmul(mat, X.reshape(math.prod(X.shape[:axis]), n, -1)).reshape(X.shape)
+        return np.matmul(X.reshape(-1, *X.shape[-2:]),
+                         mat.T if mat_t is None else mat_t).reshape(shape)
+    return np.matmul(mat, X.reshape(math.prod(X.shape[:axis]), X.shape[axis], -1)).reshape(shape)
+
+
+def mirror_blocks(op: Operator1D, e) -> SimpleNamespace | None:
+    """Even/odd split (Solomonoff 1992) of the eigenbasis Z = e.vectors of a
+    mirror-symmetric grid, or None if some <z, Jz>_M misses +-1 by 1e-8 (J the
+    reversal): Z^T M x = [fe (x + Jx)[:h] | fo (x - Jx)[:h]], h = ceil(n/2), and
+    Z c = [E + O | J(E - O)], E = be c_even, O = bo c_odd; perm: [even | odd]."""
+    parity = np.einsum("ij,i,ij->j", e.vectors, op.weights, e.vectors[::-1])
+    if np.abs(np.abs(parity) - 1.0).max() > 1e-8:
+        return None
+    h, m = (op.n + 1) // 2, op.n // 2  # then Z's half with exact parity (eigh's: ~1e-12 off)
+    Z = 0.5 * (e.vectors[:h] + e.vectors[::-1][:h] * np.sign(parity))
+    F = Z.T * np.append(op.weights[:m], 0.5 * op.weights[m:h])  # odd n: (x + Jx)_m = 2 x_m
+    even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
+    return SimpleNamespace(perm=np.concatenate((even, odd)), fe=F[even], fo=F[odd],
+                           be=Z[:, even], bo=Z[:, odd])
 
 
 class TensorOperator:
@@ -196,20 +214,25 @@ class TensorOperator:
             tensor_w = np.multiply.outer(tensor_w, w)
         self.weights = tensor_w.reshape(-1)
         self._lap1d = op.laplacian_matrix()
+        self._lap1d_t = np.ascontiguousarray(self._lap1d.T) if spec.dim == 3 else None
 
     @cached_property
     def eigen(self):  # the 1D pencil's Eigen1D, shared by every FastSolver here
         from .linalg import generalized_sym_eig  # linalg imports this module
         return generalized_sym_eig(self.op)
 
+    @cached_property
+    def mirror(self):  # `eigen`'s even/odd half blocks or None, shared likewise
+        return mirror_blocks(self.op, self.eigen)
+
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.ndof,):
             raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
         U = u.reshape(self.shape)
-        out = axis_apply(self._lap1d, U, 0)
+        out = axis_apply(U, 0, self._lap1d, self._lap1d_t)
         for axis in range(1, self.dim):
-            out += axis_apply(self._lap1d, U, axis)
+            out += axis_apply(U, axis, self._lap1d, self._lap1d_t)
         return out.reshape(-1)
 
     def node_coordinates(self) -> np.ndarray:

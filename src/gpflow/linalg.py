@@ -64,42 +64,63 @@ def generalized_sym_eig(op: Operator1D) -> Eigen1D:
 class FastSolver:
     """Direct tensor-product solver for (-Delta_h + alpha I) x = b: solve(b) =
     backward(forward(b) / denominator), forward(b) = Z^T M b and backward(c) = Z c
-    each one pass per axis; Z is the grid's 1D eigenbasis `op.eigen`, shared."""
+    each one pass per axis; Z is the grid's 1D eigenbasis `op.eigen`, shared.
+    2D grids from n = FOLD_MIN_N on fold (`fold` = `op.mirror`, else None) each
+    pass into two half-size ones, the modes running [even | odd] along each axis.
+    Solve time, fold / plain, 1 BLAS thread: n = 63 x1.74, 79 x1.50, 99 x1.17,
+    103 x0.90, 127 x0.78, 199 x0.79, 299 x0.74, 479 x0.68; a 3D fold (a prototype)
+    lost at n = 39 x1.33, 47 x~1.5, 79 x~1.15, 99 x~1.45, 149 x~1.0."""
+
+    FOLD_MIN_N = 100
 
     def __init__(self, op: TensorOperator, alpha: float):
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
-        self.op = op
-        self.alpha = alpha
-        e = op.eigen
-        self._fwd = e.vectors.T * op.op.weights[None, :]  # c = Z^T M u
-        self._bwd = e.vectors
-        total = e.values
+        self.op, self.alpha, e = op, alpha, op.eigen
+        self.fold = op.mirror if op.dim == 2 and op.n >= self.FOLD_MIN_N else None
+        if self.fold is None:  # [(Z, ...), (Z^T M, ...)], each with its 3D slabs' transpose
+            self._plain = [(m, np.ascontiguousarray(m.T) if op.dim == 3 else None)
+                           for m in (e.vectors, e.vectors.T * op.op.weights)]
+        total = values = e.values if self.fold is None else e.values[self.fold.perm]
         for _ in range(op.dim - 1):
-            total = total[..., None] + e.values
+            total = total[..., None] + values
         self.denominator = (total + alpha).reshape(-1)
         if np.any(self.denominator <= 0):
             raise SolverError("shifted operator is singular")
 
-    def _transform(self, mat: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def _transform(self, X: np.ndarray, forward: bool) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape != (self.op.ndof,):
             raise ValueError(f"expected vector of length {self.op.ndof}, got shape {X.shape}")
-        X = X.reshape(self.op.shape)
+        X, f, h = X.reshape(self.op.shape), self.fold, (self.op.n + 1) // 2
         for axis in range(self.op.dim):
-            X = axis_apply(mat, X, axis)
+            head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
+            if f is None:
+                X = axis_apply(X, axis, *self._plain[forward])
+            elif forward:  # [fe (x + Jx)[:h] | fo (x - Jx)[:h]]
+                S, A = X[head] + np.flip(X, axis)[head], X[head] - np.flip(X, axis)[head]
+                del X  # frees the pass's input unless a caller holds it
+                S, A = axis_apply(S, axis, f.fe), axis_apply(A, axis, f.fo)
+                X = np.concatenate((S, A), axis)
+            else:  # E = be c_even and O = bo c_odd, then [E + O | J(E - O)]
+                S, A = axis_apply(X[head], axis, f.be), axis_apply(X[tail], axis, f.bo)
+                del X
+                X = np.empty(self.op.shape)
+                np.subtract(S, A, out=np.flip(X, axis)[head])
+                np.add(S, A, out=X[head])  # last: an odd n's centre row is E + O
+            S = A = None  # before the next pass
         return X.reshape(-1)  # a fresh array
 
     def forward(self, b: np.ndarray) -> np.ndarray:  # Z^T M b
-        return self._transform(self._fwd, b)
+        return self._transform(b, True)
 
     def backward(self, c: np.ndarray) -> np.ndarray:  # Z c, forward's inverse
-        return self._transform(self._bwd, c)
+        return self._transform(c, False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # backward(forward(b) / D); the quotient stays unnamed so that the
         # first backward pass frees it (held, it costs a solve ~2%)
-        return self._transform(self._bwd, self.forward(b) / self.denominator)
+        return self._transform(self.forward(b) / self.denominator, False)
 
 
 def shifted_solver(disc, alpha: float):

@@ -60,3 +60,26 @@ def test_summary_reports_each_sides_median_load_per_workload():
     s = bench_pairs.summarize(runs, {"flow_s": "lower"})
     assert s["w"]["load"] == {"base": 1.1, "work": 1.5}
     assert s["v"]["load"] == {"base": 4.0, "work": 0.25}
+
+
+def test_summary_claim_met_and_within_bound():
+    """A claim is met when the work side wins 9 of 10 pairs and its median
+    gap exceeds the base's quartile spread; a bound caps how much worse the
+    work median may be."""
+    base = [10.0 + 0.1 * i for i in range(10)]  # quartile spread 0.45
+    cases = {"met": [b - 1.0 for b in base[:9]] + [base[9] + 1.0],
+             "spread": [10.0 + i - 0.5 for i in range(10)],  # spread 4.5, gap 0.5
+             "regressed": [b * 1.3 for b in base]}
+    runs = []
+    for w, work in cases.items():
+        b_side = [10.0 + i for i in range(10)] if w == "spread" else base
+        for i, (b, v) in enumerate(zip(b_side, work)):
+            runs += [run(i, "base", b, 1.0, workload=w), run(i, "work", v, 1.0, workload=w)]
+    s = bench_pairs.summarize(runs, {"flow_s": "lower", "peak_rss_mb": "lower"},
+                              {"flow_s": 0.25})
+    flow = {w: s[w]["flow_s"] for w in cases}
+    assert [flow[w]["work_better"] for w in cases] == [9, 10, 0]
+    assert [flow[w]["claim_met"] for w in cases] == [True, False, False]
+    assert [flow[w]["within_bound"] for w in cases] == [True, True, False]
+    assert s["met"]["peak_rss_mb"]["within_bound"] is None
+    assert s["met"]["peak_rss_mb"]["claim_met"] is False  # ties win nothing

@@ -301,15 +301,36 @@ def test_closed_form_matches_numpy_polynomial(case):
 
 def test_line_search_run_energy_never_rises():
     """The strong-interaction 1D lattice, where a fixed step of 0.5 diverges;
-    the conjugate directions reach the tolerance inside 40 iterations."""
+    the conjugate directions reach the tolerance inside 40 iterations.  And
+    the L2 flow on 1,000 fd2 cells, whose best steps lie below 1e-3: a
+    search that kept tau >= 1e-3 raised E on 41 steps and ended `diverged`
+    at iteration 80."""
     disc = TensorOperator(GridSpec(8.0, 1, 64, Scheme.FD2))
     problem = Problem(harmonic_lattice(disc.node_coordinates()), 1600.0, 10.0)
     report = run(FlowConfig(alpha=10.0, step=LineSearchStep()), problem,
                  default_initial_state(disc),
                  StopRule(residual_tol=1e-12, stall_window=10, max_iter=40))
     assert report.reason == "tol"
-    E = report.energies
-    assert np.all(np.diff(E) <= 1e-12 * np.abs(E[1:]))
+    disc = TensorOperator(GridSpec(8.0, 1, 1000, Scheme.FD2))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0)
+    l2 = run(FlowConfig(kind=FlowKind.L2, step=LineSearchStep()), problem,
+             default_initial_state(disc), StopRule(max_iter=500))
+    for E in (report.energies, l2.energies):
+        assert np.all(np.diff(E) <= 1e-12 * np.abs(E[1:]))
+
+
+def test_line_search_rise_along_g_is_a_step_failure(monkeypatch):
+    """A best rise along g above ENERGY_RISE_RTOL |E| ends the run with
+    `step_failure`; one within it is taken."""
+    disc = TensorOperator(GridSpec(8.0, 1, 64, Scheme.FD2))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0)
+    u0 = default_initial_state(disc)
+    E0 = energy(u0, problem)
+    for rise, reason, iterations in ((2e-12, "step_failure", 0), (0.1e-12, "max_iter", 3)):
+        monkeypatch.setattr(flows, "line_search_step",
+                            lambda *args, rise=rise: (0.1, rise * E0))
+        report = run(FlowConfig(step=LineSearchStep()), problem, u0, StopRule(max_iter=3))
+        assert (report.reason, report.iterations) == (reason, iterations)
 
 
 def test_line_search_zero_gradient_returns_lo():
@@ -386,7 +407,8 @@ def stale_direction(state, problem, G, rule):
     """A carried direction d' with g' = 0 and <g', g'>_X = |r|_h^2, so beta =
     <g, g>_X / |r|_h^2.  'ascent': d' = -2r, so <r, d>_h = -<g, g>_X < 0.
     'no_decrease': d' = 1e6 v with v tangent, h-orthogonal to r and rough,
-    so d is a descent direction but tau = LINE_SEARCH_LO already overshoots."""
+    so d is a descent direction whose best decrease, about 1e-22 at tau ~ 3e-20,
+    is round-off (`no_decrease_below_round_off` reads it as none)."""
     disc = state.disc
     r = h_residual(state, problem)
     rr = float(np.dot(state.wu, r * r))
@@ -401,6 +423,20 @@ def stale_direction(state, problem, G, rule):
                            np.zeros_like(v), rr)
 
 
+def no_decrease_below_round_off(monkeypatch, problem):
+    """Make the line search report a change of E below 1e-15 |E| as no
+    decrease.  Along a direction with <r, d>_h > 0 the search over (0, hi]
+    always finds some decrease, so only round-off reaches the restart that a
+    rise >= 0 asks for."""
+    search = flows.line_search_step
+
+    def rounded(state, *args):
+        tau, rise = search(state, *args)
+        return tau, 0.0 if abs(rise) < 1e-15 * energy(state, problem) else rise
+
+    monkeypatch.setattr(flows, "line_search_step", rounded)
+
+
 @pytest.mark.parametrize("rule", ["ascent", "no_decrease"])
 def test_stale_direction_restarts_with_the_gradient(monkeypatch, rule):
     """A carried direction along which <r, d>_h <= 0, or along which the
@@ -408,6 +444,7 @@ def test_stale_direction_restarts_with_the_gradient(monkeypatch, rule):
     counts each such iterate as a restart."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    no_decrease_below_round_off(monkeypatch, problem)
     G = shifted_solver(disc, problem.alpha)
     start, _ = gradient_step(default_initial_state(disc), problem, G, FixedStep(1.0))
 
@@ -677,11 +714,16 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
         assert np.linalg.norm(carried - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
-@pytest.mark.parametrize("flow, vectors", [
-    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 8, id="FixedStep(tau=1.0)"),
-    pytest.param(FlowConfig(alpha=0.15, step=LineSearchStep()), 12, id="LineSearchStep()"),
-    pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 6, id="BFSP")])
-def test_run_peak_memory_in_vectors(flow, vectors):
+@pytest.mark.parametrize("flow, vectors, spec", [
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 8,
+                 GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="FixedStep(tau=1.0)"),
+    pytest.param(FlowConfig(alpha=0.15, step=LineSearchStep()), 12,
+                 GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="LineSearchStep()"),
+    pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 6,
+                 GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="BFSP"),
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 10,
+                 GridSpec(8.0, 2, 300, Scheme.FD2), id="folded-2D-FixedStep(tau=1.0)")])
+def test_run_peak_memory_in_vectors(flow, vectors, spec):
     """The most ndof-sized arrays a run() holds at once, above its inputs
     (numpy reports its buffers to tracemalloc), stays at its count.  The
     peak is in a 3D transform pass of the step; a state's u*w held through
@@ -689,8 +731,11 @@ def test_run_peak_memory_in_vectors(flow, vectors):
     BFSP solve.  The line search adds the four vectors its conjugate
     direction keeps across a step: d, -Delta_h d, forward(d) and g.  A state
     built from coefficients holds no vector of its own until a diagnostic
-    asks for one."""
-    disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
+    asks for one.  On the 2D lattice grid a 1D matrix is as large as a
+    vector, so its count also holds the 1D eigenbasis and the half blocks
+    (the plain passes' forward matrix before the fold): 10, as with the
+    plain passes (10.01 vectors then, 10.12 folded)."""
+    disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     u0 = default_initial_state(disc)
     tracemalloc.start()

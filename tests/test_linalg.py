@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gpflow.energy import Problem
+from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
-from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
+from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d, mirror_blocks
 from gpflow.linalg import (FastSolver, PCGBreakdown, SolverError,
                            generalized_sym_eig, lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
@@ -90,6 +90,8 @@ def test_fast_solver_matches_dense(spec):
     GridSpec(1.0, 2, 8, Scheme.FD2),
     GridSpec(1.0, 3, 6, Scheme.COMPACT4),
     GridSpec(1.0, 3, 3, Scheme.SEM, 3),
+    GridSpec(8.0, 2, 128, Scheme.FD2),  # folded, n = 127 odd
+    GridSpec(8.0, 2, 101, Scheme.COMPACT4),  # folded, n = 100 even
 ], ids=str)
 def test_fast_solver_is_its_two_transform_halves(spec):
     """solve(b) = backward(forward(b) / D) bit for bit, and backward inverts
@@ -126,6 +128,64 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
         alone = FastSolver(TensorOperator(spec), fs.alpha)
         assert np.array_equal(fs.denominator, alone.denominator)
         assert np.array_equal(fs.solve(b), alone.solve(b))
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 2, 300, Scheme.FD2),
+    GridSpec(8.0, 2, 299, Scheme.FD2),
+    GridSpec(8.0, 2, 299, Scheme.COMPACT4),
+    GridSpec(8.0, 2, 150, Scheme.SEM, 2),
+], ids=str)
+def test_folded_transforms_are_the_kronecker_products(spec):
+    """On n = 299 and 298 the folded forward is (F x F) b, F = Z^T M, and the
+    folded backward (Z x Z) c, to 1e-13 relative, with the modes in the
+    solver's order [even | odd] and Z the eigenbasis with each column's
+    parity made exact (the one the blocks are sliced from; eigh's columns
+    break it by up to ~3e-12 at n = 299).  The folded solve's residual stays
+    below 1e-13 relative."""
+    disc = TensorOperator(spec)
+    fs = FastSolver(disc, 0.15)
+    assert fs.fold is not None
+    Z, w = disc.eigen.vectors, disc.op.weights
+    parity = np.sign(np.einsum("ij,i,ij->j", Z, w, Z[::-1]))
+    Z = (0.5 * (Z + Z[::-1] * parity))[:, fs.fold.perm]
+    F = Z.T * w
+    B, C = np.random.default_rng(7).standard_normal((2,) + disc.shape)
+    for got, want in ((fs.forward(B.ravel()), F @ B @ F.T),
+                      (fs.backward(C.ravel()), Z @ C @ Z.T)):
+        assert np.linalg.norm(got - want.ravel()) <= 1e-13 * np.linalg.norm(want)
+    b = B.ravel()
+    x = fs.solve(b)
+    assert np.linalg.norm(disc.apply_neg_laplacian(x) + 0.15 * x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dim, n, folds", [
+    (3, 99, False), (3, 47, False), (2, 63, False), (2, 299, True), (2, 128, True)])
+def test_fold_selection_rule(dim, n, folds):
+    """2D grids with n >= FOLD_MIN_N fold; 3D grids and small n keep the
+    plain passes and never slice the half blocks."""
+    disc = TensorOperator(GridSpec(8.0, dim, n + 1, Scheme.FD2))
+    assert (FastSolver(disc, 0.0).fold is not None) is folds
+    assert ("mirror" in vars(disc)) is folds
+
+
+def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
+    """Solvers at three shifts on a folded grid share one slicing of the half
+    blocks, and the spectral order is the grid's: a state's `transformed` from
+    one solver serves them all, each gradient matching a fresh state's bit
+    for bit."""
+    calls = counting(mirror_blocks)
+    monkeypatch.setattr("gpflow.grids.mirror_blocks", calls)
+    disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
+    assert calls.calls == 1 and all(fs.fold is disc.mirror for fs in solvers)
+    u = retract(disc, 1.0 + np.random.default_rng(2).random(disc.ndof))
+    transformed = solvers[1].forward(u)
+    for fs in solvers:
+        got = riemannian_gradient(State(u, disc, transformed=transformed.copy()), problem, fs)
+        want = riemannian_gradient(State(u, disc), problem, fs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_fast_solver_eigenvector_division():
