@@ -65,11 +65,11 @@ class FastSolver:
     """Direct tensor-product solver for (-Delta_h + alpha I) x = b: solve(b) =
     backward(forward(b) / denominator), forward(b) = Z^T M b and backward(c) = Z c
     each one pass per axis; Z is the grid's 1D eigenbasis `op.eigen`, shared.
-    2D grids from n = FOLD_MIN_N on fold (`fold` = `op.mirror`, else None) each
-    pass into two half-size ones, the modes running [even | odd] along each axis.
-    Solve time, fold / plain, 1 BLAS thread: n = 63 x1.74, 79 x1.50, 99 x1.17,
-    103 x0.90, 127 x0.78, 199 x0.79, 299 x0.74, 479 x0.68; a 3D fold (a prototype)
-    lost at n = 39 x1.33, 47 x~1.5, 79 x~1.15, 99 x~1.45, 149 x~1.0."""
+    2D grids from n = FOLD_MIN_N on split each pass in two halves by `fold` =
+    `op.mirror` (else None), the modes running [even | odd] along each axis.  Solve
+    time, fold / plain, 1 BLAS thread: n = 63 x1.63, 79 x1.37, 99 x1.14, 103 x0.91,
+    127 x0.74, 199 x0.80, 299 x0.72, 479 x0.66 (3D, a prototype: 39 x1.33, 47 x~1.5,
+    79 x~1.15, 99 x~1.45, 149 x~1.0)."""
 
     FOLD_MIN_N = 100
 
@@ -97,15 +97,15 @@ class FastSolver:
             head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
             if f is None:
                 X = axis_apply(X, axis, *self._plain[forward])
-            elif forward:  # [fe (x + Jx)[:h] | fo (x - Jx)[:h]]
-                S, A = X[head] + np.flip(X, axis)[head], X[head] - np.flip(X, axis)[head]
-                del X  # frees the pass's input unless a caller holds it
-                S, A = axis_apply(S, axis, f.fe), axis_apply(A, axis, f.fo)
-                X = np.concatenate((S, A), axis)
-            else:  # E = be c_even and O = bo c_odd, then [E + O | J(E - O)]
-                S, A = axis_apply(X[head], axis, f.be), axis_apply(X[tail], axis, f.bo)
-                del X
-                X = np.empty(self.op.shape)
+                continue
+            S, A = ((X[head] + np.flip(X, axis)[head], X[head] - np.flip(X, axis)[head]) if forward
+                    else (axis_apply(X[head], axis, f.be), axis_apply(X[tail], axis, f.bo)))
+            del X  # frees the pass's input unless a caller holds it
+            X = np.empty(self.op.shape)
+            if forward:  # [fe (x + Jx)[:h] | fo (x - Jx)[:h]]
+                axis_apply(S, axis, f.fe, out=X[head])
+                axis_apply(A, axis, f.fo, out=X[tail])
+            else:  # [E + O | J(E - O)] with E = be c_even and O = bo c_odd
                 np.subtract(S, A, out=np.flip(X, axis)[head])
                 np.add(S, A, out=X[head])  # last: an odd n's centre row is E + O
             S = A = None  # before the next pass
