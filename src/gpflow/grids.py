@@ -170,7 +170,7 @@ def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray, mat_t: np.ndarray | No
     """(I x mat x I) X for an (m, n) mat along one axis of a grid array, by one
     batched GEMM into `out` (C-contiguous on a leading axis) or a new C-contiguous
     array.  The last axis runs (rest, n) slabs times mat_t = mat.T, which a 3D
-    caller keeps contiguous (4.9 ms at 99^3 against 6.2 ms for one tall GEMM)."""
+    caller keeps contiguous (3.3 ms at 99^3 against 4.6 ms for one tall GEMM)."""
     if axis == X.ndim - 1:  # matmul batches the leading axes
         return np.matmul(X, mat.T if mat_t is None else mat_t, out=out)
     out = np.empty(X.shape[:axis] + (len(mat),) + X.shape[axis + 1:]) if out is None else out
