@@ -5,7 +5,7 @@ import scipy.linalg
 from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d, mirror_blocks
-from gpflow.linalg import (FastSolver, PCGBreakdown, SolverError,
+from gpflow.linalg import (Eigen1D, FastSolver, PCGBreakdown, SolverError,
                            generalized_sym_eig, lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
@@ -167,6 +167,19 @@ def test_fold_selection_rule(dim, n, folds):
     disc = TensorOperator(GridSpec(8.0, dim, n + 1, Scheme.FD2))
     assert (FastSolver(disc, 0.0).fold is not None) is folds
     assert ("mirror" in vars(disc)) is folds
+
+
+def test_mixed_parity_keeps_the_plain_passes():
+    """A basis whose columns break parity (modes 0 and 1, even and odd, turned
+    by 1e-3: <z, Jz>_M = cos(2e-3)) gives no half blocks, and a 2D solver on
+    such a grid runs the plain passes."""
+    disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
+    Z = disc.eigen.vectors.copy()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    Z[:, :2] = Z[:, :2] @ np.array([[c, -s], [s, c]])
+    assert mirror_blocks(disc.op, disc.eigen) is not None
+    disc.mirror = mirror_blocks(disc.op, Eigen1D(disc.eigen.values, Z))
+    assert disc.mirror is None and FastSolver(disc, 0.15).fold is None
 
 
 def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
