@@ -10,9 +10,13 @@ tree, PAIRS times per workload of BENCHMARK.json, each run in a fresh
 process for the benchmark's run_seconds.  The side that runs first
 alternates from pair to pair, so a drift of the host's speed hits both
 sides alike; pair i uses seed i + 1 on both sides.  Each run records the
-host's 1-minute load average as it starts.  The output JSON holds every
-run, each side's median load per workload (a busy host slows both sides
-and widens the spread), and, per workload and metric, the median and
+host's 1-minute load average as it starts, and the facts of its solves
+(label, reason, iterations, energy, eigenvalue, residual) from the record
+that gsbench writes to gsbench/out/.  The output JSON holds every run,
+each side's median load per workload (a busy host slows both sides and
+widens the spread), whether both sides of every pair gave the same facts
+(`same_results`: a change meant to keep the numbers shows here that it
+did), and, per workload and metric, the median and
 quartiles of each side and of the per-pair relative change, how many
 pairs the working tree won, whether a claimed gain is met and whether the
 working tree stays within the metric's bound (see `summarize`).  It names
@@ -36,6 +40,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "work")
 PAIRS = 10
+FACTS = ("label", "reason", "iterations", "energy", "eigenvalue", "residual")
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -50,7 +55,8 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
-    """Per workload: each side's median load, and per metric the quartiles
+    """Per workload: each side's median load, `same_results` (every pair's
+    sides gave equal solve facts), and per metric the quartiles
     of each side, of the relative change work/base - 1 within each pair, and
     the pairs the work side won (strictly better in the metric's direction).
     `claim_met`: the work side won at least 9 in 10 pairs and its median is
@@ -68,7 +74,9 @@ def summarize(runs: list[dict], better: dict[str, str],
         out[w] = {"pairs": len(complete),
                   "failed": {s: sum(p[s]["failed"] for p in complete) for s in SIDES},
                   "load": {s: statistics.median(p[s]["load"] for p in complete)
-                           for s in SIDES}}
+                           for s in SIDES},
+                  "same_results": all(p["base"]["results"] == p["work"]["results"]
+                                      for p in complete)}
         for metric, direction in better.items():
             sign = -1.0 if direction == "lower" else 1.0
             base = [p["base"]["metrics"][metric] for p in complete]
@@ -88,14 +96,28 @@ def summarize(runs: list[dict], better: dict[str, str],
     return out
 
 
+def solve_facts(record: dict) -> list[list]:
+    """The distinct facts of a gsbench record's solves, in the order first
+    met: each pass of a run sets up from the same seed and repeats them."""
+    facts: list[list] = []
+    for p in record["passes"]:
+        for s in p["solves"]:
+            f = [s.get(k) for k in FACTS]
+            if f not in facts:
+                facts.append(f)
+    return facts
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join("gsbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(os.path.join(tree, "gsbench", "out", f"{workload}-seed{seed}-trace0.json")) as f:
+        results = solve_facts(json.load(f))
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "correct": result["correct"], "failed": result["failed"]}
+            "correct": result["correct"], "failed": result["failed"], "results": results}
 
 
 def git(*args: str) -> str:

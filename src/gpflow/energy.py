@@ -2,7 +2,8 @@
 
 Everything here is a pure function of (coefficients, discretization,
 problem).  The discretization handle only needs `weights` and
-`apply_neg_laplacian`, so tensor grids and P1 meshes are interchangeable.
+`apply_neg_laplacian` (and `transform` under a FastSolver metric), so tensor
+grids and P1 meshes are interchangeable.
 u*w and -Delta_h u are held on the state.  One record per state takes the
 energy, the residual and the Rayleigh value from one u^3 and one Vu, and
 holds A_u u, built from the same two, for the gradient.
@@ -48,7 +49,7 @@ class State:
     <u, u>_h is cached at construction; -Delta_h u, which every step carries
     in, u*w, and the record with A_u u on first use (`riemannian_gradient`
     takes A_u u's buffer for a shifted G), so `coeffs` must not be mutated.
-    `transformed` is FastSolver.forward(u), carried in by a gradient step or set
+    `transformed` is disc.transform(u), carried in by a gradient step or set
     by `riemannian_gradient`, and `direction` is a line-search step's.  Carried
     values follow u only to round-off: `flows.run` stops on a fresh state.
     """
@@ -168,7 +169,7 @@ def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
 
 
 class Gradient(NamedTuple):
-    """g = G(A_u u - gamma u), neg_lap = -Delta_h g, transformed = forward(g) or None."""
+    """g = G(A_u u - gamma u), neg_lap = -Delta_h g, transformed = disc.transform(g) or None."""
 
     g: np.ndarray
     neg_lap: np.ndarray
@@ -178,24 +179,24 @@ class Gradient(NamedTuple):
 def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere (<u, g>_h = 0) for any inverse metric G with a .solve method, and
-    -Delta_h g.  A G with transforms (a FastSolver) uses <u, G x>_h =
-    forward(u)^T D^{-1} forward(x), forward(u) kept on the state: one forward
-    pass of A_u u and one backward pass.  A G with a shift alpha inverts
+    -Delta_h g.  A G with a `denominator` D (a FastSolver) uses <u, G x>_h =
+    T(u)^T D^{-1} T(x), T = disc.transform and T(u) kept on the state: one
+    transform of A_u u and one inverse transform.  A G with a shift alpha inverts
     -Delta_h + alpha I, so -Delta_h g = A_u u - gamma u - alpha g is free;
     any other G applies -Delta_h to g once."""
     state.require_normalized()
-    u = state.coeffs
-    if hasattr(G, "forward"):
+    u, disc = state.coeffs, state.disc
+    if hasattr(G, "denominator"):
         if state.transformed is None:
-            state.transformed = G.forward(u)
+            state.transformed = disc.transform(u)
         c_u, D = state.transformed, G.denominator
-        c = G.forward(euclidean_gradient(state, problem))
-        t = c_u / D  # forward(G u)
+        c = disc.transform(euclidean_gradient(state, problem))
+        t = c_u / D  # transform(G u)
         gamma = float(np.dot(t, c)) / float(np.dot(t, c_u))
-        c /= D  # forward(G A_u u)
+        c /= D  # transform(G A_u u)
         c = daxpy(t, c, a=-gamma)
-        del t  # before the backward pass
-        g = G.backward(c)
+        del t  # before the inverse transform
+        g = disc.transform(c, inverse=True)
     else:
         grad = G.solve(euclidean_gradient(state, problem))
         Gu = G.solve(u)

@@ -36,14 +36,15 @@ class FixedStep:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
-# the interval the line search takes its step from
+# the line search takes its step from (0, LINE_SEARCH_HI]; LINE_SEARCH_LO is
+# only the step along a zero direction
 LINE_SEARCH_LO = 1e-3
 LINE_SEARCH_HI = 4.0
 
 
 @dataclass(frozen=True)
 class LineSearchStep:
-    """Exact line search over [LINE_SEARCH_LO, LINE_SEARCH_HI] along PR+ directions."""
+    """Exact line search over (0, LINE_SEARCH_HI] along PR+ directions."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
     return lambda state: G
 
 
-# a line search's d, -Delta_h d, forward(d) (or None), g and <g, g>_X; d is g on restart
+# a line search's d, -Delta_h d, transform(d) (or None), g and <g, g>_X; d is g on restart
 Direction = namedtuple("Direction", "d neg_lap transformed g gg")
 
 
@@ -191,7 +192,7 @@ def gradient_step(state: State, problem: Problem, G,
     P the h-projection onto u's tangent space, (d', g') = `state.direction`, beta =
     max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <A_u u, v>_h), or d = g if
     <A_u u, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u'
-    and forward(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`."""
+    and transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`."""
     u, weights = state.coeffs, state.disc.weights
     prev, state.direction = state.direction, None
     if prev is not None:  # P v = v - <u, v>_h u
@@ -214,7 +215,7 @@ def gradient_step(state: State, problem: Problem, G,
             d, lap_d, c_d = prev[:3]
             for v, x, y in zip(prev[:3], (u, state.neg_lap, state.transformed),
                                (g, lap_g, c)):
-                if v is not None:  # beta P v + y, with -Delta_h and forward by linearity
+                if v is not None:  # beta P v + y, -Delta_h and transform by linearity
                     v *= beta
                     daxpy(x, v, a=-beta * sd)  # in place: v is C-contiguous float64
                     v += y
@@ -348,7 +349,8 @@ def default_initial_state(disc, kind: str = "constant",
 
 
 def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunReport:
-    """Iterate the chosen flow until tolerance, stall, or max_iter."""
+    """Iterate the chosen flow until tolerance, stall, divergence (a gradient
+    flow's stall with its energy rising), a step failure, or max_iter."""
     disc = u0.disc
     t0 = time.perf_counter()
 

@@ -7,11 +7,14 @@ Three schemes share one interface and one assembly path:
 * FD2      -- classical second-order centered differences with trapezoid
               weights, built as SEM(1), with which it coincides.
 * COMPACT4 -- fourth-order Pade compact Laplacian T^{-1} K with the FD2
-              energy (trapezoid weights); only the Laplacian changes.
+              weights; its stiffness is the FD2 one times T^{-1}.
 
-A grid has one 1D operator, shared by every axis.  The d-dimensional
-Laplacian is never materialized: it acts as the Kronecker sum of that
-operator via per-axis contractions.
+A grid has one 1D operator (nodes, weights, stiffness), shared by every
+axis.  The d-dimensional Laplacian is never materialized: it acts as the
+Kronecker sum of that operator via per-axis contractions.  The grid also
+owns what fast diagonalization (Lynch, Rice & Thomas 1964) derives from the
+operator: its eigenbasis, once per grid, and the per-axis transforms into
+and out of it, on 2D grids from FOLD_MIN_N nodes folded by mirror parity.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,35 +107,29 @@ def lagrange_diff_matrix(nodes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Operator1D:
-    """Interior-node 1D operator bundle, shared by every axis of a grid.
-
-    S is the stiffness matrix (symmetric PSD), weights the diagonal of the
-    lumped mass matrix.  mass_aux is the tridiagonal Pade matrix T for
-    COMPACT4 (the Laplacian is T^{-1} M^{-1} S there) and None otherwise.
-    """
+    """Interior-node 1D operator bundle, shared by every axis of a grid:
+    the stiffness S (symmetric PSD) and the diagonal of the lumped mass M."""
 
     nodes: np.ndarray
     weights: np.ndarray
     stiffness: np.ndarray
-    mass_aux: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
     def laplacian_matrix(self) -> np.ndarray:
-        """Dense -Delta_h = M^{-1} S (or T^{-1} M^{-1} S for COMPACT4)."""
-        lap = self.stiffness / self.weights[:, None]
-        if self.mass_aux is None:
-            return lap
-        return np.linalg.solve(self.mass_aux, lap)
+        """Dense -Delta_h = M^{-1} S."""
+        return self.stiffness / self.weights[:, None]
 
 
 def build_1d(spec: GridSpec) -> Operator1D:
-    """Assemble the 1D interior operators for the spec's scheme.
+    """Assemble the 1D interior operator for the spec's scheme.
 
     Every scheme goes through the Q^k assembly loop; FD2 and COMPACT4 are
-    its k = 1 case, and COMPACT4 adds the tridiagonal Pade matrix T.
+    its k = 1 case.  COMPACT4's Pade matrix T = tridiag(1, 10, 1) / 12 is
+    I - (h/12) S, the interior weights all being h: T is a polynomial in S, so
+    its stiffness T^{-1} S is symmetric (the solve's round-off is averaged out).
     """
     L = spec.half_width
     h = spec.cell_size
@@ -155,14 +152,32 @@ def build_1d(spec: GridSpec) -> Operator1D:
         S_g[idx, idx] += Sloc
     # eliminate Dirichlet boundary nodes
     keep = slice(1, n_total - 1)
-    T = None
+    S = np.ascontiguousarray(S_g[keep, keep])
     if spec.scheme is Scheme.COMPACT4:
-        n = n_total - 2
-        T = (np.diag(np.full(n, 10.0 / 12.0))
-             + np.diag(np.full(n - 1, 1.0 / 12.0), 1)
-             + np.diag(np.full(n - 1, 1.0 / 12.0), -1))
-    return Operator1D(nodes_g[keep], weights_g[keep],
-                      np.ascontiguousarray(S_g[keep, keep]), mass_aux=T)
+        S = np.linalg.solve(np.eye(len(S)) - (h / 12.0) * S, S)
+        S = 0.5 * (S + S.T)
+    return Operator1D(nodes_g[keep], weights_g[keep], S)
+
+
+@dataclass
+class Eigen1D:
+    """M-orthonormal eigendecomposition of the 1D pencil S z = mu M z."""
+
+    values: np.ndarray   # ascending
+    vectors: np.ndarray  # columns z_i, Z^T M Z = I
+
+
+def generalized_sym_eig(op: Operator1D) -> Eigen1D:
+    S = op.stiffness
+    if not np.allclose(S, S.T, rtol=0, atol=1e-12 * np.abs(S).max()):
+        raise ValueError("stiffness matrix is not symmetric")
+    if np.any(op.weights <= 0):
+        raise ValueError("mass weights must be strictly positive")
+    d = np.sqrt(op.weights)
+    A = S / d[:, None] / d[None, :]
+    mu, Y = np.linalg.eigh(0.5 * (A + A.T))
+    # clip -1e-16 round-off on the smallest modes
+    return Eigen1D(values=np.maximum(mu, 0.0), vectors=Y / d[:, None])
 
 
 def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray, mat_t: np.ndarray | None = None,
@@ -179,7 +194,7 @@ def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray, mat_t: np.ndarray | No
     return out
 
 
-def mirror_blocks(op: Operator1D, e) -> SimpleNamespace | None:
+def mirror_blocks(op: Operator1D, e: Eigen1D) -> SimpleNamespace | None:
     """Even/odd split (Solomonoff 1992) of the eigenbasis Z = e.vectors of a
     mirror-symmetric grid, or None if some <z, Jz>_M misses +-1 by 1e-8 (J the
     reversal): Z^T M x = [fe (x + Jx)[:h] | fo (x - Jx)[:h]], h = ceil(n/2), and
@@ -194,9 +209,18 @@ def mirror_blocks(op: Operator1D, e) -> SimpleNamespace | None:
     return SimpleNamespace(perm=np.r_[ev, od], fe=F[ev], fo=F[od], be=Z[:, ev], bo=Z[:, od])
 
 
+# 2D grids fold their transforms from this many nodes per axis on.  Solve time,
+# fold / plain, 1 BLAS thread: n = 63 x1.63, 79 x1.37, 99 x1.14, 103 x0.91, 127
+# x0.74, 199 x0.80, 299 x0.72, 479 x0.66 (3D, a prototype: 39 x1.33, 47 x~1.5,
+# 79 x~1.15, 99 x~1.45, 149 x~1.0)
+FOLD_MIN_N = 100
+
+
 class TensorOperator:
     """Kronecker-sum action of -Delta_h on [-L, L]^d grid vectors, with the
-    tensor-product mass weights.  Every axis carries the same 1D operator `op`.
+    tensor-product mass weights.  Every axis carries the same 1D operator `op`,
+    and the grid holds what fast diagonalization takes from it, once: the
+    eigenbasis `eigen`, its values in the modes' order and its transforms.
 
     Vectors are flattened C-order over the (n, ..., n) interior grid.
     """
@@ -208,22 +232,57 @@ class TensorOperator:
         self.n = op.n
         self.shape = (op.n,) * spec.dim
         self.ndof = op.n ** spec.dim
-        w = op.weights
-        tensor_w = w
-        for _ in range(spec.dim - 1):
-            tensor_w = np.multiply.outer(tensor_w, w)
-        self.weights = tensor_w.reshape(-1)
+        self.weights = reduce(np.multiply.outer, [op.weights] * spec.dim).reshape(-1)
         self._lap1d = op.laplacian_matrix()
         self._lap1d_t = np.ascontiguousarray(self._lap1d.T) if spec.dim == 3 else None
 
     @cached_property
-    def eigen(self):  # the 1D pencil's Eigen1D, shared by every FastSolver here
-        from .linalg import generalized_sym_eig  # linalg imports this module
+    def eigen(self) -> Eigen1D:  # the 1D pencil's
         return generalized_sym_eig(self.op)
 
     @cached_property
-    def mirror(self):  # `eigen`'s even/odd half blocks or None, shared likewise
-        return mirror_blocks(self.op, self.eigen)
+    def mirror(self) -> SimpleNamespace | None:
+        """`eigen`'s even/odd half blocks on a 2D grid from FOLD_MIN_N on, else None."""
+        folds = self.dim == 2 and self.n >= FOLD_MIN_N
+        return mirror_blocks(self.op, self.eigen) if folds else None
+
+    @cached_property
+    def mode_values(self) -> np.ndarray:
+        """`eigen`'s values in the order of the transforms' modes along an axis."""
+        return self.eigen.values if self.mirror is None else self.eigen.values[self.mirror.perm]
+
+    @cached_property
+    def _plain(self) -> list:  # [(Z^T M, ...), (Z, ...)], each with its 3D slabs' transpose
+        Z = self.eigen.vectors
+        return [(m, np.ascontiguousarray(m.T) if self.dim == 3 else None)
+                for m in (Z.T * self.op.weights, Z)]
+
+    def transform(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Z^T M x, or its inverse Z x (Z^T M Z = I), with Z = `eigen.vectors`
+        applied along every axis, one pass each, into a fresh array.  A grid
+        with half blocks (`mirror`) splits each pass in two halves, its modes
+        running [even | odd] along each axis."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.ndof,):
+            raise ValueError(f"expected vector of length {self.ndof}, got shape {x.shape}")
+        x, f, h = x.reshape(self.shape), self.mirror, (self.n + 1) // 2
+        for axis in range(self.dim):
+            head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
+            if f is None:
+                x = axis_apply(x, axis, *self._plain[inverse])
+                continue
+            S, A = ((axis_apply(x[head], axis, f.be), axis_apply(x[tail], axis, f.bo)) if inverse
+                    else (x[head] + np.flip(x, axis)[head], x[head] - np.flip(x, axis)[head]))
+            del x  # frees the pass's input unless a caller holds it
+            x = np.empty(self.shape)
+            if inverse:  # [E + O | J(E - O)] with E = be c_even and O = bo c_odd
+                np.subtract(S, A, out=np.flip(x, axis)[head])
+                np.add(S, A, out=x[head])  # last: an odd n's centre row is E + O
+            else:  # [fe (x + Jx)[:h] | fo (x - Jx)[:h]]
+                axis_apply(S, axis, f.fe, out=x[head])
+                axis_apply(A, axis, f.fo, out=x[tail])
+            S = A = None  # before the next pass
+        return x.reshape(-1)
 
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

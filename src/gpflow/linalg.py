@@ -2,9 +2,9 @@
 
 `shifted_solver(disc, alpha)` picks the solver for (-Delta_h + alpha I)^{-1}.
 On a tensor grid it is a FastSolver, by fast diagonalization (Lynch, Rice &
-Thomas 1964): one eigendecomposition of the grid's 1D pencil S z = mu M z,
-then per axis a forward transform, division by the Kronecker-sum
-eigenvalues plus alpha, and per axis a back transform.  Cost is
+Thomas 1964): the grid's transform into the eigenbasis of its 1D pencil
+S z = mu M z (one pass per axis), division by the Kronecker-sum eigenvalues
+plus alpha, and the inverse transform.  Cost is
 O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.  On an
 assembled P1 mesh it is one sparse LU of S + alpha M, and
 solve(b) = (S + alpha M)^{-1} M b.  The shifted solver is also the
@@ -16,111 +16,39 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import factorized, lobpcg
 
-from .grids import Operator1D, TensorOperator, axis_apply
+from .grids import TensorOperator
 
 
 class SolverError(RuntimeError):
     pass
 
 
-@dataclass
-class Eigen1D:
-    """M-orthonormal eigendecomposition of the 1D pencil S z = mu M z."""
-
-    values: np.ndarray   # ascending
-    vectors: np.ndarray  # columns z_i, Z^T M Z = I
-
-
-def generalized_sym_eig(op: Operator1D) -> Eigen1D:
-    S = op.stiffness
-    if not np.allclose(S, S.T, rtol=0, atol=1e-12 * np.abs(S).max()):
-        raise SolverError("stiffness matrix is not symmetric")
-    if np.any(op.weights <= 0):
-        raise SolverError("mass weights must be strictly positive")
-    if op.mass_aux is not None:
-        # COMPACT4: diagonalize T^{-1} M^{-1} S through the pencil (M^{-1}S, T);
-        # T and M^{-1}S commute, so eigenvectors are M-orthogonal.
-        K = S / op.weights[:, None]
-        mu, Z = scipy.linalg.eigh(K, op.mass_aux)
-        norms = np.sqrt(np.einsum("ij,i,ij->j", Z, op.weights, Z))
-        Z = Z / norms
-    else:
-        d = np.sqrt(op.weights)
-        A = S / d[:, None] / d[None, :]
-        A = 0.5 * (A + A.T)
-        mu, Y = np.linalg.eigh(A)
-        Z = Y / d[:, None]
-    mu = np.maximum(mu, 0.0)  # clip -1e-16 round-off on the smallest modes
-    return Eigen1D(values=mu, vectors=Z)
-
-
 class FastSolver:
-    """Direct tensor-product solver for (-Delta_h + alpha I) x = b: solve(b) =
-    backward(forward(b) / denominator), forward(b) = Z^T M b and backward(c) = Z c
-    each one pass per axis; Z is the grid's 1D eigenbasis `op.eigen`, shared.
-    2D grids from n = FOLD_MIN_N on split each pass in two halves by `fold` =
-    `op.mirror` (else None), the modes running [even | odd] along each axis.  Solve
-    time, fold / plain, 1 BLAS thread: n = 63 x1.63, 79 x1.37, 99 x1.14, 103 x0.91,
-    127 x0.74, 199 x0.80, 299 x0.72, 479 x0.66 (3D, a prototype: 39 x1.33, 47 x~1.5,
-    79 x~1.15, 99 x~1.45, 149 x~1.0)."""
-
-    FOLD_MIN_N = 100
+    """Direct tensor-product solver for (-Delta_h + alpha I) x = b by fast
+    diagonalization: solve(b) = Z (D^{-1} Z^T M b), Z^T M and Z the grid's
+    `transform` and its inverse, D = `denominator` the Kronecker sum of the
+    grid's 1D eigenvalues (in its modes' order) plus alpha."""
 
     def __init__(self, op: TensorOperator, alpha: float):
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
-        self.op, self.alpha, e = op, alpha, op.eigen
-        self.fold = op.mirror if op.dim == 2 and op.n >= self.FOLD_MIN_N else None
-        if self.fold is None:  # [(Z, ...), (Z^T M, ...)], each with its 3D slabs' transpose
-            self._plain = [(m, np.ascontiguousarray(m.T) if op.dim == 3 else None)
-                           for m in (e.vectors, e.vectors.T * op.op.weights)]
-        total = values = e.values if self.fold is None else e.values[self.fold.perm]
-        for _ in range(op.dim - 1):
-            total = total[..., None] + values
+        self.op, self.alpha = op, alpha
+        total = reduce(np.add.outer, [op.mode_values] * op.dim)
         self.denominator = (total + alpha).reshape(-1)
         if np.any(self.denominator <= 0):
             raise SolverError("shifted operator is singular")
 
-    def _transform(self, X: np.ndarray, forward: bool) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape != (self.op.ndof,):
-            raise ValueError(f"expected vector of length {self.op.ndof}, got shape {X.shape}")
-        X, f, h = X.reshape(self.op.shape), self.fold, (self.op.n + 1) // 2
-        for axis in range(self.op.dim):
-            head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
-            if f is None:
-                X = axis_apply(X, axis, *self._plain[forward])
-                continue
-            S, A = ((X[head] + np.flip(X, axis)[head], X[head] - np.flip(X, axis)[head]) if forward
-                    else (axis_apply(X[head], axis, f.be), axis_apply(X[tail], axis, f.bo)))
-            del X  # frees the pass's input unless a caller holds it
-            X = np.empty(self.op.shape)
-            if forward:  # [fe (x + Jx)[:h] | fo (x - Jx)[:h]]
-                axis_apply(S, axis, f.fe, out=X[head])
-                axis_apply(A, axis, f.fo, out=X[tail])
-            else:  # [E + O | J(E - O)] with E = be c_even and O = bo c_odd
-                np.subtract(S, A, out=np.flip(X, axis)[head])
-                np.add(S, A, out=X[head])  # last: an odd n's centre row is E + O
-            S = A = None  # before the next pass
-        return X.reshape(-1)  # a fresh array
-
-    def forward(self, b: np.ndarray) -> np.ndarray:  # Z^T M b
-        return self._transform(b, True)
-
-    def backward(self, c: np.ndarray) -> np.ndarray:  # Z c, forward's inverse
-        return self._transform(c, False)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # backward(forward(b) / D); the quotient stays unnamed so that the
-        # first backward pass frees it (held, it costs a solve ~2%)
-        return self._transform(self.forward(b) / self.denominator, False)
+        # the quotient stays unnamed so that the first inverse pass frees it
+        # (held, it costs a solve ~2%)
+        return self.op.transform(self.op.transform(b) / self.denominator, inverse=True)
 
 
 def shifted_solver(disc, alpha: float):

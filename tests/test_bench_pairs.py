@@ -20,9 +20,10 @@ def test_sides_alternate_which_runs_first():
     assert sum(o[0] == "base" for o in orders) == 5
 
 
-def run(pair, side, flow_s, rss, failed=0, workload="w", load=1.0):
+def run(pair, side, flow_s, rss, failed=0, workload="w", load=1.0, results=()):
     return {"pair": pair, "workload": workload, "side": side, "failed": failed,
-            "load": load, "metrics": {"flow_s": flow_s, "peak_rss_mb": rss}}
+            "load": load, "metrics": {"flow_s": flow_s, "peak_rss_mb": rss},
+            "results": list(results)}
 
 
 def test_summary_quartiles_changes_and_wins():
@@ -83,3 +84,34 @@ def test_summary_claim_met_and_within_bound():
     assert [flow[w]["within_bound"] for w in cases] == [True, True, False]
     assert s["met"]["peak_rss_mb"]["within_bound"] is None
     assert s["met"]["peak_rss_mb"]["claim_met"] is False  # ties win nothing
+
+
+def solve(label, iterations, energy, reason="tol"):
+    return {"label": label, "seconds": 0.1 * iterations, "error": None, "failures": [],
+            "reason": reason, "iterations": iterations, "residual": 1e-11,
+            "energy": energy, "eigenvalue": 2.0 * energy, "max_energy_rise_rel": 0.0}
+
+
+def test_solve_facts_are_each_distinct_solve_once():
+    """Passes that repeat a run's solves give one fact list; timings and the
+    gate's fields are left out."""
+    a, b = solve("modified_h1", 22, 0.16), solve("bfsp", 114, 0.17, "stall")
+    record = {"passes": [{"solves": [a, b]}, {"solves": [dict(a, seconds=9.0), b]}]}
+    assert bench_pairs.solve_facts(record) == [
+        ["modified_h1", "tol", 22, 0.16, 0.32, 1e-11],
+        ["bfsp", "stall", 114, 0.17, 0.34, 1e-11]]
+
+
+def test_summary_same_results_needs_equal_facts_in_every_pair():
+    same = bench_pairs.solve_facts({"passes": [{"solves": [solve("m", 22, 0.16)]}]})
+    other = bench_pairs.solve_facts({"passes": [{"solves": [solve("m", 22, 0.16 + 1e-16)]}]})
+    runs = []
+    for i in range(3):
+        runs += [run(i, "base", 1.0, 1.0, workload=w, results=same)
+                 for w in ("equal", "unequal")]
+        runs += [run(i, "work", 1.0, 1.0, workload="equal", results=same),
+                 run(i, "work", 1.0, 1.0, workload="unequal",
+                     results=other if i == 2 else same)]
+    s = bench_pairs.summarize(runs, {"flow_s": "lower"})
+    assert s["equal"]["same_results"] is True
+    assert s["unequal"]["same_results"] is False

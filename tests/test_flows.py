@@ -419,7 +419,7 @@ def stale_direction(state, problem, G, rule):
     for x in (state.coeffs, r):
         v -= inner_h(disc, x, v) / inner_h(disc, x, x) * x
     v *= 1e6
-    return flows.Direction(v, disc.apply_neg_laplacian(v), G.forward(v),
+    return flows.Direction(v, disc.apply_neg_laplacian(v), disc.transform(v),
                            np.zeros_like(v), rr)
 
 
@@ -628,19 +628,24 @@ def counted(counts: dict, fn, key: str):
     pytest.param(FlowKind.L2, LineSearchStep(), id="l2-LineSearchStep()"),
 ])
 def test_operator_counts_per_iteration(monkeypatch, kind, policy, tol):
-    """A modified-H1 iterate costs one forward pass (of A_u u) and one
-    backward pass, with no solve and no Laplacian: -Delta_h u and forward(u)
+    """A modified-H1 iterate costs one transform (of A_u u) and one inverse
+    transform, with no solve and no Laplacian: -Delta_h u and transform(u)
     are carried and -Delta_h g is free, the line search's included.  An L2
     iterate costs one Laplacian, of its gradient, which the line search
     reuses.  Only the start and the states rebuilt to check a record that
-    met the tolerance apply -Delta_h u and forward(u) to the state itself."""
+    met the tolerance apply -Delta_h u and transform(u) to the state itself."""
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
     u0 = default_initial_state(disc)
     counts = dict.fromkeys(["lap", "forward", "backward", "solve"], 0)
     monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
                         counted(counts, TensorOperator.apply_neg_laplacian, "lap"))
-    for name in ("forward", "backward", "solve"):
-        monkeypatch.setattr(FastSolver, name, counted(counts, getattr(FastSolver, name), name))
+    transform = TensorOperator.transform
+
+    def counted_transform(self, x, inverse=False):
+        counts["backward" if inverse else "forward"] += 1
+        return transform(self, x, inverse)
+    monkeypatch.setattr(TensorOperator, "transform", counted_transform)
+    monkeypatch.setattr(FastSolver, "solve", counted(counts, FastSolver.solve, "solve"))
     report = run(FlowConfig(kind=kind, alpha=problem.alpha, step=policy), problem, u0,
                  StopRule(residual_tol=tol, stall_window=50, max_iter=6 if tol == 0 else 300))
     k, refreshes = report.iterations, report.refreshes
@@ -649,7 +654,7 @@ def test_operator_counts_per_iteration(monkeypatch, kind, policy, tol):
         unused = 0
     else:
         assert report.reason == "tol" and refreshes >= 1
-        # the stopping state was rebuilt; no step follows to take its forward(u)
+        # the stopping state was rebuilt; no step follows to take its transform(u)
         unused = 1
     if kind is FlowKind.L2:
         assert counts["lap"] == 1 + k + refreshes
@@ -696,7 +701,7 @@ def test_bfsp_step_applies_no_laplacian(monkeypatch, tol):
     for kind in (FlowKind.MODIFIED_H1, FlowKind.L2, FlowKind.A0, FlowKind.AU)
     for policy in (FixedStep(1.0), LineSearchStep())])
 def test_carried_values_stay_exact_over_20_steps(kind, policy):
-    """-Delta_h u, and forward(u) for a FastSolver G, carried by linearity
+    """-Delta_h u, and transform(u) for a FastSolver G, carried by linearity
     through the steps, match the operators applied to the iterate, for every
     metric."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
@@ -709,7 +714,7 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
     pairs = [(state.neg_lap, disc.apply_neg_laplacian(state.coeffs))]
     if kind is FlowKind.MODIFIED_H1:
         assert state.transformed is not None
-        pairs.append((state.transformed, G_at(state).forward(state.coeffs)))
+        pairs.append((state.transformed, disc.transform(state.coeffs)))
     for carried, exact in pairs:
         assert np.linalg.norm(carried - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -729,7 +734,7 @@ def test_run_peak_memory_in_vectors(flow, vectors, spec):
     peak is in a 3D transform pass of the step; a state's u*w held through
     it would add a vector, and so would the record's A_u u held through a
     BFSP solve.  The line search adds the four vectors its conjugate
-    direction keeps across a step: d, -Delta_h d, forward(d) and g.  A state
+    direction keeps across a step: d, -Delta_h d, transform(d) and g.  A state
     built from coefficients holds no vector of its own until a diagnostic
     asks for one.  On the 2D lattice grid a 1D matrix is as large as a
     vector, so its count also holds the 1D eigenbasis and the half blocks

@@ -4,9 +4,9 @@ import scipy.linalg
 
 from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
-from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d, mirror_blocks
-from gpflow.linalg import (Eigen1D, FastSolver, PCGBreakdown, SolverError,
-                           generalized_sym_eig, lowest_two_eigenpairs, pcg)
+from gpflow.grids import (Eigen1D, GridSpec, Scheme, TensorOperator, build_1d,
+                          generalized_sym_eig, mirror_blocks)
+from gpflow.linalg import FastSolver, PCGBreakdown, SolverError, lowest_two_eigenpairs, pcg
 from gpflow.potentials import sin2_product
 
 from test_tensor import dense_lap
@@ -94,16 +94,29 @@ def test_fast_solver_matches_dense(spec):
     GridSpec(8.0, 2, 101, Scheme.COMPACT4),  # folded, n = 100 even
 ], ids=str)
 def test_fast_solver_is_its_two_transform_halves(spec):
-    """solve(b) = backward(forward(b) / D) bit for bit, and backward inverts
-    forward: forward(backward(c)) = c since Z^T M Z = I."""
+    """solve(b) = T^{-1}(T(b) / D) bit for bit with T the grid's transform, and
+    the inverse transform inverts it: T(T^{-1}(c)) = c since Z^T M Z = I."""
     disc = TensorOperator(spec)
     fs = FastSolver(disc, 0.15)
     rng = np.random.default_rng(3)
     for _ in range(3):
         b = rng.standard_normal(disc.ndof)
-        assert np.array_equal(fs.solve(b), fs.backward(fs.forward(b) / fs.denominator))
+        assert np.array_equal(fs.solve(b),
+                              disc.transform(disc.transform(b) / fs.denominator, inverse=True))
         c = rng.standard_normal(disc.ndof)
-        assert np.allclose(fs.forward(fs.backward(c)), c, rtol=0, atol=1e-13 * np.abs(c).max())
+        assert np.allclose(disc.transform(disc.transform(c, inverse=True)), c,
+                           rtol=0, atol=1e-13 * np.abs(c).max())
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(1.0, 3, 6, Scheme.SEM, 3),
+    GridSpec(8.0, 2, 64, Scheme.FD2),  # plain passes
+    GridSpec(8.0, 2, 128, Scheme.FD2),  # folded
+], ids=str)
+def test_fast_solver_keeps_only_its_shift(spec):
+    """A solver holds its grid, its shift and its denominator; the transforms
+    and everything they read belong to the grid."""
+    assert set(vars(FastSolver(TensorOperator(spec), 0.15))) == {"op", "alpha", "denominator"}
 
 
 def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
@@ -116,7 +129,7 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
         calls.append(op)
         return generalized_sym_eig(op)
 
-    monkeypatch.setattr("gpflow.linalg.generalized_sym_eig", counted)
+    monkeypatch.setattr("gpflow.grids.generalized_sym_eig", counted)
     spec = GridSpec(8.0, 3, 8, Scheme.COMPACT4)
     disc = TensorOperator(spec)
     solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
@@ -137,22 +150,22 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
     GridSpec(8.0, 2, 150, Scheme.SEM, 2),
 ], ids=str)
 def test_folded_transforms_are_the_kronecker_products(spec):
-    """On n = 299 and 298 the folded forward is (F x F) b, F = Z^T M, and the
-    folded backward (Z x Z) c, to 1e-13 relative, with the modes in the
-    solver's order [even | odd] and Z the eigenbasis with each column's
-    parity made exact (the one the blocks are sliced from; eigh's columns
-    break it by up to ~3e-12 at n = 299).  The folded solve's residual stays
-    below 1e-13 relative."""
+    """On n = 299 and 298 the folded transform is (F x F) b, F = Z^T M, and
+    its inverse (Z x Z) c, to 1e-13 relative, with the modes in the grid's
+    order [even | odd] and Z the eigenbasis with each column's parity made
+    exact (the one the blocks are sliced from; eigh's columns break it by up
+    to ~3e-12 at n = 299).  The folded solve's residual stays below 1e-13
+    relative."""
     disc = TensorOperator(spec)
     fs = FastSolver(disc, 0.15)
-    assert fs.fold is not None
+    assert disc.mirror is not None
     Z, w = disc.eigen.vectors, disc.op.weights
     parity = np.sign(np.einsum("ij,i,ij->j", Z, w, Z[::-1]))
-    Z = (0.5 * (Z + Z[::-1] * parity))[:, fs.fold.perm]
+    Z = (0.5 * (Z + Z[::-1] * parity))[:, disc.mirror.perm]
     F = Z.T * w
     B, C = np.random.default_rng(7).standard_normal((2,) + disc.shape)
-    for got, want in ((fs.forward(B.ravel()), F @ B @ F.T),
-                      (fs.backward(C.ravel()), Z @ C @ Z.T)):
+    for got, want in ((disc.transform(B.ravel()), F @ B @ F.T),
+                      (disc.transform(C.ravel(), inverse=True), Z @ C @ Z.T)):
         assert np.linalg.norm(got - want.ravel()) <= 1e-13 * np.linalg.norm(want)
     b = B.ravel()
     x = fs.solve(b)
@@ -161,40 +174,48 @@ def test_folded_transforms_are_the_kronecker_products(spec):
 
 @pytest.mark.parametrize("dim, n, folds", [
     (3, 99, False), (3, 47, False), (2, 63, False), (2, 299, True), (2, 128, True)])
-def test_fold_selection_rule(dim, n, folds):
+def test_fold_selection_rule(monkeypatch, dim, n, folds):
     """2D grids with n >= FOLD_MIN_N fold; 3D grids and small n keep the
     plain passes and never slice the half blocks."""
+    calls = counting(mirror_blocks)
+    monkeypatch.setattr("gpflow.grids.mirror_blocks", calls)
     disc = TensorOperator(GridSpec(8.0, dim, n + 1, Scheme.FD2))
-    assert (FastSolver(disc, 0.0).fold is not None) is folds
-    assert ("mirror" in vars(disc)) is folds
+    FastSolver(disc, 0.0)
+    assert (disc.mirror is not None) is folds
+    assert calls.calls == int(folds)
 
 
 def test_mixed_parity_keeps_the_plain_passes():
     """A basis whose columns break parity (modes 0 and 1, even and odd, turned
-    by 1e-3: <z, Jz>_M = cos(2e-3)) gives no half blocks, and a 2D solver on
-    such a grid runs the plain passes."""
+    by 1e-3: <z, Jz>_M = cos(2e-3)) gives no half blocks, and a 2D grid with
+    none runs the plain passes, its modes in ascending order."""
     disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
     Z = disc.eigen.vectors.copy()
     c, s = np.cos(1e-3), np.sin(1e-3)
     Z[:, :2] = Z[:, :2] @ np.array([[c, -s], [s, c]])
     assert mirror_blocks(disc.op, disc.eigen) is not None
     disc.mirror = mirror_blocks(disc.op, Eigen1D(disc.eigen.values, Z))
-    assert disc.mirror is None and FastSolver(disc, 0.15).fold is None
+    assert disc.mirror is None
+    values = disc.eigen.values
+    assert np.array_equal(FastSolver(disc, 0.15).denominator,
+                          (np.add.outer(values, values) + 0.15).ravel())
+    F = disc.eigen.vectors.T * disc.op.weights
+    B = np.random.default_rng(7).standard_normal(disc.shape)
+    assert np.array_equal(disc.transform(B.ravel()), (F @ B @ F.T).ravel())
 
 
 def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
     """Solvers at three shifts on a folded grid share one slicing of the half
-    blocks, and the spectral order is the grid's: a state's `transformed` from
-    one solver serves them all, each gradient matching a fresh state's bit
-    for bit."""
+    blocks, and the spectral order is the grid's: a state's `transformed`
+    serves them all, each gradient matching a fresh state's bit for bit."""
     calls = counting(mirror_blocks)
     monkeypatch.setattr("gpflow.grids.mirror_blocks", calls)
     disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
     solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
-    assert calls.calls == 1 and all(fs.fold is disc.mirror for fs in solvers)
+    assert calls.calls == 1
     u = retract(disc, 1.0 + np.random.default_rng(2).random(disc.ndof))
-    transformed = solvers[1].forward(u)
+    transformed = disc.transform(u)
     for fs in solvers:
         got = riemannian_gradient(State(u, disc, transformed=transformed.copy()), problem, fs)
         want = riemannian_gradient(State(u, disc), problem, fs)

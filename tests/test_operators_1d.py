@@ -31,7 +31,6 @@ def test_fd2_small_grid_explicit():
     assert np.allclose(op.weights, [0.5, 0.5, 0.5])
     want = np.array([[4.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 4.0]])
     assert np.allclose(op.stiffness, want)
-    assert op.mass_aux is None
 
 
 def fd2_eigen(k, n, h, L):
@@ -124,16 +123,23 @@ def test_sem_stiffness_matches_dense_quadrature(k, Nc):
 
 
 def test_compact4_matrices():
-    op = build_1d(GridSpec(1.0, 1, 8, Scheme.COMPACT4))
-    n = op.n
-    K = op.stiffness / op.weights[:, None]
-    T = op.mass_aux
-    assert np.allclose(np.diag(T), 10.0 / 12.0)
-    assert np.allclose(np.diag(T, 1), 1.0 / 12.0)
-    # T = I - (h^2/12) K, hence T and K commute
-    h = op.nodes[1] - op.nodes[0]
-    assert np.allclose(T, np.eye(n) - (h ** 2 / 12.0) * K, atol=1e-13)
-    assert np.allclose(T @ K, K @ T, atol=1e-10)
+    """COMPACT4 has the FD2 weights and the stiffness T^{-1} S, S the FD2
+    stiffness and T = tridiag(1, 10, 1) / 12 the Pade matrix: T = I - (h^2/12) K
+    with K = M^{-1} S, so T^{-1} S is symmetric.  Its Laplacian is the Pade form
+    T^{-1} M^{-1} S; all three to 1e-13 of the largest entry, at n = 7, 39, 299."""
+    for cells in (8, 40, 300):
+        op = build_1d(GridSpec(1.0, 1, cells, Scheme.COMPACT4))
+        fd2 = build_1d(GridSpec(1.0, 1, cells, Scheme.FD2))
+        n, S, w = op.n, fd2.stiffness, fd2.weights
+        T = (10.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12.0
+        h = op.nodes[1] - op.nodes[0]
+        assert np.allclose(T, np.eye(n) - (h ** 2 / 12.0) * S / w[:, None], atol=1e-13)
+        assert np.array_equal(op.weights, w) and np.array_equal(op.nodes, fd2.nodes)
+        X = np.linalg.solve(T, S)
+        assert np.abs(X - X.T).max() <= 1e-13 * np.abs(X).max()
+        assert np.abs(op.stiffness - 0.5 * (X + X.T)).max() <= 1e-13 * np.abs(X).max()
+        pade = np.linalg.solve(T, S / w[:, None])
+        assert np.abs(op.laplacian_matrix() - pade).max() <= 1e-13 * np.abs(pade).max()
 
 
 def test_compact4_mode_eigenvalues():

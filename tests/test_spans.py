@@ -72,8 +72,8 @@ def test_bfsp_traces_one_step_per_iteration():
 
 def test_tensor_grid_solves_trace_through_fast_solver():
     """shifted_solver builds the FastSolver class the tracer patches.  The
-    modified-H1 flow uses its forward/backward halves, which the tracer does
-    not wrap; BFSP still calls its solve once per iteration."""
+    modified-H1 flow uses the grid's transforms, which the tracer does not
+    wrap; BFSP still calls the solver's solve once per iteration."""
     _, names = traced_run(FlowKind.MODIFIED_H1)
     assert names.count("linalg.fastsolver_init") == 1
     report, names = traced_run(FlowKind.BFSP)
