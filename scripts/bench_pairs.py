@@ -16,7 +16,9 @@ that gsbench writes to gsbench/out/.  The output JSON holds every run,
 each side's median load per workload (a busy host slows both sides and
 widens the spread), whether both sides of every pair gave the same facts
 (`same_results`: a change meant to keep the numbers shows here that it
-did), and, per workload and metric, the median and
+did) and the same label, reason and iterations (`same_counts`: a change
+that moves only round-off shows here that its runs stop alike), and, per
+workload and metric, the median and
 quartiles of each side and of the per-pair relative change, how many
 pairs the working tree won, whether a claimed gain is met and whether the
 working tree stays within the metric's bound (see `summarize`).  It names
@@ -41,6 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "work")
 PAIRS = 10
 FACTS = ("label", "reason", "iterations", "energy", "eigenvalue", "residual")
+COUNTED = 3  # FACTS[:COUNTED] say how a solve stopped, the rest where
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -56,7 +59,8 @@ def quartiles(values: list[float]) -> dict[str, float]:
 def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per workload: each side's median load, `same_results` (every pair's
-    sides gave equal solve facts), and per metric the quartiles
+    sides gave equal solve facts), `same_counts` (equal labels, reasons and
+    iterations: the first COUNTED facts), and per metric the quartiles
     of each side, of the relative change work/base - 1 within each pair, and
     the pairs the work side won (strictly better in the metric's direction).
     `claim_met`: the work side won at least 9 in 10 pairs and its median is
@@ -76,7 +80,10 @@ def summarize(runs: list[dict], better: dict[str, str],
                   "load": {s: statistics.median(p[s]["load"] for p in complete)
                            for s in SIDES},
                   "same_results": all(p["base"]["results"] == p["work"]["results"]
-                                      for p in complete)}
+                                      for p in complete),
+                  "same_counts": all([f[:COUNTED] for f in p["base"]["results"]]
+                                     == [f[:COUNTED] for f in p["work"]["results"]]
+                                     for p in complete)}
         for metric, direction in better.items():
             sign = -1.0 if direction == "lower" else 1.0
             base = [p["base"]["metrics"][metric] for p in complete]

@@ -29,8 +29,6 @@ from .potentials import _u_star, exact_case_potential
 
 @dataclass(frozen=True)
 class ExactCase:
-    beta: float
-    dim: int
     potential: np.ndarray     # node values of beta (1 - u*^2)
     u_star: np.ndarray        # node values of the amplitude-1 ground state
     lambda_star: float
@@ -46,8 +44,6 @@ def exact_case(disc, beta: float) -> ExactCase:
     d = coords.shape[1]
     lam = d * np.pi ** 2 / 4.0 + beta
     return ExactCase(
-        beta=beta,
-        dim=d,
         potential=exact_case_potential(beta)(coords),
         u_star=_u_star(coords),
         lambda_star=lam,

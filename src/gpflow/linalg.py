@@ -107,13 +107,12 @@ def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500):
 
 @dataclass
 class EigenResult:
-    """Lowest eigenpairs of an <.,.>_h-symmetric operator A v = lambda v;
-    lambda1 and v1 are None when one pair was asked for."""
+    """The two lowest eigenpairs of an <.,.>_h-symmetric operator A v = lambda v."""
 
     lambda0: float
-    lambda1: float | None
+    lambda1: float
     v0: np.ndarray
-    v1: np.ndarray | None
+    v1: np.ndarray
 
     @property
     def gap(self) -> float:
@@ -121,13 +120,13 @@ class EigenResult:
 
 
 def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
-                          k=2, start=None) -> EigenResult:
-    """The k (1 or 2) smallest eigenpairs by LOBPCG (Knyazev 2001).
+                          start=None) -> EigenResult:
+    """The two smallest eigenpairs by LOBPCG (Knyazev 2001).
 
     apply_A acts on coefficient vectors and is symmetric w.r.t. the weighted
     inner product; solve_inner, when given, is the preconditioner (typically
     the solve of a shifted_solver for a shifted Laplacian close to A).
-    LOBPCG starts from a seeded random block whose first columns the m <= k
+    LOBPCG starts from a seeded random block whose first columns the m <= 2
     vectors in `start` replace; a start must neither be orthogonal to the wanted
     eigenvectors nor keep a symmetry (a parity, say) that they break.
     LOBPCG runs on the similar standard problem in y = sqrt(w) v, where the
@@ -135,8 +134,6 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
     else SolverError; lambdas ascend, and each v is h-normalized with a
     nonnegative weighted mean.
     """
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
     s = np.sqrt(weights)[:, None]
 
     def similar(f):  # Y -> s f(Y / s), column by column
@@ -144,7 +141,7 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
 
     A = similar(apply_A)
     M = None if solve_inner is None else similar(solve_inner)
-    Y = np.random.default_rng(0).standard_normal((len(weights), k))
+    Y = np.random.default_rng(0).standard_normal((len(weights), 2))
     if start is not None:
         Y[:, :len(start)] = s * np.column_stack(start)
     # lobpcg's tol is absolute: when |lambda| < 1, go on from the last block
@@ -162,5 +159,4 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
                           f"residuals {res}, lambda {lam}")
     V = Y / s
     V *= np.where(weights @ V < 0, -1.0, 1.0)
-    lambda1, v1 = (float(lam[1]), V[:, 1]) if k == 2 else (None, None)
-    return EigenResult(lambda0=float(lam[0]), lambda1=lambda1, v0=V[:, 0], v1=v1)
+    return EigenResult(float(lam[0]), float(lam[1]), V[:, 0], V[:, 1])

@@ -115,3 +115,22 @@ def test_summary_same_results_needs_equal_facts_in_every_pair():
     s = bench_pairs.summarize(runs, {"flow_s": "lower"})
     assert s["equal"]["same_results"] is True
     assert s["unequal"]["same_results"] is False
+
+
+def test_summary_same_counts_needs_equal_labels_reasons_and_iterations():
+    """Energies that differ in round-off leave `same_counts` true and make
+    `same_results` false; one more iteration makes `same_counts` false."""
+    def facts(iterations, energy):
+        return bench_pairs.solve_facts({"passes": [{"solves": [
+            solve("m", 22, 0.16), solve("b", iterations, energy, "stall")]}]})
+    runs = []
+    for i in range(3):
+        runs += [run(i, "base", 1.0, 1.0, workload=w, results=facts(114, 0.17))
+                 for w in ("equal", "unequal")]
+        runs += [run(i, "work", 1.0, 1.0, workload="equal",
+                     results=facts(114, 0.17 + 1e-16)),
+                 run(i, "work", 1.0, 1.0, workload="unequal",
+                     results=facts(113 if i == 1 else 114, 0.17))]
+    s = bench_pairs.summarize(runs, {"flow_s": "lower"})
+    assert (s["equal"]["same_counts"], s["equal"]["same_results"]) == (True, False)
+    assert (s["unequal"]["same_counts"], s["unequal"]["same_results"]) == (False, False)

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from gpflow.linalg import (FastSolver, SolverError, lowest_two_eigenpairs,
 from gpflow.potentials import harmonic_lattice, sin2_product
 
 from test_energy import norm_X
-from test_linalg import counting
 from test_tensor import dense_lap
 
 
@@ -571,29 +571,68 @@ def test_default_initial_state_linear_is_linear_ground_state():
         default_initial_state(disc, "quadratic", problem)
 
 
-def test_linear_start_from_the_ground_mode_halves_the_A_applications(monkeypatch):
-    """LOBPCG from the Laplacian's ground mode z0 x z0 makes at most half the
-    A-applications of the seeded random block (11 against 28 when this was
-    written), and finds the same lambda0."""
-    seen = {}
+def lobpcg_ground_state(disc, problem):
+    """v0 of -Delta_h + V by LOBPCG: h-normalized, with a nonnegative weighted mean."""
+    pre = shifted_solver(disc, problem.alpha)
+    return lowest_two_eigenpairs(
+        lambda w: disc.apply_neg_laplacian(w) + problem.potential * w,
+        disc.weights, tol=1e-10, solve_inner=pre.solve).v0
 
-    def capture(apply_A, weights, **kw):
-        seen.update(apply_A=apply_A, weights=weights, kw=kw)
-        return lowest_two_eigenpairs(apply_A, weights, **kw)
 
-    monkeypatch.setattr("gpflow.linalg.lowest_two_eigenpairs", capture)
-    disc = TensorOperator(GridSpec(8.0, 2, 64, Scheme.FD2))
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 2, 64, Scheme.FD2),
+    # eigh gives this grid's 1D ground mode a negative sum: an unsigned
+    # z0 x z0 x z0 would start, and end, at -u
+    GridSpec(8.0, 3, 16, Scheme.COMPACT4),
+    GridSpec(8.0, 3, 10, Scheme.SEM, 2)], ids=["fd2-2D", "compact4-3D", "sem2-3D"])
+def test_linear_start_is_lobpcgs_ground_state_without_lobpcg(monkeypatch, spec):
+    """The linear start runs the beta = 0 line-search flow: it makes no LOBPCG
+    call, and it matches LOBPCG's v0 to 1e-10 in the h-norm, with a positive
+    weighted mean."""
+    disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
-    default_initial_state(disc, "linear", problem)
-    kw = seen["kw"]
-    mode, = kw["start"]
-    assert np.all(mode > 0) or np.all(mode < 0)  # z0 has one sign
-    A_mode, A_random = counting(seen["apply_A"]), counting(seen["apply_A"])
-    from_mode = lowest_two_eigenpairs(A_mode, seen["weights"], **kw)
-    from_random = lowest_two_eigenpairs(A_random, seen["weights"],
-                                        **{**kw, "start": None})
-    assert A_mode.calls <= A_random.calls / 2
-    assert from_mode.lambda0 == pytest.approx(from_random.lambda0, rel=1e-12, abs=0)
+    v0 = lobpcg_ground_state(disc, problem)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linear start called LOBPCG")
+
+    monkeypatch.setattr("gpflow.linalg.lowest_two_eigenpairs", refuse)
+    monkeypatch.setattr("gpflow.linalg.lobpcg", refuse)
+    u = default_initial_state(disc, "linear", problem).coeffs
+    assert norm_h(disc, u - v0) <= 1e-10
+    assert float(np.dot(disc.weights, u)) > 0
+
+
+def test_linear_start_peak_memory_in_vectors():
+    """The linear start holds at most a line-search run's 12 ndof-sized arrays
+    and the normalized start that run() is given (LOBPCG's blocks held 19)."""
+    disc = TensorOperator(GridSpec(8.0, 2, 300, Scheme.FD2))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    shifted_solver(disc, 0.15).solve(np.ones(disc.ndof))  # the grid's 1D matrices
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        default_initial_state(disc, "linear", problem)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * disc.ndof) < 13 + 0.5
+
+
+def test_linear_flow_whose_energy_falls_does_not_stall():
+    """On this grid the beta = 0 line-search flow's residual rises (0.36 to
+    0.66) before it falls, while E falls from 87.6: a stall window over a
+    falling energy does not stop the run, which ends by tol."""
+    disc = TensorOperator(GridSpec(8.0, 3, 6, Scheme.SEM, 8))
+    problem = Problem(harmonic_lattice(disc.node_coordinates()), 0.0, 10.0)
+    z0 = disc.eigen.vectors[:, 0]
+    u0 = State(retract(disc, reduce(np.multiply.outer, [z0] * 3).ravel()), disc)
+    report = run(FlowConfig(alpha=10.0, step=LineSearchStep()), problem, u0,
+                 StopRule(1e-10))
+    r, e = report.residuals, report.energies
+    assert r[1:11].min() > r[0] and e[10] < e[0]  # a stall window over falling E
+    assert report.reason == "tol"
 
 
 def test_stall_with_rising_energy_is_diverged():

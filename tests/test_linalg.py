@@ -327,8 +327,7 @@ def test_lowest_two_dense_oracle():
     assert res.gap > 0
 
 
-@pytest.mark.parametrize("k", [2, 1])
-def test_lowest_two_closed_form_fd2_2d(k):
+def test_lowest_two_closed_form_fd2_2d():
     """beta=0, V=c: lambda0 = 2 mu1 + c, lambda1 = mu1 + mu2 + c."""
     c = 0.7
     spec = GridSpec(1.0, 2, 10, Scheme.FD2)
@@ -337,12 +336,9 @@ def test_lowest_two_closed_form_fd2_2d(k):
     mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
     fs = FastSolver(disc, c)
     res = lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + c * u,
-                                disc.weights, tol=1e-10, solve_inner=fs.solve, k=k)
+                                disc.weights, tol=1e-10, solve_inner=fs.solve)
     assert res.lambda0 == pytest.approx(2 * mu(1) + c, rel=1e-9)
-    if k == 2:
-        assert res.lambda1 == pytest.approx(mu(1) + mu(2) + c, rel=1e-9)
-    else:
-        assert res.lambda1 is None and res.v1 is None
+    assert res.lambda1 == pytest.approx(mu(1) + mu(2) + c, rel=1e-9)
     # ground mode positive after sign normalization
     assert np.min(res.v0) > 0
 
