@@ -36,10 +36,7 @@ class FixedStep:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
-# the line search takes its step from (0, LINE_SEARCH_HI]; LINE_SEARCH_LO is
-# only the step along a zero direction
-LINE_SEARCH_LO = 1e-3
-LINE_SEARCH_HI = 4.0
+LINE_SEARCH_HI = 4.0  # the line search takes its step from (0, LINE_SEARCH_HI]
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,8 @@ class StopRule:
     max_iter: int = 500
 
     def __post_init__(self):
+        if self.residual_tol < 0:
+            raise ValueError(f"tol must be >= 0, got {self.residual_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.stall_window < 2:
@@ -315,10 +314,8 @@ def line_search_step(state: State, problem: Problem, d: np.ndarray,
     """Exact minimizer tau of tau -> E_h(R_h(u - tau d)) over (0, LINE_SEARCH_HI],
     with its phi(tau) - phi(0): the best of LINE_SEARCH_HI and the stationary
     points of the closed form inside, from lap_d = -Delta_h d.  A zero
-    direction (<d, d>_h = 0) gives (LINE_SEARCH_LO, 0)."""
+    direction has a zero closed form and no stationary point: (LINE_SEARCH_HI, 0)."""
     hi, phi = LINE_SEARCH_HI, line_energy(state, problem, d, lap_d)
-    if phi.n[2] == 0:
-        return LINE_SEARCH_LO, 0.0
     if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point

@@ -13,8 +13,8 @@ A grid has one 1D operator (nodes, weights, stiffness), shared by every
 axis.  The d-dimensional Laplacian is never materialized: it acts as the
 Kronecker sum of that operator via per-axis contractions.  The grid also
 owns what fast diagonalization (Lynch, Rice & Thomas 1964) derives from the
-operator: its eigenbasis, once per grid, and the per-axis transforms into
-and out of it, on 2D grids from FOLD_MIN_N nodes folded by mirror parity.
+operator: its eigenbasis from the even and odd mirror sectors, once per grid,
+and the per-axis transforms, on 2D grids from FOLD_MIN_N nodes folded by parity.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def build_1d(spec: GridSpec) -> Operator1D:
 class Eigen1D:
     """M-orthonormal eigendecomposition of the 1D pencil S z = mu M z."""
 
-    values: np.ndarray   # ascending
+    values: np.ndarray   # a grid's: [even | odd], each sector ascending
     vectors: np.ndarray  # columns z_i, Z^T M Z = I
 
 
@@ -194,21 +194,6 @@ def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray, mat_t: np.ndarray | No
     return out
 
 
-def mirror_blocks(op: Operator1D, e: Eigen1D) -> SimpleNamespace | None:
-    """Even/odd split (Solomonoff 1992) of the eigenbasis Z = e.vectors of a
-    mirror-symmetric grid, or None if some <z, Jz>_M misses +-1 by 1e-8 (J the
-    reversal): Z^T M x = [fe (x + Jx)[:h] | fo (x - Jx)[:h]], h = ceil(n/2), and
-    Z c = [E + O | J(E - O)], E = be c_even, O = bo c_odd; perm: [even | odd]."""
-    parity = np.einsum("ij,i,ij->j", e.vectors, op.weights, e.vectors[::-1])
-    if np.abs(np.abs(parity) - 1.0).max() > 1e-8:
-        return None
-    h, m = (op.n + 1) // 2, op.n // 2  # then Z's half with exact parity (eigh's: ~1e-12 off)
-    Z = 0.5 * (e.vectors[:h] + e.vectors[::-1][:h] * np.sign(parity))
-    F = Z.T * np.append(op.weights[:m], 0.5 * op.weights[m:h])  # odd n: (x + Jx)_m = 2 x_m
-    ev, od = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)  # even and odd modes
-    return SimpleNamespace(perm=np.r_[ev, od], fe=F[ev], fo=F[od], be=Z[:, ev], bo=Z[:, od])
-
-
 # 2D grids fold their transforms from this many nodes per axis on.  Solve time,
 # fold / plain, 1 BLAS thread: n = 63 x1.63, 79 x1.37, 99 x1.14, 103 x0.91, 127
 # x0.74, 199 x0.80, 299 x0.72, 479 x0.66 (3D, a prototype: 39 x1.33, 47 x~1.5,
@@ -220,7 +205,7 @@ class TensorOperator:
     """Kronecker-sum action of -Delta_h on [-L, L]^d grid vectors, with the
     tensor-product mass weights.  Every axis carries the same 1D operator `op`,
     and the grid holds what fast diagonalization takes from it, once: the
-    eigenbasis `eigen`, its values in the modes' order and its transforms.
+    eigenbasis `eigen`, its modes [even | odd], and its transforms.
 
     Vectors are flattened C-order over the (n, ..., n) interior grid.
     """
@@ -237,19 +222,29 @@ class TensorOperator:
         self._lap1d_t = np.ascontiguousarray(self._lap1d.T) if spec.dim == 3 else None
 
     @cached_property
-    def eigen(self) -> Eigen1D:  # the 1D pencil's
-        return generalized_sym_eig(self.op)
+    def eigen(self) -> Eigen1D:
+        """The 1D pencil's from its mirror sectors (Solomonoff 1992), each the Galerkin
+        restriction Operator1D(nodes[:k], diag(P^T M P), P^T S P), P v = [v | +-Jv] (J the
+        reversal) on k = ceil(n/2) even nodes (an odd n's centre once), then n - k odd."""
+        n, sectors = self.n, []
+        for k, sign in (((n + 1) // 2, 1.0), (n // 2, -1.0)):
+            if k:  # n = 1 has no odd sector
+                P, i = np.zeros((n, k)), np.arange(k)
+                P[i, i], P[n - 1 - i, i] = 1.0, sign
+                e = generalized_sym_eig(Operator1D(self.op.nodes[:k], (P * P).T @ self.op.weights,
+                                                   P.T @ self.op.stiffness @ P))
+                sectors.append((e.values, P @ e.vectors))
+        return Eigen1D(*map(np.hstack, zip(*sectors)))
 
     @cached_property
     def mirror(self) -> SimpleNamespace | None:
-        """`eigen`'s even/odd half blocks on a 2D grid from FOLD_MIN_N on, else None."""
-        folds = self.dim == 2 and self.n >= FOLD_MIN_N
-        return mirror_blocks(self.op, self.eigen) if folds else None
-
-    @cached_property
-    def mode_values(self) -> np.ndarray:
-        """`eigen`'s values in the order of the transforms' modes along an axis."""
-        return self.eigen.values if self.mirror is None else self.eigen.values[self.mirror.perm]
+        """`eigen`'s half blocks on a 2D grid from FOLD_MIN_N on, else None: Z^T M x =
+        [fe (x + Jx)[:h] | fo (x - Jx)[:h]], Z c = [be c_e + bo c_o | J(be c_e - bo c_o)]."""
+        if self.dim != 2 or self.n < FOLD_MIN_N:
+            return None
+        h, m, Z, w = (self.n + 1) // 2, self.n // 2, self.eigen.vectors, self.op.weights
+        F = Z[:h].T * np.append(w[:m], 0.5 * w[m:h])  # odd n: (x + Jx)_m = 2 x_m
+        return SimpleNamespace(fe=F[:h], fo=F[h:], be=Z[:h, :h], bo=Z[:h, h:])
 
     @cached_property
     def _plain(self) -> list:  # [(Z^T M, ...), (Z, ...)], each with its 3D slabs' transpose
@@ -260,8 +255,7 @@ class TensorOperator:
     def transform(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Z^T M x, or its inverse Z x (Z^T M Z = I), with Z = `eigen.vectors`
         applied along every axis, one pass each, into a fresh array.  A grid
-        with half blocks (`mirror`) splits each pass in two halves, its modes
-        running [even | odd] along each axis."""
+        with half blocks (`mirror`) splits each pass in two halves."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ndof,):
             raise ValueError(f"expected vector of length {self.ndof}, got shape {x.shape}")

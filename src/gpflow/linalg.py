@@ -34,13 +34,13 @@ class FastSolver:
     """Direct tensor-product solver for (-Delta_h + alpha I) x = b by fast
     diagonalization: solve(b) = Z (D^{-1} Z^T M b), Z^T M and Z the grid's
     `transform` and its inverse, D = `denominator` the Kronecker sum of the
-    grid's 1D eigenvalues (in its modes' order) plus alpha."""
+    grid's 1D eigenvalues `eigen.values` ([even | odd] on each axis) plus alpha."""
 
     def __init__(self, op: TensorOperator, alpha: float):
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op, self.alpha = op, alpha
-        total = reduce(np.add.outer, [op.mode_values] * op.dim)
+        total = reduce(np.add.outer, [op.eigen.values] * op.dim)
         self.denominator = (total + alpha).reshape(-1)
         if np.any(self.denominator <= 0):
             raise SolverError("shifted operator is singular")

@@ -106,6 +106,8 @@ prefix = out/run1
      "[stop]\ntol = 1e-8\nmax_iter = 0\n", 7, "max_iter must be >= 1"),
     ("[grid]\nscheme = fd2\n[problem]\npotential = constant(1)\n"
      "[stop]\nstall_window = 1\n", 6, "stall_window must be >= 2"),
+    ("[grid]\nscheme = fd2\n[problem]\npotential = constant(1)\n"
+     "[stop]\nmax_iter = 5\ntol = -1\n", 7, "tol must be >= 0"),
     ("[grid]\nd = 4\n[problem]\npotential = constant(1)\n", 2,
      "dim must be 1, 2 or 3"),
     ("[grid]\nscheme = fd2\ncells = 0\n[problem]\npotential = constant(1)\n", 3,
@@ -308,6 +310,11 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
     assert main(["solve", "--config", bad]) == 1
     assert "config error" in capsys.readouterr().err
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 1
+    # a negative tol could never stop a run: rejected at its line
+    neg_tol = write_cfg(tmp_path, "[grid]\nscheme = fd2\n[problem]\npotential = constant(1)\n"
+                        "[stop]\ntol = -1\n", name="tol.ini")
+    assert main(["solve", "--config", neg_tol]) == 1
+    assert "line 6: tol must be >= 0" in capsys.readouterr().err
 
 
 def file_potential_cfg(tmp_path, prefix, path):

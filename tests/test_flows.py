@@ -10,7 +10,7 @@ from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            euclidean_gradient, inner_h, norm_h, residual,
                            retract, riemannian_gradient)
 from gpflow import flows
-from gpflow.flows import (LINE_SEARCH_HI, LINE_SEARCH_LO, FixedStep,
+from gpflow.flows import (LINE_SEARCH_HI, FixedStep,
                           FlowConfig, FlowKind, LineSearchStep, StopRule,
                           default_initial_state, gradient_step, line_energy,
                           line_search_step, metric_inverse, run, step_bfsp)
@@ -50,6 +50,9 @@ def test_config_validation():
         StopRule(max_iter=0)
     with pytest.raises(ValueError):
         StopRule(stall_window=1)
+    with pytest.raises(ValueError, match="^tol must be >= 0"):
+        StopRule(residual_tol=-1.0)
+    assert StopRule(residual_tol=0.0).residual_tol == 0.0  # valid: never stops by tol
 
 
 def test_modified_h1_ground_state_fixed_point():
@@ -213,7 +216,7 @@ def test_line_search_matches_scan_oracle():
     g, lap_g, _ = riemannian_gradient(s, problem, fs)
     tau_star, rise = line_search_step(s, problem, g, lap_g)
 
-    taus = np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 10_000)
+    taus = np.linspace(1e-3, LINE_SEARCH_HI, 10_000)
     phis = [energy(State(retract(disc, s.coeffs - t * g), disc), problem)
             for t in taus]
     tau_scan = taus[int(np.argmin(phis))]
@@ -255,7 +258,7 @@ def test_line_energy_matches_energy_of_retracted_point(spec, potential, directio
         energy(s, problem)
     assert (s._record is not None) == recorded
     phi = line_energy(s, problem, d, disc.apply_neg_laplacian(d))
-    for tau in np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 5):
+    for tau in np.linspace(1e-3, LINE_SEARCH_HI, 5):
         want = energy(State(retract(disc, s.coeffs - tau * d), disc), problem)
         assert abs(phi.e0 + phi.rise(tau) - want) <= 1e-12 * abs(want)
 
@@ -281,7 +284,7 @@ def test_closed_form_matches_numpy_polynomial(case):
     """Horner's rule and the convolutions give numpy.polynomial's rise and
     stationary points on seeded random coefficients (n(tau) > 0 as <v, v>_h)."""
     rng = np.random.default_rng(11)
-    taus = np.linspace(LINE_SEARCH_LO, LINE_SEARCH_HI, 101)
+    taus = np.linspace(1e-3, LINE_SEARCH_HI, 101)
     for _ in range(50):
         a, c = rng.uniform(0.5, 2.0, 2)
         n = np.array([a, -2.0 * rng.uniform(-1.0, 1.0) * np.sqrt(a * c), c])
@@ -333,12 +336,21 @@ def test_line_search_rise_along_g_is_a_step_failure(monkeypatch):
         assert (report.reason, report.iterations) == (reason, iterations)
 
 
-def test_line_search_zero_gradient_returns_lo():
+@pytest.mark.parametrize("beta", [0.0, 3.0])
+def test_line_search_zero_direction_returns_hi(monkeypatch, beta):
+    """A zero direction has a zero closed form (A = Q = 0) and no stationary
+    point, so the search returns (LINE_SEARCH_HI, 0) with no branch of its
+    own, and a line-search step along a zero gradient leaves u as it was."""
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
-    problem = Problem(np.ones(disc.ndof), 0.0)
+    problem = Problem(np.ones(disc.ndof), beta)
     s = default_initial_state(disc)
     zero = np.zeros(disc.ndof)
-    assert line_search_step(s, problem, zero, zero) == (LINE_SEARCH_LO, 0.0)
+    assert line_search_step(s, problem, zero, zero) == (LINE_SEARCH_HI, 0.0)
+    monkeypatch.setattr(flows, "riemannian_gradient",
+                        lambda *args: (zero.copy(), zero.copy(), None))
+    nxt, tau = gradient_step(s, problem, FastSolver(disc, 0.2), LineSearchStep())
+    assert tau == LINE_SEARCH_HI
+    assert np.allclose(nxt.coeffs, s.coeffs, rtol=1e-15, atol=0)
 
 
 def test_line_search_non_finite_energy_raises():

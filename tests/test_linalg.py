@@ -4,8 +4,8 @@ import scipy.linalg
 
 from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
-from gpflow.grids import (Eigen1D, GridSpec, Scheme, TensorOperator, build_1d,
-                          generalized_sym_eig, mirror_blocks)
+from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
+                          generalized_sym_eig)
 from gpflow.linalg import FastSolver, PCGBreakdown, SolverError, lowest_two_eigenpairs, pcg
 from gpflow.potentials import sin2_product
 
@@ -69,6 +69,8 @@ def test_sem2_two_cells_vs_generalized_dense():
     GridSpec(1.0, 2, 8, Scheme.COMPACT4),
     GridSpec(1.0, 3, 3, Scheme.FD2),
     GridSpec(1.0, 2, 3, Scheme.SEM, 2),
+    GridSpec(1.0, 1, 2, Scheme.FD2),  # n = 1: no odd sector
+    GridSpec(1.0, 3, 2, Scheme.FD2),
 ], ids=str)
 def test_fast_solver_matches_dense(spec):
     disc = TensorOperator(spec)
@@ -121,8 +123,9 @@ def test_fast_solver_keeps_only_its_shift(spec):
 
 def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
     """Every axis shares one 1D operator, and solvers for any shift and the
-    linear start's mode share its eigendecomposition: a grid needs one.  The
-    solves match those of a solver on a grid of its own, bit for bit."""
+    linear start's mode share its eigendecomposition: a grid decomposes each
+    of its two mirror sectors once.  The solves match those of a solver on a
+    grid of its own, bit for bit."""
     calls = []
 
     def counted(op):
@@ -135,12 +138,32 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
     solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
     default_initial_state(disc, "linear",
                           Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15))
-    assert len(calls) == 1
+    assert [op.n for op in calls] == [(disc.n + 1) // 2, disc.n // 2]
     b = np.random.default_rng(5).standard_normal(disc.ndof)
     for fs in solvers:
         alone = FastSolver(TensorOperator(spec), fs.alpha)
         assert np.array_equal(fs.denominator, alone.denominator)
         assert np.array_equal(fs.solve(b), alone.solve(b))
+
+
+@pytest.mark.parametrize("spec", ALL_1D + [
+    GridSpec(1.0, 1, 2, Scheme.FD2),  # n = 1: no odd sector
+    GridSpec(1.0, 1, 3, Scheme.FD2),  # n = 2
+], ids=str)
+def test_grid_eigenbasis_runs_even_then_odd(spec):
+    """The grid's eigenbasis, built from its two mirror sectors, is
+    M-orthonormal, its first ceil(n/2) columns are even and the rest odd
+    (<z, Jz>_M = +-1, J the reversal), and its values are the dense
+    oracle's."""
+    disc = TensorOperator(spec)
+    Z, w, n = disc.eigen.vectors, disc.op.weights, disc.n
+    assert np.abs(Z.T @ (w[:, None] * Z) - np.eye(n)).max() <= 1e-13
+    parity = np.einsum("ij,i,ij->j", Z, w, Z[::-1])
+    h = (n + 1) // 2
+    assert np.abs(parity - np.r_[np.ones(h), -np.ones(n - h)]).max() <= 1e-13
+    mu_oracle = np.sort(np.linalg.eigvals(disc.op.laplacian_matrix()).real)
+    assert np.allclose(np.sort(disc.eigen.values), mu_oracle,
+                       atol=1e-12 * max(1.0, mu_oracle.max()))
 
 
 @pytest.mark.parametrize("spec", [
@@ -151,18 +174,15 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
 ], ids=str)
 def test_folded_transforms_are_the_kronecker_products(spec):
     """On n = 299 and 298 the folded transform is (F x F) b, F = Z^T M, and
-    its inverse (Z x Z) c, to 1e-13 relative, with the modes in the grid's
-    order [even | odd] and Z the eigenbasis with each column's parity made
-    exact (the one the blocks are sliced from; eigh's columns break it by up
-    to ~3e-12 at n = 299).  The folded solve's residual stays below 1e-13
-    relative."""
+    its inverse (Z x Z) c, to 1e-13 relative, with Z the grid's eigenbasis
+    itself, whose columns run [even | odd].  The half blocks are views of it.
+    The folded solve's residual stays below 1e-13 relative."""
     disc = TensorOperator(spec)
     fs = FastSolver(disc, 0.15)
     assert disc.mirror is not None
-    Z, w = disc.eigen.vectors, disc.op.weights
-    parity = np.sign(np.einsum("ij,i,ij->j", Z, w, Z[::-1]))
-    Z = (0.5 * (Z + Z[::-1] * parity))[:, disc.mirror.perm]
-    F = Z.T * w
+    Z = disc.eigen.vectors
+    assert all(np.shares_memory(b, Z) for b in (disc.mirror.be, disc.mirror.bo))
+    F = Z.T * disc.op.weights
     B, C = np.random.default_rng(7).standard_normal((2,) + disc.shape)
     for got, want in ((disc.transform(B.ravel()), F @ B @ F.T),
                       (disc.transform(C.ravel(), inverse=True), Z @ C @ Z.T)):
@@ -176,50 +196,34 @@ def test_folded_transforms_are_the_kronecker_products(spec):
     (3, 99, False), (3, 47, False), (2, 63, False), (2, 299, True), (2, 128, True)])
 def test_fold_selection_rule(monkeypatch, dim, n, folds):
     """2D grids with n >= FOLD_MIN_N fold; 3D grids and small n keep the
-    plain passes and never slice the half blocks."""
-    calls = counting(mirror_blocks)
-    monkeypatch.setattr("gpflow.grids.mirror_blocks", calls)
+    plain passes.  Either way the grid decomposes its two sectors once."""
+    calls = counting(generalized_sym_eig)
+    monkeypatch.setattr("gpflow.grids.generalized_sym_eig", calls)
     disc = TensorOperator(GridSpec(8.0, dim, n + 1, Scheme.FD2))
     FastSolver(disc, 0.0)
     assert (disc.mirror is not None) is folds
-    assert calls.calls == int(folds)
-
-
-def test_mixed_parity_keeps_the_plain_passes():
-    """A basis whose columns break parity (modes 0 and 1, even and odd, turned
-    by 1e-3: <z, Jz>_M = cos(2e-3)) gives no half blocks, and a 2D grid with
-    none runs the plain passes, its modes in ascending order."""
-    disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
-    Z = disc.eigen.vectors.copy()
-    c, s = np.cos(1e-3), np.sin(1e-3)
-    Z[:, :2] = Z[:, :2] @ np.array([[c, -s], [s, c]])
-    assert mirror_blocks(disc.op, disc.eigen) is not None
-    disc.mirror = mirror_blocks(disc.op, Eigen1D(disc.eigen.values, Z))
-    assert disc.mirror is None
-    values = disc.eigen.values
-    assert np.array_equal(FastSolver(disc, 0.15).denominator,
-                          (np.add.outer(values, values) + 0.15).ravel())
-    F = disc.eigen.vectors.T * disc.op.weights
-    B = np.random.default_rng(7).standard_normal(disc.shape)
-    assert np.array_equal(disc.transform(B.ravel()), (F @ B @ F.T).ravel())
+    disc.transform(np.ones(disc.ndof))
+    assert calls.calls == 2
 
 
 def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
-    """Solvers at three shifts on a folded grid share one slicing of the half
-    blocks, and the spectral order is the grid's: a state's `transformed`
-    serves them all, each gradient matching a fresh state's bit for bit."""
-    calls = counting(mirror_blocks)
-    monkeypatch.setattr("gpflow.grids.mirror_blocks", calls)
+    """Solvers at three shifts on a folded grid share one eigenbasis (two
+    sector decompositions) and its half blocks, and the spectral order is
+    the grid's: a state's `transformed` serves them all, each gradient
+    matching a fresh state's bit for bit."""
+    calls = counting(generalized_sym_eig)
+    monkeypatch.setattr("gpflow.grids.generalized_sym_eig", calls)
     disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
     solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
-    assert calls.calls == 1
+    assert calls.calls == 2
     u = retract(disc, 1.0 + np.random.default_rng(2).random(disc.ndof))
     transformed = disc.transform(u)
     for fs in solvers:
         got = riemannian_gradient(State(u, disc, transformed=transformed.copy()), problem, fs)
         want = riemannian_gradient(State(u, disc), problem, fs)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert calls.calls == 2
 
 
 def test_fast_solver_eigenvector_division():
