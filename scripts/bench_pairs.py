@@ -2,12 +2,14 @@
 """Before/after pairs of the benchmark's end-to-end metrics.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH_pairs.json
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload sem5_flow
 
 Exports the base revision with `git archive` into a temporary directory
 (no worktree is registered, so an interrupted run leaves `.git` as it
 was), then runs `gsbench/run.py --trace 0` on the base and on the working
-tree, PAIRS times per workload of BENCHMARK.json, each run in a fresh
-process for the benchmark's run_seconds.  The side that runs first
+tree, PAIRS times per workload of BENCHMARK.json (or per `--workload`,
+which may be repeated; an unknown name exits 2 before any run), each run
+in a fresh process for the benchmark's run_seconds.  The side that runs first
 alternates from pair to pair, so a drift of the host's speed hits both
 sides alike; pair i uses seed i + 1 on both sides.  Each run records the
 host's 1-minute load average as it starts, and the facts of its solves
@@ -152,13 +154,16 @@ def export(rev: str, dest: str) -> str:
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--out", default="BENCH_pairs.json")
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="run only this workload (repeatable; default: all)")
     args = ap.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        bench = json.load(f)
-    workloads = [w["name"] for w in bench["workloads"]]
+    workloads = list(dict.fromkeys(args.workload or names))
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}

@@ -116,7 +116,8 @@ def _record(state: State, problem: Problem) -> Record:
     state with A_u u = Vu - Delta_h u + beta u^3 for the last problem asked.
     E = k/2 + p/2 + (beta/4) q from k = <u, -Delta_h u>_h, p = <u, Vu>_h and
     q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check;
-    (k, p, q) is held after the Record for the line search's phi(0)."""
+    (k, p, q) is held after the Record for the line search's phi(0).  A sector
+    grid's `multiplicity` weighs the residual's norms: they are the extensions'."""
     if state._record is None or state._record[0] is not problem:
         if state.h_norm_sq == 0:
             raise NormalizationError("residual of the zero vector is undefined")
@@ -131,11 +132,13 @@ def _record(state: State, problem: Problem) -> Record:
         # F(u / |u|_h) |u|_h = A_u u + beta (1/|u|_h^2 - 1) u^3 has F's direction
         u3 *= beta * (1.0 / state.h_norm_sq - 1.0)
         F = daxpy(Au, u3)
-        Fn, un, r = float(np.linalg.norm(F)), float(np.linalg.norm(u)), 1.0
+        mu = getattr(state.disc, "multiplicity", None)
+        norm = np.linalg.norm if mu is None else lambda x: np.sqrt(np.dot(x * mu, x))
+        Fn, un, r = float(norm(F)), float(norm(u)), 1.0
         if Fn != 0:  # || u/|u| - F/|F| || explicitly: 1 - cos loses digits below 1e-8
             F *= -un / Fn
             F += u
-            r = float(np.linalg.norm(F)) / un
+            r = float(norm(F)) / un
         state._record = (problem, Record(0.5 * k + 0.5 * p + 0.25 * beta * q, r,
                                          float(np.dot(wu, Au))), (k, p, q))
     return state._record[1]
@@ -224,7 +227,8 @@ def residual(state: State, problem: Problem) -> float:
 
     F is evaluated at the h-normalized state (the manifold the flow lives
     on; the cubic term is not scale invariant), and the misalignment of the
-    two unit directions is measured in the plain Euclidean coefficient norm.
+    two unit directions is measured in the plain Euclidean coefficient norm,
+    on a sector grid weighed by each node's multiplicity: the extended state's.
     Exact eigenpairs give 0 and rescaling u changes nothing; a zero F gives 1.
     """
     return _record(state, problem).residual

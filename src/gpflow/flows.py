@@ -328,21 +328,30 @@ def default_initial_state(disc, kind: str = "constant",
                           problem: Problem | None = None) -> State:
     """'constant': normalized all-ones; 'linear': the beta = 0 ground state by
     the line-search flow to residual 1e-10 from z0 x ... x z0 (all-ones on a P1
-    mesh), z0 the 1D ground mode; a SolverError if that flow stops short."""
+    mesh), z0 the 1D ground mode; a SolverError if that flow stops short.  Where V
+    mirrors along every axis (|V - J_k V| <= 1e-12 max V), that flow runs on the
+    grid's `even` sector, and the start is its result extended to the full grid."""
     if kind == "constant":
         return State(retract(disc, np.ones(disc.ndof)), disc)
     if kind == "linear":
         if problem is None:
             raise ValueError("linear initial guess needs the problem")
-        # z0 is signed by its sum: eigh's sign is arbitrary
-        z0 = disc.eigen.vectors[:, 0] if isinstance(disc, TensorOperator) else None
-        u0 = State(retract(disc, np.ones(disc.ndof) if z0 is None else reduce(
-            np.multiply.outer, [z0 * np.sign(z0.sum())] * disc.dim).ravel()), disc)
+        grid, V, u0 = disc, problem.potential, None
+        if isinstance(disc, TensorOperator):
+            V, z0 = V.reshape(disc.shape), disc.eigen.vectors[:, 0]
+            if disc.multiplicity is None and all(np.abs(V - np.flip(V, k)).max() <= 1e-12 * V.max()
+                                                 for k in range(disc.dim)):
+                grid = disc.even
+            V = V[(slice(grid.n),) * disc.dim].ravel()
+            # z0 is signed by its sum: eigh's sign is arbitrary
+            u0 = reduce(np.multiply.outer, [z0[:grid.n] * np.sign(z0.sum())] * disc.dim).ravel()
+        u0 = State(retract(grid, np.ones(disc.ndof) if u0 is None else u0), grid)
         report = run(FlowConfig(alpha=problem.alpha, step=LineSearchStep()),
-                     Problem(problem.potential, 0.0, problem.alpha), u0, StopRule(1e-10))
+                     Problem(V, 0.0, problem.alpha), u0, StopRule(1e-10))
         if not report.converged:
             raise SolverError(f"linear initial guess stopped by {report.reason}")
-        return report.final_state
+        u = report.final_state
+        return u if grid is disc else State(grid.extend(u.coeffs), disc)
     raise ValueError(f"unknown initial guess kind: {kind}")
 
 

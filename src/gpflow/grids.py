@@ -15,6 +15,8 @@ Kronecker sum of that operator via per-axis contractions.  The grid also
 owns what fast diagonalization (Lynch, Rice & Thomas 1964) derives from the
 operator: its eigenbasis from the even and odd mirror sectors, once per grid,
 and the per-axis transforms, on 2D grids from FOLD_MIN_N nodes folded by parity.
+Its `even` sector is a grid too, on ceil(n/2) nodes per axis, that weighs each
+node by the number of full-grid nodes it stands for.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def build_1d(spec: GridSpec) -> Operator1D:
 class Eigen1D:
     """M-orthonormal eigendecomposition of the 1D pencil S z = mu M z."""
 
-    values: np.ndarray   # a grid's: [even | odd], each sector ascending
+    values: np.ndarray   # a grid's: [even | odd], each sector ascending; a sector grid's even
     vectors: np.ndarray  # columns z_i, Z^T M Z = I
 
 
@@ -205,14 +207,17 @@ class TensorOperator:
     """Kronecker-sum action of -Delta_h on [-L, L]^d grid vectors, with the
     tensor-product mass weights.  Every axis carries the same 1D operator `op`,
     and the grid holds what fast diagonalization takes from it, once: the
-    eigenbasis `eigen`, its modes [even | odd], and its transforms.
+    eigenbasis `eigen`, its modes [even | odd], and its transforms.  A sector
+    grid (`even`) takes its 1D operator from its parent.
 
     Vectors are flattened C-order over the (n, ..., n) interior grid.
     """
 
-    def __init__(self, spec: GridSpec):
+    multiplicity = None  # a sector grid's: the full-grid nodes each node stands for
+
+    def __init__(self, spec: GridSpec, op: Operator1D | None = None):
         self.spec = spec
-        self.op = op = build_1d(spec)
+        self.op = op = build_1d(spec) if op is None else op
         self.dim = spec.dim
         self.n = op.n
         self.shape = (op.n,) * spec.dim
@@ -221,20 +226,40 @@ class TensorOperator:
         self._lap1d = op.laplacian_matrix()
         self._lap1d_t = np.ascontiguousarray(self._lap1d.T) if spec.dim == 3 else None
 
+    def _sector(self, k: int, sign: float) -> tuple[np.ndarray, Operator1D]:
+        """P v = [v | sign Jv] (J the reversal) from k nodes, an odd n's centre once, and
+        the Galerkin restriction Operator1D(nodes[:k], diag(P^T M P), P^T S P)."""
+        n, op = self.n, self.op
+        P, i = np.zeros((n, k)), np.arange(k)
+        P[i, i], P[n - 1 - i, i] = 1.0, sign
+        return P, Operator1D(op.nodes[:k], (P * P).T @ op.weights, P.T @ op.stiffness @ P)
+
     @cached_property
     def eigen(self) -> Eigen1D:
-        """The 1D pencil's from its mirror sectors (Solomonoff 1992), each the Galerkin
-        restriction Operator1D(nodes[:k], diag(P^T M P), P^T S P), P v = [v | +-Jv] (J the
-        reversal) on k = ceil(n/2) even nodes (an odd n's centre once), then n - k odd."""
-        n, sectors = self.n, []
-        for k, sign in (((n + 1) // 2, 1.0), (n // 2, -1.0)):
+        """The 1D pencil's from its mirror sectors (Solomonoff 1992): the even one on
+        ceil(n/2) nodes, then the odd one on floor(n/2)."""
+        sectors = []
+        for k, sign in (((self.n + 1) // 2, 1.0), (self.n // 2, -1.0)):
             if k:  # n = 1 has no odd sector
-                P, i = np.zeros((n, k)), np.arange(k)
-                P[i, i], P[n - 1 - i, i] = 1.0, sign
-                e = generalized_sym_eig(Operator1D(self.op.nodes[:k], (P * P).T @ self.op.weights,
-                                                   P.T @ self.op.stiffness @ P))
+                P, op = self._sector(k, sign)
+                e = generalized_sym_eig(op)
                 sectors.append((e.values, P @ e.vectors))
         return Eigen1D(*map(np.hstack, zip(*sectors)))
+
+    @cached_property
+    def even(self) -> TensorOperator:
+        """The even mirror sector's grid: `extend` (P along every axis) takes its vectors to
+        this grid's even ones, and its `multiplicity` P^T 1 x ... x P^T 1 weighs each node.
+        Its `eigen` is this one's even block, exactly (P's first rows are I), and it never
+        folds: its nodes are not symmetric."""
+        h, i = (self.n + 1) // 2, np.arange(self.n)
+        i = np.minimum(i, i[::-1])  # each node's sector node: P's nonzero column in its row
+        grid = TensorOperator(self.spec, self._sector(h, 1.0)[1])
+        grid.eigen, grid.mirror = Eigen1D(self.eigen.values[:h], self.eigen.vectors[:h, :h]), None
+        grid.multiplicity = reduce(np.multiply.outer, [np.bincount(i) * 1.0] * self.dim).ravel()
+        shape, ix = grid.shape, np.ix_(*[i] * self.dim)  # no cycle through grid or self
+        grid.extend = lambda x: x.reshape(shape)[ix].ravel()
+        return grid
 
     @cached_property
     def mirror(self) -> SimpleNamespace | None:

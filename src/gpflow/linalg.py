@@ -40,6 +40,8 @@ class FastSolver:
         if alpha < 0:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op, self.alpha = op, alpha
+        # the transforms' matrices first, or they split the heap hole `total` leaves
+        op.mirror or op._plain
         total = reduce(np.add.outer, [op.eigen.values] * op.dim)
         self.denominator = (total + alpha).reshape(-1)
         if np.any(self.denominator <= 0):

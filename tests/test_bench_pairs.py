@@ -2,6 +2,7 @@
 are not exercised here)."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -134,3 +135,38 @@ def test_summary_same_counts_needs_equal_labels_reasons_and_iterations():
     s = bench_pairs.summarize(runs, {"flow_s": "lower"})
     assert (s["equal"]["same_counts"], s["equal"]["same_results"]) == (True, False)
     assert (s["unequal"]["same_counts"], s["unequal"]["same_results"]) == (False, False)
+
+
+def test_workload_flag_picks_workloads_and_refuses_unknown_names(monkeypatch, tmp_path):
+    """--workload runs only the named workloads of BENCHMARK.json, each once
+    per side and pair however often it is named; without it every workload
+    runs.  An unknown name exits 2 before any export or run.  Nothing is
+    benchmarked here: the export and the runs are stand-ins."""
+    bench = json.loads((_path.parents[1] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: 1.0 for m in bench["end_to_end"]}
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append(workload)
+        return {"metrics": metrics, "correct": True, "failed": 0, "results": []}
+
+    def export(rev, dest):
+        calls.append("export")
+        return "0" * 40
+
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "export", export)
+    out = str(tmp_path / "pairs.json")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "HEAD", "--out", out, "--workload", "nope"])
+    assert exc.value.code == 2 and calls == []
+    picked = [names[-1], names[0]]
+    assert bench_pairs.main(["--base", "HEAD", "--out", out, "--workload", picked[0],
+                             "--workload", picked[1], "--workload", picked[0]]) == 0
+    assert calls == ["export"] + [w for w in picked for _ in range(2)] * 2
+    assert sorted(json.loads(Path(out).read_text())["summary"]) == sorted(picked)
+    calls.clear()
+    assert bench_pairs.main(["--base", "HEAD", "--out", out]) == 0
+    assert calls == ["export"] + [w for w in names for _ in range(2)] * 2

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from gpflow.analysis import dense_neg_laplacian, exact_case, solve_exact_case
-from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
+from gpflow.energy import (Problem, State, _record, energy, eigenvalue_estimate,
                            euclidean_gradient, inner_h, norm_h, residual,
                            retract, riemannian_gradient)
 from gpflow import flows
@@ -615,9 +615,9 @@ def test_linear_start_is_lobpcgs_ground_state_without_lobpcg(monkeypatch, spec):
     assert float(np.dot(disc.weights, u)) > 0
 
 
-def test_linear_start_peak_memory_in_vectors():
-    """The linear start holds at most a line-search run's 12 ndof-sized arrays
-    and the normalized start that run() is given (LOBPCG's blocks held 19)."""
+def linear_start_peak_in_vectors():
+    """tracemalloc's peak over the linear start at fd2 299^2, in ndof-sized
+    vectors, the full grid's 1D matrices built before."""
     disc = TensorOperator(GridSpec(8.0, 2, 300, Scheme.FD2))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
     shifted_solver(disc, 0.15).solve(np.ones(disc.ndof))  # the grid's 1D matrices
@@ -629,7 +629,121 @@ def test_linear_start_peak_memory_in_vectors():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak / (8 * disc.ndof) < 13 + 0.5
+    return peak / (8 * disc.ndof)
+
+
+def test_linear_start_peak_memory_in_vectors():
+    """The linear start holds at most a line-search run's 12 ndof-sized arrays
+    and the normalized start that run() is given (LOBPCG's blocks held 19)."""
+    assert linear_start_peak_in_vectors() < 13 + 0.5
+
+
+def test_linear_start_on_the_even_sector_peak_memory_in_vectors():
+    """On the even sector (150^2 nodes) the line-search run's arrays are a
+    quarter of the full grid's: with the sector grid's own weights,
+    multiplicity and 1D matrices, the symmetry check's two temporaries and the
+    extended start, the start peaks below 5.5 vectors (13.1 on the full grid)."""
+    assert linear_start_peak_in_vectors() < 5.5
+
+
+def spy_on_run(monkeypatch) -> list:
+    """The grids of the runs that flows.run is called for from now on."""
+    grids = []
+
+    def spy(flow, problem, u0, stop):
+        grids.append(u0.disc)
+        return run(flow, problem, u0, stop)
+
+    monkeypatch.setattr(flows, "run", spy)
+    return grids
+
+
+def full_grid_linear_start(disc, problem) -> np.ndarray:
+    """The linear start's flow run on the full grid, as the start ran it before
+    it had a sector grid."""
+    z0 = disc.eigen.vectors[:, 0]
+    z0 = z0 * np.sign(z0.sum())
+    u0 = State(retract(disc, reduce(np.multiply.outer, [z0] * disc.dim).ravel()), disc)
+    return run(FlowConfig(alpha=problem.alpha, step=LineSearchStep()),
+               Problem(problem.potential, 0.0, problem.alpha), u0,
+               StopRule(1e-10)).final_state.coeffs
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 2, 300, Scheme.FD2),  # odd n, and h = 150 >= FOLD_MIN_N
+    GridSpec(8.0, 2, 65, Scheme.COMPACT4),  # even n
+    GridSpec(8.0, 3, 10, Scheme.SEM, 2),
+    GridSpec(8.0, 1, 64, Scheme.FD2),
+    GridSpec(8.0, 2, 2, Scheme.FD2),  # n = 1
+], ids=str)
+def test_linear_start_runs_on_the_even_sector(monkeypatch, spec):
+    """With a mirror-symmetric V the linear start's flow runs once, on the even
+    sector's grid, and its extended result is a fresh full-grid state within
+    1e-12 in the h-norm of the full grid's own run."""
+    disc = TensorOperator(spec)
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    want = full_grid_linear_start(disc, problem)
+    grids = spy_on_run(monkeypatch)
+    u = default_initial_state(disc, "linear", problem)
+    assert len(grids) == 1 and grids[0] is disc.even
+    assert u.disc is disc and u.coeffs.shape == (disc.ndof,)
+    assert u._neg_lap is None and u._record is None
+    assert norm_h(disc, u.coeffs - want) <= 1e-12
+
+
+def test_linear_start_with_an_asymmetric_potential_keeps_the_full_grid(monkeypatch):
+    """A linear ramp breaks V's mirror symmetry: the start's flow runs on the
+    full grid, builds no sector grid, and still matches LOBPCG's v0 to 1e-10."""
+    disc = TensorOperator(GridSpec(8.0, 2, 64, Scheme.FD2))
+    x = disc.node_coordinates()
+    problem = Problem(sin2_product(x) + 0.1 * (x[:, 0] + 8.0), 5.0, 0.15)
+    v0 = lobpcg_ground_state(disc, problem)
+    grids = spy_on_run(monkeypatch)
+    u = default_initial_state(disc, "linear", problem).coeffs
+    assert grids == [disc] and "even" not in vars(disc)
+    assert norm_h(disc, u - v0) <= 1e-10
+
+
+def test_sector_residual_is_the_extended_states():
+    """On the even sector the residual weighs each node by its multiplicity:
+    it equals the full grid's residual of the extended state (the plain
+    Euclidean norms read 0.524 against 0.579 at beta = 0 here), and so do E
+    and the Rayleigh value."""
+    disc = TensorOperator(GridSpec(8.0, 3, 9, Scheme.SEM, 2))
+    even = disc.even
+    V = sin2_product(disc.node_coordinates())
+    x = even.node_coordinates()
+    u = retract(even, np.exp(-0.1 * (x * x).sum(axis=1)))
+    restrict = (slice(even.n),) * disc.dim
+    for beta in (0.0, 5.0):
+        want = _record(State(even.extend(u), disc), Problem(V, beta))
+        got = _record(State(u, even), Problem(V.reshape(disc.shape)[restrict].ravel(), beta))
+        assert want.residual > 0.5
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("step", [FixedStep(1.0), LineSearchStep()], ids=["fixed", "linesearch"])
+def test_sector_and_full_grid_runs_stop_alike(step):
+    """From the same even start, the modified-H1 flow on the even sector and on
+    the full grid stops for the same reason after the same iterations, with E
+    and lambda within 1e-12 relative."""
+    disc = TensorOperator(GridSpec(8.0, 2, 64, Scheme.FD2))
+    even = disc.even
+    V = sin2_product(disc.node_coordinates())
+    problem = Problem(V, 5.0, 0.15)
+    u0 = default_initial_state(disc, "linear", problem)
+
+    def restrict(v):
+        return v.reshape(disc.shape)[(slice(even.n),) * disc.dim].ravel()
+
+    flow, stop = FlowConfig(alpha=0.15, step=step), StopRule(1e-10)
+    full = run(flow, problem, u0, stop)
+    half = run(flow, Problem(restrict(V), 5.0, 0.15), State(restrict(u0.coeffs), even), stop)
+    assert (half.reason, half.iterations) == (full.reason, full.iterations)
+    assert full.reason == "tol"
+    for got, want in ((half.records[-1].energy, full.records[-1].energy),
+                      (half.records[-1].eigenvalue, full.records[-1].eigenvalue)):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_linear_flow_whose_energy_falls_does_not_stall():
