@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .energy import Problem, State, apply_Au, energy
 from .flows import FlowConfig, RunReport, StopRule, default_initial_state, run
@@ -133,6 +132,7 @@ class MMatrixReport:
 def m_matrix_check(A) -> MMatrixReport:
     """Sufficient M-matrix test: positive diagonal, nonpositive off-diagonal,
     nonnegative row sums with at least one positive row sum."""
+    import scipy.sparse as sp  # on first use: tensor-grid runs never load scipy.sparse
     A = sp.csr_matrix(A)
     n = A.shape[0]
     diag = A.diagonal()

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .energy import (Problem, State, _record, apply_Au, energy,
-                     eigenvalue_estimate, euclidean_gradient, norm_h, residual,
+                     eigenvalue_estimate, euclidean_gradient, residual,
                      retract, riemannian_gradient)
 from .grids import TensorOperator
 from .linalg import SolverError, pcg, shifted_solver
@@ -128,17 +128,19 @@ class RunReport:
 
 def step_bfsp(state: State, problem: Problem, solver) -> State:
     """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = alpha + 1/dt,
-    then R_h(x); it carries -Delta_h x = rhs - s x, so it applies no Laplacian."""
+    then R_h(x), carrying -Delta_h x = rhs - s x (it applies no Laplacian) and R_h(x)*w."""
     state.require_normalized()
     state._Au_u = state._wu = None  # the record's A_u u and u*w: no step reads them
     u = state.coeffs
+    # two buffers from 256 KiB up, where numpy elides the expression's temporaries
     rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
     x = solver.solve(rhs)
-    rhs -= solver.alpha * x  # -Delta_h x, in rhs's buffer
-    nrm = norm_h(state.disc, x)
+    t = np.multiply(x, state.disc.weights)  # x*w, then s x, then R_h(x)*w
+    nrm = np.sqrt(max(float(np.dot(t, x)), 0.0))  # norm_h(disc, x)
+    rhs -= np.multiply(x, solver.alpha, out=t)  # -Delta_h x, in rhs's buffer
     x /= nrm  # R_h(x), as `retract` computes it
     rhs /= nrm  # -Delta_h R_h(x), carried to the next record
-    return State(x, state.disc, rhs)
+    return State(x, state.disc, rhs, _wu=np.multiply(x, state.disc.weights, out=t))
 
 
 def bfsp_shift(problem: Problem, u0: State) -> float:

@@ -20,8 +20,6 @@ from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import factorized, lobpcg
 
 from .grids import TensorOperator
 
@@ -60,6 +58,8 @@ def shifted_solver(disc, alpha: float):
         return FastSolver(disc, alpha)
     if alpha < 0:
         raise ValueError(f"shift alpha must be >= 0, got {alpha}")
+    import scipy.sparse as sp  # on first use: tensor-grid runs never load scipy.sparse
+    from scipy.sparse.linalg import factorized
     lu = factorized((disc.stiffness + alpha * sp.diags(disc.weights)).tocsc())
     return SimpleNamespace(solve=lambda b: lu(disc.weights * b), alpha=alpha)
 
@@ -105,6 +105,11 @@ def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500):
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, maxiter, False
+
+
+def lobpcg(*args, **kwargs):  # scipy's, imported on the first call
+    from scipy.sparse.linalg import lobpcg
+    return lobpcg(*args, **kwargs)
 
 
 @dataclass

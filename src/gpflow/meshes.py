@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -82,7 +81,7 @@ def edge_cotangent_sums(mesh: TriMesh2D):
 class AssembledOperator:
     """P1 stiffness and lumped mass over the interior vertices of a mesh."""
 
-    stiffness: sp.csr_matrix
+    stiffness: object  # a scipy.sparse CSR matrix
     weights: np.ndarray
     nodes: np.ndarray
     ndof: int
@@ -99,6 +98,7 @@ class AssembledOperator:
 
 def p1_assemble(mesh: TriMesh2D) -> AssembledOperator:
     """Cotangent stiffness and one-third-area lumped mass on interior vertices."""
+    import scipy.sparse as sp  # on first use: tensor-grid runs never load scipy.sparse
     interior = mesh.interior_indices
     if len(interior) == 0:
         raise MeshError("mesh has no interior vertex")
@@ -112,10 +112,8 @@ def p1_assemble(mesh: TriMesh2D) -> AssembledOperator:
                            np.concatenate([b, a, a, b], axis=None))), shape=(nv, nv))
     lumped = np.bincount(mesh.triangles.ravel(), weights=np.repeat(area / 3.0, 3),
                          minlength=nv)
-
-    S = full.tocsr()[interior][:, interior]
     return AssembledOperator(
-        stiffness=S.tocsr(),
+        stiffness=full.tocsr()[interior][:, interior].tocsr(),
         weights=lumped[interior],
         nodes=mesh.vertices[interior],
         ndof=len(interior),

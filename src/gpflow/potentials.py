@@ -13,21 +13,31 @@ def constant(c: float):
     return V
 
 
-def sin2_product(coords: np.ndarray) -> np.ndarray:
-    """prod_i sin^2(pi x_i / 4)."""
-    s = np.sin(np.pi * coords / 4.0)
+def _sin2(x: np.ndarray) -> np.ndarray:
+    """sin^2(pi x / 4) of one coordinate column, in one buffer."""
+    s = np.pi * x
+    s /= 4.0
+    np.sin(s, out=s)
     s *= s
-    # column by column: np.prod over short rows is ~4x slower, same bits
-    v = s[:, 0].copy()
-    for col in s.T[1:]:
-        v *= col
+    return s
+
+
+def sin2_product(coords: np.ndarray) -> np.ndarray:
+    """prod_i sin^2(pi x_i / 4), by columns."""
+    v = np.ones(len(coords))
+    for x in coords.T:
+        v *= _sin2(x)
     return v
 
 
 def harmonic_lattice(coords: np.ndarray) -> np.ndarray:
-    """|x|^2 + 100 sum_i sin^2(pi x_i / 4) (harmonic trap + optical lattice)."""
-    return (np.sum(coords ** 2, axis=1)
-            + 100.0 * np.sum(np.sin(np.pi * coords / 4.0) ** 2, axis=1))
+    """|x|^2 + 100 sum_i sin^2(pi x_i / 4) (harmonic trap + optical lattice), by columns."""
+    r, q = np.zeros(len(coords)), np.zeros(len(coords))
+    for x in coords.T:
+        r += x * x
+        q += _sin2(x)
+    r += 100.0 * q
+    return r
 
 
 def _u_star(coords: np.ndarray) -> np.ndarray:

@@ -147,6 +147,17 @@ def test_bfsp_matches_dense_formula():
     assert np.allclose(nxt.coeffs, want, atol=1e-11)
 
 
+def test_bfsp_state_holds_its_u_times_w():
+    """step_bfsp hands the new state R_h(x)*w: neither the state's <u, u>_h nor
+    its record forms u*w again."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
+    u = retract(disc, np.random.default_rng(1).standard_normal(disc.ndof))
+    nxt = step_bfsp(State(u, disc), problem, shifted_solver(disc, 0.7 + 1.0 / 0.2))
+    assert nxt._wu is not None
+    assert np.array_equal(nxt._wu, nxt.coeffs * disc.weights)
+    assert nxt.h_norm_sq == float(np.dot(nxt.coeffs * disc.weights, nxt.coeffs))
+
+
 def test_bfsp_requires_normalized():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 1.0)

@@ -1,10 +1,14 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gpflow
 from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
 from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
@@ -419,3 +423,35 @@ def test_lowest_two_unreachable_tol_raises():
     with pytest.raises(SolverError):
         lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + V * u,
                               disc.weights, tol=1e-30, solve_inner=fs.solve)
+
+
+SPARSE_FREE_RUNS = """
+import sys
+import gpflow
+from gpflow.energy import Problem
+from gpflow.flows import (FlowConfig, FlowKind, LineSearchStep, StopRule,
+                          default_initial_state, run)
+from gpflow.grids import GridSpec, Scheme, TensorOperator
+from gpflow.potentials import sin2_product
+
+disc = TensorOperator(GridSpec(8.0, 2, 12, Scheme.SEM, 2))
+problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+u0 = default_initial_state(disc, "linear", problem)
+for flow in (FlowConfig(), FlowConfig(step=LineSearchStep()),
+             FlowConfig(kind=FlowKind.BFSP, dt=0.1)):
+    assert run(flow, problem, u0, StopRule(max_iter=5)).iterations == 5
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+"""
+
+
+def test_tensor_grid_runs_never_load_scipy_sparse():
+    """scipy.sparse serves only the P1 LU, LOBPCG and the M-matrix check, and
+    loads on their first call: a fresh process that imports gpflow and runs the
+    linear start, a modified-H1 fixed step, a line-search run and a BFSP run
+    on a tensor grid never loads it."""
+    src = os.path.dirname(os.path.dirname(gpflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", SPARSE_FREE_RUNS],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,12 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
+from gpflow.potentials import harmonic_lattice, sin2_product
 
 
 def dense_lap(disc: TensorOperator) -> np.ndarray:
@@ -102,3 +106,42 @@ def test_integration_by_parts(spec, data):
     b = float(np.dot(disc.apply_neg_laplacian(u) * disc.weights, v))
     scale = max(1.0, abs(a), abs(b))
     assert abs(a - b) <= 1e-12 * scale
+
+
+def peak_in_vectors(f, ndof: int) -> float:
+    """tracemalloc's peak over f() (numpy reports its buffers to it), in ndof-sized vectors."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - start) / (8 * ndof)
+    finally:
+        tracemalloc.stop()
+
+
+def test_potentials_peak_memory_in_vectors():
+    """On a 39^3 sem2 grid each potential goes column by column: above the
+    (ndof, d) coordinates it is given, sin2_product peaks at 2 vectors and
+    harmonic_lattice at 3 (d + 2 and d + 3 with the coordinates; 6 and 7
+    above them with the whole-array expressions)."""
+    disc = TensorOperator(GridSpec(8.0, 3, 20, Scheme.SEM, 2))
+    coords = disc.node_coordinates()
+    for potential, vectors in ((sin2_product, 2), (harmonic_lattice, 3)):
+        assert peak_in_vectors(lambda: potential(coords), disc.ndof) < vectors + 0.5
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 3, 6, Scheme.SEM, 8), GridSpec(8.0, 2, 20, Scheme.COMPACT4),
+    GridSpec(8.0, 1, 40, Scheme.FD2), None], ids=["sem8-3D", "compact4-2D", "fd2-1D", "random-2D"])
+def test_potentials_by_columns_have_the_whole_array_bits(spec):
+    """sin2_product and harmonic_lattice equal, bit for bit, the expressions
+    on the whole (ndof, dim) array."""
+    if spec is None:
+        coords = np.random.default_rng(2).uniform(-8.0, 8.0, (1000, 2))
+    else:
+        coords = TensorOperator(spec).node_coordinates()
+    s = np.sin(np.pi * coords / 4.0) ** 2
+    assert np.array_equal(sin2_product(coords), reduce(np.multiply, s.T))
+    assert np.array_equal(harmonic_lattice(coords),
+                          np.sum(coords ** 2, axis=1) + 100.0 * np.sum(s, axis=1))
