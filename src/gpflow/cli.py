@@ -22,7 +22,7 @@ from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
 from .config import ConfigError, RunConfig, parse_config
 from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
 from .flows import FlowKind, RunReport, bfsp_shift, default_initial_state, run
-from .grids import GridSpec, TensorOperator
+from .grids import TensorOperator
 from .linalg import SolverError
 
 FMT = "%.16e"  # 17 significant digits
@@ -80,9 +80,7 @@ def run_solve(cfg: RunConfig, created) -> int:
 
 
 def run_convergence(cfg: RunConfig, created) -> int:
-    levels = cfg.study_levels or [cfg.grid.cells_per_dim, 2 * cfg.grid.cells_per_dim]
-    schemes = cfg.study_schemes or [(cfg.grid.scheme, cfg.grid.degree)]
-    table = convergence_study(schemes, levels, cfg.grid.dim, cfg.beta,
+    table = convergence_study(cfg.study_schemes, cfg.study_levels, cfg.grid.dim, cfg.beta,
                               cfg.flow, cfg.stop, cfg.initial)
     rows = []
     ok = True
@@ -100,9 +98,7 @@ def run_convergence(cfg: RunConfig, created) -> int:
 
 
 def run_eigengap(cfg: RunConfig, created) -> int:
-    levels = cfg.study_levels or [cfg.grid.cells_per_dim, 2 * cfg.grid.cells_per_dim]
-    specs = [GridSpec(cfg.grid.half_width, cfg.grid.dim, c,
-                      cfg.grid.scheme, cfg.grid.degree) for c in levels]
+    specs = [dataclasses.replace(cfg.grid, cells_per_dim=c) for c in cfg.study_levels]
     rows = eigengap_study(specs, lambda disc: _problem(cfg, disc),
                           cfg.flow, cfg.stop, cfg.initial)
     _write_csv(f"{cfg.prefix}_table.csv", ["h", "lambda0", "lambda1", "gap"],
@@ -210,6 +206,9 @@ def main(argv=None) -> int:
         # BFSP's fixed point depends on dt: not the discrete ground state a study measures
         print("config error: [flow] kind = bfsp: the studies need a gradient flow",
               file=sys.stderr)
+        return 1
+    if args.subcommand == "eigengap" and cfg.study_schemes != [(cfg.grid.scheme, cfg.grid.degree)]:
+        print("config error: [study] schemes: eigengap runs the [grid] scheme", file=sys.stderr)
         return 1
     # convergence measures its errors against the manufactured case on [-1, 1]^d
     if args.subcommand == "convergence" and (cfg.potential_fn.__name__ != "exact_case"

@@ -11,8 +11,8 @@ Sections and keys:
     [study]    levels (whitespace-separated cells values), schemes
     [output]   prefix
 
-[grid] and [problem] are required; everything else has defaults
-(alpha = 0.15, tau = 1, modified_h1 flow).
+[grid] and [problem] are required; everything else has defaults (alpha = 0.15,
+tau = 1, modified_h1 flow; studies at [grid] cells and twice that, [grid] scheme).
 """
 
 from __future__ import annotations
@@ -194,14 +194,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(get("stop", str(e).split()[0])[0], str(e))
 
     # study
-    levels = []
-    if ("study", "levels") in values:
-        ln, lv = values[("study", "levels")]
-        levels = [int(_number(ln, t, "levels", int)) for t in lv.split()]
-    schemes = []
-    if ("study", "schemes") in values:
-        ln, sv = values[("study", "schemes")]
-        schemes = [_scheme_token(ln, t.lower()) for t in sv.split()]
+    ln, lv = get("study", "levels", "")
+    levels = [int(_number(ln, t, "levels", int)) for t in lv.split()] or [cells, 2 * cells]
+    ln, sv = get("study", "schemes", "")
+    schemes = [_scheme_token(ln, t.lower()) for t in sv.split()] or [(scheme, degree)]
 
     prefix = get("output", "prefix", "gpflow")[1]
     return RunConfig(grid=grid, potential_fn=pot_fn,

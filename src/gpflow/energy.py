@@ -151,8 +151,9 @@ def energy(state: State, problem: Problem) -> float:
 
 def apply_Au(state: State, problem: Problem):
     """The linearized operator w -> (-Delta_h + V + beta diag(u^2)) w at the
-    state, its diagonal built once."""
-    diag = problem.potential + problem.beta * state.coeffs ** 2
+    state, its diagonal built once (V itself at beta = 0)."""
+    V, beta = problem.potential, problem.beta
+    diag = V + beta * state.coeffs ** 2 if beta else V
 
     def apply(w):
         w = np.asarray(w, dtype=float)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from types import SimpleNamespace
 
@@ -163,20 +163,16 @@ def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
     """state -> G, the inverse metric of a gradient flow (an object with .solve).
 
     modified H1: (-Delta_h + alpha I)^{-1}; L2: I;
-    A0: (-Delta_h + V)^{-1}; AU: A_u^{-1} at the given state.
+    AU: A_u^{-1} at the given state; A0: (-Delta_h + V)^{-1}, which is A_u^{-1} at beta = 0.
     """
-    if kind is FlowKind.AU:
+    if kind in (FlowKind.A0, FlowKind.AU):
+        p = problem if kind is FlowKind.AU else replace(problem, beta=0.0)
         precond = shifted_solver(disc, 0.0)
-        return lambda state: _pcg_inverse(
-            apply_Au(state, problem), precond, disc.weights, "AU")
+        return lambda state: _pcg_inverse(apply_Au(state, p), precond, disc.weights, kind.name)
     if kind is FlowKind.MODIFIED_H1:
         G = shifted_solver(disc, alpha)
     elif kind is FlowKind.L2:
         G = SimpleNamespace(solve=lambda w: w)
-    elif kind is FlowKind.A0:
-        G = _pcg_inverse(
-            lambda w: disc.apply_neg_laplacian(w) + problem.potential * w,
-            shifted_solver(disc, 0.0), disc.weights, "A0")
     else:
         raise ValueError(f"not a gradient flow: {kind}")
     return lambda state: G

@@ -11,6 +11,7 @@ from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
 from gpflow.flows import FixedStep, FlowKind, LineSearchStep, run
 from gpflow.grids import Scheme
+from gpflow.linalg import SolverError
 from gpflow.potentials import harmonic_lattice
 
 
@@ -37,6 +38,9 @@ def test_parse_minimal_config_defaults():
     assert cfg.stop.residual_tol == 1e-12
     assert cfg.initial == "constant"
     assert cfg.prefix == "gpflow"
+    # the studies default to [grid] cells and twice that, with the [grid] scheme
+    assert cfg.study_levels == [64, 128]
+    assert cfg.study_schemes == [(Scheme.FD2, 1)]
     V = cfg.potential_fn(np.zeros((3, 2)))
     assert np.allclose(V, 1.0)
 
@@ -101,6 +105,10 @@ prefix = out/run1
     (MINIMAL.replace("constant(1)", "constant"), 7, "needs a value"),
     (MINIMAL.replace("constant(1)", "mystery"), 7, "unknown potential"),
     (MINIMAL.replace("beta = 0", "beta = -2"), 8, "beta must be >= 0"),
+    (MINIMAL + "[flow]\nalpha = nan\n", 10, "value must be finite"),
+    (MINIMAL.replace("constant(1)", "sin2_product("), 7, "malformed potential spec"),
+    (MINIMAL.replace("constant(1)", "file()"), 7, "needs a path"),
+    (MINIMAL.replace("constant(1)", "sin2_product(3)"), 7, "takes no argument"),
     # GridSpec and StopRule errors name the line of the value they reject
     ("[grid]\nscheme = fd2\n[problem]\npotential = constant(1)\n"
      "[stop]\ntol = 1e-8\nmax_iter = 0\n", 7, "max_iter must be >= 1"),
@@ -201,6 +209,10 @@ def test_cli_eigengap_end_to_end(tmp_path):
     assert table[0] == "h,lambda0,lambda1,gap"
     gaps = [float(line.split(",")[3]) for line in table[1:]]
     assert len(gaps) == 2 and all(g > 0 for g in gaps)
+    # [study] schemes may name the [grid] scheme, the one eigengap runs: the same table
+    cfg = small_cfg(tmp_path, prefix + "2", extra="[study]\nlevels = 16 32\nschemes = fd2\n")
+    assert main(["eigengap", "--config", cfg]) == 0
+    assert read_csv(prefix + "2_table.csv").splitlines() == table
 
 
 def test_cli_compare_end_to_end(tmp_path, capsys, monkeypatch):
@@ -388,11 +400,13 @@ def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
     ("eigengap", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),
     ("convergence", "potential = exact_case", "potential = sin2_product", "potential"),
     ("convergence", "d = 1", "d = 1\nhalf_width = 8", "half_width"),
-], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width"])
+    ("eigengap", "[flow]\n", "[study]\nschemes = sem2 compact4\n[flow]\n", "[study] schemes"),
+], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width", "eigengap-schemes"])
 def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key):
     """BFSP's fixed point depends on dt, so it is not the discrete ground state
-    a study measures, and convergence measures its errors against the
-    manufactured case on [-1, 1]^d: anything else is a config error."""
+    a study measures; convergence measures its errors against the
+    manufactured case on [-1, 1]^d; and eigengap runs the [grid] scheme only:
+    anything else is a config error."""
     prefix = str(tmp_path / "x")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(old, new),
                     name="study.ini")
@@ -432,6 +446,36 @@ def test_cli_eigengap_honours_initial(tmp_path, monkeypatch):
         "[flow]\n", "[flow]\ninitial = linear\n"), name="linear.ini")
     assert main(["eigengap", "--config", cfg]) == 0
     assert starts == ["linear", "linear"]
+
+
+def test_cli_eigengap_level_not_converged_exit_2(tmp_path, capsys):
+    """A study level whose ground state stops short fails the run, names the
+    level and leaves no table."""
+    prefix = str(tmp_path / "g")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "max_iter = 100", "max_iter = 2"), name="short.ini")
+    assert main(["eigengap", "--config", cfg]) == 2
+    assert "error: ground state did not converge on GridSpec(" in capsys.readouterr().err
+    assert not os.path.exists(prefix + "_table.csv")
+
+
+def test_cli_failed_subcommand_removes_its_files(tmp_path, capsys, monkeypatch):
+    """compare's second flow raises after the first wrote its trace: exit 2, the
+    error printed and the written trace removed."""
+    calls = []
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == 2:
+            raise SolverError("metric solve did not converge")
+        return run(*a)
+
+    monkeypatch.setattr(gpflow.cli, "run", failing)
+    prefix = str(tmp_path / "cmp")
+    assert main(["compare", "--config", small_cfg(tmp_path, prefix)]) == 2
+    assert "error: metric solve did not converge" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert not os.path.exists(prefix + "_modified_h1_trace.csv")
 
 
 def test_cli_nonconvergence_exit_2(tmp_path):
