@@ -8,7 +8,7 @@ from .flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                     StopRule, default_initial_state, run)
 from .analysis import (convergence_study, convexity_check, eigengap_study,
                        exact_case, linearized_eigenpairs, m_matrix_check,
-                       monotonicity_oracle, rate_fit)
+                       monotonicity_oracle, rate_fit, set_up)
 from .config import RunConfig, parse_config
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "FixedStep", "FlowConfig", "FlowKind", "LineSearchStep", "StopRule",
     "default_initial_state", "run",
     "convergence_study", "convexity_check", "eigengap_study", "exact_case",
-    "linearized_eigenpairs", "m_matrix_check", "monotonicity_oracle", "rate_fit",
+    "linearized_eigenpairs", "m_matrix_check", "monotonicity_oracle", "rate_fit", "set_up",
     "RunConfig", "parse_config",
 ]

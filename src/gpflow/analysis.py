@@ -75,6 +75,16 @@ def _order(coarse: float, fine: float) -> float:
 STUDY_FLOW = FlowConfig(alpha=0.2)
 
 
+def set_up(spec: GridSpec, potential, beta: float, flow: FlowConfig,
+           initial: str) -> tuple[Problem, State]:
+    """A run's problem, with `potential` (coordinates -> values) at the nodes of
+    spec's grid, and its start from `initial` on that grid."""
+    disc = TensorOperator(spec)
+    V = np.asarray(potential(disc.node_coordinates()), dtype=float)
+    problem = Problem(V, beta, flow.alpha)
+    return problem, default_initial_state(disc, initial, problem)
+
+
 def solve_exact_case(spec: GridSpec, beta: float, flow: FlowConfig = STUDY_FLOW,
                      stop: StopRule = StopRule(), initial: str = "constant"):
     """Run `flow` from `initial` on the manufactured case; returns (report, case)."""
@@ -129,21 +139,18 @@ class MMatrixReport:
     witness: str
 
 
-def m_matrix_check(A) -> MMatrixReport:
-    """Sufficient M-matrix test: positive diagonal, nonpositive off-diagonal,
-    nonnegative row sums with at least one positive row sum."""
-    import scipy.sparse as sp  # on first use: tensor-grid runs never load scipy.sparse
-    A = sp.csr_matrix(A)
-    n = A.shape[0]
-    diag = A.diagonal()
+def m_matrix_check(A: np.ndarray) -> MMatrixReport:
+    """Sufficient M-matrix test of a dense A: positive diagonal, nonpositive
+    off-diagonal, nonnegative row sums with at least one positive row sum."""
+    A = np.asarray(A, dtype=float)
+    diag = np.diag(A)
     if np.any(diag <= 0):
         i = int(np.argmin(diag))
         return MMatrixReport(False, f"nonpositive diagonal at row {i}: {diag[i]}")
-    off = A - sp.diags(diag)
-    off_max = off.max() if off.nnz else 0.0
+    off_max = np.max(A - np.diag(diag))
     if off_max > 1e-13 * np.max(diag):
         return MMatrixReport(False, f"positive off-diagonal entry {off_max}")
-    rowsums = np.asarray(A.sum(axis=1)).ravel()
+    rowsums = A.sum(axis=1)
     tol = 1e-10 * np.max(np.abs(diag))
     if np.any(rowsums < -tol):
         i = int(np.argmin(rowsums))
@@ -197,16 +204,15 @@ def linearized_eigenpairs(state: State, problem: Problem):
                                  solve_inner=pre.solve, start=[state.coeffs])
 
 
-def eigengap_study(specs, problem_for, flow: FlowConfig = STUDY_FLOW,
+def eigengap_study(specs, potential, beta: float, flow: FlowConfig = STUDY_FLOW,
                    stop: StopRule = StopRule(),
                    initial: str = "constant") -> list[EigengapRow]:
     """Gap of A_{u*} across refinement levels; u* from a converged `flow` run
-    from `initial`."""
+    from `initial` (see `set_up`)."""
     rows = []
     for spec in specs:
-        disc = TensorOperator(spec)
-        problem = problem_for(disc)
-        report = run(flow, problem, default_initial_state(disc, initial, problem), stop)
+        problem, u0 = set_up(spec, potential, beta, flow, initial)
+        report = run(flow, problem, u0, stop)
         if not report.converged:
             raise RuntimeError(f"ground state did not converge on {spec}")
         res = linearized_eigenpairs(report.final_state, problem)
@@ -226,7 +232,7 @@ def _is_monotone_scheme(disc) -> bool:
     spec = getattr(disc, "spec", None)
     if spec is None:
         return True  # P1 AssembledOperator
-    return spec.scheme is Scheme.FD2 or (spec.scheme is Scheme.SEM and spec.degree == 1)
+    return spec.degree == 1 and spec.scheme is not Scheme.COMPACT4
 
 
 def sqrt_energy_hessian(S: np.ndarray, weights: np.ndarray, beta: float,

@@ -18,11 +18,10 @@ import numpy as np
 
 from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
                        dense_Au, eigengap_study, linearized_eigenpairs,
-                       m_matrix_check, monotonicity_oracle, rate_fit)
+                       m_matrix_check, monotonicity_oracle, rate_fit, set_up)
 from .config import ConfigError, RunConfig, parse_config
-from .energy import Problem, eigenvalue_estimate, eigenvalue_from_energy
-from .flows import FlowKind, RunReport, bfsp_shift, default_initial_state, run
-from .grids import TensorOperator
+from .energy import eigenvalue_estimate, eigenvalue_from_energy
+from .flows import FlowKind, RunReport, bfsp_shift, run
 from .linalg import SolverError
 
 FMT = "%.16e"  # 17 significant digits
@@ -63,16 +62,9 @@ def _print_run(kind: FlowKind, report: RunReport):
           f"residual={report.records[-1].residual:.3e}")
 
 
-def _problem(cfg: RunConfig, disc) -> Problem:
-    V = np.asarray(cfg.potential_fn(disc.node_coordinates()), dtype=float)
-    return Problem(V, cfg.beta, cfg.flow.alpha)
-
-
 def run_solve(cfg: RunConfig, created) -> int:
-    disc = TensorOperator(cfg.grid)
-    problem = _problem(cfg, disc)
-    report = run(cfg.flow, problem, default_initial_state(disc, cfg.initial, problem),
-                 cfg.stop)
+    problem, u0 = set_up(cfg.grid, cfg.potential_fn, cfg.beta, cfg.flow, cfg.initial)
+    report = run(cfg.flow, problem, u0, cfg.stop)
     _print_run(cfg.flow.kind, report)
     _write_trace(cfg.prefix, report, created)
     _write_summary(cfg.prefix, report, created)
@@ -99,8 +91,7 @@ def run_convergence(cfg: RunConfig, created) -> int:
 
 def run_eigengap(cfg: RunConfig, created) -> int:
     specs = [dataclasses.replace(cfg.grid, cells_per_dim=c) for c in cfg.study_levels]
-    rows = eigengap_study(specs, lambda disc: _problem(cfg, disc),
-                          cfg.flow, cfg.stop, cfg.initial)
+    rows = eigengap_study(specs, cfg.potential_fn, cfg.beta, cfg.flow, cfg.stop, cfg.initial)
     _write_csv(f"{cfg.prefix}_table.csv", ["h", "lambda0", "lambda1", "gap"],
                [(r.h, r.lambda0, r.lambda1, r.gap) for r in rows], created)
     return 0 if all(r.gap > 0 for r in rows) else 2
@@ -108,11 +99,9 @@ def run_eigengap(cfg: RunConfig, created) -> int:
 
 def run_compare(cfg: RunConfig, created) -> int:
     """One trace per flow kind with an identical column schema; BFSP at bfsp_shift."""
-    disc = TensorOperator(cfg.grid)
-    problem = _problem(cfg, disc)
+    problem, u0 = set_up(cfg.grid, cfg.potential_fn, cfg.beta, cfg.flow, cfg.initial)
     kinds = [FlowKind.MODIFIED_H1, FlowKind.BFSP, FlowKind.L2,
              FlowKind.A0, FlowKind.AU]
-    u0 = default_initial_state(disc, cfg.initial, problem)
     summary = []
     status = 0
     for kind in kinds:
@@ -134,12 +123,11 @@ def run_compare(cfg: RunConfig, created) -> int:
 
 def run_verify(cfg: RunConfig, created) -> int:
     """Structural checks on the configured problem; prints pass counts."""
-    disc = TensorOperator(cfg.grid)
-    problem = _problem(cfg, disc)
+    problem, u0 = set_up(cfg.grid, cfg.potential_fn, cfg.beta, cfg.flow, cfg.initial)
+    disc = u0.disc
     checks: list[tuple[str, bool]] = []
 
-    report = run(cfg.flow, problem, default_initial_state(disc, cfg.initial, problem),
-                 cfg.stop)
+    report = run(cfg.flow, problem, u0, cfg.stop)
     checks.append(("flow converged", report.converged))
     state = report.final_state
     checks.append(("energy monotone decreasing",

@@ -17,6 +17,7 @@ tau = 1, modified_h1 flow; studies at [grid] cells and twice that, [grid] scheme
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ _FLOWS = {k.value: k for k in FlowKind}
 
 # first word of a GridSpec error -> the [grid] key whose value it rejects
 _GRID_ERROR_KEYS = {"half_width": "half_width", "dim": "d", "cells_per_dim": "cells",
-                    "grid": "cells", "SEM": "scheme"}
+                    "grid": "cells", "degree": "scheme"}
 
 
 @dataclass
@@ -194,10 +195,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(get("stop", str(e).split()[0])[0], str(e))
 
     # study
-    ln, lv = get("study", "levels", "")
-    levels = [int(_number(ln, t, "levels", int)) for t in lv.split()] or [cells, 2 * cells]
+    levels_ln, lv = get("study", "levels", "")
+    levels = [int(_number(levels_ln, t, "levels", int)) for t in lv.split()] or [cells, 2 * cells]
     ln, sv = get("study", "schemes", "")
     schemes = [_scheme_token(ln, t.lower()) for t in sv.split()] or [(scheme, degree)]
+    for (s, k), c in itertools.product(schemes, levels):  # the studies' grids
+        try:
+            GridSpec(half_width, d, c, s, k)
+        except ValueError as e:  # a degree error, or default levels: the schemes line's
+            raise ConfigError(ln if str(e).startswith("degree") else levels_ln or ln, str(e))
 
     prefix = get("output", "prefix", "gpflow")[1]
     return RunConfig(grid=grid, potential_fn=pot_fn,

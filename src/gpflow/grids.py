@@ -45,7 +45,7 @@ class GridSpec:
     dim: int
     cells_per_dim: int
     scheme: Scheme = Scheme.FD2
-    degree: int = 1  # polynomial degree, SEM only
+    degree: int = 1  # polynomial degree: SEM's k, 1 on FD2 and COMPACT4
 
     def __post_init__(self):
         if self.half_width <= 0:
@@ -54,16 +54,14 @@ class GridSpec:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.cells_per_dim < 1:
             raise ValueError(f"cells_per_dim must be >= 1, got {self.cells_per_dim}")
-        if self.scheme is Scheme.SEM and self.degree < 1:
-            raise ValueError(f"SEM degree must be >= 1, got {self.degree}")
+        if self.degree != 1 and (self.scheme is not Scheme.SEM or self.degree < 1):
+            raise ValueError(f"degree must be >= 1 on sem and 1 elsewhere, got {self.degree}")
         if self.interior_per_dim < 1:
             raise ValueError("grid has no interior unknowns")
 
     @property
     def interior_per_dim(self) -> int:
-        if self.scheme is Scheme.SEM:
-            return self.cells_per_dim * self.degree - 1
-        return self.cells_per_dim - 1
+        return self.cells_per_dim * self.degree - 1
 
     @property
     def cell_size(self) -> float:
@@ -81,8 +79,6 @@ def gauss_lobatto_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ValueError(f"Gauss-Lobatto rule needs degree k >= 1, got {k}")
-    if k == 1:
-        return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
     pk = legendre.Legendre.basis(k)
     interior = np.sort(pk.deriv().roots().real)
     nodes = np.concatenate(([-1.0], interior, [1.0]))
@@ -135,7 +131,7 @@ def build_1d(spec: GridSpec) -> Operator1D:
     """
     L = spec.half_width
     h = spec.cell_size
-    k = spec.degree if spec.scheme is Scheme.SEM else 1
+    k = spec.degree
     ref_nodes, ref_w = gauss_lobatto_rule(k)
     D = lagrange_diff_matrix(ref_nodes)
     # local stiffness: exact since grad products have degree 2k-2 <= 2k-1

@@ -114,12 +114,11 @@ def lobpcg(*args, **kwargs):  # scipy's, imported on the first call
 
 @dataclass
 class EigenResult:
-    """The two lowest eigenpairs of an <.,.>_h-symmetric operator A v = lambda v."""
+    """The two lowest eigenvalues of an <.,.>_h-symmetric A v = lambda v, and v0 for lambda0."""
 
     lambda0: float
     lambda1: float
     v0: np.ndarray
-    v1: np.ndarray
 
     @property
     def gap(self) -> float:
@@ -137,8 +136,8 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
     vectors in `start` replace; a start must neither be orthogonal to the wanted
     eigenvectors nor keep a symmetry (a parity, say) that they break.
     LOBPCG runs on the similar standard problem in y = sqrt(w) v, where the
-    h-norm is the 2-norm.  Every returned pair meets ||A v - lambda v||_h <= tol |lambda|,
-    else SolverError; lambdas ascend, and each v is h-normalized with a
+    h-norm is the 2-norm.  Both pairs meet ||A v - lambda v||_h <= tol |lambda|,
+    else SolverError; lambdas ascend, and the returned v0 is h-normalized with a
     nonnegative weighted mean.
     """
     s = np.sqrt(weights)[:, None]
@@ -166,4 +165,4 @@ def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
                           f"residuals {res}, lambda {lam}")
     V = Y / s
     V *= np.where(weights @ V < 0, -1.0, 1.0)
-    return EigenResult(float(lam[0]), float(lam[1]), V[:, 0], V[:, 1])
+    return EigenResult(float(lam[0]), float(lam[1]), V[:, 0])

@@ -144,10 +144,10 @@ def mesh_monotonicity_check(mesh: TriMesh2D) -> MonotonicityReport:
                               worst_value=worst)
 
 
-def structured_right_triangle_mesh(cells: int, lo: float = 0.0, hi: float = 1.0) -> TriMesh2D:
-    """Uniform grid of squares on [lo, hi]^2, each split along one diagonal."""
+def structured_right_triangle_mesh(cells: int) -> TriMesh2D:
+    """Uniform grid of squares on [0, 1]^2, each split along one diagonal."""
     n = cells + 1
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
     vid = np.arange(n * n).reshape(n, n)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gpflow.analysis import (convergence_study, convexity_check, dense_Au,
-                             eigengap_study, exact_case, m_matrix_check,
+                             eigengap_study, m_matrix_check,
                              monotonicity_oracle, rate_fit, solve_exact_case)
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            eigenvalue_from_energy, inner_h, norm_h,
@@ -19,7 +19,7 @@ from gpflow.flows import (FixedStep, FlowConfig, FlowKind, StopRule,
 from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
                           gauss_lobatto_rule)
 from gpflow.linalg import FastSolver
-from gpflow.potentials import harmonic_lattice, sin2_product
+from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
 from test_energy import norm_X, sobolev_gradient
 from test_tensor import dense_lap
@@ -254,8 +254,7 @@ def test_criterion_8_property_suite():
 
     # eigengap positive and stable across three refinement levels
     gaps = [r.gap for r in eigengap_study(
-        [GridSpec(1.0, 1, c, Scheme.FD2) for c in (20, 40, 80)],
-        lambda dd: Problem(exact_case(dd, 2.0).potential, 2.0, 0.2))]
+        [GridSpec(1.0, 1, c, Scheme.FD2) for c in (20, 40, 80)], exact_case_potential(2.0), 2.0)]
     check("eigengap positive and stable",
           min(gaps) > 0 and max(gaps) / min(gaps) <= 1.05)
 

@@ -11,6 +11,7 @@ from gpflow.energy import Problem, State, energy, inner_h, retract
 from gpflow.flows import RunReport, IterationRecord, StopRule
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
+from gpflow.potentials import exact_case_potential
 
 from test_linalg import counting
 
@@ -220,12 +221,7 @@ def test_linearized_eigenpairs_start_from_u(monkeypatch):
 
 def test_eigengap_study_stable_across_levels():
     specs = [GridSpec(1.0, 1, c, Scheme.FD2) for c in (20, 40, 80)]
-
-    def problem_for(disc):
-        case = exact_case(disc, 2.0)
-        return Problem(case.potential, 2.0, 0.2)
-
-    rows = eigengap_study(specs, problem_for)
+    rows = eigengap_study(specs, exact_case_potential(2.0), 2.0)
     gaps = np.array([r.gap for r in rows])
     assert np.all(gaps > 0)
     assert np.max(gaps) / np.min(gaps) <= 1.05

@@ -158,6 +158,9 @@ def test_workload_flag_picks_workloads_and_refuses_unknown_names(monkeypatch, tm
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "export", export)
+    # the work tree's HEAD and diff: a tree exported by `git archive` has no git
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "diff_sha256", lambda: None)
     out = str(tmp_path / "pairs.json")
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--base", "HEAD", "--out", out, "--workload", "nope"])

@@ -9,7 +9,8 @@ import pytest
 import gpflow.analysis
 from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
-from gpflow.flows import FixedStep, FlowKind, LineSearchStep, run
+from gpflow import flows
+from gpflow.flows import FixedStep, FlowKind, LineSearchStep, StopRule, run
 from gpflow.grids import Scheme
 from gpflow.linalg import SolverError
 from gpflow.potentials import harmonic_lattice
@@ -122,6 +123,14 @@ prefix = out/run1
      "cells_per_dim must be >= 1"),
     ("[grid]\nscheme = fd2\nhalf_width = -1\n[problem]\npotential = constant(1)\n", 3,
      "half_width must be positive"),
+    ("[grid]\nscheme = sem0\n[problem]\npotential = constant(1)\n", 2,
+     "degree must be >= 1"),
+    # every study grid is built here: a level or scheme it rejects names its line
+    (MINIMAL + "[study]\nlevels = 0 16\n", 10, "cells_per_dim must be >= 1"),
+    (MINIMAL + "[study]\nlevels = 1 2\n", 10, "no interior unknowns"),
+    # with the default levels (1 and 2 here) it is the schemes line's
+    ("[grid]\nscheme = sem2\ncells = 1\n[problem]\npotential = constant(1)\n"
+     "[study]\nschemes = fd2\n", 7, "no interior unknowns"),
 ])
 def test_parse_errors_with_line_numbers(text, line, match):
     with pytest.raises(ConfigError, match=match) as e:
@@ -401,12 +410,15 @@ def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
     ("convergence", "potential = exact_case", "potential = sin2_product", "potential"),
     ("convergence", "d = 1", "d = 1\nhalf_width = 8", "half_width"),
     ("eigengap", "[flow]\n", "[study]\nschemes = sem2 compact4\n[flow]\n", "[study] schemes"),
-], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width", "eigengap-schemes"])
+    ("eigengap", "[flow]\n", "[study]\nlevels = 0 16\n[flow]\n", "line 10: cells_per_dim"),
+    ("convergence", "[flow]\n", "[study]\nlevels = 1 2\n[flow]\n", "line 10: grid has no"),
+], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width", "eigengap-schemes",
+        "levels-0", "fd2-levels-1"])
 def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key):
     """BFSP's fixed point depends on dt, so it is not the discrete ground state
     a study measures; convergence measures its errors against the
-    manufactured case on [-1, 1]^d; and eigengap runs the [grid] scheme only:
-    anything else is a config error."""
+    manufactured case on [-1, 1]^d; eigengap runs the [grid] scheme only; and
+    every level must make a grid: anything else is a config error."""
     prefix = str(tmp_path / "x")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(old, new),
                     name="study.ini")
@@ -414,6 +426,18 @@ def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, ol
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not os.path.exists(prefix + "_table.csv")
+
+
+def test_cli_linear_start_that_stops_short_exit_2(tmp_path, capsys, monkeypatch):
+    """A `linear` start whose beta = 0 flow stops short (held here to one
+    iteration) fails the run: exit 2 with the start's reason, and no trace."""
+    monkeypatch.setattr(flows, "StopRule", lambda tol: StopRule(tol, max_iter=1))
+    prefix = str(tmp_path / "s")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "[flow]\n", "[flow]\ninitial = linear\n"), name="linear.ini")
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: linear initial guess stopped by max_iter\n"
+    assert not os.path.exists(prefix + "_trace.csv")
 
 
 @pytest.mark.parametrize("tau, iterations", [("1", ["10", "10"]),

@@ -257,6 +257,14 @@ def test_record_matches_textbook_formulas(scale):
             eigenvalue_estimate(s, problem)
 
 
+def test_record_of_the_zero_state_raises():
+    """The zero vector has no direction, so its record (and its residual) is
+    refused rather than read off a 0/0."""
+    disc, problem, _ = make()
+    with pytest.raises(NormalizationError, match="zero vector"):
+        residual(State(np.zeros(disc.ndof), disc), problem)
+
+
 def test_energy_does_not_read_Au_u():
     """E is its own sum, never taken from A_u u or the Rayleigh value, so
     `eigenvalue_from_energy` checks them: a wrong A_u u held on the state

@@ -347,6 +347,26 @@ def test_line_search_rise_along_g_is_a_step_failure(monkeypatch):
         assert (report.reason, report.iterations) == (reason, iterations)
 
 
+def test_a0_metric_solve_that_misses_its_tolerance_is_a_step_failure(monkeypatch):
+    """A PCG that misses its tolerance inside the A0 metric ends the run with
+    `step_failure` before any step is taken from its inexact solve."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
+    monkeypatch.setattr(flows, "pcg", lambda apply_A, apply_P, b, weights, tol, maxiter:
+                        (b, maxiter, False))
+    report = run(FlowConfig(kind=FlowKind.A0), problem, default_initial_state(disc),
+                 StopRule())
+    assert (report.reason, report.iterations) == ("step_failure", 0)
+
+
+def test_linear_start_raises_when_its_flow_stops_short(monkeypatch):
+    """The `linear` start is the beta = 0 flow run to residual 1e-10: held to
+    one iteration, that flow stops by max_iter, and the start is refused."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
+    monkeypatch.setattr(flows, "StopRule", lambda tol: StopRule(tol, max_iter=1))
+    with pytest.raises(SolverError, match="linear initial guess stopped by max_iter"):
+        default_initial_state(disc, "linear", problem)
+
+
 @pytest.mark.parametrize("beta", [0.0, 3.0])
 def test_line_search_zero_direction_returns_hi(monkeypatch, beta):
     """A zero direction has a zero closed form (A = Q = 0) and no stationary

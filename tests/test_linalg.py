@@ -445,7 +445,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
 
 
 def test_tensor_grid_runs_never_load_scipy_sparse():
-    """scipy.sparse serves only the P1 LU, LOBPCG and the M-matrix check, and
+    """scipy.sparse serves only P1 meshes (assembly and LU) and LOBPCG, and
     loads on their first call: a fresh process that imports gpflow and runs the
     linear start, a modified-H1 fixed step, a line-search run and a BFSP run
     on a tensor grid never loads it."""

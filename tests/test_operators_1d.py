@@ -15,6 +15,11 @@ def test_gridspec_validation():
         GridSpec(1.0, 1, 1)  # no interior unknowns
     with pytest.raises(ValueError):
         GridSpec(1.0, 1, 8, Scheme.SEM, 0)
+    # degree is SEM's: fd2 and compact4 reject any but 1
+    with pytest.raises(ValueError, match="degree"):
+        GridSpec(1.0, 2, 8, Scheme.FD2, 3)
+    with pytest.raises(ValueError, match="degree"):
+        GridSpec(1.0, 1, 8, Scheme.COMPACT4, 2)
 
 
 def test_gridspec_counts():

@@ -11,9 +11,9 @@ def test_rejects_degree_zero():
 
 
 def test_trapezoid_k1():
-    nodes, weights = gauss_lobatto_rule(1)
-    assert np.allclose(nodes, [-1.0, 1.0])
-    assert np.allclose(weights, [1.0, 1.0])
+    nodes, weights = gauss_lobatto_rule(1)  # the general formula, exactly
+    assert np.array_equal(nodes, [-1.0, 1.0])
+    assert np.array_equal(weights, [1.0, 1.0])
 
 
 def test_simpson_k2():
