@@ -12,14 +12,19 @@ which may be repeated; an unknown name exits 2 before any run), each run
 in a fresh process for the benchmark's run_seconds.  The side that runs first
 alternates from pair to pair, so a drift of the host's speed hits both
 sides alike; pair i uses seed i + 1 on both sides.  Each run records the
-host's 1-minute load average as it starts, and the facts of its solves
-(label, reason, iterations, energy, eigenvalue, residual) from the record
-that gsbench writes to gsbench/out/.  The output JSON holds every run,
+host's 1-minute load average as it starts, and, from the record that
+gsbench writes to gsbench/out/, the facts of its solves (label, reason,
+iterations, energy, eigenvalue, residual) and how many timed passes and
+repeated flow rounds it ran (a round is a pass with no set-up, whose
+`setup_s` is null).  The output JSON holds every run,
 each side's median load per workload (a busy host slows both sides and
 widens the spread), whether both sides of every pair gave the same facts
 (`same_results`: a change meant to keep the numbers shows here that it
 did) and the same label, reason and iterations (`same_counts`: a change
-that moves only round-off shows here that its runs stop alike), and, per
+that moves only round-off shows here that its runs stop alike), whether
+both sides of every pair ran as many rounds (`same_rounds`: a round runs
+while the last pass's states are alive, so a `peak_rss_mb` gap where it is
+false may come from the rounds alone), and, per
 workload and metric, the median and
 quartiles of each side and of the per-pair relative change, how many
 pairs the working tree won, whether a claimed gain is met and whether the
@@ -62,7 +67,8 @@ def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per workload: each side's median load, `same_results` (every pair's
     sides gave equal solve facts), `same_counts` (equal labels, reasons and
-    iterations: the first COUNTED facts), and per metric the quartiles
+    iterations: the first COUNTED facts), `same_rounds` (every pair's sides
+    ran as many flow rounds), and per metric the quartiles
     of each side, of the relative change work/base - 1 within each pair, and
     the pairs the work side won (strictly better in the metric's direction).
     `claim_met`: the work side won at least 9 in 10 pairs and its median is
@@ -85,6 +91,8 @@ def summarize(runs: list[dict], better: dict[str, str],
                                       for p in complete),
                   "same_counts": all([f[:COUNTED] for f in p["base"]["results"]]
                                      == [f[:COUNTED] for f in p["work"]["results"]]
+                                     for p in complete),
+                  "same_rounds": all(p["base"]["rounds"] == p["work"]["rounds"]
                                      for p in complete)}
         for metric, direction in better.items():
             sign = -1.0 if direction == "lower" else 1.0
@@ -117,6 +125,13 @@ def solve_facts(record: dict) -> list[list]:
     return facts
 
 
+def pass_counts(record: dict) -> dict[str, int]:
+    """A gsbench record's timed passes and its flow rounds: the passes
+    repeated from the last timed pass's start, which have no set-up."""
+    rounds = sum(p["setup_s"] is None for p in record["passes"])
+    return {"passes": len(record["passes"]) - rounds, "rounds": rounds}
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join("gsbench", "run.py"), "--workload", workload,
@@ -124,9 +139,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     with open(os.path.join(tree, "gsbench", "out", f"{workload}-seed{seed}-trace0.json")) as f:
-        results = solve_facts(json.load(f))
+        record = json.load(f)
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "correct": result["correct"], "failed": result["failed"], "results": results}
+            "correct": result["correct"], "failed": result["failed"],
+            "results": solve_facts(record), **pass_counts(record)}
 
 
 def git(*args: str) -> str:
@@ -179,7 +195,8 @@ def main(argv=None) -> int:
                     r = run_once(trees[side], w, pair + 1, seconds)
                     runs.append({"pair": pair, "workload": w, "side": side,
                                  "seed": pair + 1, "load": load, **r})
-                    print(f"pair {pair} {w} {side} load={load:.2f}: " + " ".join(
+                    print(f"pair {pair} {w} {side} load={load:.2f} "
+                          f"passes={r['passes']} rounds={r['rounds']}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
     record = {"base": sha, "work": work, "seconds": seconds, "nproc": os.cpu_count(),
               "summary": summarize(runs, better, bounds), "runs": runs}

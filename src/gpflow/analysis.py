@@ -28,7 +28,6 @@ from .potentials import _u_star, exact_case_potential
 
 @dataclass(frozen=True)
 class ExactCase:
-    potential: np.ndarray     # node values of beta (1 - u*^2)
     u_star: np.ndarray        # node values of the amplitude-1 ground state
     lambda_star: float
     energy_star: float
@@ -36,14 +35,13 @@ class ExactCase:
 
 
 def exact_case(disc, beta: float) -> ExactCase:
-    """Manufactured ground state on [-1, 1]^d evaluated at the disc's nodes."""
+    """Manufactured ground state on [-1, 1]^d at the disc's nodes; V: exact_case_potential."""
     if hasattr(disc, "spec") and disc.spec.half_width != 1.0:
         raise ValueError("the manufactured case lives on [-1, 1]^d (half_width 1)")
     coords = disc.node_coordinates()
     d = coords.shape[1]
     lam = d * np.pi ** 2 / 4.0 + beta
     return ExactCase(
-        potential=exact_case_potential(beta)(coords),
         u_star=_u_star(coords),
         lambda_star=lam,
         energy_star=lam / 2.0 - (beta / 4.0) * (3.0 / 4.0) ** d,
@@ -88,39 +86,39 @@ def set_up(spec: GridSpec, potential, beta: float, flow: FlowConfig,
 def solve_exact_case(spec: GridSpec, beta: float, flow: FlowConfig = STUDY_FLOW,
                      stop: StopRule = StopRule(), initial: str = "constant"):
     """Run `flow` from `initial` on the manufactured case; returns (report, case)."""
-    disc = TensorOperator(spec)
-    case = exact_case(disc, beta)
-    problem = Problem(case.potential, beta, flow.alpha)
-    return run(flow, problem, default_initial_state(disc, initial, problem), stop), case
+    problem, u0 = set_up(spec, exact_case_potential(beta), beta, flow, initial)
+    case = exact_case(u0.disc, beta)
+    return run(flow, problem, u0, stop), case
 
 
-def convergence_study(schemes, levels, d: int, beta: float,
-                      flow: FlowConfig = STUDY_FLOW, stop: StopRule = StopRule(),
+def convergence_study(specs, beta: float, flow: FlowConfig = STUDY_FLOW,
+                      stop: StopRule = StopRule(),
                       initial: str = "constant") -> dict[str, list[ConvergenceRow]]:
-    """Errors and observed orders of the manufactured case per scheme and level.
+    """Errors and observed orders of the manufactured case on `specs`, per scheme.
 
-    `levels` holds cells_per_dim values; successive levels are assumed to
-    double the resolution when orders are formed.
+    The specs of one scheme, in order, are its levels; each is assumed to
+    double the resolution of the one before when orders are formed.
     """
-    if len(levels) < 2:
-        raise ValueError("need at least two refinement levels")
+    levels: dict[str, list[GridSpec]] = {}
+    for spec in specs:
+        name = spec.scheme.value if spec.scheme is not Scheme.SEM else f"sem{spec.degree}"
+        levels.setdefault(name, []).append(spec)
+    if not levels or min(map(len, levels.values())) < 2:
+        raise ValueError("need at least two refinement levels per scheme")
     table: dict[str, list[ConvergenceRow]] = {}
-    for scheme, degree in schemes:
+    for name, scheme_specs in levels.items():
         rows = []
-        for cells in levels:
-            spec = GridSpec(1.0, d, cells, scheme, degree)
+        for spec in scheme_specs:
             report, case = solve_exact_case(spec, beta, flow, stop, initial)
             state, last = report.final_state, report.records[-1]
             u = state.coeffs
             if float(np.dot(state.disc.weights, u)) < 0:
                 u = -u
-            sup = float(np.max(np.abs(u - case.u_star)))
-            n = spec.interior_per_dim
             rows.append(ConvergenceRow(
-                label=f"{n}^{d}", h=spec.cell_size,
+                label=f"{spec.interior_per_dim}^{spec.dim}", h=spec.cell_size,
                 lambda_err=abs(last.eigenvalue - case.lambda_star),
                 energy_err=abs(last.energy - case.energy_star),
-                sup_err=sup,
+                sup_err=float(np.max(np.abs(u - case.u_star))),
                 iterations=report.iterations,
                 converged=report.converged,
             ))
@@ -128,7 +126,6 @@ def convergence_study(schemes, levels, d: int, beta: float,
             cur.lambda_order = _order(prev.lambda_err, cur.lambda_err)
             cur.energy_order = _order(prev.energy_err, cur.energy_err)
             cur.sup_order = _order(prev.sup_err, cur.sup_err)
-        name = scheme.value if scheme is not Scheme.SEM else f"sem{degree}"
         table[name] = rows
     return table
 

@@ -72,8 +72,7 @@ def run_solve(cfg: RunConfig, created) -> int:
 
 
 def run_convergence(cfg: RunConfig, created) -> int:
-    table = convergence_study(cfg.study_schemes, cfg.study_levels, cfg.grid.dim, cfg.beta,
-                              cfg.flow, cfg.stop, cfg.initial)
+    table = convergence_study(cfg.study_specs, cfg.beta, cfg.flow, cfg.stop, cfg.initial)
     rows = []
     ok = True
     for name, scheme_rows in table.items():
@@ -90,8 +89,8 @@ def run_convergence(cfg: RunConfig, created) -> int:
 
 
 def run_eigengap(cfg: RunConfig, created) -> int:
-    specs = [dataclasses.replace(cfg.grid, cells_per_dim=c) for c in cfg.study_levels]
-    rows = eigengap_study(specs, cfg.potential_fn, cfg.beta, cfg.flow, cfg.stop, cfg.initial)
+    rows = eigengap_study(cfg.study_specs, cfg.potential_fn, cfg.beta, cfg.flow, cfg.stop,
+                          cfg.initial)
     _write_csv(f"{cfg.prefix}_table.csv", ["h", "lambda0", "lambda1", "gap"],
                [(r.h, r.lambda0, r.lambda1, r.gap) for r in rows], created)
     return 0 if all(r.gap > 0 for r in rows) else 2
@@ -195,7 +194,8 @@ def main(argv=None) -> int:
         print("config error: [flow] kind = bfsp: the studies need a gradient flow",
               file=sys.stderr)
         return 1
-    if args.subcommand == "eigengap" and cfg.study_schemes != [(cfg.grid.scheme, cfg.grid.degree)]:
+    if args.subcommand == "eigengap" and any(
+            (s.scheme, s.degree) != (cfg.grid.scheme, cfg.grid.degree) for s in cfg.study_specs):
         print("config error: [study] schemes: eigengap runs the [grid] scheme", file=sys.stderr)
         return 1
     # convergence measures its errors against the manufactured case on [-1, 1]^d

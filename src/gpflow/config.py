@@ -8,18 +8,19 @@ Sections and keys:
                constant(c) | file(path)), beta
     [flow]     kind, alpha, tau (number or 'linesearch'), dt, initial
     [stop]     tol, max_iter, stall_window
-    [study]    levels (whitespace-separated cells values), schemes
+    [study]    levels (whitespace-separated cells values), schemes (each once)
     [output]   prefix
 
 [grid] and [problem] are required; everything else has defaults (alpha = 0.15,
 tau = 1, modified_h1 flow; studies at [grid] cells and twice that, [grid] scheme).
+The studies' grids, schemes x levels at [grid] d and half_width, are study_specs.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +58,9 @@ class RunConfig:
     beta: float
     flow: FlowConfig
     stop: StopRule
+    study_specs: list[GridSpec]  # the studies' grids, schemes x levels
     initial: str = "constant"
     prefix: str = "gpflow"
-    study_levels: list[int] = field(default_factory=list)
-    study_schemes: list[tuple[Scheme, int]] = field(default_factory=list)
 
 
 def _tokenize(text: str):
@@ -199,13 +199,15 @@ def parse_config(text: str) -> RunConfig:
     levels = [int(_number(levels_ln, t, "levels", int)) for t in lv.split()] or [cells, 2 * cells]
     ln, sv = get("study", "schemes", "")
     schemes = [_scheme_token(ln, t.lower()) for t in sv.split()] or [(scheme, degree)]
-    for (s, k), c in itertools.product(schemes, levels):  # the studies' grids
-        try:
-            GridSpec(half_width, d, c, s, k)
-        except ValueError as e:  # a degree error, or default levels: the schemes line's
-            raise ConfigError(ln if str(e).startswith("degree") else levels_ln or ln, str(e))
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError(ln, f"schemes: each scheme may appear once, got {sv!r}")
+    try:
+        specs = [GridSpec(half_width, d, c, s, k)
+                 for (s, k), c in itertools.product(schemes, levels)]
+    except ValueError as e:  # a degree error, or default levels: the schemes line's
+        raise ConfigError(ln if str(e).startswith("degree") else levels_ln or ln, str(e))
 
     prefix = get("output", "prefix", "gpflow")[1]
     return RunConfig(grid=grid, potential_fn=pot_fn,
                      beta=beta, flow=flow, stop=stop, initial=initial,
-                     prefix=prefix, study_levels=levels, study_schemes=schemes)
+                     prefix=prefix, study_specs=specs)

@@ -26,8 +26,10 @@ from test_tensor import dense_lap
 
 
 # what the criteria run; tests/test_examples.py checks examples/*.ini against it
-TABLE_3D = {"fd2": ((Scheme.FD2, 1), [40, 80]), "sem2": ((Scheme.SEM, 2), [5, 10]),
-            "compact4": ((Scheme.COMPACT4, 1), [40, 80])}
+TABLE_3D = {"fd2": [GridSpec(1.0, 3, 40), GridSpec(1.0, 3, 80)],
+            "sem2": [GridSpec(1.0, 3, 5, Scheme.SEM, 2), GridSpec(1.0, 3, 10, Scheme.SEM, 2)],
+            "compact4": [GridSpec(1.0, 3, 40, Scheme.COMPACT4),
+                         GridSpec(1.0, 3, 80, Scheme.COMPACT4)]}
 SEM5 = (GridSpec(16.0, 3, 20, Scheme.SEM, 5), FlowConfig(alpha=0.15, step=FixedStep(1.0)),
         StopRule(residual_tol=1e-12, stall_window=10, max_iter=200))
 STRONG = (GridSpec(8.0, 3, 6, Scheme.SEM, 8), FlowConfig(alpha=10.0, step=FixedStep(0.1)),
@@ -44,8 +46,8 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def table_3d():
     """FD2 / SEM(2) / COMPACT4 error tables for the 3D manufactured case."""
-    return {name: convergence_study([scheme], levels, 3, 1.0, initial="linear")[name]
-            for name, (scheme, levels) in TABLE_3D.items()}
+    return {name: convergence_study(specs, 1.0, initial="linear")[name]
+            for name, specs in TABLE_3D.items()}
 
 
 def test_criterion_1_fd2_errors_and_order(table_3d):

@@ -8,7 +8,7 @@ from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit,
                              monotonicity_oracle, rate_fit,
                              solve_exact_case, sqrt_energy_hessian)
 from gpflow.energy import Problem, State, energy, inner_h, retract
-from gpflow.flows import RunReport, IterationRecord, StopRule
+from gpflow.flows import RunReport, IterationRecord, StopRule, run
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
 from gpflow.potentials import exact_case_potential
@@ -22,13 +22,13 @@ def test_exact_case_values_3d():
     assert case.lambda_star == pytest.approx(3 * np.pi ** 2 / 4 + 1)
     assert case.lambda_star == pytest.approx(8.40220, abs=5e-6)
     assert case.rho_star == pytest.approx((3.0 / 4.0) ** 3)
-    assert np.all(case.potential >= 0)
+    assert np.all(exact_case_potential(1.0)(disc.node_coordinates()) >= 0)
 
 
 def test_exact_case_values_1d_linear():
     disc = TensorOperator(GridSpec(1.0, 1, 16, Scheme.FD2))
     case = exact_case(disc, 0.0)
-    assert np.allclose(case.potential, 0.0)
+    assert np.array_equal(exact_case_potential(0.0)(disc.node_coordinates()), np.zeros(15))
     assert case.lambda_star == pytest.approx(np.pi ** 2 / 4)
     assert case.energy_star == pytest.approx(np.pi ** 2 / 8)
 
@@ -49,21 +49,45 @@ def test_exact_case_rejects_wrong_domain():
         exact_case(disc, 1.0)
 
 
-def test_solve_exact_case_fd2_closed_form_error():
+def solve_exact_case_with_problem(monkeypatch, spec, beta, **kw):
+    """solve_exact_case's (report, case), and the problem its run was given."""
+    problems = []
+
+    def spy(flow, problem, u0, stop):
+        problems.append(problem)
+        return run(flow, problem, u0, stop)
+
+    with monkeypatch.context() as m:
+        m.setattr("gpflow.analysis.run", spy)
+        report, case = solve_exact_case(spec, beta, **kw)
+    return report, case, problems[0]
+
+
+def test_solve_exact_case_sets_up_the_manufactured_potential(monkeypatch):
+    """The run's V is exact_case_potential(beta) at the grid's nodes, and the
+    case's u* is at the nodes of the run's grid."""
+    spec = GridSpec(1.0, 2, 12, Scheme.SEM, 2)
+    report, case, problem = solve_exact_case_with_problem(monkeypatch, spec, 3.0)
+    coords = report.final_state.disc.node_coordinates()
+    assert np.array_equal(problem.potential, exact_case_potential(3.0)(coords))
+    assert np.array_equal(case.u_star, exact_case(TensorOperator(spec), 3.0).u_star)
+    assert (problem.beta, problem.alpha) == (3.0, 0.2)
+
+
+def test_solve_exact_case_fd2_closed_form_error(monkeypatch):
     """FD2 discrete eigenvalue is d mu1 + beta regardless of beta."""
     spec = GridSpec(1.0, 2, 20, Scheme.FD2)
-    report, case = solve_exact_case(spec, 7.0)
+    report, _, problem = solve_exact_case_with_problem(monkeypatch, spec, 7.0)
     assert report.reason == "tol"
     from gpflow.energy import eigenvalue_estimate
-    lam = eigenvalue_estimate(report.final_state,
-                              Problem(case.potential, 7.0, 0.2))
+    lam = eigenvalue_estimate(report.final_state, problem)
     h = spec.cell_size
     mu1 = (4.0 / h ** 2) * np.sin(np.pi * h / 4.0) ** 2
     assert lam == pytest.approx(2 * mu1 + 7.0, abs=1e-10)
 
 
 def test_convergence_study_fd2_1d_orders():
-    table = convergence_study([(Scheme.FD2, 1)], [10, 20, 40], 1, 1.0)
+    table = convergence_study([GridSpec(1.0, 1, c) for c in (10, 20, 40)], 1.0)
     rows = table["fd2"]
     assert len(rows) == 3
     assert all(r.converged for r in rows)
@@ -80,9 +104,15 @@ def test_convergence_study_fd2_1d_orders():
     assert rows[0].lambda_err == pytest.approx(abs(mu1 - np.pi ** 2 / 4), rel=1e-6)
 
 
-def test_convergence_study_needs_two_levels():
-    with pytest.raises(ValueError):
-        convergence_study([(Scheme.FD2, 1)], [10], 1, 1.0)
+def test_convergence_study_needs_two_levels_per_scheme(monkeypatch):
+    """A scheme with one spec is refused before any run."""
+    calls = []
+    monkeypatch.setattr("gpflow.analysis.run", lambda *args: calls.append(args))
+    specs = [GridSpec(1.0, 1, 10), GridSpec(1.0, 1, 20), GridSpec(1.0, 1, 5, Scheme.SEM, 2)]
+    for bad in (specs, specs[2:], []):
+        with pytest.raises(ValueError, match="two refinement levels per scheme"):
+            convergence_study(bad, 1.0)
+    assert calls == []
 
 
 def fd2_Au_matrix(n=50, seed=0):
@@ -181,10 +211,10 @@ def test_perron_gap_approaches_continuum():
     assert gaps[-1] == pytest.approx(3 * np.pi ** 2 / 4, rel=5e-3)
 
 
-def test_perron_converged_2d_ground_state():
-    report, case = solve_exact_case(GridSpec(1.0, 2, 16, Scheme.FD2), 3.0)
+def test_perron_converged_2d_ground_state(monkeypatch):
+    report, _, problem = solve_exact_case_with_problem(
+        monkeypatch, GridSpec(1.0, 2, 16, Scheme.FD2), 3.0)
     state = report.final_state
-    problem = Problem(case.potential, 3.0, 0.2)
     from gpflow.energy import apply_Au
     disc = state.disc
     fs = FastSolver(disc, 1.0)
@@ -203,10 +233,11 @@ def test_linearized_eigenpairs_start_from_u(monkeypatch):
         seen.update(apply_A=apply_A, weights=weights, kw=kw)
         return lowest_two_eigenpairs(apply_A, weights, **kw)
 
-    report, case = solve_exact_case(GridSpec(1.0, 2, 16, Scheme.FD2), 2.0)
+    report, _, problem = solve_exact_case_with_problem(
+        monkeypatch, GridSpec(1.0, 2, 16, Scheme.FD2), 2.0)
     assert report.reason == "tol"
     monkeypatch.setattr("gpflow.analysis.lowest_two_eigenpairs", capture)
-    linearized_eigenpairs(report.final_state, Problem(case.potential, 2.0, 0.2))
+    linearized_eigenpairs(report.final_state, problem)
     kw = seen["kw"]
     u, = kw["start"]
     assert np.array_equal(u, report.final_state.coeffs)

@@ -21,10 +21,10 @@ def test_sides_alternate_which_runs_first():
     assert sum(o[0] == "base" for o in orders) == 5
 
 
-def run(pair, side, flow_s, rss, failed=0, workload="w", load=1.0, results=()):
+def run(pair, side, flow_s, rss, failed=0, workload="w", load=1.0, results=(), rounds=0):
     return {"pair": pair, "workload": workload, "side": side, "failed": failed,
             "load": load, "metrics": {"flow_s": flow_s, "peak_rss_mb": rss},
-            "results": list(results)}
+            "results": list(results), "passes": 1, "rounds": rounds}
 
 
 def test_summary_quartiles_changes_and_wins():
@@ -137,6 +137,30 @@ def test_summary_same_counts_needs_equal_labels_reasons_and_iterations():
     assert (s["unequal"]["same_counts"], s["unequal"]["same_results"]) == (False, False)
 
 
+def test_pass_counts_tell_timed_passes_from_rounds():
+    """A pass whose setup_s is null is a round, repeated from the last timed
+    pass's start."""
+    timed = {"setup_s": 0.05, "flow_s": 1.0, "time_to_solution_s": 1.05, "solves": []}
+    repeated = {"setup_s": None, "flow_s": 1.0, "time_to_solution_s": None, "solves": []}
+    record = {"passes": [timed, timed, timed, repeated, repeated]}
+    assert bench_pairs.pass_counts(record) == {"passes": 3, "rounds": 2}
+    assert bench_pairs.pass_counts({"passes": [timed]}) == {"passes": 1, "rounds": 0}
+
+
+def test_summary_same_rounds_needs_equal_rounds_in_every_pair():
+    """A pair whose sides ran different numbers of flow rounds makes
+    `same_rounds` false, whatever their metrics."""
+    runs = []
+    for i in range(3):
+        runs += [run(i, side, 1.0, 140.0, workload=w, rounds=2)
+                 for w in ("equal", "unequal") for side in ("base", "work")
+                 if (w, side, i) != ("unequal", "work", 1)]
+    runs.append(run(1, "work", 1.0, 150.0, workload="unequal", rounds=1))
+    s = bench_pairs.summarize(runs, {"peak_rss_mb": "lower"})
+    assert s["equal"]["same_rounds"] is True
+    assert s["unequal"]["same_rounds"] is False
+
+
 def test_workload_flag_picks_workloads_and_refuses_unknown_names(monkeypatch, tmp_path):
     """--workload runs only the named workloads of BENCHMARK.json, each once
     per side and pair however often it is named; without it every workload
@@ -149,7 +173,8 @@ def test_workload_flag_picks_workloads_and_refuses_unknown_names(monkeypatch, tm
 
     def run_once(tree, workload, seed, seconds):
         calls.append(workload)
-        return {"metrics": metrics, "correct": True, "failed": 0, "results": []}
+        return {"metrics": metrics, "correct": True, "failed": 0, "results": [],
+                "passes": 1, "rounds": 0}
 
     def export(rev, dest):
         calls.append("export")

@@ -11,7 +11,7 @@ from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
 from gpflow import flows
 from gpflow.flows import FixedStep, FlowKind, LineSearchStep, StopRule, run
-from gpflow.grids import Scheme
+from gpflow.grids import GridSpec, Scheme
 from gpflow.linalg import SolverError
 from gpflow.potentials import harmonic_lattice
 
@@ -40,8 +40,8 @@ def test_parse_minimal_config_defaults():
     assert cfg.initial == "constant"
     assert cfg.prefix == "gpflow"
     # the studies default to [grid] cells and twice that, with the [grid] scheme
-    assert cfg.study_levels == [64, 128]
-    assert cfg.study_schemes == [(Scheme.FD2, 1)]
+    assert cfg.study_specs == [GridSpec(1.0, 2, 64, Scheme.FD2, 1),
+                               GridSpec(1.0, 2, 128, Scheme.FD2, 1)]
     V = cfg.potential_fn(np.zeros((3, 2)))
     assert np.allclose(V, 1.0)
 
@@ -76,9 +76,10 @@ prefix = out/run1
     assert isinstance(cfg.flow.step, LineSearchStep)
     assert cfg.initial == "linear"
     assert cfg.stop.max_iter == 120 and cfg.stop.stall_window == 5
-    assert cfg.study_levels == [10, 20, 40]
-    assert cfg.study_schemes == [(Scheme.FD2, 1), (Scheme.SEM, 2),
-                                 (Scheme.COMPACT4, 1)]
+    # schemes x levels, each at [grid] d and half_width
+    assert cfg.study_specs == [GridSpec(16.0, 3, c, s, k)
+                               for s, k in [(Scheme.FD2, 1), (Scheme.SEM, 2), (Scheme.COMPACT4, 1)]
+                               for c in (10, 20, 40)]
     assert cfg.prefix == "out/run1"
 
 
@@ -131,6 +132,8 @@ prefix = out/run1
     # with the default levels (1 and 2 here) it is the schemes line's
     ("[grid]\nscheme = sem2\ncells = 1\n[problem]\npotential = constant(1)\n"
      "[study]\nschemes = fd2\n", 7, "no interior unknowns"),
+    # a study runs each scheme once
+    (MINIMAL + "[study]\nlevels = 8 16\nschemes = fd2 fd2\n", 11, "each scheme may appear once"),
 ])
 def test_parse_errors_with_line_numbers(text, line, match):
     with pytest.raises(ConfigError, match=match) as e:
@@ -412,13 +415,15 @@ def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
     ("eigengap", "[flow]\n", "[study]\nschemes = sem2 compact4\n[flow]\n", "[study] schemes"),
     ("eigengap", "[flow]\n", "[study]\nlevels = 0 16\n[flow]\n", "line 10: cells_per_dim"),
     ("convergence", "[flow]\n", "[study]\nlevels = 1 2\n[flow]\n", "line 10: grid has no"),
+    ("convergence", "[flow]\n", "[study]\nschemes = fd2 FD2\n[flow]\n", "line 10: schemes"),
 ], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width", "eigengap-schemes",
-        "levels-0", "fd2-levels-1"])
+        "levels-0", "fd2-levels-1", "repeated-scheme"])
 def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key):
     """BFSP's fixed point depends on dt, so it is not the discrete ground state
     a study measures; convergence measures its errors against the
-    manufactured case on [-1, 1]^d; eigengap runs the [grid] scheme only; and
-    every level must make a grid: anything else is a config error."""
+    manufactured case on [-1, 1]^d; eigengap runs the [grid] scheme only; a
+    study runs each scheme once; and every level must make a grid: anything
+    else is a config error."""
     prefix = str(tmp_path / "x")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(old, new),
                     name="study.ini")

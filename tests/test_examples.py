@@ -23,7 +23,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
                                            ("table_sem2.ini", ["sem2"])])
 def test_table_example_is_the_table_3d_fixture(name, schemes):
     cfg = parse_config((EXAMPLES / name).read_text())
-    assert [(s, cfg.study_levels) for s in cfg.study_schemes] == [TABLE_3D[s] for s in schemes]
+    assert cfg.study_specs == [spec for s in schemes for spec in TABLE_3D[s]]
     assert (cfg.grid.dim, cfg.grid.half_width, cfg.beta) == (3, 1.0, 1.0)
     assert cfg.potential_fn.__name__ == "exact_case"
     assert (cfg.flow, cfg.stop, cfg.initial) == (STUDY_FLOW, StopRule(), "linear")

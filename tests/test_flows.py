@@ -17,7 +17,7 @@ from gpflow.flows import (LINE_SEARCH_HI, FixedStep,
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import (FastSolver, SolverError, lowest_two_eigenpairs,
                            shifted_solver)
-from gpflow.potentials import harmonic_lattice, sin2_product
+from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
 from test_energy import norm_X
 from test_tensor import dense_lap
@@ -25,16 +25,16 @@ from test_tensor import dense_lap
 
 def exact_problem(spec, beta, alpha=0.2):
     disc = TensorOperator(spec)
-    case = exact_case(disc, beta)
-    return disc, Problem(case.potential, beta, alpha), case
+    potential = exact_case_potential(beta)(disc.node_coordinates())
+    return disc, Problem(potential, beta, alpha), exact_case(disc, beta)
 
 
 def converged_ground_state(spec=None, beta=2.0, alpha=0.2):
     spec = spec or GridSpec(1.0, 2, 16, Scheme.FD2)
-    report, case = solve_exact_case(spec, beta, FlowConfig(alpha=alpha))
+    report, _ = solve_exact_case(spec, beta, FlowConfig(alpha=alpha))
     assert report.reason == "tol"
     disc = report.final_state.disc
-    return report.final_state, Problem(case.potential, beta, alpha), disc
+    return report.final_state, exact_problem(spec, beta, alpha)[1], disc
 
 
 def test_config_validation():
@@ -551,10 +551,7 @@ def test_run_exact_case_residual_decreasing_and_positive_limit():
 
 def test_h1_seminorm_flow_converges():
     """The H1 seminorm flow is the modified-H1 flow with alpha = 0."""
-    spec = GridSpec(1.0, 1, 24, Scheme.FD2)
-    disc = TensorOperator(spec)
-    case = exact_case(disc, 2.0)
-    problem = Problem(case.potential, 2.0, 0.0)
+    disc, problem, case = exact_problem(GridSpec(1.0, 1, 24, Scheme.FD2), 2.0, 0.0)
     report = run(FlowConfig(kind=FlowKind.MODIFIED_H1, alpha=0.0,
                             step=FixedStep(1.0)),
                  problem, default_initial_state(disc),
@@ -566,9 +563,7 @@ def test_h1_seminorm_flow_converges():
 
 
 def test_run_max_iter():
-    disc = TensorOperator(GridSpec(1.0, 2, 12, Scheme.FD2))
-    case = exact_case(disc, 4.0)
-    problem = Problem(case.potential, 4.0, 0.2)
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 4.0)
     report = run(FlowConfig(alpha=0.2, step=FixedStep(1.0)), problem,
                  default_initial_state(disc),
                  StopRule(residual_tol=1e-16, stall_window=50, max_iter=5))
@@ -599,9 +594,7 @@ def test_default_initial_state_constant():
 
 
 def test_default_initial_state_linear_is_linear_ground_state():
-    disc = TensorOperator(GridSpec(1.0, 2, 12, Scheme.FD2))
-    case = exact_case(disc, 3.0)
-    problem = Problem(case.potential, 3.0, 0.2)
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 12, Scheme.FD2), 3.0)
     s = default_initial_state(disc, "linear", problem)
     W = np.diag(disc.weights)
     _, vecs = scipy.linalg.eigh(
