@@ -192,13 +192,13 @@ class EigengapRow:
 
 
 def linearized_eigenpairs(state: State, problem: Problem):
-    """Lowest two eigenpairs of A_u = -Delta_h + V + beta u^2 at `state` by LOBPCG
-    from [u, a random column], preconditioned by -Delta_h shifted by mean(V + beta u^2)."""
+    """lowest_two_eigenpairs of A_u = -Delta_h + V + beta u^2 at v0 = u, preconditioned
+    by -Delta_h shifted by mean(V + beta u^2): gap > 0 makes u A_u's lowest mode."""
     disc = state.disc
     shift = float(np.mean(problem.potential + problem.beta * state.coeffs ** 2))
     pre = shifted_solver(disc, max(shift, 1e-3))
-    return lowest_two_eigenpairs(apply_Au(state, problem), disc.weights, tol=1e-9,
-                                 solve_inner=pre.solve, start=[state.coeffs])
+    return lowest_two_eigenpairs(apply_Au(state, problem), disc.weights, state.coeffs,
+                                 tol=1e-9, solve_inner=pre.solve)
 
 
 def eigengap_study(specs, potential, beta: float, flow: FlowConfig = STUDY_FLOW,

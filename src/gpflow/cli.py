@@ -93,7 +93,10 @@ def run_eigengap(cfg: RunConfig, created) -> int:
                           cfg.initial)
     _write_csv(f"{cfg.prefix}_table.csv", ["h", "lambda0", "lambda1", "gap"],
                [(r.h, r.lambda0, r.lambda1, r.gap) for r in rows], created)
-    return 0 if all(r.gap > 0 for r in rows) else 2
+    failing = [r for r in rows if r.gap <= 0]
+    for r in failing:
+        print(f"h = {r.h:g}: u is not A_u's lowest mode: delta <= {r.gap:.3e}", file=sys.stderr)
+    return 2 if failing else 0
 
 
 def run_compare(cfg: RunConfig, created) -> int:
@@ -150,9 +153,11 @@ def run_verify(cfg: RunConfig, created) -> int:
         if cv.supported:
             checks.append(("E(sqrt(v)) Hessian PSD", cv.hessian_psd))
             checks.append(("E(u) >= E(|u|)", cv.abs_value_inequality))
-        eig = linearized_eigenpairs(state, problem)
-        checks.append(("ground-state eigenvalue simple (gap > 0)", eig.gap > 0))
-        checks.append(("lowest eigenvector positive", eig.v0.min() > 0))
+    if 6 <= disc.ndof <= 200:  # LOBPCG's constraint needs 6; gap > 0: u is the lowest mode
+        gap = linearized_eigenpairs(state, problem).gap
+        u = state.coeffs * np.sign(disc.weights @ state.coeffs)
+        checks.append(("ground-state eigenvalue simple (gap > 0)", gap > 0))
+        checks.append(("lowest eigenvector positive", gap > 0 and u.min() > 0))
     with contextlib.suppress(ValueError):  # too few iterations to fit a rate
         checks.append(("geometric residual decay (rate < 1)", rate_fit(report).rate < 1.0))
 
@@ -197,6 +202,10 @@ def main(argv=None) -> int:
     if args.subcommand == "eigengap" and any(
             (s.scheme, s.degree) != (cfg.grid.scheme, cfg.grid.degree) for s in cfg.study_specs):
         print("config error: [study] schemes: eigengap runs the [grid] scheme", file=sys.stderr)
+        return 1
+    if args.subcommand == "convergence" and len(cfg.study_specs) < 2 * len(
+            {(s.scheme, s.degree) for s in cfg.study_specs}):
+        print("config error: [study] levels: convergence needs two or more", file=sys.stderr)
         return 1
     # convergence measures its errors against the manufactured case on [-1, 1]^d
     if args.subcommand == "convergence" and (cfg.potential_fn.__name__ != "exact_case"

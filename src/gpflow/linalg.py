@@ -114,55 +114,46 @@ def lobpcg(*args, **kwargs):  # scipy's, imported on the first call
 
 @dataclass
 class EigenResult:
-    """The two lowest eigenvalues of an <.,.>_h-symmetric A v = lambda v, and v0 for lambda0."""
+    """lambda0 = <v0, A v0>_h at an h-unit v0; lambda1 = A's lowest eigenvalue on
+    v0's h-orthogonal complement, or an upper bound on it below lambda0."""
 
     lambda0: float
     lambda1: float
-    v0: np.ndarray
 
     @property
     def gap(self) -> float:
         return self.lambda1 - self.lambda0
 
 
-def lowest_two_eigenpairs(apply_A, weights, tol=1e-9, solve_inner=None,
-                          start=None) -> EigenResult:
-    """The two smallest eigenpairs by LOBPCG (Knyazev 2001).
+def lowest_two_eigenpairs(apply_A, weights, v0, tol=1e-9, solve_inner=None) -> EigenResult:
+    """v0's Rayleigh value and, by one LOBPCG column (Knyazev 2001) constrained
+    to v0's h-orthogonal complement, A's lowest eigenvalue theta there.
 
-    apply_A acts on coefficient vectors and is symmetric w.r.t. the weighted
-    inner product; solve_inner, when given, is the preconditioner (typically
-    the solve of a shifted_solver for a shifted Laplacian close to A).
-    LOBPCG starts from a seeded random block whose first columns the m <= 2
-    vectors in `start` replace; a start must neither be orthogonal to the wanted
-    eigenvectors nor keep a symmetry (a parity, say) that they break.
-    LOBPCG runs on the similar standard problem in y = sqrt(w) v, where the
-    h-norm is the 2-norm.  Both pairs meet ||A v - lambda v||_h <= tol |lambda|,
-    else SolverError; lambdas ascend, and the returned v0 is h-normalized with a
-    nonnegative weighted mean.
+    apply_A is symmetric in the weighted inner product; solve_inner, when given,
+    preconditions it.  LOBPCG runs on the similar problem in y = sqrt(w) v, where
+    the h-norm is the 2-norm, from the ramp 1, ..., n: positive, and of no parity.
+    theta < lambda0 proves that v0 is not A's lowest eigenvector, converged or not;
+    else ||A v - theta v||_h <= tol |theta| or SolverError, as below 6 unknowns,
+    where scipy's LOBPCG takes no constraint.
     """
+    n = len(weights)
+    if n < 6:
+        raise SolverError(f"LOBPCG on v0's complement needs at least 6 unknowns, got {n}")
     s = np.sqrt(weights)[:, None]
 
-    def similar(f):  # Y -> s f(Y / s), column by column
-        return lambda Y: s * np.column_stack([f(x) for x in (Y / s).T])
+    def similar(f):  # lobpcg's one column y -> s f(y / s)
+        return lambda Y: s * f(Y[:, 0] / s[:, 0])[:, None]
 
     A = similar(apply_A)
     M = None if solve_inner is None else similar(solve_inner)
-    Y = np.random.default_rng(0).standard_normal((len(weights), 2))
-    if start is not None:
-        Y[:, :len(start)] = s * np.column_stack(start)
-    # lobpcg's tol is absolute: when |lambda| < 1, go on from the last block
-    atol = tol
-    for _ in range(2):
-        with warnings.catch_warnings():  # the contract is checked below
-            warnings.simplefilter("ignore", UserWarning)
-            lam, Y = lobpcg(A, Y, M=M, tol=atol, maxiter=500, largest=False)
-        res = np.linalg.norm(A(Y) - Y * lam, axis=0)
-        if np.all(res <= tol * np.abs(lam)):
-            break
-        atol = tol * float(np.min(np.abs(lam)))
-    else:
-        raise SolverError(f"LOBPCG missed ||A v - lambda v||_h <= {tol} |lambda|: "
-                          f"residuals {res}, lambda {lam}")
-    V = Y / s
-    V *= np.where(weights @ V < 0, -1.0, 1.0)
-    return EigenResult(float(lam[0]), float(lam[1]), V[:, 0])
+    y0 = s * v0[:, None] / np.linalg.norm(s[:, 0] * v0)
+    lambda0 = float(np.vdot(y0, A(y0)))
+    with warnings.catch_warnings():  # the contract is checked below
+        warnings.simplefilter("ignore", UserWarning)
+        lam, Y = lobpcg(A, s * np.arange(1.0, n + 1)[:, None], M=M, Y=y0,
+                        tol=tol * abs(lambda0), maxiter=500, largest=False)
+    theta, res = float(lam[0]), np.linalg.norm(A(Y) - lam * Y)
+    if theta >= lambda0 and res > tol * abs(theta):
+        raise SolverError(f"LOBPCG missed ||A v - theta v||_h <= {tol} |theta| on "
+                          f"v0's complement: residual {res:.3e}, theta {theta}")
+    return EigenResult(lambda0, theta)

@@ -13,8 +13,6 @@ from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
 from gpflow.potentials import exact_case_potential
 
-from test_linalg import counting
-
 
 def test_exact_case_values_3d():
     disc = TensorOperator(GridSpec(1.0, 3, 8, Scheme.FD2))
@@ -181,18 +179,24 @@ def test_m_matrix_implies_monotonicity():
     assert checked >= 25
 
 
+def sine_mode(disc, k):
+    """The k-th sine mode of -Delta_h on FD2 1D, h-normalized."""
+    return retract(disc, np.sin(k * np.pi * (disc.op.nodes + 1.0) / 2.0))
+
+
 def test_perron_linear_sine_mode():
-    """beta=0, V = 0, FD2 1D: v0 is the positive sine mode."""
+    """beta=0, V = 0, FD2 1D: the positive sine mode has lambda0 = mu1 and a
+    positive gap, so it is the lowest eigenvector."""
     spec = GridSpec(1.0, 1, 32, Scheme.FD2)
     disc = TensorOperator(spec)
     fs = FastSolver(disc, 0.1)
-    res = lowest_two_eigenpairs(lambda w: disc.apply_neg_laplacian(w), disc.weights,
+    mode = sine_mode(disc, 1)
+    res = lowest_two_eigenpairs(lambda w: disc.apply_neg_laplacian(w), disc.weights, mode,
                                 solve_inner=fs.solve)
-    assert res.v0.min() > 0 and res.gap > 0
-    x = disc.op.nodes
-    mode = retract(disc, np.sin(np.pi * (x + 1.0) / 2.0))
-    assert np.allclose(res.v0 / np.linalg.norm(res.v0),
-                       mode / np.linalg.norm(mode), atol=1e-7)
+    assert mode.min() > 0 and res.gap > 0
+    h = spec.cell_size
+    assert res.lambda0 == pytest.approx((4.0 / h ** 2) * np.sin(np.pi * h / 4.0) ** 2,
+                                        rel=1e-12)
 
 
 def test_perron_gap_approaches_continuum():
@@ -203,7 +207,7 @@ def test_perron_gap_approaches_continuum():
         disc = TensorOperator(spec)
         fs = FastSolver(disc, 0.1)
         res = lowest_two_eigenpairs(lambda w: disc.apply_neg_laplacian(w), disc.weights,
-                                    solve_inner=fs.solve)
+                                    sine_mode(disc, 1), solve_inner=fs.solve)
         h = spec.cell_size
         mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
         assert res.gap == pytest.approx(mu(2) - mu(1), rel=1e-7)
@@ -218,36 +222,21 @@ def test_perron_converged_2d_ground_state(monkeypatch):
     from gpflow.energy import apply_Au
     disc = state.disc
     fs = FastSolver(disc, 1.0)
-    res = lowest_two_eigenpairs(apply_Au(state, problem), disc.weights,
+    res = lowest_two_eigenpairs(apply_Au(state, problem), disc.weights, state.coeffs,
                                 solve_inner=fs.solve)
-    assert res.v0.min() > 0 and res.gap > 0
+    u = state.coeffs * np.sign(disc.weights @ state.coeffs)
+    assert u.min() > 0 and res.gap > 0
 
 
-def test_linearized_eigenpairs_start_from_u(monkeypatch):
-    """At a converged state, LOBPCG from [u, a random column] makes fewer
-    A-applications than from the random block (23 against 38 when this was
-    written), to the same lambda0 and lambda1."""
-    seen = {}
-
-    def capture(apply_A, weights, **kw):
-        seen.update(apply_A=apply_A, weights=weights, kw=kw)
-        return lowest_two_eigenpairs(apply_A, weights, **kw)
-
-    report, _, problem = solve_exact_case_with_problem(
-        monkeypatch, GridSpec(1.0, 2, 16, Scheme.FD2), 2.0)
-    assert report.reason == "tol"
-    monkeypatch.setattr("gpflow.analysis.lowest_two_eigenpairs", capture)
-    linearized_eigenpairs(report.final_state, problem)
-    kw = seen["kw"]
-    u, = kw["start"]
-    assert np.array_equal(u, report.final_state.coeffs)
-    A_u, A_random = counting(seen["apply_A"]), counting(seen["apply_A"])
-    from_u = lowest_two_eigenpairs(A_u, seen["weights"], **kw)
-    from_random = lowest_two_eigenpairs(A_random, seen["weights"], **{**kw, "start": None})
-    assert A_u.calls < A_random.calls
-    for got, want in [(from_u.lambda0, from_random.lambda0),
-                      (from_u.lambda1, from_random.lambda1)]:
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+def test_linearized_eigenpairs_at_an_excited_state():
+    """u the second sine mode (fd2 1D, 32 cells, V = 0, beta = 0): lambda0 is
+    u's Rayleigh value mu2 = 9.8379 and the column on u's complement finds mu1,
+    so the gap, mu1 - mu2 = -7.373, says that u is not the lowest mode."""
+    disc = TensorOperator(GridSpec(1.0, 1, 32, Scheme.FD2))
+    res = linearized_eigenpairs(State(sine_mode(disc, 2), disc),
+                                Problem(np.zeros(disc.ndof), 0.0, 0.15))
+    assert res.lambda0 == pytest.approx(9.8379, abs=1e-4)
+    assert res.gap == pytest.approx(-7.373, abs=1e-3)
 
 
 def test_eigengap_study_stable_across_levels():

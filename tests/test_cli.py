@@ -12,7 +12,7 @@ from gpflow.config import ConfigError, parse_config
 from gpflow import flows
 from gpflow.flows import FixedStep, FlowKind, LineSearchStep, StopRule, run
 from gpflow.grids import GridSpec, Scheme
-from gpflow.linalg import SolverError
+from gpflow.linalg import EigenResult, SolverError
 from gpflow.potentials import harmonic_lattice
 
 
@@ -301,6 +301,30 @@ prefix = {prefix}
     assert "geometric residual decay" not in out
 
 
+def test_cli_verify_below_six_unknowns_skips_the_gap_checks(tmp_path, capsys):
+    """fd2 1D on 6 cells has 5 unknowns, too few for LOBPCG's constraint to
+    u^perp: verify leaves out its two gap checks and passes the others."""
+    prefix = str(tmp_path / "v")
+    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+        "cells = 32", "cells = 6"), name="six.ini")
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "8/8 checks passed" in out and "gap" not in out
+
+
+def test_cli_eigengap_negative_gap_exit_2(tmp_path, capsys, monkeypatch):
+    """A level whose u is not A_u's lowest mode (stubbed here) keeps the table,
+    names the level and its bound on stderr, and exits 2."""
+    monkeypatch.setattr(gpflow.analysis, "linearized_eigenpairs",
+                        lambda state, problem: EigenResult(9.75, 2.5))
+    prefix = str(tmp_path / "g")
+    assert main(["eigengap", "--config", small_cfg(tmp_path, prefix)]) == 2
+    table = read_csv(prefix + "_table.csv").splitlines()
+    assert [float(line.split(",")[3]) for line in table[1:]] == [-7.25, -7.25]
+    assert capsys.readouterr().err.splitlines() == [
+        f"h = {h:g}: u is not A_u's lowest mode: delta <= -7.250e+00" for h in (2 / 32, 2 / 64)]
+
+
 def test_cli_convergence_honours_stop(tmp_path):
     prefix = str(tmp_path / "c")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
@@ -416,14 +440,15 @@ def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
     ("eigengap", "[flow]\n", "[study]\nlevels = 0 16\n[flow]\n", "line 10: cells_per_dim"),
     ("convergence", "[flow]\n", "[study]\nlevels = 1 2\n[flow]\n", "line 10: grid has no"),
     ("convergence", "[flow]\n", "[study]\nschemes = fd2 FD2\n[flow]\n", "line 10: schemes"),
+    ("convergence", "[flow]\n", "[study]\nlevels = 16\n[flow]\n", "[study] levels"),
 ], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width", "eigengap-schemes",
-        "levels-0", "fd2-levels-1", "repeated-scheme"])
+        "levels-0", "fd2-levels-1", "repeated-scheme", "one-level"])
 def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key):
     """BFSP's fixed point depends on dt, so it is not the discrete ground state
     a study measures; convergence measures its errors against the
-    manufactured case on [-1, 1]^d; eigengap runs the [grid] scheme only; a
-    study runs each scheme once; and every level must make a grid: anything
-    else is a config error."""
+    manufactured case on [-1, 1]^d, and forms orders from two or more levels;
+    eigengap runs the [grid] scheme only; a study runs each scheme once; and
+    every level must make a grid: anything else is a config error."""
     prefix = str(tmp_path / "x")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(old, new),
                     name="study.ini")

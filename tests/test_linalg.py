@@ -384,8 +384,9 @@ def test_lowest_two_dense_oracle():
     V = rng.uniform(0.0, 5.0, size=disc.ndof)
     A = dense_lap(disc) + np.diag(V)
     fs = FastSolver(disc, 1.0)
+    v0 = default_initial_state(disc, "linear", Problem(V, 0.0, 1.0)).coeffs
     res = lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + V * u,
-                                disc.weights, tol=1e-10, solve_inner=fs.solve)
+                                disc.weights, v0, tol=1e-10, solve_inner=fs.solve)
     oracle = np.sort(np.linalg.eigvals(A).real)[:2]
     assert np.allclose([res.lambda0, res.lambda1], oracle, atol=1e-8 * oracle[1])
     assert res.gap > 0
@@ -399,20 +400,26 @@ def test_lowest_two_closed_form_fd2_2d():
     h = spec.cell_size
     mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
     fs = FastSolver(disc, c)
+    x = disc.node_coordinates()
+    mode = np.prod(np.sin(np.pi * (x + 1.0) / 2.0), axis=1)
     res = lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + c * u,
-                                disc.weights, tol=1e-10, solve_inner=fs.solve)
+                                disc.weights, mode, tol=1e-10, solve_inner=fs.solve)
     assert res.lambda0 == pytest.approx(2 * mu(1) + c, rel=1e-9)
     assert res.lambda1 == pytest.approx(mu(1) + mu(2) + c, rel=1e-9)
-    # ground mode positive after sign normalization
-    assert np.min(res.v0) > 0
 
 
 def test_lowest_two_diagonal():
-    d = np.array([5.0, 1.0, 3.0, 2.0, 9.0])
-    w = np.ones(5)
-    res = lowest_two_eigenpairs(lambda u: d * u, w, tol=1e-12)
+    d = np.array([5.0, 1.0, 3.0, 2.0, 9.0, 7.0])
+    res = lowest_two_eigenpairs(lambda u: d * u, np.ones(6), np.eye(6)[1], tol=1e-12)
     assert res.lambda0 == pytest.approx(1.0, abs=1e-9)
     assert res.lambda1 == pytest.approx(2.0, abs=1e-9)
+
+
+def test_lowest_two_below_six_unknowns_raises():
+    """scipy's LOBPCG takes no constraint below 6 unknowns."""
+    d = np.array([5.0, 1.0, 3.0, 2.0, 9.0])
+    with pytest.raises(SolverError, match="6 unknowns, got 5"):
+        lowest_two_eigenpairs(lambda u: d * u, np.ones(5), np.eye(5)[1])
 
 
 def test_lowest_two_unreachable_tol_raises():
@@ -420,9 +427,10 @@ def test_lowest_two_unreachable_tol_raises():
     disc = TensorOperator(spec)
     V = np.random.default_rng(3).uniform(0.0, 5.0, size=disc.ndof)
     fs = FastSolver(disc, 1.0)
+    v0 = default_initial_state(disc, "linear", Problem(V, 0.0, 1.0)).coeffs
     with pytest.raises(SolverError):
         lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + V * u,
-                              disc.weights, tol=1e-30, solve_inner=fs.solve)
+                              disc.weights, v0, tol=1e-30, solve_inner=fs.solve)
 
 
 SPARSE_FREE_RUNS = """
