@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import daxpy
+
+from .linalg import daxpy
 
 NORMALIZATION_TOL = 1e-10
 

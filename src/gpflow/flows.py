@@ -10,13 +10,12 @@ from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .energy import (Problem, State, _record, apply_Au, energy,
                      eigenvalue_estimate, euclidean_gradient, residual,
                      retract, riemannian_gradient)
 from .grids import TensorOperator
-from .linalg import SolverError, pcg, shifted_solver
+from .linalg import SolverError, daxpy, pcg, shifted_solver
 
 
 class FlowKind(enum.Enum):

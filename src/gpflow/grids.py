@@ -310,6 +310,6 @@ class TensorOperator:
         return out.reshape(-1)
 
     def node_coordinates(self) -> np.ndarray:
-        """(ndof, dim) array of interior node coordinates, C-order."""
-        grids = np.meshgrid(*[self.op.nodes] * self.dim, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
+        """(ndof, dim) array of interior node coordinates, C-order, its columns contiguous."""
+        grids = np.meshgrid(*[self.op.nodes] * self.dim, indexing="ij", copy=False)  # views
+        return np.stack(grids).reshape(self.dim, -1).T  # one (dim, ndof) buffer

@@ -9,11 +9,13 @@ O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.  On an
 assembled P1 mesh it is one sparse LU of S + alpha M, and
 solve(b) = (S + alpha M)^{-1} M b.  The shifted solver is also the
 preconditioner of the metric flows' PCG and of the eigensolver, scipy's
-LOBPCG.
+LOBPCG.  `daxpy` fuses the flows' updates y <- a x + y by the CBLAS daxpy of numpy's
+OpenBLAS, through ctypes (scipy's f2py daxpy where numpy's BLAS exports none).
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -26,6 +28,37 @@ from .grids import TensorOperator
 
 class SolverError(RuntimeError):
     pass
+
+
+def _cblas_daxpy():
+    """The CBLAS daxpy, bound, of an OpenBLAS mapped into this process (numpy's), or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = [ctypes.CDLL(p) for p in dict.fromkeys(
+                line.split(None, 5)[-1].strip() for line in maps if "openblas" in line)]
+    except OSError:  # no /proc: not Linux
+        return None
+    for name, i in (("scipy_cblas_daxpy64_", ctypes.c_int64), ("cblas_daxpy64_", ctypes.c_int64),
+                    ("scipy_cblas_daxpy", ctypes.c_int32), ("cblas_daxpy", ctypes.c_int32)):
+        for f in filter(None, (getattr(lib, name, None) for lib in libs)):
+            f.argtypes, f.restype = (i, ctypes.c_double, ctypes.c_void_p, i, ctypes.c_void_p, i), None
+            return f
+
+
+_CBLAS_DAXPY = _cblas_daxpy()
+
+
+def daxpy(x, y: np.ndarray, a: float = 1.0) -> np.ndarray:
+    """y <- a x + y in place, returning y; the checks below guard the foreign call's memory."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.ndim == 1
+            and y.shape == x.shape and y.flags.c_contiguous and y.flags.writeable):
+        raise ValueError("daxpy needs a writeable 1-D C-contiguous float64 y as long as x")
+    if _CBLAS_DAXPY is None:
+        from scipy.linalg.blas import daxpy as f2py_daxpy
+        return f2py_daxpy(x, y, a=a)
+    _CBLAS_DAXPY(len(y), a, x.ctypes.data, 1, y.ctypes.data, 1)
+    return y
 
 
 class FastSolver:

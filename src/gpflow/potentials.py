@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 
@@ -24,16 +26,16 @@ def _sin2(x: np.ndarray) -> np.ndarray:
 
 def sin2_product(coords: np.ndarray) -> np.ndarray:
     """prod_i sin^2(pi x_i / 4), by columns."""
-    v = np.ones(len(coords))
-    for x in coords.T:
+    v = _sin2(coords[:, 0])
+    for x in coords.T[1:]:
         v *= _sin2(x)
     return v
 
 
 def harmonic_lattice(coords: np.ndarray) -> np.ndarray:
     """|x|^2 + 100 sum_i sin^2(pi x_i / 4) (harmonic trap + optical lattice), by columns."""
-    r, q = np.zeros(len(coords)), np.zeros(len(coords))
-    for x in coords.T:
+    r, q = np.square(coords[:, 0]), _sin2(coords[:, 0])
+    for x in coords.T[1:]:
         r += x * x
         q += _sin2(x)
     r += 100.0 * q
@@ -41,8 +43,8 @@ def harmonic_lattice(coords: np.ndarray) -> np.ndarray:
 
 
 def _u_star(coords: np.ndarray) -> np.ndarray:
-    """u* = prod_i sin(pi (x_i + 1) / 2), the manufactured ground state on [-1, 1]^d."""
-    return np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
+    """u* = prod_i sin(pi (x_i + 1) / 2), the manufactured ground state on [-1, 1]^d, by columns."""
+    return reduce(np.multiply, (np.sin(np.pi * (x + 1.0) / 2.0) for x in coords.T))
 
 
 def exact_case_potential(beta: float):

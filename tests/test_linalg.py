@@ -13,7 +13,9 @@ from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
 from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
                           generalized_sym_eig)
-from gpflow.linalg import FastSolver, PCGBreakdown, SolverError, lowest_two_eigenpairs, pcg
+from gpflow import linalg
+from gpflow.linalg import (FastSolver, PCGBreakdown, SolverError, daxpy,
+                           lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
 from test_tensor import dense_lap
@@ -448,18 +450,65 @@ u0 = default_initial_state(disc, "linear", problem)
 for flow in (FlowConfig(), FlowConfig(step=LineSearchStep()),
              FlowConfig(kind=FlowKind.BFSP, dt=0.1)):
     assert run(flow, problem, u0, StopRule(max_iter=5)).iterations == 5
-print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+assert gpflow.linalg._CBLAS_DAXPY is not None or not sys.platform.startswith("linux")
+print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
 """
 
 
-def test_tensor_grid_runs_never_load_scipy_sparse():
+def test_tensor_grid_runs_never_load_scipy_sparse_or_linalg():
     """scipy.sparse serves only P1 meshes (assembly and LU) and LOBPCG, and
-    loads on their first call: a fresh process that imports gpflow and runs the
-    linear start, a modified-H1 fixed step, a line-search run and a BFSP run
-    on a tensor grid never loads it."""
+    loads on their first call; `daxpy` calls numpy's OpenBLAS, and scipy.linalg
+    only where that exports no CBLAS daxpy (on Linux that fallback fails here):
+    a fresh process that imports gpflow and runs the linear start, a modified-H1
+    fixed step, a line-search run and a BFSP run on a tensor grid loads neither."""
     src = os.path.dirname(os.path.dirname(gpflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", SPARSE_FREE_RUNS],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(params=["cblas", "scipy"])
+def daxpy_path(request, monkeypatch):
+    """`daxpy` by numpy's CBLAS (where this numpy exports one) and by the
+    fallback, scipy.linalg.blas.daxpy."""
+    if request.param == "scipy":
+        monkeypatch.setattr(linalg, "_CBLAS_DAXPY", None)
+    elif linalg._CBLAS_DAXPY is None:
+        pytest.skip("this numpy's BLAS exports no CBLAS daxpy")
+    return request.param
+
+
+@pytest.mark.parametrize("n", [1, 1000, 103823])
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.37])
+def test_daxpy_has_scipys_bits_in_place(daxpy_path, n, a):
+    """y <- a x + y into y itself, equal bit for bit to scipy's f2py daxpy;
+    a strided x is copied first."""
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    want = scipy.linalg.blas.daxpy(x, y.copy(), a=a)
+    got = y.copy()
+    assert daxpy(x, got, a=a) is got and np.array_equal(got, want)
+    wide = np.zeros((n, 2))
+    wide[:, 0] = x
+    got = y.copy()
+    assert daxpy(wide[:, 0], got, a=a) is got and np.array_equal(got, want)
+
+
+def read_only(y):
+    y.flags.writeable = False
+    return y
+
+
+@pytest.mark.parametrize("make_y, n_x", [
+    (lambda: np.ones(8, dtype=np.float32), 8), (lambda: np.ones(16)[::2], 8),
+    (lambda: read_only(np.ones(8)), 8), (lambda: np.ones((2, 4)), 8),
+    (lambda: np.ones(8), 7)], ids=["float32", "strided", "read-only", "2-D", "length"])
+def test_daxpy_refuses_what_it_cannot_update_in_place(daxpy_path, make_y, n_x):
+    """ValueError before any BLAS call, and y as it was."""
+    y = make_y()
+    before = y.copy()
+    with pytest.raises(ValueError):
+        daxpy(np.ones(n_x), y, a=2.0)
+    assert np.array_equal(y, before)

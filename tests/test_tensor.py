@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
-from gpflow.potentials import harmonic_lattice, sin2_product
+from gpflow.potentials import _u_star, harmonic_lattice, sin2_product
 
 
 def dense_lap(disc: TensorOperator) -> np.ndarray:
@@ -95,6 +95,19 @@ def test_node_coordinates_c_order():
     assert np.allclose(coords[3], [0.0, -0.5])
 
 
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 1, 12, Scheme.SEM, 3), GridSpec(1.0, 2, 9, Scheme.FD2),
+    GridSpec(8.0, 3, 4, Scheme.SEM, 2)], ids=["sem3-1D", "fd2-2D", "sem2-3D"])
+def test_node_coordinates_are_the_meshgrid_with_contiguous_columns(spec):
+    """On a full grid and on its even sector, node_coordinates equals the
+    stacked meshgrid, bit for bit, and each column is contiguous."""
+    for disc in (TensorOperator(spec), TensorOperator(spec).even):
+        coords = disc.node_coordinates()
+        grids = np.meshgrid(*[disc.op.nodes] * disc.dim, indexing="ij")
+        assert np.array_equal(coords, np.stack([g.reshape(-1) for g in grids], axis=1))
+        assert all(x.flags.c_contiguous for x in coords.T)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(SPECS), st.data())
 def test_integration_by_parts(spec, data):
@@ -131,12 +144,20 @@ def test_potentials_peak_memory_in_vectors():
         assert peak_in_vectors(lambda: potential(coords), disc.ndof) < vectors + 0.5
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_node_coordinates_peak_memory_in_vectors(dim):
+    """One (dim, ndof) buffer, stacked from meshgrid views: the peak is the d
+    vectors returned (2d with meshgrid copies and their stack)."""
+    disc = TensorOperator(GridSpec(8.0, dim, {1: 1000, 2: 200, 3: 20}[dim], Scheme.SEM, 2))
+    assert peak_in_vectors(disc.node_coordinates, disc.ndof) <= dim + 0.1
+
+
 @pytest.mark.parametrize("spec", [
     GridSpec(8.0, 3, 6, Scheme.SEM, 8), GridSpec(8.0, 2, 20, Scheme.COMPACT4),
     GridSpec(8.0, 1, 40, Scheme.FD2), None], ids=["sem8-3D", "compact4-2D", "fd2-1D", "random-2D"])
 def test_potentials_by_columns_have_the_whole_array_bits(spec):
-    """sin2_product and harmonic_lattice equal, bit for bit, the expressions
-    on the whole (ndof, dim) array."""
+    """sin2_product, harmonic_lattice and _u_star equal, bit for bit, the
+    expressions on the whole (ndof, dim) array."""
     if spec is None:
         coords = np.random.default_rng(2).uniform(-8.0, 8.0, (1000, 2))
     else:
@@ -145,3 +166,5 @@ def test_potentials_by_columns_have_the_whole_array_bits(spec):
     assert np.array_equal(sin2_product(coords), reduce(np.multiply, s.T))
     assert np.array_equal(harmonic_lattice(coords),
                           np.sum(coords ** 2, axis=1) + 100.0 * np.sum(s, axis=1))
+    assert np.array_equal(_u_star(coords),
+                          np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1))
