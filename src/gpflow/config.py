@@ -104,7 +104,10 @@ def _parse_potential(ln, value, beta):
     if name == "constant":
         if arg is None:
             raise ConfigError(ln, "constant potential needs a value: constant(c)")
-        return potentials.constant(_number(ln, arg, "potential"))
+        c = _number(ln, arg, "potential")
+        if c < 0:
+            raise ConfigError(ln, f"constant potential must be >= 0, got {c}")
+        return potentials.constant(c)
     if name == "file":
         if not arg:
             raise ConfigError(ln, "file potential needs a path: file(path)")

@@ -10,7 +10,7 @@ assembled P1 mesh it is one sparse LU of S + alpha M, and
 solve(b) = (S + alpha M)^{-1} M b.  The shifted solver is also the
 preconditioner of the metric flows' PCG and of the eigensolver, scipy's
 LOBPCG.  `daxpy` fuses the flows' updates y <- a x + y by the CBLAS daxpy of numpy's
-OpenBLAS, through ctypes (scipy's f2py daxpy where numpy's BLAS exports none).
+BLAS, through ctypes (scipy's f2py daxpy where numpy's linalg extension links none).
 """
 
 from __future__ import annotations
@@ -31,18 +31,15 @@ class SolverError(RuntimeError):
 
 
 def _cblas_daxpy():
-    """The CBLAS daxpy, bound, of an OpenBLAS mapped into this process (numpy's), or None."""
+    """The CBLAS daxpy, bound, of the scipy-openblas that numpy >= 2.0's wheels link
+    (64-bit integers), by dlsym on numpy's linalg extension, or None."""
     try:
-        with open("/proc/self/maps") as maps:
-            libs = [ctypes.CDLL(p) for p in dict.fromkeys(
-                line.split(None, 5)[-1].strip() for line in maps if "openblas" in line)]
-    except OSError:  # no /proc: not Linux
+        f = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_cblas_daxpy64_
+    except (OSError, AttributeError):
         return None
-    for name, i in (("scipy_cblas_daxpy64_", ctypes.c_int64), ("cblas_daxpy64_", ctypes.c_int64),
-                    ("scipy_cblas_daxpy", ctypes.c_int32), ("cblas_daxpy", ctypes.c_int32)):
-        for f in filter(None, (getattr(lib, name, None) for lib in libs)):
-            f.argtypes, f.restype = (i, ctypes.c_double, ctypes.c_void_p, i, ctypes.c_void_p, i), None
-            return f
+    i = ctypes.c_int64
+    f.argtypes, f.restype = (i, ctypes.c_double, ctypes.c_void_p, i, ctypes.c_void_p, i), None
+    return f
 
 
 _CBLAS_DAXPY = _cblas_daxpy()
@@ -97,12 +94,6 @@ def shifted_solver(disc, alpha: float):
     return SimpleNamespace(solve=lambda b: lu(disc.weights * b), alpha=alpha)
 
 
-class PCGBreakdown(SolverError):
-    def __init__(self, iteration: int, curvature: float):
-        super().__init__(f"pcg breakdown at iteration {iteration}: curvature {curvature}")
-        self.iteration = iteration
-
-
 def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500):
     """Preconditioned CG in the weighted inner product <u, v> = u^T diag(w) v.
 
@@ -127,7 +118,7 @@ def pcg(apply_A, apply_P, b, weights, tol=1e-10, maxiter=500):
         Ap = apply_A(p)
         pAp = inner(p, Ap)
         if pAp <= 0:
-            raise PCGBreakdown(it, pAp)
+            raise SolverError(f"pcg breakdown at iteration {it}: curvature {pAp}")
         gamma = rz / pAp
         x += gamma * p
         r -= gamma * Ap

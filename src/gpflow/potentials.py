@@ -7,9 +7,7 @@ from functools import reduce
 import numpy as np
 
 
-def constant(c: float):
-    if c < 0:
-        raise ValueError(f"constant potential must be >= 0, got {c}")
+def constant(c: float):  # V >= 0 is Problem's check
     def V(coords: np.ndarray) -> np.ndarray:
         return np.full(len(coords), float(c))
     return V

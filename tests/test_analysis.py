@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit,
+from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit, _order,
                              convergence_study, convexity_check, dense_Au,
                              dense_neg_laplacian, eigengap_study, exact_case,
                              linearized_eigenpairs, m_matrix_check,
                              monotonicity_oracle, rate_fit,
                              solve_exact_case, sqrt_energy_hessian)
 from gpflow.energy import Problem, State, energy, inner_h, retract
-from gpflow.flows import RunReport, IterationRecord, StopRule, run
+from gpflow.flows import (RunReport, IterationRecord, StopRule, default_initial_state,
+                          run)
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
 from gpflow.potentials import exact_case_potential
@@ -100,6 +101,22 @@ def test_convergence_study_fd2_1d_orders():
     h = rows[0].h
     mu1 = (4.0 / h ** 2) * np.sin(np.pi * h / 4.0) ** 2
     assert rows[0].lambda_err == pytest.approx(abs(mu1 - np.pi ** 2 / 4), rel=1e-6)
+
+
+def test_convergence_study_from_the_negated_start_gives_the_same_table(monkeypatch):
+    """The flow is odd in u, so a run from -u0 ends at -u, which the study flips
+    back: the same table, bit for bit."""
+    specs = [GridSpec(1.0, 1, c) for c in (10, 20)]
+    want = convergence_study(specs, 1.0, stop=StopRule(max_iter=20))
+    negated = lambda *args: State(-default_initial_state(*args).coeffs, args[0])
+    monkeypatch.setattr("gpflow.analysis.default_initial_state", negated)
+    got = convergence_study(specs, 1.0, stop=StopRule(max_iter=20))
+    assert repr(got) == repr(want)
+
+
+def test_order_of_a_zero_error_is_nan():
+    assert _order(4e-3, 1e-3) == 2.0
+    assert np.isnan(_order(1e-3, 0.0)) and np.isnan(_order(0.0, 1e-3))
 
 
 def test_convergence_study_needs_two_levels_per_scheme(monkeypatch):

@@ -105,6 +105,7 @@ prefix = out/run1
     ("[grid]\nscheme = sem\n[problem]\npotential = constant(1)\n", 2,
      "unknown scheme"),
     (MINIMAL.replace("constant(1)", "constant"), 7, "needs a value"),
+    (MINIMAL.replace("constant(1)", "constant(-1)"), 7, "constant potential must be >= 0"),
     (MINIMAL.replace("constant(1)", "mystery"), 7, "unknown potential"),
     (MINIMAL.replace("beta = 0", "beta = -2"), 8, "beta must be >= 0"),
     (MINIMAL + "[flow]\nalpha = nan\n", 10, "value must be finite"),
@@ -363,6 +364,11 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
                         "[stop]\ntol = -1\n", name="tol.ini")
     assert main(["solve", "--config", neg_tol]) == 1
     assert "line 6: tol must be >= 0" in capsys.readouterr().err
+    # a negative constant potential too, at the potential's line
+    neg_v = write_cfg(tmp_path, "[grid]\nscheme = fd2\n[problem]\npotential = constant(-1)\n",
+                      name="v.ini")
+    assert main(["solve", "--config", neg_v]) == 1
+    assert "line 4: constant potential must be >= 0" in capsys.readouterr().err
 
 
 def file_potential_cfg(tmp_path, prefix, path):

@@ -66,6 +66,15 @@ def test_state_rejects_non_finite_coeffs(bad):
         State(u, disc)
 
 
+def test_length_mismatch_rejected():
+    disc, problem, rng = make()
+    u, short = rand_state(disc, rng), np.ones(disc.ndof - 1)
+    with pytest.raises(ValueError, match="length mismatch"):
+        inner_h(disc, u.coeffs, short)
+    with pytest.raises(ValueError, match="length mismatch"):
+        apply_Au(u, problem)(short)
+
+
 def test_energy_quadratic_oracle():
     """E_h against a brute-force dense evaluation."""
     disc, problem, rng = make()

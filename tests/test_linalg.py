@@ -1,8 +1,10 @@
+import ctypes
 import gc
 import os
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +13,10 @@ import scipy.linalg
 import gpflow
 from gpflow.energy import Problem, State, riemannian_gradient, retract
 from gpflow.flows import default_initial_state
-from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
+from gpflow.grids import (GridSpec, Operator1D, Scheme, TensorOperator, build_1d,
                           generalized_sym_eig)
 from gpflow import linalg
-from gpflow.linalg import (FastSolver, PCGBreakdown, SolverError, daxpy,
+from gpflow.linalg import (FastSolver, SolverError, daxpy,
                            lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
@@ -54,6 +56,15 @@ def test_eigen_matches_dense_oracle(spec):
     for i in range(op.n):
         r = lap @ Z[:, i] - eig.values[i] * Z[:, i]
         assert np.linalg.norm(r) <= 1e-9 * max(1.0, eig.values[i])
+
+
+@pytest.mark.parametrize("stiffness, weights, match", [
+    ([[2.0, -1.0], [-0.5, 2.0]], [1.0, 1.0], "not symmetric"),
+    ([[2.0, -1.0], [-1.0, 2.0]], [1.0, 0.0], "strictly positive")])
+def test_eigen_refuses_asymmetric_stiffness_or_nonpositive_mass(stiffness, weights, match):
+    op = Operator1D(np.array([-0.5, 0.5]), np.array(weights), np.array(stiffness))
+    with pytest.raises(ValueError, match=match):
+        generalized_sym_eig(op)
 
 
 def test_fd2_eigenvalues_closed_form():
@@ -359,8 +370,14 @@ def test_pcg_breakdown_on_indefinite():
     w = np.ones(n)
     A = np.diag([1.0, 1.0, 1.0, -1.0])
     b = np.array([0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(PCGBreakdown):
+    with pytest.raises(SolverError, match="breakdown at iteration 1: curvature -1.0"):
         pcg(lambda u: A @ u, lambda r: r, b, w, tol=1e-12)
+
+
+def test_pcg_zero_rhs_returns_zero_without_a_solve():
+    x, it, ok = pcg(lambda u: pytest.fail("A applied"), lambda r: pytest.fail("P applied"),
+                    np.zeros(5), np.ones(5))
+    assert np.array_equal(x, np.zeros(5)) and (it, ok) == (0, True)
 
 
 def test_pcg_monotone_A_norm_error():
@@ -457,8 +474,9 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.lina
 
 def test_tensor_grid_runs_never_load_scipy_sparse_or_linalg():
     """scipy.sparse serves only P1 meshes (assembly and LU) and LOBPCG, and
-    loads on their first call; `daxpy` calls numpy's OpenBLAS, and scipy.linalg
-    only where that exports no CBLAS daxpy (on Linux that fallback fails here):
+    loads on their first call; `daxpy` calls the CBLAS daxpy that numpy's linalg
+    extension links, and scipy.linalg only where it links none (on Linux that
+    fallback fails here):
     a fresh process that imports gpflow and runs the linear start, a modified-H1
     fixed step, a line-search run and a BFSP run on a tensor grid loads neither."""
     src = os.path.dirname(os.path.dirname(gpflow.__file__))
@@ -467,6 +485,19 @@ def test_tensor_grid_runs_never_load_scipy_sparse_or_linalg():
     out = subprocess.run([sys.executable, "-c", SPARSE_FREE_RUNS],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [no_library, lambda path: SimpleNamespace()],
+                         ids=["no library", "no symbol"])
+def test_cblas_lookup_is_none_without_numpys_symbol(monkeypatch, cdll):
+    """Where numpy's linalg extension cannot be opened or links no
+    scipy_cblas_daxpy64_, nothing is bound and `daxpy` takes the fallback."""
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert linalg._cblas_daxpy() is None
 
 
 @pytest.fixture(params=["cblas", "scipy"])

@@ -4,14 +4,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
-from gpflow.analysis import linearized_eigenpairs
+from gpflow.analysis import ConvexityReport, convexity_check, linearized_eigenpairs
 from gpflow.energy import (Problem, State, euclidean_gradient, inner_h, norm_h,
                            retract, riemannian_gradient)
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                           StopRule, default_initial_state, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import shifted_solver
-from gpflow.meshes import (MeshError, TriMesh2D, edge_cotangent_sums,
+from gpflow.meshes import (MeshError, MonotonicityReport, TriMesh2D, edge_cotangent_sums,
                            mesh_monotonicity_check, p1_assemble,
                            structured_right_triangle_mesh)
 
@@ -140,6 +140,38 @@ def test_degenerate_triangle_rejected():
     mesh = TriMesh2D(verts, tris, np.zeros(3, dtype=bool))
     with pytest.raises(MeshError, match="triangle 0"):
         p1_assemble(mesh)
+
+
+@pytest.mark.parametrize("vertices, triangles, boundary, match", [
+    (np.zeros((3, 3)), np.array([[0, 1, 2]]), np.zeros(3, bool), "vertices"),
+    (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros(3, bool), "triangles"),
+    (np.zeros((3, 2)), np.array([[0, 1, 2]]), np.zeros(2, bool), "boundary_mask")])
+def test_trimesh_rejects_bad_shapes(vertices, triangles, boundary, match):
+    with pytest.raises(MeshError, match=match):
+        TriMesh2D(vertices, triangles, boundary)
+
+
+def test_mesh_without_interior_vertex_or_edge():
+    """One square, two triangles: every vertex on the boundary, one shared edge.
+    One triangle: no interior edge, so nothing to violate."""
+    with pytest.raises(MeshError, match="no interior vertex"):
+        p1_assemble(structured_right_triangle_mesh(1))
+    one = TriMesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    np.array([[0, 1, 2]]), np.ones(3, bool))
+    assert mesh_monotonicity_check(one) == MonotonicityReport(True, (-1, -1), np.inf)
+
+
+def test_p1_length_mismatch_rejected():
+    op = p1_assemble(structured_right_triangle_mesh(4))
+    with pytest.raises(ValueError, match=f"length {op.ndof}, got shape"):
+        op.apply_neg_laplacian(np.ones(op.ndof + 1))
+
+
+def test_convexity_check_supports_p1_meshes():
+    """P1 with lumped mass on a Delaunay mesh is monotone: the check runs."""
+    op = p1_assemble(structured_right_triangle_mesh(4))
+    rep = convexity_check(op, Problem(np.ones(op.ndof), 2.0), samples=5)
+    assert rep == ConvexityReport(True, True, True)
 
 
 def edge_sum_dict(mesh):

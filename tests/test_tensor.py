@@ -70,8 +70,9 @@ def test_1d_apply_is_Minv_S():
 
 def test_length_mismatch_rejected():
     disc = TensorOperator(GridSpec(1.0, 2, 5, Scheme.FD2))
-    with pytest.raises(ValueError):
-        disc.apply_neg_laplacian(np.ones(disc.ndof + 1))
+    for apply in (disc.apply_neg_laplacian, disc.transform):
+        with pytest.raises(ValueError, match=f"length {disc.ndof}, got shape"):
+            apply(np.ones(disc.ndof + 1))
 
 
 def test_weights_are_tensor_products():
