@@ -190,28 +190,9 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as f:
-            cfg = parse_config(f.read())
+            cfg = parse_config(f.read(), args.subcommand)
     except (OSError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 1
-    if args.subcommand in ("convergence", "eigengap") and cfg.flow.kind is FlowKind.BFSP:
-        # BFSP's fixed point depends on dt: not the discrete ground state a study measures
-        print("config error: [flow] kind = bfsp: the studies need a gradient flow",
-              file=sys.stderr)
-        return 1
-    if args.subcommand == "eigengap" and any(
-            (s.scheme, s.degree) != (cfg.grid.scheme, cfg.grid.degree) for s in cfg.study_specs):
-        print("config error: [study] schemes: eigengap runs the [grid] scheme", file=sys.stderr)
-        return 1
-    if args.subcommand == "convergence" and len(cfg.study_specs) < 2 * len(
-            {(s.scheme, s.degree) for s in cfg.study_specs}):
-        print("config error: [study] levels: convergence needs two or more", file=sys.stderr)
-        return 1
-    # convergence measures its errors against the manufactured case on [-1, 1]^d
-    if args.subcommand == "convergence" and (cfg.potential_fn.__name__ != "exact_case"
-                                             or cfg.grid.half_width != 1.0):
-        print("config error: convergence needs [problem] potential = exact_case "
-              "and [grid] half_width = 1", file=sys.stderr)
         return 1
 
     if args.out is not None:

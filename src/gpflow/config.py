@@ -14,6 +14,10 @@ Sections and keys:
 [grid] and [problem] are required; everything else has defaults (alpha = 0.15,
 tau = 1, modified_h1 flow; studies at [grid] cells and twice that, [grid] scheme).
 The studies' grids, schemes x levels at [grid] d and half_width, are study_specs.
+parse_config(text, command) refuses, at its line, what `gpflow <command>` cannot
+run: bfsp in a study; in convergence, any potential but exact_case, half_width != 1
+or one level; in eigengap, any scheme but [grid]'s; a file(path) potential whose
+count misses a grid the command runs ([grid], or eigengap's study_specs).
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ def _scheme_token(ln, tok):
     return Scheme.SEM, int(m.group(2))
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, command: str) -> RunConfig:
     values: dict[tuple[str, str], tuple[int, str]] = {}
     sections = set()
     for ln, section, key, value in _tokenize(text):
@@ -160,20 +164,26 @@ def parse_config(text: str) -> RunConfig:
         grid = GridSpec(half_width, d, cells, scheme, degree)
     except ValueError as e:
         raise ConfigError(get("grid", _GRID_ERROR_KEYS[str(e).split()[0]])[0], str(e))
+    if command == "convergence" and half_width != 1:  # the manufactured case's [-1, 1]^d
+        raise ConfigError(get("grid", "half_width")[0], "convergence needs [grid] half_width = 1")
 
     # problem
     beta = _number(*get("problem", "beta", "0"), "beta")
     if beta < 0:
         raise ConfigError(get("problem", "beta")[0], f"beta must be >= 0, got {beta}")
-    ln, pot = get("problem", "potential", None)
+    pot_ln, pot = get("problem", "potential", None)
     if pot is None:
         raise ConfigError(0, "missing key 'potential' in section [problem]")
-    pot_fn = _parse_potential(ln, pot, beta)
+    pot_fn = _parse_potential(pot_ln, pot, beta)
+    if command == "convergence" and pot != "exact_case":
+        raise ConfigError(pot_ln, "convergence needs [problem] potential = exact_case")
 
     # flow
     ln, kind_tok = get("flow", "kind", "modified_h1")
     if kind_tok not in _FLOWS:
         raise ConfigError(ln, f"unknown flow kind {kind_tok!r}")
+    if kind_tok == "bfsp" and command in ("convergence", "eigengap"):  # a fixed point set by dt
+        raise ConfigError(ln, "[flow] kind = bfsp: the studies need a gradient flow")
     alpha = _number(*get("flow", "alpha", "0.15"), "alpha")
     ln, tau_tok = get("flow", "tau", "1")
     tau = None if tau_tok.strip().lower() == "linesearch" else _number(ln, tau_tok, "tau")
@@ -200,15 +210,25 @@ def parse_config(text: str) -> RunConfig:
     # study
     levels_ln, lv = get("study", "levels", "")
     levels = [int(_number(levels_ln, t, "levels", int)) for t in lv.split()] or [cells, 2 * cells]
+    if command == "convergence" and len(levels) < 2:
+        raise ConfigError(levels_ln, "[study] levels: convergence needs two or more")
     ln, sv = get("study", "schemes", "")
     schemes = [_scheme_token(ln, t.lower()) for t in sv.split()] or [(scheme, degree)]
     if len(set(schemes)) < len(schemes):
         raise ConfigError(ln, f"schemes: each scheme may appear once, got {sv!r}")
+    if command == "eigengap" and schemes != [(scheme, degree)]:
+        raise ConfigError(ln, "[study] schemes: eigengap runs the [grid] scheme")
     try:
         specs = [GridSpec(half_width, d, c, s, k)
                  for (s, k), c in itertools.product(schemes, levels)]
     except ValueError as e:  # a degree error, or default levels: the schemes line's
         raise ConfigError(ln if str(e).startswith("degree") else levels_ln or ln, str(e))
+    if pot.startswith("file("):  # its V checks the count: no other V is evaluated here
+        for spec in specs if command == "eigengap" else [grid]:
+            try:
+                pot_fn(np.empty((spec.ndof, 0)))
+            except ValueError as e:
+                raise ConfigError(pot_ln, str(e))
 
     prefix = get("output", "prefix", "gpflow")[1]
     return RunConfig(grid=grid, potential_fn=pot_fn,

@@ -47,7 +47,7 @@ def _u_star(coords: np.ndarray) -> np.ndarray:
 
 def exact_case_potential(beta: float):
     """V = beta (1 - u*^2), whose ground state is u* (see gpflow.analysis)."""
-    def exact_case(coords: np.ndarray) -> np.ndarray:  # `gpflow convergence` checks the name
+    def exact_case(coords: np.ndarray) -> np.ndarray:
         return beta * (1.0 - _u_star(coords) ** 2)
     return exact_case
 

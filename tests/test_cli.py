@@ -28,7 +28,7 @@ beta = 0
 
 
 def test_parse_minimal_config_defaults():
-    cfg = parse_config(MINIMAL)
+    cfg = parse_config(MINIMAL, "solve")
     assert cfg.grid.scheme is Scheme.FD2
     assert cfg.grid.dim == 2
     assert cfg.grid.cells_per_dim == 64
@@ -70,7 +70,7 @@ levels = 10 20 40
 schemes = fd2 sem2 compact4
 [output]
 prefix = out/run1
-""")
+""", "solve")
     assert cfg.grid.scheme is Scheme.SEM and cfg.grid.degree == 3
     assert cfg.grid.half_width == 16.0
     assert isinstance(cfg.flow.step, LineSearchStep)
@@ -138,15 +138,15 @@ prefix = out/run1
 ])
 def test_parse_errors_with_line_numbers(text, line, match):
     with pytest.raises(ConfigError, match=match) as e:
-        parse_config(text)
+        parse_config(text, "solve")
     assert e.value.line == line
 
 
 def test_parse_missing_sections():
     with pytest.raises(ConfigError, match="missing required section"):
-        parse_config("[grid]\nscheme = fd2\n")
+        parse_config("[grid]\nscheme = fd2\n", "solve")
     with pytest.raises(ConfigError, match="potential"):
-        parse_config("[grid]\nscheme = fd2\n[problem]\nbeta = 1\n")
+        parse_config("[grid]\nscheme = fd2\n[problem]\nbeta = 1\n", "solve")
 
 
 def test_harmonic_lattice_zero_at_origin():
@@ -381,7 +381,7 @@ def test_cli_file_potential_round_trip(tmp_path):
     V = np.linspace(0.0, 3.0, 31) ** 2
     path = tmp_path / "V.txt"
     np.savetxt(path, V)
-    cfg = parse_config(open(file_potential_cfg(tmp_path, "f", path)).read())
+    cfg = parse_config(open(file_potential_cfg(tmp_path, "f", path)).read(), "solve")
     assert np.array_equal(cfg.potential_fn(np.zeros((31, 1))), V)
     prefix = str(tmp_path / "f")
     assert main(["solve", "--config", file_potential_cfg(tmp_path, prefix, path)]) == 0
@@ -428,40 +428,73 @@ def test_cli_file_potential_negative_exit_1(tmp_path, capsys):
     assert not os.path.exists(prefix + "_trace.csv")
 
 
-def test_cli_file_potential_wrong_count_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("subcommand, count, nodes, output", [
+    ("solve", 30, 31, "_trace.csv"),
+    ("eigengap", 31, 63, "_table.csv"),  # fits the first level (32 cells), not the second
+], ids=["solve", "eigengap-second-level"])
+def test_cli_file_potential_wrong_count_exit_1(tmp_path, capsys, subcommand, count, nodes,
+                                               output):
+    """A file whose value count misses a grid the subcommand runs ([grid], or each
+    study level) is a config error at the potential's line, found before any
+    run (it failed the run with exit 2)."""
     path = tmp_path / "V.txt"
-    np.savetxt(path, np.ones(30))
+    np.savetxt(path, np.ones(count))
     prefix = str(tmp_path / "f")
-    assert main(["solve", "--config", file_potential_cfg(tmp_path, prefix, path)]) == 2
-    assert "30 values for 31 nodes" in capsys.readouterr().err
-    assert not os.path.exists(prefix + "_trace.csv")
+    assert main([subcommand, "--config", file_potential_cfg(tmp_path, prefix, path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: line 7: {path}: {count} values for {nodes} nodes\n"
+    assert not os.path.exists(prefix + output)
 
 
-@pytest.mark.parametrize("subcommand, old, new, key", [
-    ("convergence", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),
-    ("eigengap", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind"),
-    ("convergence", "potential = exact_case", "potential = sin2_product", "potential"),
-    ("convergence", "d = 1", "d = 1\nhalf_width = 8", "half_width"),
-    ("eigengap", "[flow]\n", "[study]\nschemes = sem2 compact4\n[flow]\n", "[study] schemes"),
-    ("eigengap", "[flow]\n", "[study]\nlevels = 0 16\n[flow]\n", "line 10: cells_per_dim"),
-    ("convergence", "[flow]\n", "[study]\nlevels = 1 2\n[flow]\n", "line 10: grid has no"),
-    ("convergence", "[flow]\n", "[study]\nschemes = fd2 FD2\n[flow]\n", "line 10: schemes"),
-    ("convergence", "[flow]\n", "[study]\nlevels = 16\n[flow]\n", "[study] levels"),
+@pytest.mark.parametrize("subcommand, old, new, key, line", [
+    ("convergence", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind", 10),
+    ("eigengap", "[flow]\n", "[flow]\nkind = bfsp\n", "[flow] kind", 10),
+    ("convergence", "potential = exact_case", "potential = sin2_product", "potential", 7),
+    ("convergence", "d = 1", "d = 1\nhalf_width = 8", "half_width", 5),
+    ("eigengap", "[flow]\n", "[study]\nschemes = sem2 compact4\n[flow]\n", "[study] schemes", 10),
+    ("eigengap", "[flow]\n", "[study]\nlevels = 0 16\n[flow]\n", "cells_per_dim", 10),
+    ("convergence", "[flow]\n", "[study]\nlevels = 1 2\n[flow]\n", "grid has no", 10),
+    ("convergence", "[flow]\n", "[study]\nschemes = fd2 FD2\n[flow]\n", "schemes", 10),
+    ("convergence", "[flow]\n", "[study]\nlevels = 16\n[flow]\n", "[study] levels", 10),
 ], ids=["bfsp-convergence", "bfsp-eigengap", "potential", "half_width", "eigengap-schemes",
         "levels-0", "fd2-levels-1", "repeated-scheme", "one-level"])
-def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key):
+def test_cli_study_rejects_config_it_cannot_run(tmp_path, capsys, subcommand, old, new, key,
+                                                line):
     """BFSP's fixed point depends on dt, so it is not the discrete ground state
     a study measures; convergence measures its errors against the
     manufactured case on [-1, 1]^d, and forms orders from two or more levels;
     eigengap runs the [grid] scheme only; a study runs each scheme once; and
-    every level must make a grid: anything else is a config error."""
+    every level must make a grid: anything else is a config error at the line
+    of the rejected value."""
     prefix = str(tmp_path / "x")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(old, new),
                     name="study.ini")
     assert main([subcommand, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and key in err
+    assert err.startswith(f"config error: line {line}: ") and key in err
     assert not os.path.exists(prefix + "_table.csv")
+
+
+def test_solve_accepts_config_the_studies_refuse(tmp_path, capsys):
+    """The refusals belong to the studies: solve, compare and verify run a config
+    with kind = bfsp, potential = sin2_product and half_width = 8, while
+    convergence stops at half_width's line and eigengap at kind's.  solve runs
+    it to its end: BFSP stops by max_iter here (exit 2, not 1)."""
+    prefix = str(tmp_path / "b")
+    text = open(small_cfg(tmp_path, prefix)).read().replace(
+        "d = 1", "d = 1\nhalf_width = 8").replace(
+        "potential = exact_case", "potential = sin2_product").replace(
+        "[flow]\n", "[flow]\nkind = bfsp\n")
+    for command in ("solve", "compare", "verify"):
+        cfg = parse_config(text, command)
+        assert (cfg.flow.kind, cfg.grid.half_width) == (FlowKind.BFSP, 8.0)
+    for command, line in (("convergence", 5), ("eigengap", 11)):
+        with pytest.raises(ConfigError) as e:
+            parse_config(text, command)
+        assert e.value.line == line
+    assert main(["solve", "--config", write_cfg(tmp_path, text, name="bfsp.ini")]) == 2
+    assert capsys.readouterr().out.startswith("bfsp  reason=max_iter")
+    assert os.path.exists(prefix + "_trace.csv")
 
 
 def test_cli_linear_start_that_stops_short_exit_2(tmp_path, capsys, monkeypatch):
@@ -536,6 +569,26 @@ def test_cli_failed_subcommand_removes_its_files(tmp_path, capsys, monkeypatch):
     assert "error: metric solve did not converge" in capsys.readouterr().err
     assert len(calls) == 2
     assert not os.path.exists(prefix + "_modified_h1_trace.csv")
+
+
+def test_cli_failed_subcommand_cleanup_skips_a_file_already_gone(tmp_path, capsys,
+                                                                  monkeypatch):
+    """compare's second flow removes the first flow's trace and then raises: the
+    cleanup passes over the missing file, prints the error and exits 2."""
+    prefix = str(tmp_path / "cmp")
+    calls = []
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == 2:
+            os.unlink(prefix + "_modified_h1_trace.csv")
+            raise SolverError("metric solve did not converge")
+        return run(*a)
+
+    monkeypatch.setattr(gpflow.cli, "run", failing)
+    assert main(["compare", "--config", small_cfg(tmp_path, prefix)]) == 2
+    assert capsys.readouterr().err == "error: metric solve did not converge\n"
+    assert len(calls) == 2 and os.listdir(tmp_path) == ["run.ini"]
 
 
 def test_cli_nonconvergence_exit_2(tmp_path):

@@ -12,20 +12,33 @@ from gpflow.config import parse_config
 from gpflow.energy import Problem
 from gpflow.flows import StopRule, bfsp_shift, default_initial_state
 from gpflow.grids import TensorOperator
-from gpflow.potentials import harmonic_lattice, sin2_product
+from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
 from test_acceptance import LATTICE, SEM5, STRONG, TABLE_3D
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
+def parse_example(name):
+    """examples/<name> parsed for the one subcommand its header comment runs it with."""
+    text = (EXAMPLES / name).read_text()
+    (command,) = re.findall(rf"(?m)^#\s+gpflow (\w+) --config examples/{re.escape(name)}$", text)
+    return parse_config(text, command)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in EXAMPLES.glob("*.ini")))
+def test_example_parses_under_its_subcommand(name):
+    parse_example(name)
+
+
 @pytest.mark.parametrize("name, schemes", [("table_fd.ini", ["fd2", "compact4"]),
                                            ("table_sem2.ini", ["sem2"])])
 def test_table_example_is_the_table_3d_fixture(name, schemes):
-    cfg = parse_config((EXAMPLES / name).read_text())
+    cfg = parse_example(name)
     assert cfg.study_specs == [spec for s in schemes for spec in TABLE_3D[s]]
     assert (cfg.grid.dim, cfg.grid.half_width, cfg.beta) == (3, 1.0, 1.0)
-    assert cfg.potential_fn.__name__ == "exact_case"
+    x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    assert np.array_equal(cfg.potential_fn(x), exact_case_potential(1.0)(x))
     assert (cfg.flow, cfg.stop, cfg.initial) == (STUDY_FLOW, StopRule(), "linear")
 
 
@@ -35,7 +48,7 @@ def test_table_example_is_the_table_3d_fixture(name, schemes):
     ("lattice2d.ini", LATTICE, sin2_product, 5.0, "linear"),
 ])
 def test_example_is_its_criterion(name, criterion, potential, beta, initial):
-    cfg = parse_config((EXAMPLES / name).read_text())
+    cfg = parse_example(name)
     assert (cfg.grid, cfg.flow, cfg.stop) == criterion
     assert (cfg.potential_fn, cfg.beta, cfg.initial) == (potential, beta, initial)
 

@@ -226,6 +226,17 @@ def test_fold_selection_rule(monkeypatch, dim, n, folds):
     assert calls.calls == 2
 
 
+def test_zero_stiffness_at_zero_shift_is_singular():
+    """A 1D operator with zero stiffness has a zero eigenvalue, so at alpha = 0
+    the shifted operator -Delta_h + alpha is singular and the solver refuses it."""
+    n = 5
+    op = Operator1D(np.linspace(-1, 1, n + 2)[1:-1], np.full(n, 1 / 3), np.zeros((n, n)))
+    disc = TensorOperator(GridSpec(1.0, 2, n + 1, Scheme.FD2), op)
+    with pytest.raises(SolverError, match="shifted operator is singular"):
+        FastSolver(disc, 0.0)
+    assert np.all(FastSolver(disc, 0.5).denominator == 0.5)
+
+
 def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
     """Solvers at three shifts on a folded grid share one eigenbasis (two
     sector decompositions) and its half blocks, and the spectral order is
