@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Problem, State, apply_Au, energy
+from .energy import Problem, State, apply_Au, au_preconditioner, energy
 from .flows import FlowConfig, RunReport, StopRule, default_initial_state, run
 from .grids import GridSpec, Scheme, TensorOperator
-from .linalg import lowest_two_eigenpairs, shifted_solver
+from .linalg import lowest_two_eigenpairs
 from .potentials import _u_star, exact_case_potential
 
 
@@ -193,12 +193,9 @@ class EigengapRow:
 
 def linearized_eigenpairs(state: State, problem: Problem):
     """lowest_two_eigenpairs of A_u = -Delta_h + V + beta u^2 at v0 = u, preconditioned
-    by -Delta_h shifted by mean(V + beta u^2): gap > 0 makes u A_u's lowest mode."""
-    disc = state.disc
-    shift = float(np.mean(problem.potential + problem.beta * state.coeffs ** 2))
-    pre = shifted_solver(disc, max(shift, 1e-3))
-    return lowest_two_eigenpairs(apply_Au(state, problem), disc.weights, state.coeffs,
-                                 tol=1e-9, solve_inner=pre.solve)
+    by `au_preconditioner` at u: gap > 0 makes u A_u's lowest mode."""
+    return lowest_two_eigenpairs(apply_Au(state, problem), state.disc.weights, state.coeffs,
+                                 tol=1e-9, solve_inner=au_preconditioner(state, problem).solve)
 
 
 def eigengap_study(specs, potential, beta: float, flow: FlowConfig = STUDY_FLOW,

@@ -21,7 +21,7 @@ from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
                        m_matrix_check, monotonicity_oracle, rate_fit, set_up)
 from .config import ConfigError, RunConfig, parse_config
 from .energy import eigenvalue_estimate, eigenvalue_from_energy
-from .flows import FlowKind, RunReport, bfsp_shift, run
+from .flows import FlowKind, RunReport, run
 from .linalg import SolverError
 
 FMT = "%.16e"  # 17 significant digits
@@ -100,16 +100,13 @@ def run_eigengap(cfg: RunConfig, created) -> int:
 
 
 def run_compare(cfg: RunConfig, created) -> int:
-    """One trace per flow kind with an identical column schema; BFSP at bfsp_shift."""
+    """One trace per flow kind, each cfg.flow with that kind, in one column schema."""
     problem, u0 = set_up(cfg.grid, cfg.potential_fn, cfg.beta, cfg.flow, cfg.initial)
-    kinds = [FlowKind.MODIFIED_H1, FlowKind.BFSP, FlowKind.L2,
-             FlowKind.A0, FlowKind.AU]
+    kinds = [FlowKind.MODIFIED_H1, FlowKind.BFSP, FlowKind.L2, FlowKind.A0, FlowKind.AU]
     summary = []
     status = 0
     for kind in kinds:
-        alpha = bfsp_shift(problem, u0) if kind is FlowKind.BFSP else cfg.flow.alpha
-        report = run(dataclasses.replace(cfg.flow, kind=kind, alpha=alpha),
-                     problem, u0, cfg.stop)
+        report = run(dataclasses.replace(cfg.flow, kind=kind), problem, u0, cfg.stop)
         _print_run(kind, report)
         _write_trace(cfg.prefix, report, created, tag=f"_{kind.value}")
         last = report.records[-1]

@@ -6,7 +6,9 @@ Sections and keys:
                half_width
     [problem]  potential (exact_case | sin2_product | harmonic_lattice |
                constant(c) | file(path)), beta
-    [flow]     kind, alpha, tau (number or 'linesearch'), dt, initial
+    [flow]     kind, alpha (modified H1's and the linear start's shift; bfsp takes
+               only dt, its shift the midpoint of V + beta u0^2), tau (number or
+               'linesearch'), dt, initial
     [stop]     tol, max_iter, stall_window
     [study]    levels (whitespace-separated cells values), schemes (each once)
     [output]   prefix
@@ -16,8 +18,8 @@ tau = 1, modified_h1 flow; studies at [grid] cells and twice that, [grid] scheme
 The studies' grids, schemes x levels at [grid] d and half_width, are study_specs.
 parse_config(text, command) refuses, at its line, what `gpflow <command>` cannot
 run: bfsp in a study; in convergence, any potential but exact_case, half_width != 1
-or one level; in eigengap, any scheme but [grid]'s; a file(path) potential whose
-count misses a grid the command runs ([grid], or eigengap's study_specs).
+or one level; in eigengap, any scheme but [grid]'s, or a file(path) potential at
+two levels or more; a file(path) potential whose count misses the grid it runs on.
 """
 
 from __future__ import annotations
@@ -224,11 +226,13 @@ def parse_config(text: str, command: str) -> RunConfig:
     except ValueError as e:  # a degree error, or default levels: the schemes line's
         raise ConfigError(ln if str(e).startswith("degree") else levels_ln or ln, str(e))
     if pot.startswith("file("):  # its V checks the count: no other V is evaluated here
-        for spec in specs if command == "eigengap" else [grid]:
-            try:
-                pot_fn(np.empty((spec.ndof, 0)))
-            except ValueError as e:
-                raise ConfigError(pot_ln, str(e))
+        if command == "eigengap" and len(levels) > 1:  # one file holds one grid's count
+            raise ConfigError(levels_ln or pot_ln,
+                              "a file(path) potential needs [study] levels to be one value")
+        try:
+            pot_fn(np.empty(((specs[0] if command == "eigengap" else grid).ndof, 0)))
+        except ValueError as e:
+            raise ConfigError(pot_ln, str(e))
 
     prefix = get("output", "prefix", "gpflow")[1]
     return RunConfig(grid=grid, potential_fn=pot_fn,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import daxpy
+from .linalg import daxpy, shifted_solver
 
 NORMALIZATION_TOL = 1e-10
 
@@ -162,6 +162,12 @@ def apply_Au(state: State, problem: Problem):
             raise ValueError(f"length mismatch: {w.shape} vs {diag.shape}")
         return state.disc.apply_neg_laplacian(w) + diag * w
     return apply
+
+
+def au_preconditioner(state: State, problem: Problem):
+    """A_u's one preconditioner at the state: (-Delta_h + max(mean(V + beta u^2), 1e-3))^{-1}."""
+    shift = float(np.mean(problem.potential + problem.beta * state.coeffs ** 2))
+    return shifted_solver(state.disc, max(shift, 1e-3))
 
 
 def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .energy import (Problem, State, _record, apply_Au, energy,
+from .energy import (Problem, State, _record, apply_Au, au_preconditioner, energy,
                      eigenvalue_estimate, euclidean_gradient, residual,
                      retract, riemannian_gradient)
 from .grids import TensorOperator
@@ -23,7 +23,7 @@ class FlowKind(enum.Enum):
     L2 = "l2"
     A0 = "a0"
     AU = "au"
-    BFSP = "bfsp"
+    BFSP = "bfsp"  # Bao & Du (2004): no metric, dt its one setting
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class LineSearchStep:
 @dataclass(frozen=True)
 class FlowConfig:
     kind: FlowKind = FlowKind.MODIFIED_H1
-    alpha: float = 0.15
+    alpha: float = 0.15  # modified H1's shift, and the linear start's; not BFSP's
     step: FixedStep | LineSearchStep = FixedStep(1.0)
-    dt: float = 0.1  # BFSP only
+    dt: float = 0.1  # BFSP's one setting: run takes its shift from bfsp_shift
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -126,7 +126,7 @@ class RunReport:
 
 
 def step_bfsp(state: State, problem: Problem, solver) -> State:
-    """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = alpha + 1/dt,
+    """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = bfsp_shift + 1/dt,
     then R_h(x), carrying -Delta_h x = rhs - s x (it applies no Laplacian) and R_h(x)*w."""
     state.require_normalized()
     state._Au_u = state._wu = None  # the record's A_u u and u*w: no step reads them
@@ -143,13 +143,13 @@ def step_bfsp(state: State, problem: Problem, solver) -> State:
 
 
 def bfsp_shift(problem: Problem, u0: State) -> float:
-    """BFSP's stabilization shift from the start u0: the midpoint of V + beta u0^2."""
+    """BFSP's shift, which `run` takes from its start u0: the midpoint of V + beta u0^2."""
     b = problem.potential + problem.beta * u0.coeffs ** 2
     return 0.5 * (float(np.max(b)) + float(np.min(b)))
 
 
 def _pcg_inverse(apply_A, precond, weights: np.ndarray, name: str):
-    """G = A^{-1} applied by PCG with the unshifted solver as preconditioner."""
+    """G = A^{-1} applied by PCG to 1e-12, preconditioned by `precond`."""
     def solve(w):
         x, _, ok = pcg(apply_A, precond.solve, w, weights, tol=1e-12, maxiter=1000)
         if not ok:
@@ -158,18 +158,18 @@ def _pcg_inverse(apply_A, precond, weights: np.ndarray, name: str):
     return SimpleNamespace(solve=solve)
 
 
-def metric_inverse(kind: FlowKind, problem: Problem, disc, alpha: float):
-    """state -> G, the inverse metric of a gradient flow (an object with .solve).
+def metric_inverse(kind: FlowKind, problem: Problem, u0: State, alpha: float):
+    """state -> G, the inverse metric of a gradient flow from u0 (an object with .solve).
 
-    modified H1: (-Delta_h + alpha I)^{-1}; L2: I;
-    AU: A_u^{-1} at the given state; A0: (-Delta_h + V)^{-1}, which is A_u^{-1} at beta = 0.
+    modified H1: (-Delta_h + alpha I)^{-1}; L2: I; AU: A_u^{-1} at the given state by PCG,
+    preconditioned by `au_preconditioner` at u0; A0: A_u^{-1} at beta = 0, (-Delta_h + V)^{-1}.
     """
     if kind in (FlowKind.A0, FlowKind.AU):
         p = problem if kind is FlowKind.AU else replace(problem, beta=0.0)
-        precond = shifted_solver(disc, 0.0)
-        return lambda state: _pcg_inverse(apply_Au(state, p), precond, disc.weights, kind.name)
+        precond = au_preconditioner(u0, p)
+        return lambda state: _pcg_inverse(apply_Au(state, p), precond, u0.disc.weights, kind.name)
     if kind is FlowKind.MODIFIED_H1:
-        G = shifted_solver(disc, alpha)
+        G = shifted_solver(u0.disc, alpha)
     elif kind is FlowKind.L2:
         G = SimpleNamespace(solve=lambda w: w)
     else:
@@ -359,15 +359,11 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     t0 = time.perf_counter()
 
     if flow.kind is FlowKind.BFSP:
-        solver = shifted_solver(disc, flow.alpha + 1.0 / flow.dt)
-
-        def step(state):
-            return step_bfsp(state, problem, solver), flow.dt
+        solver = shifted_solver(disc, bfsp_shift(problem, u0) + 1.0 / flow.dt)
+        step = lambda state: (step_bfsp(state, problem, solver), flow.dt)
     else:
-        G_at = metric_inverse(flow.kind, problem, disc, flow.alpha)
-
-        def step(state):
-            return gradient_step(state, problem, G_at(state), flow.step)
+        G_at = metric_inverse(flow.kind, problem, u0, flow.alpha)
+        step = lambda state: gradient_step(state, problem, G_at(state), flow.step)
 
     def record(it, state, tau):
         return IterationRecord(it, energy(state, problem), residual(state, problem),

@@ -14,7 +14,7 @@ from gpflow.analysis import (convergence_study, convexity_check, dense_Au,
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            eigenvalue_from_energy, inner_h, norm_h,
                            residual, retract, riemannian_gradient)
-from gpflow.flows import (FixedStep, FlowConfig, FlowKind, StopRule,
+from gpflow.flows import (FixedStep, FlowConfig, FlowKind, StopRule, bfsp_shift,
                           default_initial_state, run)
 from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
                           gauss_lobatto_rule)
@@ -36,6 +36,7 @@ STRONG = (GridSpec(8.0, 3, 6, Scheme.SEM, 8), FlowConfig(alpha=10.0, step=FixedS
           StopRule(residual_tol=1e-12, stall_window=10, max_iter=3000))
 LATTICE = (GridSpec(8.0, 2, 300, Scheme.FD2), FlowConfig(alpha=0.15, step=FixedStep(1.0)),
            StopRule(residual_tol=1e-10, stall_window=10, max_iter=2000))
+LATTICE_BFSP = FlowConfig(kind=FlowKind.BFSP, dt=0.1)  # run takes its shift, bfsp_shift
 
 
 def report(num, ok, detail):
@@ -130,10 +131,7 @@ def test_criterion_7_bfsp_slower_than_modified_h1():
     u0 = default_initial_state(disc, "linear", problem)
 
     h1 = run(flow, problem, u0, stop)
-    b = problem.potential + problem.beta * u0.coeffs ** 2
-    alpha_bfsp = 0.5 * (float(np.max(b)) + float(np.min(b)))
-    bfsp = run(FlowConfig(kind=FlowKind.BFSP, alpha=alpha_bfsp, dt=0.1),
-               problem, u0, stop)
+    bfsp = run(LATTICE_BFSP, problem, u0, stop)
 
     def first_below(rep, tol):
         for r in rep.records:
@@ -145,7 +143,7 @@ def test_criterion_7_bfsp_slower_than_modified_h1():
     n_bfsp = first_below(bfsp, 1e-10)
     ok = bfsp.converged and np.isfinite(n_h1) and n_h1 < n_bfsp
     report(7, ok, f"modified H1 hits 1e-10 at iteration {n_h1}; BFSP "
-                  f"(dt=0.1, alpha={alpha_bfsp:.3f}) terminates by "
+                  f"(dt=0.1, alpha={bfsp_shift(problem, u0):.3f}) terminates by "
                   f"{bfsp.reason} at residual {bfsp.records[-1].residual:.3e} "
                   f"(reaches 1e-10 at {n_bfsp})")
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -235,8 +236,10 @@ def test_cli_compare_end_to_end(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(gpflow.cli, "run", lambda f, *a: flows.append(f) or run(f, *a))
     main(["compare", "--config", cfg])  # BFSP may stall; status not asserted
     kinds = ["modified_h1", "bfsp", "l2", "a0", "au"]
-    # BFSP runs at bfsp_shift, the gradient flows at the configured alpha
-    assert [flow.alpha == 0.2 for flow in flows] == [True, False, True, True, True]
+    # every run is the configured flow with its kind replaced: BFSP too, as solve runs it
+    configured = parse_config(open(cfg).read(), "compare").flow
+    assert [flow.kind.value for flow in flows] == kinds
+    assert [dataclasses.replace(flow, kind=configured.kind) for flow in flows] == [configured] * 5
     # one line per run: kind, stop reason, iterations, last residual
     line = r"(\w+)  reason=(tol|stall|diverged|max_iter|step_failure)  iterations=\d+  "
     assert [re.match(line, s)[1] for s in capsys.readouterr().out.splitlines()] == kinds
@@ -371,9 +374,9 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
     assert "line 4: constant potential must be >= 0" in capsys.readouterr().err
 
 
-def file_potential_cfg(tmp_path, prefix, path):
+def file_potential_cfg(tmp_path, prefix, path, extra=""):
     """small_cfg's 1D fd2 grid (31 interior nodes) with V read from path."""
-    return write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
+    return write_cfg(tmp_path, open(small_cfg(tmp_path, prefix, extra)).read().replace(
         "potential = exact_case", f"potential = file({path})"), name="file.ini")
 
 
@@ -428,22 +431,71 @@ def test_cli_file_potential_negative_exit_1(tmp_path, capsys):
     assert not os.path.exists(prefix + "_trace.csv")
 
 
-@pytest.mark.parametrize("subcommand, count, nodes, output", [
-    ("solve", 30, 31, "_trace.csv"),
-    ("eigengap", 31, 63, "_table.csv"),  # fits the first level (32 cells), not the second
-], ids=["solve", "eigengap-second-level"])
+@pytest.mark.parametrize("subcommand, count, nodes, output, extra", [
+    ("solve", 30, 31, "_trace.csv", ""),
+    # fits the [grid] (32 cells), not eigengap's one level
+    ("eigengap", 31, 63, "_table.csv", "[study]\nlevels = 64\n"),
+], ids=["solve", "eigengap-study-level"])
 def test_cli_file_potential_wrong_count_exit_1(tmp_path, capsys, subcommand, count, nodes,
-                                               output):
-    """A file whose value count misses a grid the subcommand runs ([grid], or each
-    study level) is a config error at the potential's line, found before any
-    run (it failed the run with exit 2)."""
+                                               output, extra):
+    """A file whose value count misses the grid the subcommand runs ([grid], or
+    eigengap's one study level) is a config error at the potential's line, found
+    before any run (it failed the run with exit 2)."""
     path = tmp_path / "V.txt"
     np.savetxt(path, np.ones(count))
     prefix = str(tmp_path / "f")
-    assert main([subcommand, "--config", file_potential_cfg(tmp_path, prefix, path)]) == 1
+    cfg = file_potential_cfg(tmp_path, prefix, path, extra)
+    assert main([subcommand, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: line 7: {path}: {count} values for {nodes} nodes\n"
     assert not os.path.exists(prefix + output)
+
+
+@pytest.mark.parametrize("levels, line", [("", 7), ("[study]\nlevels = 32 64\n", 16)],
+                         ids=["default-levels", "two-levels"])
+def test_eigengap_file_potential_needs_one_level(tmp_path, levels, line):
+    """One file holds one grid's values, so eigengap with a file(path) potential
+    needs [study] levels to be one value: without it the default two levels are
+    refused, and the message says why, at the levels line or else the potential's."""
+    path = tmp_path / "V.txt"
+    np.savetxt(path, np.ones(31))  # fits the 32-cell [grid] and the first level
+    text = open(file_potential_cfg(tmp_path, str(tmp_path / "f"), path, levels)).read()
+    with pytest.raises(ConfigError) as e:
+        parse_config(text, "eigengap")
+    assert str(e.value) == (f"line {line}: a file(path) potential needs [study] levels "
+                            "to be one value")
+    assert text.splitlines()[line - 1].startswith("levels" if levels else "potential")
+    one = text.replace("32 64", "32") if levels else text + "[study]\nlevels = 32\n"
+    assert parse_config(one, "eigengap").study_specs == [GridSpec(1.0, 1, 32, Scheme.FD2)]
+
+
+def test_cli_solve_and_compare_run_one_bfsp(tmp_path):
+    """BFSP takes its shift from the problem and the start, not from [flow] alpha,
+    so `solve` with kind = bfsp and `compare` write byte-identical BFSP traces."""
+    text = """
+[grid]
+scheme = fd2
+d = 2
+cells = 32
+half_width = 8
+[problem]
+potential = sin2_product
+beta = 5
+[flow]
+alpha = 0.15
+dt = 0.1
+initial = linear
+[stop]
+tol = 1e-10
+max_iter = 300
+"""
+    solve, cmp = str(tmp_path / "s"), str(tmp_path / "c")
+    main(["solve", "--config", write_cfg(tmp_path, text.replace("[flow]\n", "[flow]\nkind = bfsp\n"),
+                                         name="bfsp.ini"), "--out", solve])
+    main(["compare", "--config", write_cfg(tmp_path, text), "--out", cmp])
+    trace = read_csv(solve + "_trace.csv")
+    assert trace == read_csv(cmp + "_bfsp_trace.csv")
+    assert len(trace.splitlines()) > 20
 
 
 @pytest.mark.parametrize("subcommand, old, new, key, line", [

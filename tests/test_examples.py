@@ -1,5 +1,6 @@
 """examples/*.ini parse to what their acceptance criteria run, and run shrunk."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -9,12 +10,10 @@ import pytest
 from gpflow.analysis import STUDY_FLOW
 from gpflow.cli import main
 from gpflow.config import parse_config
-from gpflow.energy import Problem
-from gpflow.flows import StopRule, bfsp_shift, default_initial_state
-from gpflow.grids import TensorOperator
+from gpflow.flows import FlowKind, StopRule
 from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
-from test_acceptance import LATTICE, SEM5, STRONG, TABLE_3D
+from test_acceptance import LATTICE, LATTICE_BFSP, SEM5, STRONG, TABLE_3D
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -69,8 +68,7 @@ def test_example_runs(tmp_path, name, command, key, value, code):
 
 
 def test_bfsp_shift_is_criterion_7s():
-    disc = TensorOperator(LATTICE[0])
-    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
-    u0 = default_initial_state(disc, "linear", problem)
-    b = problem.potential + problem.beta * u0.coeffs ** 2  # criterion 7's inline shift
-    assert bfsp_shift(problem, u0) == 0.5 * (float(np.max(b)) + float(np.min(b)))
+    """compare runs lattice2d.ini's flow with kind = bfsp, and run takes BFSP's shift
+    from the problem and the start for it as for criterion 7: the same BFSP."""
+    cfg = parse_example("lattice2d.ini")
+    assert dataclasses.replace(cfg.flow, kind=FlowKind.BFSP) == LATTICE_BFSP

@@ -183,18 +183,54 @@ def test_bfsp_small_step_stalls_at_floor_large_step_worse():
     assert big.records[-1].residual > 5 * small.records[-1].residual
 
 
+def test_bfsp_takes_its_shift_from_the_start_not_from_alpha():
+    """run builds BFSP's solver at bfsp_shift(problem, u0) + 1/dt: FlowConfig.alpha
+    does not reach it, so two alphas give bit-identical runs."""
+    disc = TensorOperator(GridSpec(8.0, 2, 32, Scheme.FD2))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0)
+    u0 = default_initial_state(disc)
+    stop = StopRule(residual_tol=1e-12, max_iter=30)
+    a, b = (run(FlowConfig(kind=FlowKind.BFSP, alpha=alpha, dt=0.1), problem, u0, stop)
+            for alpha in (0.15, 7.0))
+    assert a.records == b.records and len(a.records) == 31
+    assert np.array_equal(a.final_state.coeffs, b.final_state.coeffs)
+
+
+@pytest.mark.parametrize("kind", [FlowKind.AU, FlowKind.A0], ids=lambda k: k.value)
+def test_metric_pcg_is_preconditioned_at_the_start(monkeypatch, kind):
+    """The A_u and A0 metric solves are preconditioned by `au_preconditioner` at
+    the start, -Delta_h shifted by max(mean(V + beta u0^2), 1e-3), not by
+    -Delta_h itself: on sem8 6^2 at beta = 1600 each PCG solve takes at most 40
+    iterations (up to 152 and 165 with the unshifted -Delta_h), and the line
+    search reaches the energy it reached then."""
+    disc = TensorOperator(GridSpec(8.0, 2, 6, Scheme.SEM, 8))
+    problem = Problem(harmonic_lattice(disc.node_coordinates()), 1600.0, 10.0)
+    counts, pcg = [], flows.pcg
+
+    def counting_pcg(*args, **kwargs):
+        out = pcg(*args, **kwargs)
+        counts.append(out[1])  # the solve's iterations
+        return out
+    monkeypatch.setattr(flows, "pcg", counting_pcg)
+    rep = run(FlowConfig(kind=kind, alpha=10.0, step=LineSearchStep()), problem,
+              default_initial_state(disc), StopRule(residual_tol=1e-8, max_iter=3000))
+    assert rep.reason == "tol"
+    assert 0 < max(counts) <= 40
+    assert abs(rep.records[-1].energy - 37.307505843166) <= 1e-10
+
+
 @pytest.mark.parametrize("metric", [FlowKind.L2, FlowKind.A0, FlowKind.AU])
 def test_metric_updates_are_tangent(metric):
     disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
     rng = np.random.default_rng(0)
     s = State(retract(disc, rng.standard_normal(disc.ndof)), disc)
-    g = riemannian_gradient(s, problem, metric_inverse(metric, problem, disc, 0.0)(s)).g
+    g = riemannian_gradient(s, problem, metric_inverse(metric, problem, s, 0.0)(s)).g
     assert abs(inner_h(disc, s.coeffs, g)) <= 1e-10 * max(1.0, norm_h(disc, g))
 
 
 def test_au_metric_ground_state_fixed_point():
     state, problem, disc = converged_ground_state()
-    G = metric_inverse(FlowKind.AU, problem, disc, 0.0)(state)
+    G = metric_inverse(FlowKind.AU, problem, state, 0.0)(state)
     nxt, _ = gradient_step(state, problem, G, FixedStep(1.0))
     assert norm_h(disc, nxt.coeffs - state.coeffs) <= 1e-8
 
@@ -207,7 +243,7 @@ def test_l2_metric_reduces_rayleigh_quotient():
     s = State(retract(disc, np.abs(rng.standard_normal(disc.ndof)) + 0.1), disc)
     tau = 1e-3
     lam0 = eigenvalue_estimate(s, problem)
-    G = metric_inverse(FlowKind.L2, problem, disc, 0.0)(s)
+    G = metric_inverse(FlowKind.L2, problem, s, 0.0)(s)
     nxt, _ = gradient_step(s, problem, G, FixedStep(tau))
     assert eigenvalue_estimate(nxt, problem) < lam0
 
@@ -216,7 +252,7 @@ def test_metric_gradient_rejects_wrong_kind():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 0.0)
     with pytest.raises(ValueError):
-        metric_inverse(FlowKind.BFSP, problem, disc, 0.0)
+        metric_inverse(FlowKind.BFSP, problem, default_initial_state(disc), 0.0)
 
 
 def test_line_search_matches_scan_oracle():
@@ -423,8 +459,8 @@ def test_conjugate_directions_are_descent_directions(kind):
     projections; after the first step most of them are conjugate (d is not g)."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
     problem = Problem(harmonic_lattice(disc.node_coordinates()), 200.0, 1.0)
-    G_at = metric_inverse(kind, problem, disc, problem.alpha)
     state = default_initial_state(disc)
+    G_at = metric_inverse(kind, problem, state, problem.alpha)
     conjugate = 0
     for _ in range(15):
         u, r = state.coeffs, h_residual(state, problem)
@@ -902,8 +938,8 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
     metric."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
-    G_at = metric_inverse(kind, problem, disc, problem.alpha)
     state = default_initial_state(disc)
+    G_at = metric_inverse(kind, problem, state, problem.alpha)
     for _ in range(20):
         state, _ = gradient_step(state, problem, G_at(state), policy)
     assert state._neg_lap is not None
