@@ -12,7 +12,7 @@ from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
 from gpflow import flows
 from gpflow.flows import FixedStep, FlowKind, LineSearchStep, StopRule, run
-from gpflow.grids import GridSpec, Scheme
+from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import EigenResult, SolverError
 from gpflow.potentials import harmonic_lattice
 
@@ -621,26 +621,66 @@ def test_cli_failed_subcommand_removes_its_files(tmp_path, capsys, monkeypatch):
     assert "error: metric solve did not converge" in capsys.readouterr().err
     assert len(calls) == 2
     assert not os.path.exists(prefix + "_modified_h1_trace.csv")
+    assert os.listdir(tmp_path) == ["run.ini"]
 
 
-def test_cli_failed_subcommand_cleanup_skips_a_file_already_gone(tmp_path, capsys,
-                                                                  monkeypatch):
-    """compare's second flow removes the first flow's trace and then raises: the
-    cleanup passes over the missing file, prints the error and exits 2."""
-    prefix = str(tmp_path / "cmp")
-    calls = []
+def test_cli_unwritable_output_exit_2(tmp_path, capsys):
+    """An output that cannot be written (the summary's path is a directory) is an
+    error during the run: exit 2, one error line and no traceback, and the trace
+    written before it is removed."""
+    prefix = str(tmp_path / "o" / "clash")
+    os.makedirs(prefix + "_summary.csv")
+    assert main(["solve", "--config", small_cfg(tmp_path, prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "_summary.csv" in err and "Traceback" not in err
+    assert os.listdir(tmp_path / "o") == ["clash_summary.csv"]
 
-    def failing(*a):
-        calls.append(a)
-        if len(calls) == 2:
-            os.unlink(prefix + "_modified_h1_trace.csv")
-            raise SolverError("metric solve did not converge")
-        return run(*a)
 
-    monkeypatch.setattr(gpflow.cli, "run", failing)
-    assert main(["compare", "--config", small_cfg(tmp_path, prefix)]) == 2
-    assert capsys.readouterr().err == "error: metric solve did not converge\n"
-    assert len(calls) == 2 and os.listdir(tmp_path) == ["run.ini"]
+def verify_reproducer(tmp_path, kind):
+    """fd2 2D, 8 cells on [-8, 8]^2: harmonic_lattice + 1e4 from a file, beta
+    = 1000, alpha = 10, line search, tol 0 (a gradient flow that stops by
+    stall); or BFSP on fd2 12^2, sin2_product, beta = 5, dt = 0.1."""
+    if kind == "bfsp":
+        grid, problem = "cells = 12", "potential = sin2_product\nbeta = 5"
+        flow, stop = "kind = bfsp\ndt = 0.1\ninitial = linear", ""
+    else:
+        nodes = TensorOperator(GridSpec(8.0, 2, 8, Scheme.FD2)).node_coordinates()
+        np.savetxt(tmp_path / "V.txt", harmonic_lattice(nodes) + 1e4)
+        grid, problem = "cells = 8", f"potential = file({tmp_path / 'V.txt'})\nbeta = 1000"
+        flow, stop = "alpha = 10\ntau = linesearch", "tol = 0"
+    return write_cfg(tmp_path, f"""
+[grid]
+scheme = fd2
+d = 2
+{grid}
+half_width = 8
+[problem]
+{problem}
+[flow]
+{flow}
+[stop]
+{stop}
+[output]
+prefix = {tmp_path / "v"}
+""", name=f"{kind}.ini")
+
+
+@pytest.mark.parametrize("kind", ["modified_h1", "bfsp"])
+def test_cli_verify_judges_energy_by_the_run_rule(tmp_path, capsys, kind):
+    """verify passes a gradient flow whose energy rises by round-off relative to
+    |E| (ENERGY_RISE_RTOL, run's stall rule), and checks no energy for BFSP,
+    which is no gradient flow."""
+    cfg = verify_reproducer(tmp_path, kind)
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    assert ("energy monotone" in out) == (kind != "bfsp")
+    if kind != "bfsp":  # its largest rise is above an absolute 1e-12
+        assert main(["solve", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("modified_h1  reason=stall")
+        E = np.loadtxt(tmp_path / "v_trace.csv", delimiter=",", skiprows=1)[:, 1]
+        assert 1e-12 < np.diff(E).max() <= flows.ENERGY_RISE_RTOL * abs(E[-1])
 
 
 def test_cli_nonconvergence_exit_2(tmp_path):
