@@ -57,10 +57,11 @@ class ConvergenceRow:
     energy_err: float
     sup_err: float
     iterations: int
-    converged: bool
+    reason: str  # the run's stop reason
     lambda_order: float = np.nan
     energy_order: float = np.nan
     sup_order: float = np.nan
+    converged = RunReport.converged  # the run's rule, from `reason`
 
 
 def _order(coarse: float, fine: float) -> float:
@@ -120,7 +121,7 @@ def convergence_study(specs, beta: float, flow: FlowConfig = STUDY_FLOW,
                 energy_err=abs(last.energy - case.energy_star),
                 sup_err=float(np.max(np.abs(u - case.u_star))),
                 iterations=report.iterations,
-                converged=report.converged,
+                reason=report.reason,
             ))
         for prev, cur in zip(rows, rows[1:]):
             cur.lambda_order = _order(prev.lambda_err, cur.lambda_err)
@@ -208,7 +209,9 @@ def eigengap_study(specs, potential, beta: float, flow: FlowConfig = STUDY_FLOW,
         problem, u0 = set_up(spec, potential, beta, flow, initial)
         report = run(flow, problem, u0, stop)
         if not report.converged:
-            raise RuntimeError(f"ground state did not converge on {spec}")
+            raise RuntimeError(f"{spec.cells_per_dim} cells: ground state stopped by "
+                               f"{report.reason} at iteration {report.iterations}, "
+                               f"residual {report.records[-1].residual:.3e}")
         res = linearized_eigenpairs(report.final_state, problem)
         rows.append(EigengapRow(h=spec.cell_size, lambda0=res.lambda0,
                                 lambda1=res.lambda1, gap=res.gap))
@@ -220,13 +223,6 @@ class ConvexityReport:
     supported: bool
     hessian_psd: bool
     abs_value_inequality: bool
-
-
-def _is_monotone_scheme(disc) -> bool:
-    spec = getattr(disc, "spec", None)
-    if spec is None:
-        return True  # P1 AssembledOperator
-    return spec.degree == 1 and spec.scheme is not Scheme.COMPACT4
 
 
 def sqrt_energy_hessian(S: np.ndarray, weights: np.ndarray, beta: float,
@@ -242,9 +238,9 @@ def sqrt_energy_hessian(S: np.ndarray, weights: np.ndarray, beta: float,
 
 def convexity_check(disc, problem: Problem, samples: int = 20,
                     rng=None) -> ConvexityReport:
-    """(a) the Hessian of v -> E_h(sqrt(v)) is PSD at random positive v;
-    (b) E_h(u) >= E_h(|u|) for random u.  Monotone schemes only."""
-    if not _is_monotone_scheme(disc):
+    """(a) the Hessian of v -> E_h(sqrt(v)) is PSD at random positive v; (b) E_h(u) >=
+    E_h(|u|) for random u.  Unsupported unless `disc.monotone` (-Delta_h an M-matrix)."""
+    if not disc.monotone:
         return ConvexityReport(False, False, False)
     rng = np.random.default_rng(0) if rng is None else rng
     S = disc.weights[:, None] * dense_neg_laplacian(disc)

@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .analysis import (_is_monotone_scheme, convergence_study, convexity_check,
-                       dense_Au, eigengap_study, linearized_eigenpairs,
-                       m_matrix_check, monotonicity_oracle, rate_fit, set_up)
+from .analysis import (convergence_study, convexity_check, dense_Au, eigengap_study,
+                       linearized_eigenpairs, m_matrix_check, monotonicity_oracle,
+                       rate_fit, set_up)
 from .config import ConfigError, RunConfig, parse_config
 from .energy import eigenvalue_estimate, eigenvalue_from_energy
 from .flows import ENERGY_RISE_RTOL, FlowKind, RunReport, run
@@ -61,14 +61,16 @@ def run_solve(cfg: RunConfig) -> tuple[int, list]:
 def run_convergence(cfg: RunConfig) -> tuple[int, list]:
     table = convergence_study(cfg.study_specs, cfg.beta, cfg.flow, cfg.stop, cfg.initial)
     rows = []
-    ok = True
     for name, scheme_rows in table.items():
         for r in scheme_rows:
-            ok &= r.converged
             rows.append((name, r.label, r.h, r.lambda_err, r.lambda_order,
                          r.energy_err, r.energy_order, r.sup_err, r.sup_order,
                          r.iterations, int(r.converged)))
-    return 0 if ok else 2, [(f"{cfg.prefix}_table.csv",
+    failing = [(name, r) for name, rs in table.items() for r in rs if not r.converged]
+    for name, r in failing:
+        print(f"{name} {r.label}: stopped by {r.reason} after {r.iterations} iterations",
+              file=sys.stderr)
+    return 2 if failing else 0, [(f"{cfg.prefix}_table.csv",
                              ["scheme", "grid", "h", "lambda_err", "lambda_order",
                               "energy_err", "energy_order", "sup_err", "sup_order",
                               "iterations", "converged"], rows)]
@@ -121,26 +123,20 @@ def run_verify(cfg: RunConfig) -> tuple[int, list]:
     checks.append(("eigenvalue identity lambda = 2E + (beta/2)<u^2,u^2>",
                    abs(lam - eigenvalue_from_energy(state, problem)) <= 1e-10 * max(1, abs(lam))))
 
-    monotone = _is_monotone_scheme(disc)
-    if monotone:
-        checks.append(("converged state entrywise positive",
-                       bool(np.min(state.coeffs) > 0)))
-    if disc.ndof <= 200:
+    if disc.monotone:  # -Delta_h, so A_u, an M-matrix: the paper's sign results hold
+        u = state.coeffs * np.sign(disc.weights @ state.coeffs)
+        checks.append(("converged state entrywise positive", bool(u.min() > 0)))
+    if disc.monotone and disc.ndof <= 200:
         A = dense_Au(state, problem)
         Ah = A * disc.weights[:, None]  # <., .>_h-symmetric form
-        if monotone:
-            mm = m_matrix_check(Ah)
-            checks.append(("A_u M-matrix sufficient condition", mm.passes_sufficient))
-            checks.append(("A_u inverse nonnegative", monotonicity_oracle(A)))
+        checks.append(("A_u M-matrix sufficient condition", m_matrix_check(Ah).passes_sufficient))
+        checks.append(("A_u inverse nonnegative", monotonicity_oracle(A)))
         cv = convexity_check(disc, problem, samples=5)
-        if cv.supported:
-            checks.append(("E(sqrt(v)) Hessian PSD", cv.hessian_psd))
-            checks.append(("E(u) >= E(|u|)", cv.abs_value_inequality))
+        checks.append(("E(sqrt(v)) Hessian PSD", cv.hessian_psd))
+        checks.append(("E(u) >= E(|u|)", cv.abs_value_inequality))
     if 6 <= disc.ndof <= 200:  # LOBPCG's constraint needs 6; gap > 0: u is the lowest mode
-        gap = linearized_eigenpairs(state, problem).gap
-        u = state.coeffs * np.sign(disc.weights @ state.coeffs)
-        checks.append(("ground-state eigenvalue simple (gap > 0)", gap > 0))
-        checks.append(("lowest eigenvector positive", gap > 0 and u.min() > 0))
+        checks.append(("ground-state eigenvalue simple (gap > 0)",
+                       linearized_eigenpairs(state, problem).gap > 0))
     with contextlib.suppress(ValueError):  # too few iterations to fit a rate
         checks.append(("geometric residual decay (rate < 1)", rate_fit(report).rate < 1.0))
 

@@ -210,6 +210,8 @@ class TensorOperator:
     """
 
     multiplicity = None  # a sector grid's: the full-grid nodes each node stands for
+    # -Delta_h an M-matrix (fd2, sem1), which the discrete ground state's sign needs
+    monotone = property(lambda g: g.spec.degree == 1 and g.spec.scheme is not Scheme.COMPACT4)
 
     def __init__(self, spec: GridSpec, op: Operator1D | None = None):
         self.spec = spec

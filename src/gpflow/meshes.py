@@ -85,6 +85,7 @@ class AssembledOperator:
     weights: np.ndarray
     nodes: np.ndarray
     ndof: int
+    monotone: bool  # -Delta_h an M-matrix: the mesh passes `mesh_monotonicity_check`
 
     def node_coordinates(self) -> np.ndarray:
         return self.nodes
@@ -117,6 +118,7 @@ def p1_assemble(mesh: TriMesh2D) -> AssembledOperator:
         weights=lumped[interior],
         nodes=mesh.vertices[interior],
         ndof=len(interior),
+        monotone=mesh_monotonicity_check(mesh).ok,
     )
 
 

@@ -312,6 +312,19 @@ def test_sqrt_energy_hessian_matches_finite_differences():
     assert np.linalg.norm(H - fd) <= 1e-4 * np.linalg.norm(H)
 
 
+@pytest.mark.parametrize("scheme, degree, monotone", [
+    (Scheme.FD2, 1, True), (Scheme.SEM, 1, True),
+    (Scheme.COMPACT4, 1, False), (Scheme.SEM, 2, False)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_monotone_per_scheme_and_on_the_even_sector(scheme, degree, monotone, dim):
+    """-Delta_h is an M-matrix on fd2 and sem1 only; the even sector's grid says
+    what its parent says."""
+    disc = TensorOperator(GridSpec(1.0, dim, 6, scheme, degree))
+    assert disc.monotone is monotone and disc.even.monotone is monotone
+    assert m_matrix_check(disc.weights[:, None] * dense_neg_laplacian(disc)).passes_sufficient \
+        is monotone
+
+
 def test_convexity_sem2_unsupported():
     disc = TensorOperator(GridSpec(1.0, 1, 4, Scheme.SEM, 2))
     rep = convexity_check(disc, Problem(np.ones(disc.ndof), 1.0), samples=1)

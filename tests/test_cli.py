@@ -300,8 +300,8 @@ prefix = {prefix}
 """)
     assert main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 10 and "[FAIL]" not in out
-    assert "10/10 checks passed" in out
+    assert out.count("[PASS]") == 9 and "[FAIL]" not in out
+    assert "9/9 checks passed" in out
     assert "geometric residual decay" not in out
 
 
@@ -593,15 +593,82 @@ def test_cli_eigengap_honours_initial(tmp_path, monkeypatch):
     assert starts == ["linear", "linear"]
 
 
+def lattice_cfg(tmp_path, scheme, d, cells, beta, flow="", stop="", extra=""):
+    """`scheme` on [-8, 8]^d, harmonic_lattice with `beta`."""
+    return write_cfg(tmp_path, f"""
+[grid]
+scheme = {scheme}
+d = {d}
+cells = {cells}
+half_width = 8
+[problem]
+potential = harmonic_lattice
+beta = {beta}
+[flow]
+{flow}
+[stop]
+{stop}
+{extra}
+[output]
+prefix = {tmp_path / "out"}
+""", name=f"{scheme}.ini")
+
+
 def test_cli_eigengap_level_not_converged_exit_2(tmp_path, capsys):
-    """A study level whose ground state stops short fails the run, names the
-    level and leaves no table."""
-    prefix = str(tmp_path / "g")
-    cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
-        "max_iter = 100", "max_iter = 2"), name="short.ini")
+    """A study level whose ground state stops short (fd2 1D, 16 cells, beta = 5,
+    max_iter = 5) fails the run, names the level's cells and the run's stop reason,
+    iteration and last residual, and leaves no table."""
+    cfg = lattice_cfg(tmp_path, "fd2", 1, 16, 5, stop="max_iter = 5",
+                      extra="[study]\nlevels = 16")
     assert main(["eigengap", "--config", cfg]) == 2
-    assert "error: ground state did not converge on GridSpec(" in capsys.readouterr().err
-    assert not os.path.exists(prefix + "_table.csv")
+    assert capsys.readouterr().err == (
+        "error: 16 cells: ground state stopped by max_iter at iteration 5, residual 6.049e-01\n")
+    assert not os.path.exists(tmp_path / "out_table.csv")
+
+
+def test_cli_convergence_names_each_unconverged_level(tmp_path, capsys):
+    """Levels that stop short keep the table (converged 0) and each prints its stop
+    reason and iteration count on stderr."""
+    prefix = str(tmp_path / "c")
+    cfg = write_cfg(tmp_path, f"""
+[grid]
+scheme = fd2
+d = 1
+[problem]
+potential = exact_case
+beta = 1
+[flow]
+alpha = 0.2
+[stop]
+max_iter = 5
+[study]
+levels = 8 16
+[output]
+prefix = {prefix}
+""")
+    assert main(["convergence", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fd2 7^1: stopped by max_iter after 5 iterations",
+        "fd2 15^1: stopped by max_iter after 5 iterations"]
+    table = read_csv(prefix + "_table.csv").splitlines()
+    assert table[0] == ("scheme,grid,h,lambda_err,lambda_order,energy_err,energy_order,"
+                        "sup_err,sup_order,iterations,converged")
+    assert [line.split(",")[-2:] for line in table[1:]] == [["5", "0"], ["5", "0"]]
+
+
+@pytest.mark.parametrize("scheme, d, cells, beta, flow", [
+    ("sem2", 1, 10, 5, "initial = linear"), ("compact4", 2, 12, 20, "")])
+def test_cli_verify_checks_no_sign_off_monotone_schemes(tmp_path, capsys, scheme, d, cells,
+                                                        beta, flow):
+    """sem2 and compact4 are not monotone, and their converged ground states change
+    sign (8 of 19 and 56 of 121 nodal values are negative): verify runs no sign check
+    there, and passes."""
+    cfg = lattice_cfg(tmp_path, scheme, d, cells, beta,
+                      flow=f"alpha = 1\ntau = linesearch\n{flow}", stop="tol = 1e-10")
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out and "positive" not in out
+    assert "[PASS] ground-state eigenvalue simple (gap > 0)" in out
 
 
 def test_cli_failed_subcommand_removes_its_files(tmp_path, capsys, monkeypatch):

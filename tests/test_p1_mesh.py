@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
-from gpflow.analysis import ConvexityReport, convexity_check, linearized_eigenpairs
+from gpflow.analysis import (ConvexityReport, convexity_check, dense_Au, linearized_eigenpairs,
+                             m_matrix_check)
 from gpflow.energy import (Problem, State, euclidean_gradient, inner_h, norm_h,
                            retract, riemannian_gradient)
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
@@ -171,7 +172,27 @@ def test_convexity_check_supports_p1_meshes():
     """P1 with lumped mass on a Delaunay mesh is monotone: the check runs."""
     op = p1_assemble(structured_right_triangle_mesh(4))
     rep = convexity_check(op, Problem(np.ones(op.ndof), 2.0), samples=5)
+    assert op.monotone
     assert rep == ConvexityReport(True, True, True)
+
+
+def test_non_delaunay_p1_mesh_is_not_monotone():
+    """The structured 4x4 mesh with vertex 6 moved from (0.25, 0.25) to (0.35, 0.15)
+    fails the lens condition, and its A_u has a positive off-diagonal entry 4/21 in
+    the h-symmetric form: the assembled operator says it is not monotone, and the
+    convexity check does not run on it."""
+    base = structured_right_triangle_mesh(4)
+    vertices = base.vertices.copy()
+    vertices[6] = (0.35, 0.15)
+    mesh = TriMesh2D(vertices, base.triangles, base.boundary_mask)
+    op = p1_assemble(mesh)
+    assert not mesh_monotonicity_check(mesh).ok and not op.monotone
+    problem = Problem(np.ones(op.ndof), 2.0)
+    A = dense_Au(State(np.ones(op.ndof) / np.sqrt(op.weights.sum()), op), problem)
+    mm = m_matrix_check(A * op.weights[:, None])
+    assert not mm.passes_sufficient
+    assert float(mm.witness.removeprefix("positive off-diagonal entry ")) == pytest.approx(4 / 21)
+    assert not convexity_check(op, problem, samples=5).supported
 
 
 def edge_sum_dict(mesh):
