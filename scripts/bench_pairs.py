@@ -4,10 +4,15 @@
     python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH_pairs.json
     python3 scripts/bench_pairs.py --base HEAD~1 --workload sem5_flow
 
-Exports the base revision with `git archive` into a temporary directory
-(no worktree is registered, so an interrupted run leaves `.git` as it
-was), then runs `gsbench/run.py --trace 0` on the base and on the working
-tree, PAIRS times per workload of BENCHMARK.json (or per `--workload`,
+Exports the base revision with `git archive` into `<tmp>/base` of a
+temporary directory (no worktree is registered, so an interrupted run leaves
+`.git` as it was), and copies the working tree into `<tmp>/work` beside it:
+every file that `git ls-files --cached --others --exclude-standard` lists,
+as it stands, uncommitted changes included.  Both sides run from sibling
+copies, so no metric moves with the directory a side runs from (run from
+the checkout itself, `sem5_flow`'s peak RSS moved by one 99^3 vector with
+the directory, not with the code).  It then runs `gsbench/run.py --trace 0`
+on each copy, PAIRS times per workload of BENCHMARK.json (or per `--workload`,
 which may be repeated; an unknown name exits 2 before any run), each run
 in a fresh process for the benchmark's run_seconds.  The side that runs first
 alternates from pair to pair, so a drift of the host's speed hits both
@@ -30,7 +35,8 @@ quartiles of each side and of the per-pair relative change, how many
 pairs the working tree won, whether a claimed gain is met and whether the
 working tree stays within the metric's bound (see `summarize`).  It names
 the working tree by its HEAD and the SHA-256 of `git diff --binary HEAD`
-taken before the first run (null for a clean tree).  Metric names,
+taken as it is copied (null for a clean tree), and records each side's
+directory (`trees`), both gone when the script exits.  Metric names,
 directions and bounds come from BENCHMARK.json, which is read only.  Nothing
 under gsbench/ is changed.
 """
@@ -41,6 +47,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -169,6 +176,17 @@ def export(rev: str, dest: str) -> str:
     return sha
 
 
+def export_work(dest: str) -> None:
+    """The working tree's files, as `git ls-files --cached --others
+    --exclude-standard` lists them and as they stand, copied into dest; a
+    tracked file deleted from the tree is left out."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        src, dst = os.path.join(ROOT, name), os.path.join(dest, name)
+        if name and (os.path.isfile(src) or os.path.islink(src)):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -183,11 +201,14 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
-    work = {"head": git("rev-parse", "HEAD"), "diff_sha256": diff_sha256()}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        sha = export(args.base, tmp)
-        trees = {"base": tmp, "work": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        for tree in trees.values():
+            os.mkdir(tree)
+        sha = export(args.base, trees["base"])
+        work = {"head": git("rev-parse", "HEAD"), "diff_sha256": diff_sha256()}
+        export_work(trees["work"])
         for pair in range(PAIRS):
             for w in workloads:
                 for side in order(pair):
@@ -198,8 +219,8 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {w} {side} load={load:.2f} "
                           f"passes={r['passes']} rounds={r['rounds']}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
-    record = {"base": sha, "work": work, "seconds": seconds, "nproc": os.cpu_count(),
-              "summary": summarize(runs, better, bounds), "runs": runs}
+    record = {"base": sha, "work": work, "trees": trees, "seconds": seconds,
+              "nproc": os.cpu_count(), "summary": summarize(runs, better, bounds), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
     print(json.dumps(record["summary"], indent=1))

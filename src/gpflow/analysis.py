@@ -23,7 +23,7 @@ from .energy import Problem, State, apply_Au, au_preconditioner, energy
 from .flows import FlowConfig, RunReport, StopRule, default_initial_state, run
 from .grids import GridSpec, Scheme, TensorOperator
 from .linalg import lowest_two_eigenpairs
-from .potentials import _u_star, exact_case_potential
+from .potentials import _u_star, axes, exact_case_potential
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,11 @@ class ExactCase:
 
 
 def exact_case(disc, beta: float) -> ExactCase:
-    """Manufactured ground state on [-1, 1]^d at the disc's nodes; V: exact_case_potential."""
+    """Manufactured ground state on [-1, 1]^d, per axis at the nodes; V: exact_case_potential."""
     if hasattr(disc, "spec") and disc.spec.half_width != 1.0:
         raise ValueError("the manufactured case lives on [-1, 1]^d (half_width 1)")
     coords = disc.node_coordinates()
-    d = coords.shape[1]
+    d = len(axes(coords))
     lam = d * np.pi ** 2 / 4.0 + beta
     return ExactCase(
         u_star=_u_star(coords),
@@ -76,8 +76,8 @@ STUDY_FLOW = FlowConfig(alpha=0.2)
 
 def set_up(spec: GridSpec, potential, beta: float, flow: FlowConfig,
            initial: str) -> tuple[Problem, State]:
-    """A run's problem, with `potential` (coordinates -> values) at the nodes of
-    spec's grid, and its start from `initial` on that grid."""
+    """A run's problem, with `potential` (node_coordinates() -> values, per axis)
+    at the nodes of spec's grid, and its start from `initial` on that grid."""
     disc = TensorOperator(spec)
     V = np.asarray(potential(disc.node_coordinates()), dtype=float)
     problem = Problem(V, beta, flow.alpha)

@@ -229,8 +229,9 @@ def parse_config(text: str, command: str) -> RunConfig:
         if command == "eigengap" and len(levels) > 1:  # one file holds one grid's count
             raise ConfigError(levels_ln or pot_ln,
                               "a file(path) potential needs [study] levels to be one value")
-        try:
-            pot_fn(np.empty(((specs[0] if command == "eigengap" else grid).ndof, 0)))
+        spec = specs[0] if command == "eigengap" else grid
+        try:  # the grid's shape as per-axis index arrays: no ndof-sized array
+            pot_fn(np.ix_(*[range(spec.interior_per_dim)] * spec.dim))
         except ValueError as e:
             raise ConfigError(pot_ln, str(e))
 

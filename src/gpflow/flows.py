@@ -356,6 +356,9 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     """Iterate the flow until tolerance, stall (a gradient flow's needs its energy
     flat), divergence (such a stall with E rising), a step failure or max_iter."""
     disc = u0.disc
+    # freed at once: glibc raises its mmap and trim thresholds to it (32 MiB at most), so
+    # the run's vectors stay in its heap, where fresh mmaps fault in every page each iterate
+    np.empty(3 * disc.ndof)
     t0 = time.perf_counter()
 
     if flow.kind is FlowKind.BFSP:

@@ -11,7 +11,8 @@ Three schemes share one interface and one assembly path:
 
 A grid has one 1D operator (nodes, weights, stiffness), shared by every
 axis.  The d-dimensional Laplacian is never materialized: it acts as the
-Kronecker sum of that operator via per-axis contractions.  The grid also
+Kronecker sum of that operator via per-axis contractions, and the nodes'
+coordinates are the 1D nodes along each axis (the sparse meshgrid).  The grid also
 owns what fast diagonalization (Lynch, Rice & Thomas 1964) derives from the
 operator: its eigenbasis from the even and odd mirror sectors, once per grid,
 and the per-axis transforms, on 2D grids from FOLD_MIN_N nodes folded by parity.
@@ -311,7 +312,8 @@ class TensorOperator:
             out += axis_apply(U, axis, self._lap1d, self._lap1d_t)
         return out.reshape(-1)
 
-    def node_coordinates(self) -> np.ndarray:
-        """(ndof, dim) array of interior node coordinates, C-order, its columns contiguous."""
-        grids = np.meshgrid(*[self.op.nodes] * self.dim, indexing="ij", copy=False)  # views
-        return np.stack(grids).reshape(self.dim, -1).T  # one (dim, ndof) buffer
+    def node_coordinates(self) -> tuple[np.ndarray, ...]:
+        """The sparse C-order meshgrid: per axis a read-only view of `op.nodes`, shaped
+        (n, 1, 1), (1, n, 1), (1, 1, n) in 3D; no (ndof, dim) array (see gpflow.potentials)."""
+        xs = np.meshgrid(*[self.op.nodes] * self.dim, indexing="ij", sparse=True, copy=False)
+        return tuple(np.broadcast_to(x, x.shape) for x in xs)

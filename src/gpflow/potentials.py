@@ -1,4 +1,5 @@
-"""Named catalog of trapping potentials evaluated at node coordinates."""
+"""Named catalog of trapping potentials evaluated at node coordinates: a tensor grid's
+per-axis arrays, each term on its axis's n nodes and broadcast once, or an (N, d) array."""
 
 from __future__ import annotations
 
@@ -7,14 +8,19 @@ from functools import reduce
 import numpy as np
 
 
+def axes(coords) -> list[np.ndarray]:
+    """Per-axis coordinates: an (N, d) array's columns, or the broadcast arrays as given."""
+    return list(coords.T if isinstance(coords, np.ndarray) else coords)
+
+
 def constant(c: float):  # V >= 0 is Problem's check
-    def V(coords: np.ndarray) -> np.ndarray:
-        return np.full(len(coords), float(c))
+    def V(coords) -> np.ndarray:
+        return np.full(np.broadcast(*axes(coords)).size, float(c))  # N from the broadcast shape
     return V
 
 
 def _sin2(x: np.ndarray) -> np.ndarray:
-    """sin^2(pi x / 4) of one coordinate column, in one buffer."""
+    """sin^2(pi x / 4) of one coordinate axis, in one buffer."""
     s = np.pi * x
     s /= 4.0
     np.sin(s, out=s)
@@ -22,32 +28,27 @@ def _sin2(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def sin2_product(coords: np.ndarray) -> np.ndarray:
-    """prod_i sin^2(pi x_i / 4), by columns."""
-    v = _sin2(coords[:, 0])
-    for x in coords.T[1:]:
-        v *= _sin2(x)
-    return v
+def sin2_product(coords) -> np.ndarray:
+    """prod_i sin^2(pi x_i / 4), per axis."""
+    return reduce(np.multiply, map(_sin2, axes(coords))).reshape(-1)
 
 
-def harmonic_lattice(coords: np.ndarray) -> np.ndarray:
-    """|x|^2 + 100 sum_i sin^2(pi x_i / 4) (harmonic trap + optical lattice), by columns."""
-    r, q = np.square(coords[:, 0]), _sin2(coords[:, 0])
-    for x in coords.T[1:]:
-        r += x * x
-        q += _sin2(x)
-    r += 100.0 * q
-    return r
+def harmonic_lattice(coords) -> np.ndarray:
+    """|x|^2 + 100 sum_i sin^2(pi x_i / 4) (harmonic trap + optical lattice), per axis."""
+    xs = axes(coords)
+    r = reduce(np.add, (x * x for x in xs))
+    r += 100.0 * reduce(np.add, map(_sin2, xs))
+    return r.reshape(-1)
 
 
-def _u_star(coords: np.ndarray) -> np.ndarray:
-    """u* = prod_i sin(pi (x_i + 1) / 2), the manufactured ground state on [-1, 1]^d, by columns."""
-    return reduce(np.multiply, (np.sin(np.pi * (x + 1.0) / 2.0) for x in coords.T))
+def _u_star(coords) -> np.ndarray:
+    """u* = prod_i sin(pi (x_i + 1) / 2), the manufactured ground state on [-1, 1]^d, per axis."""
+    return reduce(np.multiply, (np.sin(np.pi * (x + 1.0) / 2.0) for x in axes(coords))).reshape(-1)
 
 
 def exact_case_potential(beta: float):
     """V = beta (1 - u*^2), whose ground state is u* (see gpflow.analysis)."""
-    def exact_case(coords: np.ndarray) -> np.ndarray:
+    def exact_case(coords) -> np.ndarray:
         return beta * (1.0 - _u_star(coords) ** 2)
     return exact_case
 
@@ -58,9 +59,9 @@ def from_file(path: str):
     if not np.all((vals >= 0) & (vals < np.inf)):  # NaN fails both
         raise ValueError(f"{path}: potential values must be finite and nonnegative")
 
-    def V(coords: np.ndarray) -> np.ndarray:
-        if len(vals) != len(coords):
-            raise ValueError(
-                f"{path}: {len(vals)} values for {len(coords)} nodes")
+    def V(coords) -> np.ndarray:
+        n = np.broadcast(*axes(coords)).size  # from the broadcast shape: no node-sized array
+        if len(vals) != n:
+            raise ValueError(f"{path}: {len(vals)} values for {n} nodes")
         return vals
     return V

@@ -198,3 +198,52 @@ def test_workload_flag_picks_workloads_and_refuses_unknown_names(monkeypatch, tm
     calls.clear()
     assert bench_pairs.main(["--base", "HEAD", "--out", out]) == 0
     assert calls == ["export"] + [w for w in names for _ in range(2)] * 2
+
+
+def test_work_side_runs_from_a_copy_of_the_listed_files(monkeypatch, tmp_path):
+    """The work side runs from <tmp>/work beside the base's <tmp>/base: a copy of
+    every file `git ls-files --cached --others --exclude-standard` lists, as it
+    stands (an uncommitted edit included), without a tracked file deleted from
+    the tree or an unlisted one.  The JSON records both directories.  git and
+    the runs are stand-ins."""
+    root = tmp_path / "checkout"
+    (root / "src").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text((_path.parents[1] / "BENCHMARK.json").read_text())
+    (root / "src" / "edited.py").write_text("uncommitted = True\n")
+    (root / "new.txt").write_text("untracked\n")
+    (root / "ignored.log").write_text("build output\n")
+    listed = ["BENCHMARK.json", "src/edited.py", "new.txt", "deleted.py"]
+    git_calls, seen = [], {}
+
+    def git(*args):
+        git_calls.append(args)
+        return "\0".join(listed) + "\0" if args[0] == "ls-files" else "1" * 40
+
+    def export(rev, dest):
+        (Path(dest) / "base.txt").write_text(rev)
+        return "0" * 40
+
+    def run_once(tree, workload, seed, seconds):  # the files each side runs from
+        seen[Path(tree).name] = {str(p.relative_to(tree)): p.read_text()
+                                 for p in Path(tree).rglob("*") if p.is_file()}
+        return {"metrics": {"flow_s": 1.0}, "correct": True, "failed": 0,
+                "results": [], "passes": 1, "rounds": 0}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(root))
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "summarize", lambda runs, better, bounds: {})
+    monkeypatch.setattr(bench_pairs, "diff_sha256", lambda: "f" * 64)
+    out = tmp_path / "pairs.json"
+    name = json.loads((root / "BENCHMARK.json").read_text())["workloads"][0]["name"]
+    assert bench_pairs.main(["--base", "HEAD", "--out", str(out), "--workload", name]) == 0
+    assert ("ls-files", "-z", "--cached", "--others", "--exclude-standard") in git_calls
+    assert seen == {"base": {"base.txt": "HEAD"},
+                    "work": {"BENCHMARK.json": (root / "BENCHMARK.json").read_text(),
+                             "new.txt": "untracked\n", "src/edited.py": "uncommitted = True\n"}}
+    trees = json.loads(out.read_text())["trees"]
+    assert [Path(trees[s]).name for s in ("base", "work")] == ["base", "work"]
+    assert Path(trees["base"]).parent == Path(trees["work"]).parent != root
+    assert not Path(trees["work"]).exists()  # the temporary directory is gone

@@ -10,6 +10,7 @@ import pytest
 import gpflow.analysis
 from gpflow.cli import main
 from gpflow.config import ConfigError, parse_config
+from gpflow.energy import State, retract
 from gpflow import flows
 from gpflow.flows import FixedStep, FlowKind, LineSearchStep, StopRule, run
 from gpflow.grids import GridSpec, Scheme, TensorOperator
@@ -669,6 +670,41 @@ def test_cli_verify_checks_no_sign_off_monotone_schemes(tmp_path, capsys, scheme
     out = capsys.readouterr().out
     assert "[FAIL]" not in out and "positive" not in out
     assert "[PASS] ground-state eigenvalue simple (gap > 0)" in out
+
+
+SIGN_ROW = "converged state entrywise positive (none below -residual max|u|)"
+
+
+@pytest.mark.parametrize("dip", [None, 1e-6], ids=["converged", "dipped"])
+def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monkeypatch, dip):
+    """fd2 2D, 24 cells, harmonic_lattice, beta = 5, line search, tol 1e-10: the run
+    stops by tol with residual 9.4e-11 and 87 of 529 entries <= 0, the least -2.2e-12
+    against a largest 1.44.  Those are round-off, above -residual max|u|: verify
+    passes.  The same state with one entry at -1e-6 max|u| fails the sign row."""
+    reports = []
+
+    def spy(*a):
+        rep = run(*a)
+        if dip is not None:
+            disc, u = rep.final_state.disc, rep.final_state.coeffs.copy()
+            u[np.argmin(np.abs(u))] = -dip * np.abs(u).max() * np.sign(disc.weights @ u)
+            rep = dataclasses.replace(rep, final_state=State(retract(disc, u), disc))
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(gpflow.cli, "run", spy)
+    cfg = lattice_cfg(tmp_path, "fd2", 2, 24, 5, flow="tau = linesearch", stop="tol = 1e-10")
+    assert main(["verify", "--config", cfg]) == (0 if dip is None else 2)
+    out = capsys.readouterr().out
+    (rep,) = reports
+    u = rep.final_state.coeffs * np.sign(rep.final_state.disc.weights @ rep.final_state.coeffs)
+    assert rep.reason == "tol" and 1e-11 < rep.records[-1].residual < 1e-10
+    if dip is None:
+        assert f"[PASS] {SIGN_ROW}" in out and "[FAIL]" not in out
+        assert np.count_nonzero(u <= 0) == 87 and -1e-11 < u.min() < 0
+    else:
+        assert f"[FAIL] {SIGN_ROW}" in out
+        assert u.min() == pytest.approx(-dip * np.abs(u).max(), rel=1e-12)
 
 
 def test_cli_failed_subcommand_removes_its_files(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from gpflow.energy import (NormalizationError, Problem, State, apply_Au,
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver
 
-from test_tensor import dense_lap
+from test_tensor import dense, dense_lap
 
 
 def inner_X(disc, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
@@ -186,7 +186,7 @@ def test_residual_nonlinear_exact_eigenpair_zero():
     """Manufactured GP eigenpair: V = beta(1 - u*^2) with h-normalized u*."""
     spec = GridSpec(1.0, 2, 20, Scheme.FD2)
     disc = TensorOperator(spec)
-    coords = disc.node_coordinates()
+    coords = dense(disc.node_coordinates())
     u = np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
     beta = 3.0
     problem = Problem(beta * (1.0 - u ** 2), beta)

@@ -20,7 +20,7 @@ from gpflow.linalg import (FastSolver, SolverError, daxpy,
                            lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
-from test_tensor import dense_lap
+from test_tensor import dense, dense_lap
 
 
 def counting(f):
@@ -430,7 +430,7 @@ def test_lowest_two_closed_form_fd2_2d():
     h = spec.cell_size
     mu = lambda k: (4.0 / h ** 2) * np.sin(k * np.pi * h / 4.0) ** 2
     fs = FastSolver(disc, c)
-    x = disc.node_coordinates()
+    x = dense(disc.node_coordinates())
     mode = np.prod(np.sin(np.pi * (x + 1.0) / 2.0), axis=1)
     res = lowest_two_eigenpairs(lambda u: disc.apply_neg_laplacian(u) + c * u,
                                 disc.weights, mode, tol=1e-10, solve_inner=fs.solve)

@@ -17,6 +17,7 @@ from gpflow.meshes import (MeshError, MonotonicityReport, TriMesh2D, edge_cotang
                            structured_right_triangle_mesh)
 
 from test_flows import lobpcg_ground_state
+from test_tensor import dense
 
 
 def delaunay_mesh(points: np.ndarray) -> TriMesh2D:
@@ -49,8 +50,10 @@ def jittered_mesh(n: int, seed: int, jitter: float = 0.3) -> TriMesh2D:
 
 def harmonic_problem(disc, beta=10.0, alpha=1.0):
     """V = 50 |x - (1/2, 1/2)|^2 on the unit square."""
-    return Problem(50.0 * np.sum((disc.node_coordinates() - 0.5) ** 2, axis=1),
-                   beta, alpha)
+    x = disc.node_coordinates()
+    if not isinstance(x, np.ndarray):  # a tensor grid's per-axis arrays
+        x = dense(x)
+    return Problem(50.0 * np.sum((x - 0.5) ** 2, axis=1), beta, alpha)
 
 
 def test_structured_mesh_equals_five_point_stencil():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
-from gpflow.potentials import _u_star, harmonic_lattice, sin2_product
+from gpflow.potentials import (_u_star, constant, exact_case_potential, from_file,
+                               harmonic_lattice, sin2_product)
 
 
 def dense_lap(disc: TensorOperator) -> np.ndarray:
@@ -85,10 +86,15 @@ def test_weights_are_tensor_products():
     assert np.all(disc.weights > 0)
 
 
+def dense(xs) -> np.ndarray:
+    """The (ndof, d) array of per-axis coordinates that broadcast to a grid, C-order."""
+    return np.stack(np.broadcast_arrays(*xs), -1).reshape(-1, len(xs))
+
+
 def test_node_coordinates_c_order():
     spec = GridSpec(1.0, 2, 4, Scheme.FD2)
     disc = TensorOperator(spec)
-    coords = disc.node_coordinates()
+    coords = dense(disc.node_coordinates())
     assert coords.shape == (9, 2)
     # C-order: last axis fastest
     assert np.allclose(coords[0], [-0.5, -0.5])
@@ -100,13 +106,33 @@ def test_node_coordinates_c_order():
     GridSpec(8.0, 1, 12, Scheme.SEM, 3), GridSpec(1.0, 2, 9, Scheme.FD2),
     GridSpec(8.0, 3, 4, Scheme.SEM, 2)], ids=["sem3-1D", "fd2-2D", "sem2-3D"])
 def test_node_coordinates_are_the_meshgrid_with_contiguous_columns(spec):
-    """On a full grid and on its even sector, node_coordinates equals the
-    stacked meshgrid, bit for bit, and each column is contiguous."""
+    """On a full grid and on its even sector, node_coordinates broadcast to the
+    stacked meshgrid, bit for bit, and each axis's array is contiguous."""
     for disc in (TensorOperator(spec), TensorOperator(spec).even):
-        coords = disc.node_coordinates()
+        coords = dense(disc.node_coordinates())
         grids = np.meshgrid(*[disc.op.nodes] * disc.dim, indexing="ij")
         assert np.array_equal(coords, np.stack([g.reshape(-1) for g in grids], axis=1))
-        assert all(x.flags.c_contiguous for x in coords.T)
+        assert all(x.flags.c_contiguous for x in disc.node_coordinates())
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 1, 12, Scheme.SEM, 3), GridSpec(1.0, 2, 9, Scheme.FD2),
+    GridSpec(8.0, 3, 4, Scheme.SEM, 2)], ids=["sem3-1D", "fd2-2D", "sem2-3D"])
+def test_node_coordinates_broadcast_to_the_meshgrid(spec):
+    """On a full grid and on its even sector, node_coordinates is the sparse
+    C-order meshgrid: axis i's array holds the n nodes along axis i, has 1 on
+    every other axis, is a read-only view of op.nodes, and the d arrays
+    broadcast to the dense meshgrid bit for bit."""
+    for disc in (TensorOperator(spec), TensorOperator(spec).even):
+        xs, n, d = disc.node_coordinates(), disc.n, disc.dim
+        assert len(xs) == d
+        for i, x in enumerate(xs):
+            assert x.shape == tuple(n if j == i else 1 for j in range(d))
+            assert np.array_equal(x.reshape(-1), disc.op.nodes)
+            assert not x.flags.writeable and np.shares_memory(x, disc.op.nodes)
+        grids = np.meshgrid(*[disc.op.nodes] * d, indexing="ij")
+        assert all(g.shape == b.shape and np.array_equal(g, b)
+                   for g, b in zip(grids, np.broadcast_arrays(*xs)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,10 +161,9 @@ def peak_in_vectors(f, ndof: int) -> float:
 
 
 def test_potentials_peak_memory_in_vectors():
-    """On a 39^3 sem2 grid each potential goes column by column: above the
-    (ndof, d) coordinates it is given, sin2_product peaks at 2 vectors and
-    harmonic_lattice at 3 (d + 2 and d + 3 with the coordinates; 6 and 7
-    above them with the whole-array expressions)."""
+    """On a 39^3 sem2 grid each potential goes axis by axis: from the per-axis
+    coordinates, sin2_product peaks at 2 vectors and harmonic_lattice at 3 (6
+    and 7 above an (ndof, d) array with the whole-array expressions)."""
     disc = TensorOperator(GridSpec(8.0, 3, 20, Scheme.SEM, 2))
     coords = disc.node_coordinates()
     for potential, vectors in ((sin2_product, 2), (harmonic_lattice, 3)):
@@ -147,25 +172,51 @@ def test_potentials_peak_memory_in_vectors():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_node_coordinates_peak_memory_in_vectors(dim):
-    """One (dim, ndof) buffer, stacked from meshgrid views: the peak is the d
-    vectors returned (2d with meshgrid copies and their stack)."""
+    """Views of the 1D nodes, no node-sized buffer: the peak is under 0.01 vectors
+    (d with an (ndof, d) array).  In 1D a vector is the n nodes themselves, and
+    the views' Python objects alone read 0.07 of one at n = 1999."""
     disc = TensorOperator(GridSpec(8.0, dim, {1: 1000, 2: 200, 3: 20}[dim], Scheme.SEM, 2))
-    assert peak_in_vectors(disc.node_coordinates, disc.ndof) <= dim + 0.1
+    assert peak_in_vectors(disc.node_coordinates, disc.ndof) < (0.1 if dim == 1 else 0.01)
 
 
 @pytest.mark.parametrize("spec", [
     GridSpec(8.0, 3, 6, Scheme.SEM, 8), GridSpec(8.0, 2, 20, Scheme.COMPACT4),
     GridSpec(8.0, 1, 40, Scheme.FD2), None], ids=["sem8-3D", "compact4-2D", "fd2-1D", "random-2D"])
 def test_potentials_by_columns_have_the_whole_array_bits(spec):
-    """sin2_product, harmonic_lattice and _u_star equal, bit for bit, the
-    expressions on the whole (ndof, dim) array."""
+    """sin2_product, harmonic_lattice, _u_star, exact_case_potential and constant
+    equal, bit for bit, the expressions on the whole (ndof, dim) array, given
+    that array or a grid's per-axis coordinates, on a full grid and its even
+    sector."""
     if spec is None:
-        coords = np.random.default_rng(2).uniform(-8.0, 8.0, (1000, 2))
+        inputs = [np.random.default_rng(2).uniform(-8.0, 8.0, (1000, 2))]
     else:
-        coords = TensorOperator(spec).node_coordinates()
-    s = np.sin(np.pi * coords / 4.0) ** 2
-    assert np.array_equal(sin2_product(coords), reduce(np.multiply, s.T))
-    assert np.array_equal(harmonic_lattice(coords),
-                          np.sum(coords ** 2, axis=1) + 100.0 * np.sum(s, axis=1))
-    assert np.array_equal(_u_star(coords),
-                          np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1))
+        full = TensorOperator(spec)
+        inputs = [form for disc in (full, full.even)
+                  for form in (disc.node_coordinates(), dense(disc.node_coordinates()))]
+    for given in inputs:
+        coords = given if isinstance(given, np.ndarray) else dense(given)
+        s = np.sin(np.pi * coords / 4.0) ** 2
+        u = np.prod(np.sin(np.pi * (coords + 1.0) / 2.0), axis=1)
+        assert np.array_equal(sin2_product(given), reduce(np.multiply, s.T))
+        assert np.array_equal(harmonic_lattice(given),
+                              np.sum(coords ** 2, axis=1) + 100.0 * np.sum(s, axis=1))
+        assert np.array_equal(_u_star(given), u)
+        assert np.array_equal(exact_case_potential(3.0)(given), 3.0 * (1.0 - u ** 2))
+        assert np.array_equal(constant(0.5)(given), np.full(len(coords), 0.5))
+
+
+def test_file_potential_counts_the_nodes_of_either_form(tmp_path):
+    """from_file's count check takes the node count from the broadcast shape of a
+    grid's per-axis coordinates (3^3 = 27 on sem2 3D, 2 cells) or from an (N, d)
+    array's rows, and refuses a file one value short in both."""
+    disc = TensorOperator(GridSpec(8.0, 3, 2, Scheme.SEM, 2))
+    xs = disc.node_coordinates()
+    for count in (disc.ndof, disc.ndof - 1):
+        np.savetxt(tmp_path / "V.txt", np.arange(count, dtype=float))
+        V = from_file(str(tmp_path / "V.txt"))
+        for given in (xs, dense(xs)):
+            if count == disc.ndof:
+                assert np.array_equal(V(given), np.arange(disc.ndof, dtype=float))
+            else:
+                with pytest.raises(ValueError, match=f": {count} values for {disc.ndof} nodes"):
+                    V(given)
