@@ -6,9 +6,8 @@ from .linalg import lowest_two_eigenpairs, pcg, shifted_solver
 from .energy import Problem, State, energy, residual, retract
 from .flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                     StopRule, default_initial_state, run)
-from .analysis import (convergence_study, convexity_check, eigengap_study,
-                       exact_case, linearized_eigenpairs, m_matrix_check,
-                       monotonicity_oracle, rate_fit, set_up)
+from .analysis import (convergence_study, eigengap_study, exact_case,
+                       linearized_eigenpairs, rate_fit, set_up)
 from .config import RunConfig, parse_config
 
 __all__ = [
@@ -18,7 +17,7 @@ __all__ = [
     "Problem", "State", "energy", "residual", "retract",
     "FixedStep", "FlowConfig", "FlowKind", "LineSearchStep", "StopRule",
     "default_initial_state", "run",
-    "convergence_study", "convexity_check", "eigengap_study", "exact_case",
-    "linearized_eigenpairs", "m_matrix_check", "monotonicity_oracle", "rate_fit", "set_up",
+    "convergence_study", "eigengap_study", "exact_case",
+    "linearized_eigenpairs", "rate_fit", "set_up",
     "RunConfig", "parse_config",
 ]

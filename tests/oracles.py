@@ -1,0 +1,106 @@
+"""Dense oracles for small discretizations: -Delta_h and A_u assembled column by
+column, the M-matrix and inverse-nonnegativity checks, and the convexity of
+v -> E_h(sqrt(v)).  They describe the discretization, not a run, so they serve
+the tests only; each builds an ndof x ndof matrix."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gpflow.energy import Problem, State, energy
+
+
+@dataclass(frozen=True)
+class MMatrixReport:
+    passes_sufficient: bool
+    witness: str
+
+
+def m_matrix_check(A: np.ndarray) -> MMatrixReport:
+    """Sufficient M-matrix test of a dense A: positive diagonal, nonpositive
+    off-diagonal, nonnegative row sums with at least one positive row sum."""
+    A = np.asarray(A, dtype=float)
+    diag = np.diag(A)
+    if np.any(diag <= 0):
+        i = int(np.argmin(diag))
+        return MMatrixReport(False, f"nonpositive diagonal at row {i}: {diag[i]}")
+    off_max = np.max(A - np.diag(diag))
+    if off_max > 1e-13 * np.max(diag):
+        return MMatrixReport(False, f"positive off-diagonal entry {off_max}")
+    rowsums = A.sum(axis=1)
+    tol = 1e-10 * np.max(np.abs(diag))
+    if np.any(rowsums < -tol):
+        i = int(np.argmin(rowsums))
+        return MMatrixReport(False, f"negative row sum at row {i}: {rowsums[i]}")
+    if not np.any(rowsums > tol):
+        return MMatrixReport(False, "no strictly positive row sum")
+    return MMatrixReport(True, "")
+
+
+def monotonicity_oracle(A: np.ndarray) -> bool:
+    """Explicit-inverse check that A^{-1} >= 0 entrywise (small dense only)."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] > 200:
+        raise ValueError("monotonicity oracle is restricted to n <= 200")
+    inv = np.linalg.inv(A)
+    return bool(np.min(inv) >= -1e-12 * np.max(np.abs(inv)))
+
+
+def dense_neg_laplacian(disc) -> np.ndarray:
+    """Densely assembled -Delta_h via unit-vector applies."""
+    n = disc.ndof
+    A = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        A[:, j] = disc.apply_neg_laplacian(e)
+        e[j] = 0.0
+    return A
+
+
+def dense_Au(state: State, problem: Problem) -> np.ndarray:
+    return (dense_neg_laplacian(state.disc)
+            + np.diag(problem.potential + problem.beta * state.coeffs ** 2))
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    supported: bool
+    hessian_psd: bool
+    abs_value_inequality: bool
+
+
+def sqrt_energy_hessian(S: np.ndarray, weights: np.ndarray, beta: float,
+                        v: np.ndarray) -> np.ndarray:
+    """Hessian of v -> E_h(sqrt(v)) at v > 0, with S = W(-Delta_h) and s = sqrt(v):
+    1/4 diag(1/s) S diag(1/s) - 1/4 diag(S s / s^3) + (beta/2) W (V's term is
+    linear in v)."""
+    s = np.sqrt(v)
+    H = S / np.outer(s, s)
+    H += np.diag(-(S @ s) / s ** 3 + 2.0 * beta * weights)
+    return 0.25 * H
+
+
+def convexity_check(disc, problem: Problem, samples: int = 20,
+                    rng=None) -> ConvexityReport:
+    """(a) the Hessian of v -> E_h(sqrt(v)) is PSD at random positive v; (b) E_h(u) >=
+    E_h(|u|) for random u.  Unsupported unless `disc.monotone` (-Delta_h an M-matrix)."""
+    if not disc.monotone:
+        return ConvexityReport(False, False, False)
+    rng = np.random.default_rng(0) if rng is None else rng
+    S = disc.weights[:, None] * dense_neg_laplacian(disc)
+    min_eig = np.inf
+    scale = 0.0
+    for _ in range(samples):
+        v = rng.uniform(0.2, 1.0, size=disc.ndof)
+        v /= float(np.dot(disc.weights, v))
+        H = sqrt_energy_hessian(S, disc.weights, problem.beta, v)
+        scale = max(scale, float(np.max(np.abs(H))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(H)[0]))
+
+    abs_ok = True
+    for _ in range(samples):
+        u = rng.standard_normal(disc.ndof)
+        if energy(State(u, disc), problem) < energy(State(np.abs(u), disc), problem) - 1e-12:
+            abs_ok = False
+    return ConvexityReport(True, min_eig >= -1e-8 * max(scale, 1.0), abs_ok)

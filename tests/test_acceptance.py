@@ -8,9 +8,7 @@ full run gives a compact scoreboard (run with -s to see it live).
 import numpy as np
 import pytest
 
-from gpflow.analysis import (convergence_study, convexity_check, dense_Au,
-                             eigengap_study, m_matrix_check,
-                             monotonicity_oracle, rate_fit, solve_exact_case)
+from gpflow.analysis import convergence_study, eigengap_study, rate_fit, solve_exact_case
 from gpflow.energy import (Problem, State, energy, eigenvalue_estimate,
                            eigenvalue_from_energy, inner_h, norm_h,
                            residual, retract, riemannian_gradient)
@@ -21,6 +19,7 @@ from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d,
 from gpflow.linalg import FastSolver
 from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
+from oracles import convexity_check, dense_Au, m_matrix_check, monotonicity_oracle
 from test_energy import norm_X, sobolev_gradient
 from test_tensor import dense_lap
 

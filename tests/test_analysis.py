@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from gpflow.analysis import (ConvexityReport, MMatrixReport, RateFit, _order,
-                             convergence_study, convexity_check, dense_Au,
-                             dense_neg_laplacian, eigengap_study, exact_case,
-                             linearized_eigenpairs, m_matrix_check,
-                             monotonicity_oracle, rate_fit,
-                             solve_exact_case, sqrt_energy_hessian)
+from gpflow.analysis import (RateFit, _order, convergence_study, eigengap_study, exact_case,
+                             linearized_eigenpairs, rate_fit, set_up, solve_exact_case)
 from gpflow.energy import Problem, State, energy, inner_h, retract
-from gpflow.flows import (RunReport, IterationRecord, StopRule, default_initial_state,
-                          run)
+from gpflow.flows import (FlowConfig, FlowKind, LineSearchStep, RunReport, IterationRecord,
+                          StopRule, default_initial_state, run)
 from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.linalg import FastSolver, lowest_two_eigenpairs
-from gpflow.potentials import exact_case_potential
+from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
+
+from oracles import (ConvexityReport, MMatrixReport, convexity_check, dense_Au,
+                     dense_neg_laplacian, m_matrix_check, monotonicity_oracle,
+                     sqrt_energy_hessian)
 
 
 def test_exact_case_values_3d():
@@ -330,6 +330,34 @@ def test_convexity_sem2_unsupported():
     rep = convexity_check(disc, Problem(np.ones(disc.ndof), 1.0), samples=1)
     assert not rep.supported
     assert not rep.hessian_psd
+
+
+@pytest.mark.parametrize("spec, potential, beta, flow, stop, initial", [
+    (GridSpec(1.0, 1, 24), exact_case_potential(2.0), 2.0, FlowConfig(alpha=0.2), StopRule(),
+     "constant"),
+    (GridSpec(1.0, 2, 6), exact_case_potential(2.0), 2.0, FlowConfig(alpha=0.2), StopRule(),
+     "constant"),
+    (GridSpec(1.0, 1, 6), exact_case_potential(2.0), 2.0, FlowConfig(alpha=0.2),
+     StopRule(max_iter=100), "constant"),
+    (GridSpec(8.0, 2, 8), lambda x: harmonic_lattice(x) + 1e4, 1000.0,
+     FlowConfig(alpha=10.0, step=LineSearchStep()), StopRule(residual_tol=0.0), "constant"),
+    (GridSpec(8.0, 2, 12), sin2_product, 5.0, FlowConfig(kind=FlowKind.BFSP), StopRule(),
+     "linear")], ids=["fd2_1d_24", "fd2_2d_6", "fd2_1d_6", "stall_2d_8", "bfsp_2d_12"])
+def test_dense_oracles_pass_at_the_small_verify_states(spec, potential, beta, flow, stop,
+                                                       initial):
+    """The dense oracles at the converged states of the small fd2 runs that
+    test_cli's verify tests make (the exact case at beta = 2 on 24 cells in 1D, 6
+    in 2D and 6 in 1D; the stall and BFSP reproducers): A_u is an M-matrix with a
+    nonnegative inverse, v -> E_h(sqrt(v)) has a PSD Hessian and E_h(u) >=
+    E_h(|u|).  They hold of the discretization, so verify checks the run only."""
+    problem, u0 = set_up(spec, potential, beta, flow, initial)
+    report = run(flow, problem, u0, stop)
+    state, disc = report.final_state, u0.disc
+    assert report.converged
+    A = dense_Au(state, problem)
+    assert m_matrix_check(A * disc.weights[:, None]).passes_sufficient
+    assert monotonicity_oracle(A)
+    assert convexity_check(disc, problem, samples=5) == ConvexityReport(True, True, True)
 
 
 def synthetic_report(residuals):

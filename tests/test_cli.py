@@ -257,7 +257,6 @@ def test_cli_compare_end_to_end(tmp_path, capsys, monkeypatch):
 
 def test_cli_verify_end_to_end(tmp_path, capsys):
     prefix = str(tmp_path / "v")
-    # small enough for the dense structural checks
     cfg = write_cfg(tmp_path, f"""
 [grid]
 scheme = fd2
@@ -301,20 +300,20 @@ prefix = {prefix}
 """)
     assert main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 9 and "[FAIL]" not in out
-    assert "9/9 checks passed" in out
+    assert out.count("[PASS]") == 5 and "[FAIL]" not in out
+    assert "5/5 checks passed" in out
     assert "geometric residual decay" not in out
 
 
 def test_cli_verify_below_six_unknowns_skips_the_gap_checks(tmp_path, capsys):
     """fd2 1D on 6 cells has 5 unknowns, too few for LOBPCG's constraint to
-    u^perp: verify leaves out its two gap checks and passes the others."""
+    u^perp: verify leaves out its gap check and passes the others."""
     prefix = str(tmp_path / "v")
     cfg = write_cfg(tmp_path, open(small_cfg(tmp_path, prefix)).read().replace(
         "cells = 32", "cells = 6"), name="six.ini")
     assert main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert "8/8 checks passed" in out and "gap" not in out
+    assert "4/4 checks passed" in out and "gap" not in out
 
 
 def test_cli_eigengap_negative_gap_exit_2(tmp_path, capsys, monkeypatch):
@@ -673,6 +672,7 @@ def test_cli_verify_checks_no_sign_off_monotone_schemes(tmp_path, capsys, scheme
 
 
 SIGN_ROW = "converged state entrywise positive (none below -residual max|u|)"
+GAP_ROW = "ground-state eigenvalue simple (gap > 0)"
 
 
 @pytest.mark.parametrize("dip", [None, 1e-6], ids=["converged", "dipped"])
@@ -680,7 +680,8 @@ def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monk
     """fd2 2D, 24 cells, harmonic_lattice, beta = 5, line search, tol 1e-10: the run
     stops by tol with residual 9.4e-11 and 87 of 529 entries <= 0, the least -2.2e-12
     against a largest 1.44.  Those are round-off, above -residual max|u|: verify
-    passes.  The same state with one entry at -1e-6 max|u| fails the sign row."""
+    passes.  The same state with one entry at -1e-6 max|u| fails the sign row.
+    Either way verify checks A_u's gap at the run's 529 unknowns, and it passes."""
     reports = []
 
     def spy(*a):
@@ -696,6 +697,7 @@ def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monk
     cfg = lattice_cfg(tmp_path, "fd2", 2, 24, 5, flow="tau = linesearch", stop="tol = 1e-10")
     assert main(["verify", "--config", cfg]) == (0 if dip is None else 2)
     out = capsys.readouterr().out
+    assert f"[PASS] {GAP_ROW}" in out
     (rep,) = reports
     u = rep.final_state.coeffs * np.sign(rep.final_state.disc.weights @ rep.final_state.coeffs)
     assert rep.reason == "tol" and 1e-11 < rep.records[-1].residual < 1e-10
@@ -705,6 +707,19 @@ def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monk
     else:
         assert f"[FAIL] {SIGN_ROW}" in out
         assert u.min() == pytest.approx(-dip * np.abs(u).max(), rel=1e-12)
+
+
+def test_cli_verify_checks_no_gap_of_an_unconverged_run(tmp_path, capsys):
+    """The run above stopped by max_iter after 5 iterations: no gap row, exit 2,
+    and its table kept with the failed flow row."""
+    cfg = lattice_cfg(tmp_path, "fd2", 2, 24, 5, flow="tau = linesearch",
+                      stop="tol = 1e-10\nmax_iter = 5")
+    assert main(["verify", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] flow converged" in out and "gap" not in out
+    table = read_csv(tmp_path / "out_table.csv").splitlines()
+    assert table[:2] == ["check,passed", "flow converged,0"]
+    assert not any("gap" in line for line in table)
 
 
 def test_cli_failed_subcommand_removes_its_files(tmp_path, capsys, monkeypatch):

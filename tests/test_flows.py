@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gpflow.analysis import dense_neg_laplacian, exact_case, solve_exact_case
+from gpflow.analysis import exact_case, solve_exact_case
 from gpflow.energy import (Problem, State, _record, energy, eigenvalue_estimate,
                            euclidean_gradient, inner_h, norm_h, residual,
                            retract, riemannian_gradient)
@@ -22,6 +22,7 @@ from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver, SolverError, lobpcg, shifted_solver
 from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
+from oracles import dense_neg_laplacian
 from test_energy import norm_X
 from test_tensor import dense, dense_lap
 

@@ -4,8 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import Delaunay
 
-from gpflow.analysis import (ConvexityReport, convexity_check, dense_Au, linearized_eigenpairs,
-                             m_matrix_check)
+from gpflow.analysis import linearized_eigenpairs
 from gpflow.energy import (Problem, State, euclidean_gradient, inner_h, norm_h,
                            retract, riemannian_gradient)
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
@@ -16,6 +15,7 @@ from gpflow.meshes import (MeshError, MonotonicityReport, TriMesh2D, edge_cotang
                            mesh_monotonicity_check, p1_assemble,
                            structured_right_triangle_mesh)
 
+from oracles import ConvexityReport, convexity_check, dense_Au, m_matrix_check
 from test_flows import lobpcg_ground_state
 from test_tensor import dense
 
