@@ -188,7 +188,8 @@ def gradient_step(state: State, problem: Problem, G,
     P the h-projection onto u's tangent space, (d', g') = `state.direction`, beta =
     max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <A_u u, v>_h), or d = g if
     <A_u u, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u'
-    and transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`."""
+    and transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`;
+    it drops the old state's carried values before it allocates u'*w."""
     u, weights = state.coeffs, state.disc.weights
     prev, state.direction = state.direction, None
     if prev is not None:  # P v = v - <u, v>_h u
@@ -224,17 +225,17 @@ def gradient_step(state: State, problem: Problem, G,
             raise SolverError(f"no step along g lowers E: the best raises it by {rise:.3e}")
         out = (None, None, None) if d is g else (None, lap_g, c)
         direction = Direction(d, lap_d, c_d, g, gg)
-    w = np.multiply(d, -tau, out=out[0])  # u - tau d; every update below is in place
-    w += u
-    ww = w * weights  # the new state's u*w, once both are normalized
-    nrm = np.sqrt(max(float(np.dot(ww, w)), 0.0))  # norm_h(disc, w)
-    w /= nrm  # R_h(u - tau d), as `retract` computes it
-    ww /= nrm
-    carried = [x if x is None else  # (old - tau x) / nrm
+    # |u - tau d|_h^2 from <d, u>_h and <d, d>_h, on the transforms by Parseval (Z^T M Z = I)
+    x, y, z = (c_d, state.transformed, c_d) if c_d is not None else (d * weights, u, d)
+    du, dd, x = float(np.dot(x, y)), float(np.dot(x, z)), None
+    nrm = np.sqrt(max(state.h_norm_sq - 2.0 * tau * du + tau * tau * dd, 0.0))
+    w = daxpy(u, np.multiply(d, -tau / nrm, out=out[0]), a=1.0 / nrm)  # R_h(u - tau d)
+    carried = [x if x is None else  # (old - tau x) / nrm, in place
                daxpy(old, np.multiply(x, -tau / nrm, out=o), a=1.0 / nrm)
                for x, old, o in ((lap_d, state.neg_lap, out[1]),
                                  (c_d, state.transformed, out[2]))]
-    return State(w, state.disc, *carried, ww, direction), tau
+    state._neg_lap = state.transformed = None  # the old ones go before u'*w is allocated
+    return State(w, state.disc, *carried, w * weights, direction), tau
 
 
 @dataclass(frozen=True)
@@ -353,8 +354,8 @@ def default_initial_state(disc, kind: str = "constant",
 
 
 def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunReport:
-    """Iterate the flow until tolerance, stall (a gradient flow's needs its energy
-    flat), divergence (such a stall with E rising), a step failure or max_iter."""
+    """Iterate the flow until tolerance, stall (a gradient flow's needs flat E and a
+    residual floor), divergence (its stall window with E rising), a step failure or max_iter."""
     disc = u0.disc
     # freed at once: glibc raises its mmap and trim thresholds to it (32 MiB at most), so
     # the run's vectors stay in its heap, where fresh mmaps fault in every page each iterate
@@ -404,8 +405,12 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
             rtol = ENERGY_RISE_RTOL * abs(window[-1])
             # BFSP is no gradient flow: its energy may rise near its fixed point
             gradient, rose = flow.kind is not FlowKind.BFSP, np.diff(window).max() > rtol
-            if gradient and not rose and window[0] - window[-1] > rtol:
-                continue  # a gradient flow whose energy still falls has not stalled
+            # a gradient flow stalls at a floor: flat E, and no better residual for as
+            # long as its best took to gain its last decade; else it is on a plateau
+            decade = next(r.index for r in records if r.residual <= 10.0 * best)
+            if gradient and not rose and (window[0] - window[-1] > rtol
+                                          or it - best_iter < best_iter - decade):
+                continue
             reason = "diverged" if gradient and rose else "stall"
             break
     return RunReport(records, State(state.coeffs, disc),  # no carried values

@@ -184,7 +184,8 @@ def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray, mat_t: np.ndarray | No
     """(I x mat x I) X for an (m, n) mat along one axis of a grid array, by one
     batched GEMM into `out` (C-contiguous on a leading axis) or a new C-contiguous
     array.  The last axis runs (rest, n) slabs times mat_t = mat.T, which a 3D
-    caller keeps contiguous (3.3 ms at 99^3 against 4.6 ms for one tall GEMM)."""
+    caller keeps contiguous (3.3 ms at 99^3 against 4.6 ms for one tall GEMM).  A 3D
+    grid runs its axes 1 and 2 by these GEMMs per chunk, in place (`_slabs`)."""
     if axis == X.ndim - 1:  # matmul batches the leading axes
         return np.matmul(X, mat.T if mat_t is None else mat_t, out=out)
     out = np.empty(X.shape[:axis] + (len(mat),) + X.shape[axis + 1:]) if out is None else out
@@ -278,7 +279,8 @@ class TensorOperator:
 
     def transform(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Z^T M x, or its inverse Z x (Z^T M Z = I), with Z = `eigen.vectors`
-        applied along every axis, one pass each, into a fresh array.  A grid
+        applied along every axis, one pass each, into a fresh array; on a 3D grid only
+        axis 0's is fresh, and axes 1 and 2 run in place in it (`_slabs`).  A grid
         with half blocks (`mirror`) splits each pass in two halves."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ndof,):
@@ -288,6 +290,8 @@ class TensorOperator:
             head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
             if f is None:
                 x = axis_apply(x, axis, *self._plain[inverse])
+                if self.dim == 3:  # the input is freed unless a caller holds it
+                    return self._slabs(x, *self._plain[inverse]).reshape(-1)
                 continue
             S, A = ((axis_apply(x[head], axis, f.be), axis_apply(x[tail], axis, f.bo)) if inverse
                     else (x[head] + np.flip(x, axis)[head], x[head] - np.flip(x, axis)[head]))
@@ -302,12 +306,28 @@ class TensorOperator:
             S = A = None  # before the next pass
         return x.reshape(-1)
 
+    def _slabs(self, y: np.ndarray, m: np.ndarray, mt: np.ndarray, x=None) -> np.ndarray:
+        """A 3D axis-0 pass's output y, then axes 1 and 2 in place per chunk c of n // 8
+        slabs (axis_apply's GEMMs, temporaries of at most 1/8 vector): y[c] <- m y[c] mt,
+        the Kronecker product's, or with x the Kronecker sum's y[c] + m x[c] + x[c] mt."""
+        k = max(1, self.n // 8)
+        for c in (slice(i, i + k) for i in range(0, self.n, k)):
+            if x is None:
+                np.matmul(np.matmul(m, y[c]), mt, out=y[c])
+            else:
+                y[c] += np.matmul(m, x[c])
+                y[c] += np.matmul(x[c], mt)
+        return y
+
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
+        """-Delta_h u, the 1D one's Kronecker sum, in a new array (3D: axes 1, 2 by `_slabs`)."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.ndof,):
             raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
         U = u.reshape(self.shape)
         out = axis_apply(U, 0, self._lap1d, self._lap1d_t)
+        if self.dim == 3:
+            return self._slabs(out, self._lap1d, self._lap1d_t, U).reshape(-1)
         for axis in range(1, self.dim):
             out += axis_apply(U, axis, self._lap1d, self._lap1d_t)
         return out.reshape(-1)

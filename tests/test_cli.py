@@ -626,6 +626,21 @@ def test_cli_eigengap_level_not_converged_exit_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out_table.csv")
 
 
+def test_cli_eigengap_of_a_slow_flow_past_its_plateau(tmp_path, capsys):
+    """sem3 2D, 16 cells, harmonic_lattice, beta = 20, alpha = 1, line search, tol
+    1e-10: the flow runs past its residual plateau at 8.4e-7 and `solve` stops by
+    tol at iteration 350; on that state `eigengap` converges and exits 0 with
+    delta = 6.06e-6.  Stopped by `stall` on the plateau, `eigengap` exited 2:
+    LOBPCG missed its tolerance on the half-converged state."""
+    cfg = lattice_cfg(tmp_path, "sem3", 2, 16, 20, flow="alpha = 1\ntau = linesearch",
+                      stop="tol = 1e-10", extra="[study]\nlevels = 16")
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("modified_h1  reason=tol  iterations=350  ")
+    assert main(["eigengap", "--config", cfg]) == 0
+    table = np.loadtxt(tmp_path / "out_table.csv", delimiter=",", skiprows=1)
+    assert table[3] == pytest.approx(6.06e-6, rel=1e-3)
+
+
 def test_cli_convergence_names_each_unconverged_level(tmp_path, capsys):
     """Levels that stop short keep the table (converged 0) and each prints its stop
     reason and iteration count on stderr."""
@@ -678,7 +693,7 @@ GAP_ROW = "ground-state eigenvalue simple (gap > 0)"
 @pytest.mark.parametrize("dip", [None, 1e-6], ids=["converged", "dipped"])
 def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monkeypatch, dip):
     """fd2 2D, 24 cells, harmonic_lattice, beta = 5, line search, tol 1e-10: the run
-    stops by tol with residual 9.4e-11 and 87 of 529 entries <= 0, the least -2.2e-12
+    stops by tol with residual 8.5e-11 and 104 of 529 entries <= 0, the least -2.6e-12
     against a largest 1.44.  Those are round-off, above -residual max|u|: verify
     passes.  The same state with one entry at -1e-6 max|u| fails the sign row.
     Either way verify checks A_u's gap at the run's 529 unknowns, and it passes."""
@@ -703,7 +718,7 @@ def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monk
     assert rep.reason == "tol" and 1e-11 < rep.records[-1].residual < 1e-10
     if dip is None:
         assert f"[PASS] {SIGN_ROW}" in out and "[FAIL]" not in out
-        assert np.count_nonzero(u <= 0) == 87 and -1e-11 < u.min() < 0
+        assert np.count_nonzero(u <= 0) == 104 and -1e-11 < u.min() < 0
     else:
         assert f"[FAIL] {SIGN_ROW}" in out
         assert u.min() == pytest.approx(-dip * np.abs(u).max(), rel=1e-12)

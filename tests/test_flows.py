@@ -957,7 +957,7 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
 
 
 @pytest.mark.parametrize("flow, vectors, spec", [
-    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 8,
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 7,
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="FixedStep(tau=1.0)"),
     pytest.param(FlowConfig(alpha=0.15, step=LineSearchStep()), 12,
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="LineSearchStep()"),
@@ -967,10 +967,14 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
                  GridSpec(8.0, 2, 300, Scheme.FD2), id="folded-2D-FixedStep(tau=1.0)")])
 def test_run_peak_memory_in_vectors(flow, vectors, spec):
     """The most ndof-sized arrays a run() holds at once, above its inputs
-    (numpy reports its buffers to tracemalloc), stays at its count.  The
-    peak is in a 3D transform pass of the step; a state's u*w held through
-    it would add a vector, and so would the record's A_u u held through a
-    BFSP solve.  The line search adds the four vectors its conjugate
+    (numpy reports its buffers to tracemalloc), stays at its count.  A fixed
+    step's peak is in its inverse 3D transform: u, -Delta_h u, transform(u), the
+    solver's denominator, the pass's input and output and one chunk of the
+    in-place passes (7.40 vectors here, the chunk 2/23 of one).  Two transform
+    outputs at once, or u'*w allocated before the old state's carried values go,
+    would add a vector (8.34 here with both); so would a state's u*w held through
+    the transforms, or the record's A_u u held through a BFSP solve.  The line
+    search adds the four vectors its conjugate
     direction keeps across a step: d, -Delta_h d, transform(d) and g.  A state
     built from coefficients holds no vector of its own until a diagnostic
     asks for one.  On the 2D lattice grid a 1D matrix is as large as a
@@ -1122,3 +1126,21 @@ def test_run_keeps_its_vectors_in_the_heap():
     out = subprocess.run([sys.executable, "-c", RUN_FAULTS],
                          env=env, capture_output=True, text=True, check=True)
     assert all(float(x) < 0.6 for x in out.stdout.split())
+
+
+def test_slow_flow_runs_past_its_plateau_to_tol():
+    """sem3 2D, 16 cells of [-8, 8]^2, harmonic_lattice, beta = 20, alpha = 1, line
+    search, tol 1e-10, stall_window 10: a slow flow (A_u's gap is 6.06e-6).  From
+    iteration 201 its best residual, 8.4e-7, has not improved for 10 iterates and
+    E is flat to 1e-12 |E|: a plateau, where run stopped by `stall` when flat E
+    alone made a floor.  Its last decade took longer than 10 iterates, so it runs
+    on and ends by tol at iteration 350."""
+    disc = TensorOperator(GridSpec(8.0, 2, 16, Scheme.SEM, 3))
+    problem = Problem(harmonic_lattice(disc.node_coordinates()), 20.0, 1.0)
+    report = run(FlowConfig(alpha=1.0, step=LineSearchStep()), problem,
+                 default_initial_state(disc), StopRule(1e-10, stall_window=10))
+    assert (report.reason, report.iterations) == ("tol", 350)
+    r, E = report.residuals, report.energies
+    plateau = [i for i in range(11, len(r)) if r[i - 9:i + 1].min() >= r[:i - 9].min()
+               and np.ptp(E[i - 10:i + 1]) <= flows.ENERGY_RISE_RTOL * abs(E[i])]
+    assert plateau[0] == 201 and 8e-7 < r[:192].min() < 9e-7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpflow.grids import GridSpec, Scheme, TensorOperator, build_1d
+from gpflow.grids import GridSpec, Scheme, TensorOperator, axis_apply, build_1d
 from gpflow.potentials import (_u_star, constant, exact_case_potential, from_file,
                                harmonic_lattice, sin2_product)
 
@@ -220,3 +220,44 @@ def test_file_potential_counts_the_nodes_of_either_form(tmp_path):
             else:
                 with pytest.raises(ValueError, match=f": {count} values for {disc.ndof} nodes"):
                     V(given)
+
+
+IN_PLACE_SPECS = [GridSpec(8.0, 3, 8, Scheme.SEM, 3), GridSpec(8.0, 3, 6, Scheme.SEM, 8),
+                  GridSpec(1.0, 3, 20, Scheme.SEM, 5)]
+
+
+@pytest.mark.parametrize("spec", IN_PLACE_SPECS, ids=["n23", "n47", "n99"])
+def test_3d_in_place_passes_have_the_per_axis_bits(spec):
+    """On 3D grids of n = 23, 47 and 99 nodes, which n // 8 slabs do not divide,
+    the transform both ways and -Delta_h (axes 1 and 2 in place per chunk) are
+    bit for bit the per-axis `axis_apply` passes, each into a new array, and the
+    Laplacian's terms added in axis order."""
+    disc = TensorOperator(spec)
+    assert disc.n % (disc.n // 8)
+    x = np.random.default_rng(3).standard_normal(disc.ndof)
+    for inverse in (False, True):
+        X = x.reshape(disc.shape)
+        for axis in range(3):
+            X = axis_apply(X, axis, *disc._plain[inverse])
+        assert np.array_equal(disc.transform(x, inverse=inverse), X.ravel())
+    U, lap = x.reshape(disc.shape), (disc._lap1d, disc._lap1d_t)
+    want = axis_apply(U, 0, *lap)
+    want += axis_apply(U, 1, *lap)
+    want += axis_apply(U, 2, *lap)
+    assert np.array_equal(disc.apply_neg_laplacian(x), want.ravel())
+
+
+@pytest.mark.parametrize("spec", IN_PLACE_SPECS, ids=["n23", "n47", "n99"])
+def test_3d_passes_peak_memory_in_vectors(spec):
+    """A 3D transform, either way, and -Delta_h each allocate their one
+    ndof-sized result and, beside it, at most a chunk's temporary, n // 8 of n
+    slabs: at most 1/8 of a vector (two results at once before), and 4 KiB of
+    Python objects (1.6 KiB at n = 23)."""
+    disc = TensorOperator(spec)
+    x = np.random.default_rng(3).standard_normal(disc.ndof)
+    disc.transform(x)  # builds the grid's transform matrices outside the count
+    chunk = (disc.n // 8) / disc.n
+    assert chunk <= 1 / 8
+    for f in (disc.transform, lambda v: disc.transform(v, inverse=True),
+              disc.apply_neg_laplacian):
+        assert peak_in_vectors(lambda: f(x), disc.ndof) < 1 + chunk + 4096 / (8 * disc.ndof)
