@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH_pairs.json
     python3 scripts/bench_pairs.py --base HEAD~1 --workload sem5_flow
+    python3 scripts/bench_pairs.py --base HEAD~1 --first-seed 101
 
 Exports the base revision with `git archive` into `<tmp>/base` of a
 temporary directory (no worktree is registered, so an interrupted run leaves
@@ -16,7 +17,9 @@ on each copy, PAIRS times per workload of BENCHMARK.json (or per `--workload`,
 which may be repeated; an unknown name exits 2 before any run), each run
 in a fresh process for the benchmark's run_seconds.  The side that runs first
 alternates from pair to pair, so a drift of the host's speed hits both
-sides alike; pair i uses seed i + 1 on both sides.  Each run records the
+sides alike; pair i uses seed i + N on both sides (`--first-seed N`, 1 by
+default: seeds 1-10; another N re-checks a claim on seeds the change was not
+measured on while it was written).  Each run records the
 host's 1-minute load average as it starts, and, from the record that
 gsbench writes to gsbench/out/, the facts of its solves (label, reason,
 iterations, energy, eigenvalue, residual) and how many timed passes and
@@ -196,6 +199,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH_pairs.json")
     ap.add_argument("--workload", action="append", choices=names,
                     help="run only this workload (repeatable; default: all)")
+    ap.add_argument("--first-seed", type=int, default=1, help="pair 0's seed (default: 1)")
     args = ap.parse_args(argv)
     workloads = list(dict.fromkeys(args.workload or names))
     seconds = bench["run_seconds"]
@@ -213,9 +217,10 @@ def main(argv=None) -> int:
             for w in workloads:
                 for side in order(pair):
                     load = os.getloadavg()[0]
-                    r = run_once(trees[side], w, pair + 1, seconds)
+                    seed = pair + args.first_seed
+                    r = run_once(trees[side], w, seed, seconds)
                     runs.append({"pair": pair, "workload": w, "side": side,
-                                 "seed": pair + 1, "load": load, **r})
+                                 "seed": seed, "load": load, **r})
                     print(f"pair {pair} {w} {side} load={load:.2f} "
                           f"passes={r['passes']} rounds={r['rounds']}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)

@@ -125,8 +125,8 @@ class Operator1D:
 def build_1d(spec: GridSpec) -> Operator1D:
     """Assemble the 1D interior operator for the spec's scheme.
 
-    Every scheme goes through the Q^k assembly loop; FD2 and COMPACT4 are
-    its k = 1 case.  COMPACT4's Pade matrix T = tridiag(1, 10, 1) / 12 is
+    Every scheme goes through the Q^k assembly; FD2 and COMPACT4 are its
+    k = 1 case.  COMPACT4's Pade matrix T = tridiag(1, 10, 1) / 12 is
     I - (h/12) S, the interior weights all being h: T is a polynomial in S, so
     its stiffness T^{-1} S is symmetric (the solve's round-off is averaged out).
     """
@@ -140,15 +140,16 @@ def build_1d(spec: GridSpec) -> Operator1D:
     wloc = (h / 2.0) * ref_w
 
     n_total = spec.cells_per_dim * k + 1
-    nodes_g = np.empty(n_total)
-    weights_g = np.zeros(n_total)
-    S_g = np.zeros((n_total, n_total))
-    for c in range(spec.cells_per_dim):
-        left = -L + c * h
-        idx = slice(c * k, c * k + k + 1)
-        nodes_g[idx] = left + (ref_nodes + 1.0) * h / 2.0
-        weights_g[idx.start:idx.stop] += wloc
-        S_g[idx, idx] += Sloc
+    cells = np.arange(spec.cells_per_dim)[:, None]
+    idx = cells * k + np.arange(k + 1)  # a row per cell: its nodes' global indices
+    table = -L + cells * h + (ref_nodes + 1.0) * h / 2.0
+    nodes_g = np.append(table[:, :k], table[-1, k])  # a shared node: the later cell's
+    weights_g, S_g = np.zeros(n_total), np.zeros((n_total, n_total))
+    # even cells, then odd ones: no two cells of a pass share a node, so a shared entry
+    # is one two-term sum (np.add.at is wrong in numpy 2.4.6 when its values broadcast)
+    for part in (idx[0::2], idx[1::2]):
+        weights_g[part] += wloc
+        S_g[part[:, :, None], part[:, None, :]] += Sloc
     # eliminate Dirichlet boundary nodes
     keep = slice(1, n_total - 1)
     S = np.ascontiguousarray(S_g[keep, keep])
@@ -179,15 +180,15 @@ def generalized_sym_eig(op: Operator1D) -> Eigen1D:
     return Eigen1D(values=np.maximum(mu, 0.0), vectors=Y / d[:, None])
 
 
-def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray, mat_t: np.ndarray | None = None,
+def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """(I x mat x I) X for an (m, n) mat along one axis of a grid array, by one
     batched GEMM into `out` (C-contiguous on a leading axis) or a new C-contiguous
-    array.  The last axis runs (rest, n) slabs times mat_t = mat.T, which a 3D
-    caller keeps contiguous (3.3 ms at 99^3 against 4.6 ms for one tall GEMM).  A 3D
-    grid runs its axes 1 and 2 by these GEMMs per chunk, in place (`_slabs`)."""
+    array; the last axis runs (rest, n) slabs times mat.T.  A 3D grid runs its
+    axes 1 and 2 by such GEMMs per chunk, in place, with mat.T kept contiguous
+    (`_slabs`: 3.3 ms at 99^3 against 4.6 ms for one tall GEMM)."""
     if axis == X.ndim - 1:  # matmul batches the leading axes
-        return np.matmul(X, mat.T if mat_t is None else mat_t, out=out)
+        return np.matmul(X, mat.T, out=out)
     out = np.empty(X.shape[:axis] + (len(mat),) + X.shape[axis + 1:]) if out is None else out
     k = math.prod(X.shape[:axis])
     np.matmul(mat, X.reshape(k, X.shape[axis], -1), out=out.reshape(k, len(mat), -1))
@@ -226,35 +227,43 @@ class TensorOperator:
         self._lap1d = op.laplacian_matrix()
         self._lap1d_t = np.ascontiguousarray(self._lap1d.T) if spec.dim == 3 else None
 
-    def _sector(self, k: int, sign: float) -> tuple[np.ndarray, Operator1D]:
-        """P v = [v | sign Jv] (J the reversal) from k nodes, an odd n's centre once, and
-        the Galerkin restriction Operator1D(nodes[:k], diag(P^T M P), P^T S P)."""
-        n, op = self.n, self.op
-        P, i = np.zeros((n, k)), np.arange(k)
-        P[i, i], P[n - 1 - i, i] = 1.0, sign
-        return P, Operator1D(op.nodes[:k], (P * P).T @ op.weights, P.T @ op.stiffness @ P)
+    def _sector(self, k: int, sign: float) -> Operator1D:
+        """The Galerkin restriction Operator1D(nodes[:k], diag(P^T M P), P^T S P), P v =
+        [v | sign Jv] (J the reversal) from k nodes, an odd n's centre once, by folds: P^T
+        A's row a is A[a] + sign A[n-1-a] below min(k, n - k) (its GEMM's two terms)."""
+        n, op, m = self.n, self.op, min(k, self.n - k)
+        fold = lambda A, s=sign: np.concatenate((A[:m] + s * A[::-1][:m], A[m:k]))  # P^T A
+        return Operator1D(op.nodes[:k], fold(op.weights, 1.0),
+                          np.ascontiguousarray(fold(fold(op.stiffness).T).T))
+
+    @cached_property
+    def _even_op(self) -> Operator1D:  # the even sector's restriction, `eigen`'s and `even`'s
+        return self._sector((self.n + 1) // 2, 1.0)
 
     @cached_property
     def eigen(self) -> Eigen1D:
         """The 1D pencil's from its mirror sectors (Solomonoff 1992): the even one on
-        ceil(n/2) nodes, then the odd one on floor(n/2)."""
-        sectors = []
-        for k, sign in (((self.n + 1) // 2, 1.0), (self.n // 2, -1.0)):
+        h = ceil(n/2) nodes, then the odd one on floor(n/2).  Each one's eigenvectors Y
+        extend to P Y by a gather: row i is sign_i Y[min(i, n-1-i)], sign_i = 1 for i < k,
+        an odd n's odd centre row 0 (+ 0.0: P Y's GEMM gives no -0)."""
+        n, h, i = self.n, (self.n + 1) // 2, np.arange(self.n)
+        j, sectors = np.minimum(i, i[::-1]), []
+        for k, sign in ((h, 1.0), (n - h, -1.0)):
             if k:  # n = 1 has no odd sector
-                P, op = self._sector(k, sign)
-                e = generalized_sym_eig(op)
-                sectors.append((e.values, P @ e.vectors))
+                e = generalized_sym_eig(self._sector(k, sign) if sign < 0 else self._even_op)
+                Y = np.append(e.vectors, np.zeros((1, k)), axis=0)  # row k: the centre's
+                sectors.append((e.values, Y[j] * np.where(i < k, 1.0, sign)[:, None] + 0.0))
         return Eigen1D(*map(np.hstack, zip(*sectors)))
 
     @cached_property
     def even(self) -> TensorOperator:
-        """The even mirror sector's grid: `extend` (P along every axis) takes its vectors to
-        this grid's even ones, and its `multiplicity` P^T 1 x ... x P^T 1 weighs each node.
-        Its `eigen` is this one's even block, exactly (P's first rows are I), and it never
-        folds: its nodes are not symmetric."""
+        """The even mirror sector's grid on `eigen`'s restriction: `extend` (P along every
+        axis) takes its vectors to this grid's even ones, and its `multiplicity` P^T 1 x
+        ... x P^T 1 weighs each node.  Its `eigen` is this one's even block, exactly (P's
+        first rows are I), and it never folds: its nodes are not symmetric."""
         h, i = (self.n + 1) // 2, np.arange(self.n)
         i = np.minimum(i, i[::-1])  # each node's sector node: P's nonzero column in its row
-        grid = TensorOperator(self.spec, self._sector(h, 1.0)[1])
+        grid = TensorOperator(self.spec, self._even_op)
         grid.eigen, grid.mirror = Eigen1D(self.eigen.values[:h], self.eigen.vectors[:h, :h]), None
         grid.multiplicity = reduce(np.multiply.outer, [np.bincount(i) * 1.0] * self.dim).ravel()
         shape, ix = grid.shape, np.ix_(*[i] * self.dim)  # no cycle through grid or self
@@ -289,7 +298,7 @@ class TensorOperator:
         for axis in range(self.dim):
             head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
             if f is None:
-                x = axis_apply(x, axis, *self._plain[inverse])
+                x = axis_apply(x, axis, self._plain[inverse][0])
                 if self.dim == 3:  # the input is freed unless a caller holds it
                     return self._slabs(x, *self._plain[inverse]).reshape(-1)
                 continue
@@ -325,11 +334,11 @@ class TensorOperator:
         if u.shape != (self.ndof,):
             raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
         U = u.reshape(self.shape)
-        out = axis_apply(U, 0, self._lap1d, self._lap1d_t)
+        out = axis_apply(U, 0, self._lap1d)
         if self.dim == 3:
             return self._slabs(out, self._lap1d, self._lap1d_t, U).reshape(-1)
         for axis in range(1, self.dim):
-            out += axis_apply(U, axis, self._lap1d, self._lap1d_t)
+            out += axis_apply(U, axis, self._lap1d)
         return out.reshape(-1)
 
     def node_coordinates(self) -> tuple[np.ndarray, ...]:

@@ -1,13 +1,66 @@
 """Dense oracles for small discretizations: -Delta_h and A_u assembled column by
 column, the M-matrix and inverse-nonnegativity checks, and the convexity of
 v -> E_h(sqrt(v)).  They describe the discretization, not a run, so they serve
-the tests only; each builds an ndof x ndof matrix."""
+the tests only; each builds an ndof x ndof matrix.  Beside them, the 1D set-up as
+products and loops: the per-cell assembly and the mirror sectors' restriction and
+extension by the dense n x k matrix P, which `gpflow.grids` does by index arithmetic."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from gpflow.energy import Problem, State, energy
+from gpflow.grids import (Eigen1D, GridSpec, Operator1D, Scheme, gauss_lobatto_rule,
+                          generalized_sym_eig, lagrange_diff_matrix)
+
+
+def assembly_loop(spec: GridSpec) -> Operator1D:
+    """`build_1d` cell by cell: each cell writes its nodes (a shared node keeps the
+    later cell's) and adds its local weights and stiffness to the global arrays."""
+    L, h, k = spec.half_width, spec.cell_size, spec.degree
+    ref_nodes, ref_w = gauss_lobatto_rule(k)
+    D = lagrange_diff_matrix(ref_nodes)
+    Sloc = (2.0 / h) * D.T @ (ref_w[:, None] * D)
+    wloc = (h / 2.0) * ref_w
+    n_total = spec.cells_per_dim * k + 1
+    nodes_g = np.empty(n_total)
+    weights_g = np.zeros(n_total)
+    S_g = np.zeros((n_total, n_total))
+    for c in range(spec.cells_per_dim):
+        left = -L + c * h
+        idx = slice(c * k, c * k + k + 1)
+        nodes_g[idx] = left + (ref_nodes + 1.0) * h / 2.0
+        weights_g[idx.start:idx.stop] += wloc
+        S_g[idx, idx] += Sloc
+    keep = slice(1, n_total - 1)
+    S = np.ascontiguousarray(S_g[keep, keep])
+    if spec.scheme is Scheme.COMPACT4:
+        S = np.linalg.solve(np.eye(len(S)) - (h / 12.0) * S, S)
+        S = 0.5 * (S + S.T)
+    return Operator1D(nodes_g[keep], weights_g[keep], S)
+
+
+def mirror_matrix(n: int, k: int, sign: float) -> np.ndarray:
+    """The n x k P with P v = [v | sign Jv] (J the reversal), an odd n's centre once."""
+    P, i = np.zeros((n, k)), np.arange(k)
+    P[i, i], P[n - 1 - i, i] = 1.0, sign
+    return P
+
+
+def sector_by_products(op: Operator1D, k: int, sign: float) -> Operator1D:
+    """Operator1D(nodes[:k], diag(P^T M P), P^T S P) by dense products."""
+    P = mirror_matrix(op.n, k, sign)
+    return Operator1D(op.nodes[:k], (P * P).T @ op.weights, P.T @ op.stiffness @ P)
+
+
+def eigen_by_products(op: Operator1D) -> Eigen1D:
+    """The pencil's eigenbasis [even | odd] from its sectors, each extended by P Y."""
+    n, sectors = op.n, []
+    for k, sign in (((n + 1) // 2, 1.0), (n // 2, -1.0)):
+        if k:
+            e = generalized_sym_eig(sector_by_products(op, k, sign))
+            sectors.append((e.values, mirror_matrix(n, k, sign) @ e.vectors))
+    return Eigen1D(*map(np.hstack, zip(*sectors)))
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,32 @@ def test_workload_flag_picks_workloads_and_refuses_unknown_names(monkeypatch, tm
     assert calls == ["export"] + [w for w in names for _ in range(2)] * 2
 
 
+def test_first_seed_flag_offsets_every_pairs_seed(monkeypatch, tmp_path):
+    """Pair i runs seed i + N on both sides with --first-seed N, and seed i + 1
+    without it; the JSON records each run's seed.  The export and the runs are
+    stand-ins."""
+    bench = json.loads((_path.parents[1] / "BENCHMARK.json").read_text())
+    seeds = []
+
+    def run_once(tree, workload, seed, seconds):
+        seeds.append(seed)
+        return {"metrics": {m["name"]: 1.0 for m in bench["end_to_end"]}, "correct": True,
+                "failed": 0, "results": [], "passes": 1, "rounds": 0}
+
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "diff_sha256", lambda: None)
+    out, name = tmp_path / "pairs.json", bench["workloads"][0]["name"]
+    for argv, want in (([], [1, 2, 3]), (["--first-seed", "101"], [101, 102, 103])):
+        seeds.clear()
+        assert bench_pairs.main(["--base", "HEAD", "--out", str(out), "--workload", name,
+                                 *argv]) == 0
+        assert seeds == [s for s in want for _ in range(2)]
+        assert [r["seed"] for r in json.loads(out.read_text())["runs"]] == seeds
+
+
 def test_work_side_runs_from_a_copy_of_the_listed_files(monkeypatch, tmp_path):
     """The work side runs from <tmp>/work beside the base's <tmp>/base: a copy of
     every file `git ls-files --cached --others --exclude-standard` lists, as it

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpflow.grids import (GridSpec, Scheme, build_1d, gauss_lobatto_rule,
+from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d, gauss_lobatto_rule,
                           lagrange_diff_matrix)
+from oracles import assembly_loop, eigen_by_products, sector_by_products
 
 
 def test_gridspec_validation():
@@ -192,3 +195,63 @@ def test_fd2_offdiagonals_nonpositive():
     S = op.stiffness.copy()
     np.fill_diagonal(S, 0.0)
     assert np.all(S <= 0)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# n = cells * degree - 1: n = 1, 2, 3 (no odd sector; an even n; an odd centre) and larger
+SET_UP_SPECS = [GridSpec(8.0, 2, c, Scheme.FD2) for c in (2, 3, 4, 17, 300)] + [
+    GridSpec(8.0, 3, c, Scheme.COMPACT4) for c in (2, 3, 4, 80, 81)] + [
+    GridSpec(8.0, 2, c, Scheme.SEM, 2) for c in (1, 2, 10)] + [
+    GridSpec(8.0, 3, c, Scheme.SEM, 5) for c in (1, 2, 20)] + [
+    GridSpec(8.0, 3, c, Scheme.SEM, 8) for c in (1, 6, 19)]
+
+
+@pytest.mark.parametrize("spec", SET_UP_SPECS,
+                         ids=lambda s: f"{s.scheme.value}{s.degree}-n{s.interior_per_dim}")
+def test_set_up_by_index_arithmetic_has_the_products_bits(spec):
+    """`build_1d`'s whole-array assembly, `_sector`'s folds, `eigen`'s gathered
+    extension and the `even` grid's operator are bit for bit (sign bits of zeros
+    included) the per-cell loop and the dense P^T S P, diag(P^T M P) and P Y."""
+    op, loop = build_1d(spec), assembly_loop(spec)
+    for got, want in ((op.nodes, loop.nodes), (op.weights, loop.weights),
+                      (op.stiffness, loop.stiffness)):
+        assert same_bits(got, want)
+    disc = TensorOperator(spec)
+    n = disc.n
+    for k, sign in (((n + 1) // 2, 1.0), (n // 2, -1.0)):
+        if k:
+            got, want = disc._sector(k, sign), sector_by_products(disc.op, k, sign)
+            assert all(same_bits(getattr(got, f), getattr(want, f))
+                       for f in ("nodes", "weights", "stiffness"))
+            assert got.stiffness.flags.c_contiguous
+    got, want = disc.eigen, eigen_by_products(disc.op)
+    assert same_bits(got.values, want.values) and same_bits(got.vectors, want.vectors)
+    even = sector_by_products(disc.op, (n + 1) // 2, 1.0)
+    assert same_bits(disc.even.op.stiffness, even.stiffness)
+    assert same_bits(disc.even.op.weights, even.weights)
+
+
+def test_sectors_are_restricted_once_and_no_n_by_k_array_stays(monkeypatch):
+    """`eigen` and `even` on a fresh fd2 299^2 grid restrict twice in all, once
+    per sector (`even` takes `eigen`'s even restriction), and what the grid keeps
+    after both is the eigenbasis (n^2), the even grid's stiffness, 1D Laplacian,
+    weights and multiplicity (4 h^2) and O(n): no n x h array of the restriction
+    or extension (h = 150), nor the odd sector's h x h operator."""
+    calls = []
+    sector = TensorOperator._sector
+    monkeypatch.setattr(TensorOperator, "_sector",
+                        lambda self, k, sign: calls.append((k, sign)) or sector(self, k, sign))
+    disc = TensorOperator(GridSpec(8.0, 2, 300, Scheme.FD2))
+    n, h = disc.n, (disc.n + 1) // 2
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        disc.eigen, disc.even
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert sorted(calls) == [(h - 1, -1.0), (h, 1.0)]
+    assert 8 * (n * n + 4 * h * h) <= kept < 8 * (n * n + 4 * h * h + 8 * n)
