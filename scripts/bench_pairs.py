@@ -38,10 +38,12 @@ quartiles of each side and of the per-pair relative change, how many
 pairs the working tree won, whether a claimed gain is met and whether the
 working tree stays within the metric's bound (see `summarize`).  It names
 the working tree by its HEAD and the SHA-256 of `git diff --binary HEAD`
-taken as it is copied (null for a clean tree), and records each side's
-directory (`trees`), both gone when the script exits.  Metric names,
-directions and bounds come from BENCHMARK.json, which is read only.  Nothing
-under gsbench/ is changed.
+taken as it is copied (null for a clean tree), records each side's
+directory (`trees`), both gone when the script exits, and each side's
+`src_lines`, the line count of its src/gpflow/*.py as `wc -l` counts it
+(the measure of the code's size that simplicity is judged by).  Metric
+names, directions and bounds come from BENCHMARK.json, which is read only.
+Nothing under gsbench/ is changed.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "work")
@@ -190,6 +193,11 @@ def export_work(dest: str) -> None:
             shutil.copy2(src, dst, follow_symlinks=False)
 
 
+def src_lines(tree: str) -> int:
+    """The newlines in a tree's src/gpflow/*.py files, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(tree, "src", "gpflow").glob("*.py"))
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -213,6 +221,7 @@ def main(argv=None) -> int:
         sha = export(args.base, trees["base"])
         work = {"head": git("rev-parse", "HEAD"), "diff_sha256": diff_sha256()}
         export_work(trees["work"])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for pair in range(PAIRS):
             for w in workloads:
                 for side in order(pair):
@@ -224,7 +233,7 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {w} {side} load={load:.2f} "
                           f"passes={r['passes']} rounds={r['rounds']}: " + " ".join(
                         f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
-    record = {"base": sha, "work": work, "trees": trees, "seconds": seconds,
+    record = {"base": sha, "work": work, "trees": trees, "src_lines": lines, "seconds": seconds,
               "nproc": os.cpu_count(), "summary": summarize(runs, better, bounds), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)

@@ -34,9 +34,9 @@ class Problem:
     alpha: float = 0.15
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not 0 <= self.beta < np.inf:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.alpha < 0:
+        if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         # NaN fails both comparisons; two reductions, no node-sized temporary
         if not (np.min(self.potential) >= 0 and np.max(self.potential) < np.inf):

@@ -14,7 +14,7 @@ import numpy as np
 from .energy import (Problem, State, _record, apply_Au, au_preconditioner, energy,
                      eigenvalue_estimate, euclidean_gradient, residual,
                      retract, riemannian_gradient)
-from .grids import TensorOperator
+from .grids import TensorOperator, checked_vector
 from .linalg import SolverError, daxpy, pcg, shifted_solver
 
 
@@ -31,7 +31,7 @@ class FixedStep:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not 0 < self.tau < np.inf:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
@@ -51,9 +51,9 @@ class FlowConfig:
     dt: float = 0.1  # BFSP's one setting: run takes its shift from bfsp_shift
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.dt <= 0:
+        if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
@@ -71,7 +71,7 @@ class StopRule:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.residual_tol < 0:
+        if not 0 <= self.residual_tol < np.inf:
             raise ValueError(f"tol must be >= 0, got {self.residual_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -334,6 +334,7 @@ def default_initial_state(disc, kind: str = "constant",
     if kind == "linear":
         if problem is None:
             raise ValueError("linear initial guess needs the problem")
+        checked_vector(problem.potential, disc.ndof)  # before V is reshaped
         grid, V, u0 = disc, problem.potential, None
         if isinstance(disc, TensorOperator):
             V, z0 = V.reshape(disc.shape), disc.eigen.vectors[:, 0]
@@ -357,6 +358,7 @@ def run(flow: FlowConfig, problem: Problem, u0: State, stop: StopRule) -> RunRep
     """Iterate the flow until tolerance, stall (a gradient flow's needs flat E and a
     residual floor), divergence (its stall window with E rising), a step failure or max_iter."""
     disc = u0.disc
+    checked_vector(problem.potential, disc.ndof)  # V of another length might broadcast
     # freed at once: glibc raises its mmap and trim thresholds to it (32 MiB at most), so
     # the run's vectors stay in its heap, where fresh mmaps fault in every page each iterate
     np.empty(3 * disc.ndof)

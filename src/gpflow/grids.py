@@ -9,13 +9,13 @@ Three schemes share one interface and one assembly path:
 * COMPACT4 -- fourth-order Pade compact Laplacian T^{-1} K with the FD2
               weights; its stiffness is the FD2 one times T^{-1}.
 
-A grid has one 1D operator (nodes, weights, stiffness), shared by every
-axis.  The d-dimensional Laplacian is never materialized: it acts as the
-Kronecker sum of that operator via per-axis contractions, and the nodes'
-coordinates are the 1D nodes along each axis (the sparse meshgrid).  The grid also
-owns what fast diagonalization (Lynch, Rice & Thomas 1964) derives from the
-operator: its eigenbasis from the even and odd mirror sectors, once per grid,
-and the per-axis transforms, on 2D grids from FOLD_MIN_N nodes folded by parity.
+A grid has one 1D operator (nodes, weights, stiffness), shared by every axis.
+The d-dimensional Laplacian is never materialized: it acts as the Kronecker sum
+of that operator, and the nodes' coordinates are the 1D ones along each axis (the
+sparse meshgrid).  The grid also owns what fast diagonalization (Lynch, Rice &
+Thomas 1964) derives from the operator: its eigenbasis from the even and odd mirror
+sectors, once per grid, and the transforms, Kronecker products; one routine runs
+them and the Laplacian's sum, a GEMM per axis (2D from FOLD_MIN_N nodes folds them).
 Its `even` sector is a grid too, on ceil(n/2) nodes per axis, that weighs each
 node by the number of full-grid nodes it stands for.
 """
@@ -23,7 +23,6 @@ node by the number of full-grid nodes it stands for.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from types import SimpleNamespace
@@ -49,7 +48,7 @@ class GridSpec:
     degree: int = 1  # polynomial degree: SEM's k, 1 on FD2 and COMPACT4
 
     def __post_init__(self):
-        if self.half_width <= 0:
+        if not 0 < self.half_width < np.inf:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
@@ -180,19 +179,12 @@ def generalized_sym_eig(op: Operator1D) -> Eigen1D:
     return Eigen1D(values=np.maximum(mu, 0.0), vectors=Y / d[:, None])
 
 
-def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """(I x mat x I) X for an (m, n) mat along one axis of a grid array, by one
-    batched GEMM into `out` (C-contiguous on a leading axis) or a new C-contiguous
-    array; the last axis runs (rest, n) slabs times mat.T.  A 3D grid runs its
-    axes 1 and 2 by such GEMMs per chunk, in place, with mat.T kept contiguous
-    (`_slabs`: 3.3 ms at 99^3 against 4.6 ms for one tall GEMM)."""
-    if axis == X.ndim - 1:  # matmul batches the leading axes
-        return np.matmul(X, mat.T, out=out)
-    out = np.empty(X.shape[:axis] + (len(mat),) + X.shape[axis + 1:]) if out is None else out
-    k = math.prod(X.shape[:axis])
-    np.matmul(mat, X.reshape(k, X.shape[axis], -1), out=out.reshape(k, len(mat), -1))
-    return out
+def checked_vector(x, ndof: int) -> np.ndarray:
+    """x as a float vector of ndof values, every discretization's one length check."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ndof,):
+        raise ValueError(f"expected vector of length {ndof}, got shape {x.shape}")
+    return x
 
 
 # 2D grids fold their transforms from this many nodes per axis on.  Solve time,
@@ -224,8 +216,12 @@ class TensorOperator:
         self.shape = (op.n,) * spec.dim
         self.ndof = op.n ** spec.dim
         self.weights = reduce(np.multiply.outer, [op.weights] * spec.dim).reshape(-1)
-        self._lap1d = op.laplacian_matrix()
-        self._lap1d_t = np.ascontiguousarray(self._lap1d.T) if spec.dim == 3 else None
+        self._lap1d = self._pair(op.laplacian_matrix())
+
+    def _pair(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m, m^T) for `_passes`, m^T contiguous in 3D and the view elsewhere, as the
+        bits were taken (at n = 99 the two differ)."""
+        return m, np.ascontiguousarray(m.T) if self.dim == 3 else m.T
 
     def _sector(self, k: int, sign: float) -> Operator1D:
         """The Galerkin restriction Operator1D(nodes[:k], diag(P^T M P), P^T S P), P v =
@@ -281,28 +277,44 @@ class TensorOperator:
         return SimpleNamespace(fe=F[:h], fo=F[h:], be=Z[:h, :h], bo=Z[:h, h:])
 
     @cached_property
-    def _plain(self) -> list:  # [(Z^T M, ...), (Z, ...)], each with its 3D slabs' transpose
+    def _plain(self) -> list:  # [Z^T M, Z] as `_pair`s
         Z = self.eigen.vectors
-        return [(m, np.ascontiguousarray(m.T) if self.dim == 3 else None)
-                for m in (Z.T * self.op.weights, Z)]
+        return [self._pair(m) for m in (Z.T * self.op.weights, Z)]
+
+    def _passes(self, x: np.ndarray, m: np.ndarray, mt: np.ndarray, add=False) -> np.ndarray:
+        """m along every axis of a grid array x (the Kronecker product), or with `add` the
+        Kronecker sum, into a new array y by a GEMM per axis: y = m x on axis 0 and slabs
+        times mt, the `_pair`'s, on the last.  3D runs axes 1 and 2 in place in y per chunk c
+        of n // 8 slabs: y[c] <- m y[c] mt, or y[c] + m x[c] + x[c] mt (3.3 ms at 99^3,
+        4.6 ms as one tall GEMM; temporaries of 1/8 vector at most)."""
+        if self.dim == 1:
+            return np.matmul(x, mt)
+        y = np.matmul(m, x.reshape(self.n, -1)).reshape(self.shape)
+        if self.dim == 2:
+            return np.add(y, np.matmul(x, mt), out=y) if add else np.matmul(y, mt)
+        k = max(1, self.n // 8)
+        for c in (slice(i, i + k) for i in range(0, self.n, k)):
+            if add:
+                y[c] += np.matmul(m, x[c])
+                y[c] += np.matmul(x[c], mt)
+            else:
+                np.matmul(np.matmul(m, y[c]), mt, out=y[c])
+        return y
 
     def transform(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Z^T M x, or its inverse Z x (Z^T M Z = I), with Z = `eigen.vectors`
-        applied along every axis, one pass each, into a fresh array; on a 3D grid only
-        axis 0's is fresh, and axes 1 and 2 run in place in it (`_slabs`).  A grid
-        with half blocks (`mirror`) splits each pass in two halves."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ndof,):
-            raise ValueError(f"expected vector of length {self.ndof}, got shape {x.shape}")
-        x, f, h = x.reshape(self.shape), self.mirror, (self.n + 1) // 2
+        applied along every axis by `_passes`.  A grid with half blocks (`mirror`)
+        splits each pass in two halves, each into a fresh array."""
+        x, f, h = checked_vector(x, self.ndof), self.mirror, (self.n + 1) // 2
+        x = x.reshape(self.shape)
+        if f is None:
+            return self._passes(x, *self._plain[inverse]).reshape(-1)
+        # the fold's GEMMs: b along axis 0 of a 2D array X, or along axis 1 as X b^T
+        mul = lambda b, X, axis, out=None: (np.matmul(X, b.T, out=out) if axis
+                                            else np.matmul(b, X, out=out))
         for axis in range(self.dim):
             head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
-            if f is None:
-                x = axis_apply(x, axis, self._plain[inverse][0])
-                if self.dim == 3:  # the input is freed unless a caller holds it
-                    return self._slabs(x, *self._plain[inverse]).reshape(-1)
-                continue
-            S, A = ((axis_apply(x[head], axis, f.be), axis_apply(x[tail], axis, f.bo)) if inverse
+            S, A = ((mul(f.be, x[head], axis), mul(f.bo, x[tail], axis)) if inverse
                     else (x[head] + np.flip(x, axis)[head], x[head] - np.flip(x, axis)[head]))
             del x  # frees the pass's input unless a caller holds it
             x = np.empty(self.shape)
@@ -310,36 +322,15 @@ class TensorOperator:
                 np.subtract(S, A, out=np.flip(x, axis)[head])
                 np.add(S, A, out=x[head])  # last: an odd n's centre row is E + O
             else:  # [fe (x + Jx)[:h] | fo (x - Jx)[:h]]
-                axis_apply(S, axis, f.fe, out=x[head])
-                axis_apply(A, axis, f.fo, out=x[tail])
+                mul(f.fe, S, axis, out=x[head])
+                mul(f.fo, A, axis, out=x[tail])
             S = A = None  # before the next pass
         return x.reshape(-1)
 
-    def _slabs(self, y: np.ndarray, m: np.ndarray, mt: np.ndarray, x=None) -> np.ndarray:
-        """A 3D axis-0 pass's output y, then axes 1 and 2 in place per chunk c of n // 8
-        slabs (axis_apply's GEMMs, temporaries of at most 1/8 vector): y[c] <- m y[c] mt,
-        the Kronecker product's, or with x the Kronecker sum's y[c] + m x[c] + x[c] mt."""
-        k = max(1, self.n // 8)
-        for c in (slice(i, i + k) for i in range(0, self.n, k)):
-            if x is None:
-                np.matmul(np.matmul(m, y[c]), mt, out=y[c])
-            else:
-                y[c] += np.matmul(m, x[c])
-                y[c] += np.matmul(x[c], mt)
-        return y
-
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
-        """-Delta_h u, the 1D one's Kronecker sum, in a new array (3D: axes 1, 2 by `_slabs`)."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.ndof,):
-            raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
-        U = u.reshape(self.shape)
-        out = axis_apply(U, 0, self._lap1d)
-        if self.dim == 3:
-            return self._slabs(out, self._lap1d, self._lap1d_t, U).reshape(-1)
-        for axis in range(1, self.dim):
-            out += axis_apply(U, axis, self._lap1d)
-        return out.reshape(-1)
+        """-Delta_h u, the 1D one's Kronecker sum by `_passes`, in a new array."""
+        U = checked_vector(u, self.ndof).reshape(self.shape)
+        return self._passes(U, *self._lap1d, add=True).reshape(-1)
 
     def node_coordinates(self) -> tuple[np.ndarray, ...]:
         """The sparse C-order meshgrid: per axis a read-only view of `op.nodes`, shaped

@@ -65,7 +65,7 @@ class FastSolver:
     grid's 1D eigenvalues `eigen.values` ([even | odd] on each axis) plus alpha."""
 
     def __init__(self, op: TensorOperator, alpha: float):
-        if alpha < 0:
+        if not 0 <= alpha < np.inf:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op, self.alpha = op, alpha
         # the transforms' matrices first, or they split the heap hole `total` leaves
@@ -76,8 +76,8 @@ class FastSolver:
             raise SolverError("shifted operator is singular")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # the quotient stays unnamed so that the first inverse pass frees it
-        # (held, it costs a solve ~2%)
+        # the quotient stays unnamed so that a folded grid's first inverse pass frees
+        # it (held, it costs a solve ~2%); the plain passes hold their input to the end
         return self.op.transform(self.op.transform(b) / self.denominator, inverse=True)
 
 
@@ -86,7 +86,7 @@ def shifted_solver(disc, alpha: float):
     on a tensor grid, else (an assembled P1 operator) one sparse LU of S + alpha M."""
     if isinstance(disc, TensorOperator):
         return FastSolver(disc, alpha)
-    if alpha < 0:
+    if not 0 <= alpha < np.inf:
         raise ValueError(f"shift alpha must be >= 0, got {alpha}")
     import scipy.sparse as sp  # on first use: tensor-grid runs never load scipy.sparse
     from scipy.sparse.linalg import factorized

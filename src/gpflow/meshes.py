@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import checked_vector
+
 
 class MeshError(ValueError):
     pass
@@ -91,10 +93,7 @@ class AssembledOperator:
         return self.nodes
 
     def apply_neg_laplacian(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.ndof,):
-            raise ValueError(f"expected vector of length {self.ndof}, got shape {u.shape}")
-        return (self.stiffness @ u) / self.weights
+        return (self.stiffness @ checked_vector(u, self.ndof)) / self.weights
 
 
 def p1_assemble(mesh: TriMesh2D) -> AssembledOperator:

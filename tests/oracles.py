@@ -3,8 +3,11 @@ column, the M-matrix and inverse-nonnegativity checks, and the convexity of
 v -> E_h(sqrt(v)).  They describe the discretization, not a run, so they serve
 the tests only; each builds an ndof x ndof matrix.  Beside them, the 1D set-up as
 products and loops: the per-cell assembly and the mirror sectors' restriction and
-extension by the dense n x k matrix P, which `gpflow.grids` does by index arithmetic."""
+extension by the dense n x k matrix P, which `gpflow.grids` does by index arithmetic,
+and the tensor passes axis by axis, each into a new array (`gpflow.grids` runs a 3D
+grid's axes 1 and 2 in place per chunk)."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,33 @@ def eigen_by_products(op: Operator1D) -> Eigen1D:
             e = generalized_sym_eig(sector_by_products(op, k, sign))
             sectors.append((e.values, mirror_matrix(n, k, sign) @ e.vectors))
     return Eigen1D(*map(np.hstack, zip(*sectors)))
+
+
+def axis_apply(X: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
+    """(I x mat x I) X for an (m, n) mat along one axis of a grid array, by one
+    batched GEMM into a new C-contiguous array."""
+    out = np.empty(X.shape[:axis] + (len(mat),) + X.shape[axis + 1:])
+    k = math.prod(X.shape[:axis])
+    np.matmul(mat, X.reshape(k, X.shape[axis], -1), out=out.reshape(k, len(mat), -1))
+    return out
+
+
+def kron_product(X: np.ndarray, m: np.ndarray, mt: np.ndarray) -> np.ndarray:
+    """m along every axis of X, each pass into a new array; the last axis as
+    slabs times mt, m's transpose."""
+    for axis in range(X.ndim - 1):
+        X = axis_apply(X, axis, m)
+    return np.matmul(X, mt)
+
+
+def kron_sum(X: np.ndarray, m: np.ndarray, mt: np.ndarray) -> np.ndarray:
+    """The Kronecker sum's terms, each into a new array (the last axis's as X mt),
+    added in axis order."""
+    terms = [axis_apply(X, axis, m) for axis in range(X.ndim - 1)] + [np.matmul(X, mt)]
+    out = terms[0]
+    for t in terms[1:]:
+        out += t
+    return out
 
 
 @dataclass(frozen=True)

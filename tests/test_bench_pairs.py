@@ -226,6 +226,36 @@ def test_first_seed_flag_offsets_every_pairs_seed(monkeypatch, tmp_path):
         assert [r["seed"] for r in json.loads(out.read_text())["runs"]] == seeds
 
 
+def test_src_lines_counts_each_sides_package_lines(monkeypatch, tmp_path):
+    """The JSON's `src_lines` is, per side, the newlines of its src/gpflow/*.py as
+    `wc -l` counts them (a last line without one adds none), and no other file's.
+    The export, the copy and the runs are stand-ins."""
+    bench = json.loads((_path.parents[1] / "BENCHMARK.json").read_text())
+    trees = {"base": {"src/gpflow/a.py": "1\n2\n3\n", "src/gpflow/b.py": "4\n5",
+                      "src/other.py": "6\n", "src/gpflow/notes.txt": "7\n"},
+             "work": {"src/gpflow/a.py": "1\n"}}
+
+    def write(dest):
+        for name, text in trees[Path(dest).name].items():
+            (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
+            (Path(dest) / name).write_text(text)
+
+    def run_once(tree, workload, seed, seconds):
+        return {"metrics": {m["name"]: 1.0 for m in bench["end_to_end"]}, "correct": True,
+                "failed": 0, "results": [], "passes": 1, "rounds": 0}
+
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: write(dest) or "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_work", write)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "diff_sha256", lambda: None)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", "HEAD", "--out", str(out), "--workload",
+                             bench["workloads"][0]["name"]]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"base": 4, "work": 1}
+
+
 def test_work_side_runs_from_a_copy_of_the_listed_files(monkeypatch, tmp_path):
     """The work side runs from <tmp>/work beside the base's <tmp>/base: a copy of
     every file `git ls-files --cached --others --exclude-standard` lists, as it

@@ -20,6 +20,7 @@ from gpflow.flows import (LINE_SEARCH_HI, FixedStep,
                           line_search_step, metric_inverse, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver, SolverError, lobpcg, shifted_solver
+from gpflow.meshes import p1_assemble, structured_right_triangle_mesh
 from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
 from oracles import dense_neg_laplacian
@@ -57,6 +58,44 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^tol must be >= 0"):
         StopRule(residual_tol=-1.0)
     assert StopRule(residual_tol=0.0).residual_tol == 0.0  # valid: never stops by tol
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, message", [
+    (lambda v: FixedStep(v), "tau must be positive"),
+    (lambda v: FlowConfig(alpha=v), "alpha must be >= 0"),
+    (lambda v: FlowConfig(dt=v), "dt must be positive"),
+    (lambda v: StopRule(residual_tol=v), "tol must be >= 0"),
+    (lambda v: GridSpec(v, 1, 4), "half_width must be positive"),
+    (lambda v: Problem(np.ones(3), v), "beta must be >= 0"),
+    (lambda v: Problem(np.ones(3), 1.0, v), "alpha must be >= 0"),
+    (lambda v: FastSolver(TensorOperator(GridSpec(1.0, 1, 4)), v), "shift alpha must be >= 0"),
+    (lambda v: shifted_solver(p1_assemble(structured_right_triangle_mesh(2)), v),
+     "shift alpha must be >= 0")],
+    ids=["FixedStep.tau", "FlowConfig.alpha", "FlowConfig.dt", "StopRule.residual_tol",
+         "GridSpec.half_width", "Problem.beta", "Problem.alpha", "FastSolver", "shifted_solver-P1"])
+def test_float_guards_refuse_nan_and_inf(build, message, value):
+    """NaN fails every comparison, so each guard asks its value to pass one (0 <= v
+    < inf or 0 < v < inf): a non-finite value fails with the guard's message.  NaN
+    once built a config that failed at step 1, or a StopRule that never stopped by tol."""
+    with pytest.raises(ValueError, match=f"^{message}, got {value}"):
+        build(value)
+
+
+@pytest.mark.parametrize("count", [1, 226])
+def test_potential_of_another_length_is_refused(count):
+    """On the fd2 15^2 grid a V of 1 value once ran with V = 1 broadcast, one of
+    226 failed in a numpy broadcast, and the linear start failed to reshape either:
+    run, for both flow kinds, and the linear start refuse it by the discretizations'
+    length check, which names both lengths."""
+    disc = TensorOperator(GridSpec(8.0, 2, 16))
+    problem, u0 = Problem(np.ones(count), 1.0), default_initial_state(disc)
+    message = rf"^expected vector of length 225, got shape \({count},\)$"
+    for flow in (FlowConfig(), FlowConfig(kind=FlowKind.BFSP)):
+        with pytest.raises(ValueError, match=message):
+            run(flow, problem, u0, StopRule(max_iter=5))
+    with pytest.raises(ValueError, match=message):
+        default_initial_state(disc, "linear", problem)
 
 
 def test_modified_h1_ground_state_fixed_point():

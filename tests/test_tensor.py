@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpflow.grids import GridSpec, Scheme, TensorOperator, axis_apply, build_1d
+from gpflow.grids import FOLD_MIN_N, GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.potentials import (_u_star, constant, exact_case_potential, from_file,
                                harmonic_lattice, sin2_product)
+from oracles import kron_product, kron_sum
 
 
 def dense_lap(disc: TensorOperator) -> np.ndarray:
@@ -226,26 +227,45 @@ IN_PLACE_SPECS = [GridSpec(8.0, 3, 8, Scheme.SEM, 3), GridSpec(8.0, 3, 6, Scheme
                   GridSpec(1.0, 3, 20, Scheme.SEM, 5)]
 
 
+def assert_per_axis_bits(disc: TensorOperator):
+    """The transform both ways and -Delta_h equal, bit for bit, the passes axis by
+    axis, each into a new array, the last axis times m's transpose (contiguous on a
+    3D grid, the view elsewhere), and the Laplacian's terms added in axis order."""
+    assert disc.mirror is None
+    x = np.random.default_rng(3).standard_normal(disc.ndof)
+    Z = disc.eigen.vectors
+    mats = {False: Z.T * disc.op.weights, True: Z, "lap": disc.op.laplacian_matrix()}
+    mats = {k: (m, np.ascontiguousarray(m.T) if disc.dim == 3 else m.T) for k, m in mats.items()}
+    X = x.reshape(disc.shape)
+    for inverse in (False, True):
+        want = kron_product(X, *mats[inverse]).ravel()
+        assert np.array_equal(disc.transform(x, inverse=inverse), want)
+    assert np.array_equal(disc.apply_neg_laplacian(x), kron_sum(X, *mats["lap"]).ravel())
+
+
 @pytest.mark.parametrize("spec", IN_PLACE_SPECS, ids=["n23", "n47", "n99"])
 def test_3d_in_place_passes_have_the_per_axis_bits(spec):
     """On 3D grids of n = 23, 47 and 99 nodes, which n // 8 slabs do not divide,
-    the transform both ways and -Delta_h (axes 1 and 2 in place per chunk) are
-    bit for bit the per-axis passes, each into a new array (axes 0 and 1 by
-    `axis_apply`, axis 2 times the contiguous transpose), and the Laplacian's
-    terms added in axis order.  (Axis 2 by `axis_apply`, times the transposed
-    view, differs in bits at n = 99.)"""
+    the in-place passes (axes 1 and 2 per chunk) have the per-axis passes' bits.
+    (Axis 2 times the transposed view differs in bits at n = 99.)"""
     disc = TensorOperator(spec)
     assert disc.n % (disc.n // 8)
-    x = np.random.default_rng(3).standard_normal(disc.ndof)
-    for inverse in (False, True):
-        m, mt = disc._plain[inverse]
-        X = axis_apply(axis_apply(x.reshape(disc.shape), 0, m), 1, m)
-        assert np.array_equal(disc.transform(x, inverse=inverse), np.matmul(X, mt).ravel())
-    U, lap = x.reshape(disc.shape), disc._lap1d
-    want = axis_apply(U, 0, lap)
-    want += axis_apply(U, 1, lap)
-    want += np.matmul(U, disc._lap1d_t)
-    assert np.array_equal(disc.apply_neg_laplacian(x), want.ravel())
+    assert_per_axis_bits(disc)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 1, 2), GridSpec(8.0, 1, 17), GridSpec(8.0, 1, 300),
+    GridSpec(8.0, 1, 7, Scheme.SEM, 4), GridSpec(8.0, 2, 24), GridSpec(8.0, 2, 7, Scheme.SEM, 4),
+    GridSpec(8.0, 2, 20, Scheme.COMPACT4), GridSpec(8.0, 2, 300)],
+    ids=["fd2-1D-n1", "fd2-1D-n16", "fd2-1D-n299", "sem4-1D", "fd2-2D-n23", "sem4-2D-n27",
+         "compact4-2D-n19", "fd2-2D-even-n150"])
+def test_1d_and_2d_passes_have_the_per_axis_bits(spec):
+    """On 1D grids, 2D grids below FOLD_MIN_N and the even sector of the 299^2
+    grid (150^2, which never folds), one GEMM per axis has the per-axis passes'
+    bits (1D: x m^T alone; 2D: the last axis as one GEMM, not per chunk)."""
+    disc = TensorOperator(spec)
+    disc = disc.even if disc.n >= FOLD_MIN_N and spec.dim == 2 else disc
+    assert_per_axis_bits(disc)
 
 
 @pytest.mark.parametrize("spec", IN_PLACE_SPECS, ids=["n23", "n47", "n99"])
