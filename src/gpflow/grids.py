@@ -14,8 +14,9 @@ The d-dimensional Laplacian is never materialized: it acts as the Kronecker sum
 of that operator, and the nodes' coordinates are the 1D ones along each axis (the
 sparse meshgrid).  The grid also owns what fast diagonalization (Lynch, Rice &
 Thomas 1964) derives from the operator: its eigenbasis from the even and odd mirror
-sectors, once per grid, and the transforms, Kronecker products; one routine runs
-them and the Laplacian's sum, a GEMM per axis (2D from FOLD_MIN_N nodes folds them).
+sectors, once per grid (a degree-1 grid's in closed form), and the transforms,
+Kronecker products; one routine runs them and the Laplacian's sum, a GEMM per axis
+(2D from FOLD_MIN_N nodes folds them).
 Its `even` sector is a grid too, on ceil(n/2) nodes per axis, that weighs each
 node by the number of full-grid nodes it stands for.
 """
@@ -210,6 +211,7 @@ class TensorOperator:
 
     def __init__(self, spec: GridSpec, op: Operator1D | None = None):
         self.spec = spec
+        self._sines = op is None and spec.degree == 1  # its own S: `eigen` in closed form
         self.op = op = build_1d(spec) if op is None else op
         self.dim = spec.dim
         self.n = op.n
@@ -232,31 +234,46 @@ class TensorOperator:
         return Operator1D(op.nodes[:k], fold(op.weights, 1.0),
                           np.ascontiguousarray(fold(fold(op.stiffness).T).T))
 
+    def _sine_sector(self, k: int, sign: float) -> Eigen1D:
+        """A degree-1 sector's eigenpairs in closed form: S = tridiag(-1, 2, -1) / h and
+        M = h I have the discrete sines, mode m's vector sqrt(2/((n+1)h)) sin(j m pi/(n+1))
+        on rows j = 1..k, value (4/h^2) sin^2 t, t = m pi/(2(n+1)), which compact4's
+        T^{-1} S, T = I - (h/12) S, divides by 1 - sin^2 t / 3.  The even sector has the
+        odd m, the odd one the even m; j m is reduced mod 2(n+1) before the sine."""
+        n, h = self.n, self.spec.cell_size
+        m = np.arange(1 if sign > 0 else 2, n + 1, 2)
+        s2 = np.sin(m * (np.pi / (2 * (n + 1)))) ** 2
+        mu = 4 / h**2 * s2 / (1 - s2 / 3 if self.spec.scheme is Scheme.COMPACT4 else 1)
+        jm = np.outer(np.arange(1, k + 1), m) % (2 * (n + 1))
+        return Eigen1D(mu, np.sqrt(2 / ((n + 1) * h)) * np.sin(jm * (np.pi / (n + 1))))
+
     @cached_property
-    def _even_op(self) -> Operator1D:  # the even sector's restriction, `eigen`'s and `even`'s
+    def _even_op(self) -> Operator1D:  # the even sector's restriction: `even`'s, `eigen`'s
         return self._sector((self.n + 1) // 2, 1.0)
 
     @cached_property
     def eigen(self) -> Eigen1D:
         """The 1D pencil's from its mirror sectors (Solomonoff 1992): the even one on
-        h = ceil(n/2) nodes, then the odd one on floor(n/2).  Each one's eigenvectors Y
-        extend to P Y by a gather: row i is sign_i Y[min(i, n-1-i)], sign_i = 1 for i < k,
-        an odd n's odd centre row 0 (+ 0.0: P Y's GEMM gives no -0)."""
+        h = ceil(n/2) nodes, then the odd one on floor(n/2), each by `_sine_sector` on a
+        degree-1 grid built from its spec, else solved.  Each one's eigenvectors Y extend
+        to P Y by a gather: row i is sign_i Y[min(i, n-1-i)], sign_i = 1 for i < k, an
+        odd n's odd centre row 0 (+ 0.0: P Y's GEMM gives no -0)."""
         n, h, i = self.n, (self.n + 1) // 2, np.arange(self.n)
         j, sectors = np.minimum(i, i[::-1]), []
         for k, sign in ((h, 1.0), (n - h, -1.0)):
             if k:  # n = 1 has no odd sector
-                e = generalized_sym_eig(self._sector(k, sign) if sign < 0 else self._even_op)
+                e = (self._sine_sector(k, sign) if self._sines else
+                     generalized_sym_eig(self._sector(k, sign) if sign < 0 else self._even_op))
                 Y = np.append(e.vectors, np.zeros((1, k)), axis=0)  # row k: the centre's
                 sectors.append((e.values, Y[j] * np.where(i < k, 1.0, sign)[:, None] + 0.0))
         return Eigen1D(*map(np.hstack, zip(*sectors)))
 
     @cached_property
     def even(self) -> TensorOperator:
-        """The even mirror sector's grid on `eigen`'s restriction: `extend` (P along every
-        axis) takes its vectors to this grid's even ones, and its `multiplicity` P^T 1 x
-        ... x P^T 1 weighs each node.  Its `eigen` is this one's even block, exactly (P's
-        first rows are I), and it never folds: its nodes are not symmetric."""
+        """The even mirror sector's grid on its restriction (`eigen`'s, if it made one):
+        `extend` (P along every axis) takes its vectors to this grid's even ones, and its
+        `multiplicity` P^T 1 x ... x P^T 1 weighs each node.  Its `eigen` is this one's
+        even block, exactly (P's first rows are I); it never folds (nodes not symmetric)."""
         h, i = (self.n + 1) // 2, np.arange(self.n)
         i = np.minimum(i, i[::-1])  # each node's sector node: P's nonzero column in its row
         grid = TensorOperator(self.spec, self._even_op)

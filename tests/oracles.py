@@ -56,12 +56,15 @@ def sector_by_products(op: Operator1D, k: int, sign: float) -> Operator1D:
     return Operator1D(op.nodes[:k], (P * P).T @ op.weights, P.T @ op.stiffness @ P)
 
 
-def eigen_by_products(op: Operator1D) -> Eigen1D:
-    """The pencil's eigenbasis [even | odd] from its sectors, each extended by P Y."""
+def eigen_by_products(op: Operator1D, sector_eigen=None) -> Eigen1D:
+    """The pencil's eigenbasis [even | odd] from its sectors, each extended by P Y: Y
+    from `sector_eigen(k, sign)` if given (a degree-1 grid's closed form), else from
+    the eigensolve of P^T S P and diag(P^T M P)."""
     n, sectors = op.n, []
     for k, sign in (((n + 1) // 2, 1.0), (n // 2, -1.0)):
         if k:
-            e = generalized_sym_eig(sector_by_products(op, k, sign))
+            e = (sector_eigen(k, sign) if sector_eigen else
+                 generalized_sym_eig(sector_by_products(op, k, sign)))
             sectors.append((e.values, mirror_matrix(n, k, sign) @ e.vectors))
     return Eigen1D(*map(np.hstack, zip(*sectors)))
 

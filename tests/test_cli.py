@@ -693,7 +693,7 @@ GAP_ROW = "ground-state eigenvalue simple (gap > 0)"
 @pytest.mark.parametrize("dip", [None, 1e-6], ids=["converged", "dipped"])
 def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monkeypatch, dip):
     """fd2 2D, 24 cells, harmonic_lattice, beta = 5, line search, tol 1e-10: the run
-    stops by tol with residual 8.5e-11 and 104 of 529 entries <= 0, the least -2.6e-12
+    stops by tol with residual 9.8e-11 and 67 of 529 entries <= 0, the least -2.0e-12
     against a largest 1.44.  Those are round-off, above -residual max|u|: verify
     passes.  The same state with one entry at -1e-6 max|u| fails the sign row.
     Either way verify checks A_u's gap at the run's 529 unknowns, and it passes."""
@@ -718,7 +718,7 @@ def test_cli_verify_judges_the_sign_at_the_run_resolution(tmp_path, capsys, monk
     assert rep.reason == "tol" and 1e-11 < rep.records[-1].residual < 1e-10
     if dip is None:
         assert f"[PASS] {SIGN_ROW}" in out and "[FAIL]" not in out
-        assert np.count_nonzero(u <= 0) == 104 and -1e-11 < u.min() < 0
+        assert np.count_nonzero(u <= 0) == 67 and -1e-11 < u.min() < 0
     else:
         assert f"[FAIL] {SIGN_ROW}" in out
         assert u.min() == pytest.approx(-dip * np.abs(u).max(), rel=1e-12)

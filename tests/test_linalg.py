@@ -141,11 +141,16 @@ def test_fast_solver_keeps_only_its_shift(spec):
     assert set(vars(FastSolver(TensorOperator(spec), 0.15))) == {"op", "alpha", "denominator"}
 
 
-def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
+@pytest.mark.parametrize("spec", [
+    GridSpec(8.0, 3, 4, Scheme.SEM, 2),
+    GridSpec(8.0, 3, 8, Scheme.FD2),  # degree 1: the closed form, no eigensolve
+    GridSpec(8.0, 3, 8, Scheme.COMPACT4),
+], ids=str)
+def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch, spec):
     """Every axis shares one 1D operator, and solvers for any shift and the
-    linear start's mode share its eigendecomposition: a grid decomposes each
-    of its two mirror sectors once.  The solves match those of a solver on a
-    grid of its own, bit for bit."""
+    linear start's mode share its eigendecomposition: a sem grid decomposes each
+    of its two mirror sectors once, a degree-1 grid none.  The solves match those
+    of a solver on a grid of its own, bit for bit."""
     calls = []
 
     def counted(op):
@@ -153,12 +158,12 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch):
         return generalized_sym_eig(op)
 
     monkeypatch.setattr("gpflow.grids.generalized_sym_eig", counted)
-    spec = GridSpec(8.0, 3, 8, Scheme.COMPACT4)
     disc = TensorOperator(spec)
     solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
     default_initial_state(disc, "linear",
                           Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15))
-    assert [op.n for op in calls] == [(disc.n + 1) // 2, disc.n // 2]
+    sectors = [(disc.n + 1) // 2, disc.n // 2]
+    assert [op.n for op in calls] == (sectors if spec.degree > 1 else [])
     b = np.random.default_rng(5).standard_normal(disc.ndof)
     for fs in solvers:
         alone = FastSolver(TensorOperator(spec), fs.alpha)
@@ -212,18 +217,21 @@ def test_folded_transforms_are_the_kronecker_products(spec):
     assert np.linalg.norm(disc.apply_neg_laplacian(x) + 0.15 * x - b) <= 1e-13 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("dim, n, folds", [
-    (3, 99, False), (3, 47, False), (2, 63, False), (2, 299, True), (2, 128, True)])
-def test_fold_selection_rule(monkeypatch, dim, n, folds):
+@pytest.mark.parametrize("spec, folds", [
+    (GridSpec(8.0, 3, 100, Scheme.FD2), False), (GridSpec(8.0, 3, 24, Scheme.SEM, 2), False),
+    (GridSpec(8.0, 2, 64, Scheme.FD2), False), (GridSpec(8.0, 2, 150, Scheme.SEM, 2), True),
+    (GridSpec(8.0, 2, 129, Scheme.FD2), True)], ids=str)
+def test_fold_selection_rule(monkeypatch, spec, folds):
     """2D grids with n >= FOLD_MIN_N fold; 3D grids and small n keep the
-    plain passes.  Either way the grid decomposes its two sectors once."""
+    plain passes.  Either way a sem grid decomposes its two sectors once and
+    a degree-1 grid none (n = 99, 47, 63, 299 and 128)."""
     calls = counting(generalized_sym_eig)
     monkeypatch.setattr("gpflow.grids.generalized_sym_eig", calls)
-    disc = TensorOperator(GridSpec(8.0, dim, n + 1, Scheme.FD2))
+    disc = TensorOperator(spec)
     FastSolver(disc, 0.0)
     assert (disc.mirror is not None) is folds
     disc.transform(np.ones(disc.ndof))
-    assert calls.calls == 2
+    assert calls.calls == (2 if spec.degree > 1 else 0)
 
 
 def test_zero_stiffness_at_zero_shift_is_singular():
@@ -244,7 +252,7 @@ def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
     matching a fresh state's bit for bit."""
     calls = counting(generalized_sym_eig)
     monkeypatch.setattr("gpflow.grids.generalized_sym_eig", calls)
-    disc = TensorOperator(GridSpec(8.0, 2, 128, Scheme.FD2))
+    disc = TensorOperator(GridSpec(8.0, 2, 43, Scheme.SEM, 3))  # n = 128
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
     solvers = [FastSolver(disc, alpha) for alpha in (0.0, 0.15, 10.15)]
     assert calls.calls == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpflow.grids import (GridSpec, Scheme, TensorOperator, build_1d, gauss_lobatto_rule,
-                          lagrange_diff_matrix)
+                          generalized_sym_eig, lagrange_diff_matrix)
 from oracles import assembly_loop, eigen_by_products, sector_by_products
 
 
@@ -214,7 +214,8 @@ SET_UP_SPECS = [GridSpec(8.0, 2, c, Scheme.FD2) for c in (2, 3, 4, 17, 300)] + [
 def test_set_up_by_index_arithmetic_has_the_products_bits(spec):
     """`build_1d`'s whole-array assembly, `_sector`'s folds, `eigen`'s gathered
     extension and the `even` grid's operator are bit for bit (sign bits of zeros
-    included) the per-cell loop and the dense P^T S P, diag(P^T M P) and P Y."""
+    included) the per-cell loop and the dense P^T S P, diag(P^T M P) and P Y, Y the
+    sectors' eigenvectors: the closed form's on fd2 and compact4, else the eigensolve's."""
     op, loop = build_1d(spec), assembly_loop(spec)
     for got, want in ((op.nodes, loop.nodes), (op.weights, loop.weights),
                       (op.stiffness, loop.stiffness)):
@@ -227,24 +228,27 @@ def test_set_up_by_index_arithmetic_has_the_products_bits(spec):
             assert all(same_bits(getattr(got, f), getattr(want, f))
                        for f in ("nodes", "weights", "stiffness"))
             assert got.stiffness.flags.c_contiguous
-    got, want = disc.eigen, eigen_by_products(disc.op)
+    got, want = disc.eigen, eigen_by_products(disc.op, disc._sines and disc._sine_sector)
     assert same_bits(got.values, want.values) and same_bits(got.vectors, want.vectors)
     even = sector_by_products(disc.op, (n + 1) // 2, 1.0)
     assert same_bits(disc.even.op.stiffness, even.stiffness)
     assert same_bits(disc.even.op.weights, even.weights)
 
 
-def test_sectors_are_restricted_once_and_no_n_by_k_array_stays(monkeypatch):
-    """`eigen` and `even` on a fresh fd2 299^2 grid restrict twice in all, once
-    per sector (`even` takes `eigen`'s even restriction), and what the grid keeps
-    after both is the eigenbasis (n^2), the even grid's stiffness, 1D Laplacian,
-    weights and multiplicity (4 h^2) and O(n): no n x h array of the restriction
-    or extension (h = 150), nor the odd sector's h x h operator."""
+@pytest.mark.parametrize("spec", [GridSpec(8.0, 2, 300, Scheme.FD2),
+                                  GridSpec(8.0, 2, 150, Scheme.SEM, 2)], ids=str)
+def test_sectors_are_restricted_once_and_no_n_by_k_array_stays(monkeypatch, spec):
+    """`eigen` and `even` on a fresh 299^2 grid restrict each sector at most once:
+    sem2 restricts both (`even` takes `eigen`'s even restriction), fd2 only the even
+    one, for `even` (its `eigen` is the closed form).  What the grid keeps after both
+    is the eigenbasis (n^2), the even grid's stiffness, 1D Laplacian, weights and
+    multiplicity (4 h^2) and O(n): no n x h array of the restriction or extension
+    (h = 150), nor the odd sector's h x h operator."""
     calls = []
     sector = TensorOperator._sector
     monkeypatch.setattr(TensorOperator, "_sector",
                         lambda self, k, sign: calls.append((k, sign)) or sector(self, k, sign))
-    disc = TensorOperator(GridSpec(8.0, 2, 300, Scheme.FD2))
+    disc = TensorOperator(spec)
     n, h = disc.n, (disc.n + 1) // 2
     tracemalloc.start()
     try:
@@ -253,5 +257,34 @@ def test_sectors_are_restricted_once_and_no_n_by_k_array_stays(monkeypatch):
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert sorted(calls) == [(h - 1, -1.0), (h, 1.0)]
+    assert sorted(calls) == [(h - 1, -1.0)] * (spec.degree > 1) + [(h, 1.0)]
     assert 8 * (n * n + 4 * h * h) <= kept < 8 * (n * n + 4 * h * h + 8 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 79, 80, 299])
+@pytest.mark.parametrize("scheme", [Scheme.FD2, Scheme.SEM, Scheme.COMPACT4],
+                         ids=["fd2", "sem1", "compact4"])
+def test_degree_1_eigen_is_the_closed_form_of_the_dense_pencil(monkeypatch, scheme, n):
+    """A degree-1 grid built from its spec takes the sines with no eigensolve: its
+    values are the sector eigensolves' to 1e-11 relative and its vectors to 1e-12 after
+    sign alignment, Z^T M Z = I to 1e-14, and each column's mirror parity is exact in
+    bits (an odd n's centre is +0 in the odd modes).  The same operator handed in by
+    the caller goes through `generalized_sym_eig`, once per sector, as before."""
+    calls = []
+    monkeypatch.setattr("gpflow.grids.generalized_sym_eig",
+                        lambda op: calls.append(op.n) or generalized_sym_eig(op))
+    spec = GridSpec(8.0, 1, n + 1, scheme)
+    disc = TensorOperator(spec)
+    Z, mu, w, h = disc.eigen.vectors, disc.eigen.values, disc.op.weights, (n + 1) // 2
+    assert calls == []
+    want = eigen_by_products(disc.op)
+    assert np.abs(mu / want.values - 1.0).max() <= 1e-11
+    signs = np.sign(np.einsum("ij,ij->j", Z, want.vectors))
+    assert np.abs(Z - want.vectors * signs).max() <= 1e-12
+    assert np.abs(Z.T @ (w[:, None] * Z) - np.eye(n)).max() <= 1e-14
+    assert same_bits(Z[::-1, :h], Z[:, :h]) and same_bits(Z[::-1, h:], 0.0 - Z[:, h:])
+    if n % 2:
+        assert same_bits(Z[h - 1, h:], np.zeros(n - h))
+    calls.clear()
+    handed = TensorOperator(spec, build_1d(spec))
+    assert same_bits(handed.eigen.vectors, want.vectors) and calls == [h, n - h][:1 + (n > 1)]
