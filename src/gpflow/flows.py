@@ -126,17 +126,16 @@ class RunReport:
 
 
 def step_bfsp(state: State, problem: Problem, solver) -> State:
-    """BFSP: x = solve(rhs) with solver = shifted_solver(disc, s), s = bfsp_shift + 1/dt,
-    then R_h(x), carrying -Delta_h x = rhs - s x (it applies no Laplacian) and R_h(x)*w."""
+    """BFSP: R_h(x), x = solve(rhs), rhs = s u - (V + beta u^2) u = s u - (A_u u + Delta_h u)
+    in the record's A_u u, s = bfsp_shift + 1/dt; carries -Delta_h x = rhs - s x and R_h(x)*w."""
     state.require_normalized()
-    state._Au_u = state._wu = None  # the record's A_u u and u*w: no step reads them
-    u = state.coeffs
-    # two buffers from 256 KiB up, where numpy elides the expression's temporaries
-    rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
+    rhs = euclidean_gradient(state, problem)  # its last use: take its buffer
+    state._Au_u = state._wu = None  # and free u*w before the solve
+    rhs = daxpy(state.coeffs, np.subtract(state.neg_lap, rhs, out=rhs), a=solver.alpha)
     x = solver.solve(rhs)
-    t = np.multiply(x, state.disc.weights)  # x*w, then s x, then R_h(x)*w
+    t = np.multiply(x, state.disc.weights)  # x*w, then R_h(x)*w
     nrm = np.sqrt(max(float(np.dot(t, x)), 0.0))  # norm_h(disc, x)
-    rhs -= np.multiply(x, solver.alpha, out=t)  # -Delta_h x, in rhs's buffer
+    rhs = daxpy(x, rhs, a=-solver.alpha)  # -Delta_h x, in rhs's buffer
     x /= nrm  # R_h(x), as `retract` computes it
     rhs /= nrm  # -Delta_h R_h(x), carried to the next record
     return State(x, state.disc, rhs, _wu=np.multiply(x, state.disc.weights, out=t))
@@ -186,10 +185,10 @@ def gradient_step(state: State, problem: Problem, G,
     """u <- R_h(u - tau d), g the Riemannian gradient under the inverse metric G:
     d = g at a fixed tau.  The line search's exact tau takes d = g + beta P d' (PR+;
     P the h-projection onto u's tangent space, (d', g') = `state.direction`, beta =
-    max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <A_u u, v>_h), or d = g if
-    <A_u u, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u'
-    and transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`;
-    it drops the old state's carried values before it allocates u'*w."""
+    max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <r, v>_h, r = A_u u - lambda u), or
+    d = g if <r, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u' and
+    transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`; it
+    drops the old state's carried values before it allocates u'*w."""
     u, weights = state.coeffs, state.disc.weights
     prev, state.direction = state.direction, None
     if prev is not None:  # P v = v - <u, v>_h u
@@ -200,10 +199,11 @@ def gradient_step(state: State, problem: Problem, G,
         tau, out, direction = policy.tau, (g, lap_g, c), None
     else:
         alpha = getattr(G, "alpha", None)  # then A_u u - gamma u = -Delta_h g + alpha g
-        wr = euclidean_gradient(state, problem) * weights if alpha is None else g * alpha
+        wr = (g * alpha if alpha is not None else  # else r: it holds no lambda-multiple of u
+              euclidean_gradient(state, problem) - _record(state, problem).eigenvalue * u)
         if alpha is not None:
             wr += lap_g
-            wr *= weights
+        wr *= weights
         gg, beta = float(np.dot(wr, g)), 0.0
         if prev is not None and prev.gg > 0:
             ru = float(np.dot(wr, u))  # <r, P v>_h = <r, v>_h - <u, v>_h <r, u>_h

@@ -201,6 +201,34 @@ def test_bfsp_state_holds_its_u_times_w():
     assert nxt.h_norm_sq == float(np.dot(nxt.coeffs * disc.weights, nxt.coeffs))
 
 
+def test_bfsp_takes_its_rhs_from_the_record(monkeypatch):
+    """On a state whose record is held, step_bfsp forms s u - (V + beta u^2) u from
+    the record's A_u u and -Delta_h u, in A_u u's buffer, and hands that buffer on
+    as the new state's -Delta_h u': the step touches no V and applies no Laplacian."""
+    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
+    ufuncs = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            ufuncs.append(ufunc.__name__)
+            inputs = [np.asarray(x) if isinstance(x, Watched) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    problem = Problem(problem.potential.view(Watched), problem.beta, problem.alpha)
+    state = State(retract(disc, np.random.default_rng(1).standard_normal(disc.ndof)), disc)
+    Au = euclidean_gradient(state, problem)  # the record, with its one V u
+    ufuncs.clear()
+    counts = {"lap": 0}
+    monkeypatch.setattr(TensorOperator, "apply_neg_laplacian",
+                        counted(counts, TensorOperator.apply_neg_laplacian, "lap"))
+    nxt = step_bfsp(state, problem, shifted_solver(disc, 0.7 + 1.0 / 0.2))
+    assert nxt._neg_lap is Au and state._Au_u is None
+    assert ufuncs == [] and counts["lap"] == 0
+    monkeypatch.undo()
+    exact = disc.apply_neg_laplacian(nxt.coeffs)
+    assert np.linalg.norm(nxt.neg_lap - exact) <= 1e-13 * np.linalg.norm(exact)
+
+
 def test_bfsp_requires_normalized():
     disc = TensorOperator(GridSpec(1.0, 1, 8, Scheme.FD2))
     problem = Problem(np.ones(disc.ndof), 1.0)
@@ -500,7 +528,9 @@ def h_residual(state, problem):
 def test_conjugate_directions_are_descent_directions(kind):
     """Every direction the line search steps along is tangent at u, has
     <r, d>_h > 0, and is the PR+ direction g + beta P d' built from dense
-    projections; after the first step most of them are conjugate (d is not g)."""
+    projections; after the first step most of them are conjugate (d is not g).
+    beta reads <r, .>_h: equal to <A_u u, .>_h on tangent vectors, but without
+    the lambda u that cancels there only to round-off."""
     disc = TensorOperator(GridSpec(8.0, 2, 8, Scheme.SEM, 3))
     problem = Problem(harmonic_lattice(disc.node_coordinates()), 200.0, 1.0)
     state = default_initial_state(disc)
@@ -513,8 +543,7 @@ def test_conjugate_directions_are_descent_directions(kind):
         prev = state.direction
         if prev is not None:
             P = lambda v: v - inner_h(disc, u, v) * u
-            Au = euclidean_gradient(copy, problem)
-            beta = max(0.0, inner_h(disc, Au, want - P(prev.g)) / prev.gg)
+            beta = max(0.0, inner_h(disc, r, want - P(prev.g)) / prev.gg)
             want = want + beta * P(prev.d.copy())
         state, _ = gradient_step(state, problem, G_at(state), LineSearchStep())
         d = state.direction.d
@@ -523,6 +552,24 @@ def test_conjugate_directions_are_descent_directions(kind):
         assert np.linalg.norm(d - want) <= 1e-10 * np.linalg.norm(want)
         conjugate += d is not state.direction.g
     assert conjugate >= 10
+
+
+@pytest.mark.parametrize("kind", [FlowKind.L2, FlowKind.A0, FlowKind.AU],
+                         ids=lambda k: k.value)
+def test_line_search_without_a_shift_does_not_restart(kind):
+    """A metric with no shift takes PR+'s <g, .>_X from r = A_u u - lambda u.  Taken
+    from A_u u, whose lambda u cancels only to round-off, beta loses its digits below
+    residual 1e-6: these runs would restart 34, 2 and 3 times, and L2 would take 122
+    iterations.  E is modified H1's."""
+    disc = TensorOperator(GridSpec(8.0, 2, 40, Scheme.FD2))
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    u0 = default_initial_state(disc, "linear", problem)
+    stop = StopRule(residual_tol=1e-10, max_iter=2000)
+    report = run(FlowConfig(kind=kind, alpha=0.15, step=LineSearchStep()), problem, u0, stop)
+    h1 = run(FlowConfig(alpha=0.15, step=LineSearchStep()), problem, u0, stop)
+    assert report.reason == h1.reason == "tol"
+    assert report.restarts == 0 and report.iterations <= 100
+    assert abs(report.records[-1].energy - h1.records[-1].energy) <= 1e-12 * h1.records[-1].energy
 
 
 def stale_direction(state, problem, G, rule):
@@ -1012,7 +1059,7 @@ def test_run_peak_memory_in_vectors(flow, vectors, spec):
     in-place passes (7.40 vectors here, the chunk 2/23 of one).  Two transform
     outputs at once, or u'*w allocated before the old state's carried values go,
     would add a vector (8.34 here with both); so would a state's u*w held through
-    the transforms, or the record's A_u u held through a BFSP solve.  The line
+    the transforms, or a BFSP rhs formed beside the record's A_u u, not in it.  The line
     search adds the four vectors its conjugate
     direction keeps across a step: d, -Delta_h d, transform(d) and g.  A state
     built from coefficients holds no vector of its own until a diagnostic

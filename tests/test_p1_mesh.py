@@ -10,7 +10,7 @@ from gpflow.energy import (Problem, State, euclidean_gradient, inner_h, norm_h,
 from gpflow.flows import (FixedStep, FlowConfig, FlowKind, LineSearchStep,
                           StopRule, default_initial_state, run, step_bfsp)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
-from gpflow.linalg import shifted_solver
+from gpflow.linalg import daxpy, shifted_solver
 from gpflow.meshes import (MeshError, MonotonicityReport, TriMesh2D, edge_cotangent_sums,
                            mesh_monotonicity_check, p1_assemble,
                            structured_right_triangle_mesh)
@@ -299,7 +299,8 @@ def test_neg_laplacian_of_gradient_is_free(mesh, monkeypatch):
 def test_bfsp_carries_neg_laplacian_from_its_solve(mesh):
     """The shifted solve inverts -Delta_h + s, so x = solve(rhs) has
     -Delta_h x = rhs - s x: a BFSP step carries -Delta_h u' with no
-    Laplacian, and its coefficients are R_h(solve(rhs)) bit for bit."""
+    Laplacian, and its coefficients are R_h(solve(rhs)) bit for bit, rhs =
+    s u - (A_u u - (-Delta_h u)) from the record, (s - V - beta u^2) u to round-off."""
     disc = (p1_assemble(jittered_mesh(12, seed=5)) if mesh
             else TensorOperator(GridSpec(1.0, 2, 6, Scheme.SEM, 3)))
     problem = harmonic_problem(disc)
@@ -307,7 +308,10 @@ def test_bfsp_carries_neg_laplacian_from_its_solve(mesh):
     u = retract(disc, 1.0 + np.random.default_rng(3).random(disc.ndof))
     nxt = step_bfsp(State(u, disc), problem, solver)
     assert nxt._neg_lap is not None
-    rhs = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
+    ref = State(u, disc)
+    rhs = daxpy(u, ref.neg_lap - euclidean_gradient(ref, problem), a=solver.alpha)
+    formula = (solver.alpha - problem.potential - problem.beta * u ** 2) * u
+    assert np.linalg.norm(rhs - formula) <= 1e-13 * np.linalg.norm(formula)
     assert np.array_equal(nxt.coeffs, retract(disc, solver.solve(rhs)))
     exact = disc.apply_neg_laplacian(nxt.coeffs)
     assert np.linalg.norm(nxt.neg_lap - exact) <= 1e-12 * np.linalg.norm(exact)
