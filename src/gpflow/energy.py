@@ -27,7 +27,8 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class Problem:
-    """Potential values at nodes, interaction strength, and metric shift."""
+    """Potential values at nodes, interaction strength, and alpha, read only as the `linear`
+    start's shift; kept since gsbench/workloads.py calls Problem(V, beta, alpha) positionally."""
 
     potential: np.ndarray
     beta: float
@@ -48,8 +49,8 @@ class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
     <u, u>_h is cached at construction; -Delta_h u, which every step carries
-    in, u*w, and the record with A_u u on first use (`riemannian_gradient`
-    takes A_u u's buffer for a shifted G), so `coeffs` must not be mutated.
+    in, u*w, and the record with A_u u on first use, so `coeffs` must not be
+    mutated; a caller that clears `_Au_u` owns A_u u's buffer.
     `transformed` is disc.transform(u), carried in by a gradient step or set
     by `riemannian_gradient`, and `direction` is a line-search step's.  Carried
     values follow u only to round-off: `flows.run` stops on a fresh state.
@@ -171,8 +172,8 @@ def au_preconditioner(state: State, problem: Problem):
 
 
 def euclidean_gradient(state: State, problem: Problem) -> np.ndarray:
-    """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry: the record's,
-    held on the state for the last problem asked (do not mutate it)."""
+    """A_u u, the Frechet gradient of E_h in the <.,.>_h geometry: the record's, held on
+    the state for the last problem asked; a caller that clears `state._Au_u` owns it."""
     if state._Au_u is None or state._Au_u[0] is not problem:
         state._record = None
         _record(state, problem)

@@ -238,48 +238,14 @@ def gradient_step(state: State, problem: Problem, G,
     return State(w, state.disc, *carried, w * weights, direction), tau
 
 
-@dataclass(frozen=True)
-class LineEnergy:
-    """phi(tau) = E_h(R_h(u - tau d)) in closed form.
-
-    With v = u - tau d and n(tau) = <v, v>_h,
-
-        phi(tau) = e0 + A(tau) / n(tau) + (beta/4) Q(tau) / n(tau)^2,
-
-    e0 = phi(0) (from the record's sums in `line_energy`), A of degree 2 and
-    Q of degree 4 with no constant term (coefficient arrays, lowest degree
-    first).  Taking phi(0) out before the sums are combined keeps
-    phi(tau) - phi(0) accurate where phi itself varies only in its last digits.
-    """
-
-    e0: float
-    A: np.ndarray
-    Q: np.ndarray
-    n: np.ndarray
-    beta: float
-
-    def rise(self, tau):
-        """phi(tau) - phi(0), each polynomial by Horner's rule."""
-        A, Q, n = (reduce(lambda y, c: y * tau + c, p[::-1])
-                   for p in (self.A, self.Q, self.n))
-        return A / n + 0.25 * self.beta * Q / (n * n)
-
-    def stationary_points(self) -> np.ndarray:
-        """Roots of phi' n^3 = (A'n - An')n + (beta/4)(Q'n - 2Qn'), complex
-        ones included; its degree-5 terms cancel exactly, and `np.roots`
-        drops the leading zero."""
-        A, Q, n = self.A, self.Q, self.n
-        dA, dQ, dn = (p[1:] * np.arange(1, len(p)) for p in (A, Q, n))
-        num = np.convolve(np.convolve(dA, n) - np.convolve(A, dn), n)
-        num += 0.25 * self.beta * (np.convolve(dQ, n) - 2 * np.convolve(Q, dn))
-        return np.roots(num[::-1])
-
-
 def line_energy(state: State, problem: Problem, d: np.ndarray,
-                lap_d: np.ndarray) -> LineEnergy:
-    """phi(tau) = E_h(R_h(u - tau d)) from 10 weighted sums, the record's k, p
-    and q for phi(0) (the record is built if the state has none), and two
-    scratch vectors wd = w d and t, given lap_d = -Delta_h d."""
+                lap_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(tau) - phi(0), phi(tau) = E_h(R_h(u - tau d)), in closed form: A / n + (beta/4) Q / n^2
+    with n(tau) = <v, v>_h, v = u - tau d; returns (A, Q, n), coefficients lowest degree first,
+    A of degree 2 and Q of degree 4 with no constant term.  Taking phi(0) out before the sums
+    are combined keeps the rise accurate where phi itself varies only in its last digits.  From
+    10 weighted sums, the record's k, p and q for phi(0) (the record is built if the state has
+    none), and two scratch vectors wd = w d and t, given lap_d = -Delta_h d."""
     _record(state, problem)
     k, p, q0 = state._record[2]
     u, w = state.coeffs, state.disc.weights
@@ -303,8 +269,18 @@ def line_energy(state: State, problem: Problem, d: np.ndarray,
     A = np.array([0.0, 2.0 * (e_quad * b - k1), k2 - e_quad * c])
     Q = np.array([q0, -4.0 * q1, 6.0 * q2, -4.0 * q3, q4]) - e_quart * np.convolve(n, n)
     Q[0] = 0.0
-    return LineEnergy(float(e_quad + 0.25 * problem.beta * e_quart), A, Q, n,
-                      problem.beta)
+    return A, Q, n
+
+
+def stationary_points(A: np.ndarray, Q: np.ndarray, n: np.ndarray,
+                      beta: float) -> np.ndarray:
+    """Roots of phi' n^3 = (A'n - An')n + (beta/4)(Q'n - 2Qn'), complex ones
+    included, for `line_energy`'s (A, Q, n); its degree-5 terms cancel exactly,
+    and `np.roots` drops the leading zero."""
+    dA, dQ, dn = (p[1:] * np.arange(1, len(p)) for p in (A, Q, n))
+    num = np.convolve(np.convolve(dA, n) - np.convolve(A, dn), n)
+    num += 0.25 * beta * (np.convolve(dQ, n) - 2 * np.convolve(Q, dn))
+    return np.roots(num[::-1])
 
 
 def line_search_step(state: State, problem: Problem, d: np.ndarray,
@@ -313,12 +289,14 @@ def line_search_step(state: State, problem: Problem, d: np.ndarray,
     with its phi(tau) - phi(0): the best of LINE_SEARCH_HI and the stationary
     points of the closed form inside, from lap_d = -Delta_h d.  A zero
     direction has a zero closed form and no stationary point: (LINE_SEARCH_HI, 0)."""
-    hi, phi = LINE_SEARCH_HI, line_energy(state, problem, d, lap_d)
-    if not np.isfinite(np.concatenate(([phi.e0], phi.A, phi.Q, phi.n))).all():
+    hi, (A, Q, n) = LINE_SEARCH_HI, line_energy(state, problem, d, lap_d)
+    if not np.isfinite(np.concatenate((A, Q, n))).all():
         raise SolverError("non-finite energy in line search")
     # a complex pair near a double root still marks a stationary point
-    taus = np.append([t for t in phi.stationary_points().real if 0 < t < hi], hi)
-    rise = phi.rise(taus)
+    taus = np.append([t for t in stationary_points(A, Q, n, problem.beta).real
+                      if 0 < t < hi], hi)
+    A, Q, n = (np.polyval(p[::-1], taus) for p in (A, Q, n))  # Horner's rule
+    rise = A / n + 0.25 * problem.beta * Q / (n * n)
     return float(taus[np.argmin(rise)]), float(np.min(rise))
 
 

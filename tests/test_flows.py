@@ -357,8 +357,8 @@ def test_line_search_matches_scan_oracle():
 ])
 def test_line_energy_matches_energy_of_retracted_point(spec, potential, direction,
                                                        recorded):
-    """The closed form phi(tau) is E_h(R_h(u - tau d)) at every tau, for the
-    gradient and for a seeded random d, which is neither tangent nor a
+    """E_h(u) plus the closed form's rise is E_h(R_h(u - tau d)) at every tau,
+    for the gradient and for a seeded random d, which is neither tangent nor a
     gradient, whether the state holds its record (phi(0)'s k0 and q0 come
     from it) or line_energy builds it."""
     disc = TensorOperator(spec)
@@ -375,34 +375,29 @@ def test_line_energy_matches_energy_of_retracted_point(spec, potential, directio
     if recorded:
         energy(s, problem)
     assert (s._record is not None) == recorded
-    phi = line_energy(s, problem, d, disc.apply_neg_laplacian(d))
-    for tau in np.linspace(1e-3, LINE_SEARCH_HI, 5):
+    A, Q, n = (np.polyval(p[::-1], np.linspace(1e-3, LINE_SEARCH_HI, 5))
+               for p in line_energy(s, problem, d, disc.apply_neg_laplacian(d)))
+    phi = energy(s, problem) + A / n + 0.25 * problem.beta * Q / (n * n)
+    for tau, got in zip(np.linspace(1e-3, LINE_SEARCH_HI, 5), phi):
         want = energy(State(retract(disc, s.coeffs - tau * d), disc), problem)
-        assert abs(phi.e0 + phi.rise(tau) - want) <= 1e-12 * abs(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def reference_closed_form(phi):
-    """rise and stationary_points of a LineEnergy with numpy.polynomial."""
+def reference_stationary_points(A, Q, n, beta):
+    """The roots of phi' n^3 by numpy.polynomial."""
     P = np.polynomial.polynomial
-    A, Q, n, beta = phi.A, phi.Q, phi.n, phi.beta
-
-    def rise(tau):
-        m = P.polyval(tau, n)
-        return P.polyval(tau, A) / m + 0.25 * beta * P.polyval(tau, Q) / (m * m)
-
     dn = P.polyder(n)
     num = P.polyadd(
         P.polymul(P.polysub(P.polymul(P.polyder(A), n), P.polymul(A, dn)), n),
         0.25 * beta * P.polysub(P.polymul(P.polyder(Q), n), 2 * P.polymul(Q, dn)))
-    return rise, P.polyroots(num)
+    return P.polyroots(num)
 
 
 @pytest.mark.parametrize("case", ["random", "beta_0", "A_0"])
 def test_closed_form_matches_numpy_polynomial(case):
-    """Horner's rule and the convolutions give numpy.polynomial's rise and
-    stationary points on seeded random coefficients (n(tau) > 0 as <v, v>_h)."""
+    """The convolutions give numpy.polynomial's stationary points on seeded
+    random coefficients (n(tau) > 0 as <v, v>_h)."""
     rng = np.random.default_rng(11)
-    taus = np.linspace(1e-3, LINE_SEARCH_HI, 101)
     for _ in range(50):
         a, c = rng.uniform(0.5, 2.0, 2)
         n = np.array([a, -2.0 * rng.uniform(-1.0, 1.0) * np.sqrt(a * c), c])
@@ -411,10 +406,8 @@ def test_closed_form_matches_numpy_polynomial(case):
         beta = 0.0 if case == "beta_0" else rng.uniform(0.0, 100.0)
         if case == "A_0":
             A[:] = 0.0
-        phi = flows.LineEnergy(rng.standard_normal(), A, Q, n, beta)
-        rise, roots = reference_closed_form(phi)
-        np.testing.assert_allclose(phi.rise(taus), rise(taus), rtol=1e-13, atol=0)
-        got = phi.stationary_points()
+        got = flows.stationary_points(A, Q, n, beta)
+        roots = reference_stationary_points(A, Q, n, beta)
         assert len(got) == len(roots) == 4
         np.testing.assert_allclose(np.sort(got.real), np.sort(roots.real),
                                    rtol=1e-10, atol=1e-10)
@@ -1124,11 +1117,11 @@ def test_line_energy_memory_in_vectors():
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        phi = line_energy(state, problem, d, lap_d)
+        A, Q, n = line_energy(state, problem, d, lap_d)
         kept, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert np.isfinite(phi.e0) and len(held) == 2
+    assert np.isfinite(np.concatenate((A, Q, n))).all() and len(held) == 2
     assert peak / (8 * disc.ndof) < 2.5
     assert kept / (8 * disc.ndof) < 0.5
 
