@@ -4,9 +4,9 @@ Everything here is a pure function of (coefficients, discretization,
 problem).  The discretization handle only needs `weights` and
 `apply_neg_laplacian` (and `transform` under a FastSolver metric), so tensor
 grids and P1 meshes are interchangeable.
-u*w and -Delta_h u are held on the state.  One record per state takes the
-energy, the residual and the Rayleigh value from one u^3 and one Vu, and
-holds A_u u, built from the same two, for the gradient.
+-Delta_h u is held on the state (u*w too on a grid of at most WHOLE nodes).  One record
+per state takes the energy, the residual and the Rayleigh value from one u^3 and one Vu,
+and holds A_u u, built from the same two, for the gradient.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ import numpy as np
 from .linalg import daxpy, shifted_solver
 
 NORMALIZATION_TOL = 1e-10
+# On a grid of more than WHOLE nodes the record's and gamma's elementwise work runs by
+# flat chunks of CHUNK nodes, whose few arrays a core's L2 cache holds; a smaller grid
+# takes whole vectors, with the bits they give
+WHOLE, CHUNK = 1 << 17, 1 << 15
+
+
+def _chunks(n: int) -> list[slice]:
+    return [slice(0, n)] if n <= WHOLE else [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
 class NormalizationError(ValueError):
@@ -48,9 +56,9 @@ class Problem:
 class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
-    <u, u>_h is cached at construction; -Delta_h u, which every step carries
-    in, u*w, and the record with A_u u on first use, so `coeffs` must not be
-    mutated; a caller that clears `_Au_u` owns A_u u's buffer.
+    <u, u>_h is cached at construction; -Delta_h u, which every step carries in, u*w
+    (a step's, if ndof <= WHOLE) and the record with A_u u on first use, so `coeffs`
+    must not be mutated; a caller that clears `_Au_u` owns A_u u's buffer.
     `transformed` is disc.transform(u), carried in by a gradient step or set
     by `riemannian_gradient`, and `direction` is a line-search step's.  Carried
     values follow u only to round-off: `flows.run` stops on a fresh state.
@@ -67,15 +75,15 @@ class State:
     _record: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        wu = self.coeffs * self.disc.weights if self._wu is None else self._wu
-        self.h_norm_sq = float(np.dot(wu, self.coeffs))
+        self.coeffs = u = np.asarray(self.coeffs, dtype=float)
+        self.h_norm_sq = (inner_h(self.disc, u, u) if self._wu is None
+                          else float(np.dot(self._wu, u)))
         if not np.isfinite(self.h_norm_sq):  # NaN and +-inf in u propagate into it
             raise ValueError("state coefficients must be finite")
 
     @property
     def wu(self) -> np.ndarray:
-        """u*w, so <u, v>_h = dot(wu, v); each step frees it before its solves."""
+        """u*w, so <u, v>_h = dot(wu, v), for the line search and a whole-vector record."""
         if self._wu is None:
             self._wu = self.coeffs * self.disc.weights
         return self._wu
@@ -98,7 +106,7 @@ def inner_h(disc, u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u * disc.weights, v))
+    return sum(float(np.dot(u[s] * disc.weights[s], v[s])) for s in _chunks(len(u)))
 
 
 def norm_h(disc, u: np.ndarray) -> float:
@@ -119,30 +127,47 @@ def _record(state: State, problem: Problem) -> Record:
     E = k/2 + p/2 + (beta/4) q from k = <u, -Delta_h u>_h, p = <u, Vu>_h and
     q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check;
     (k, p, q) is held after the Record for the line search's phi(0).  A sector
-    grid's `multiplicity` weighs the residual's norms: they are the extensions'."""
+    grid's `multiplicity` weighs the residual's norms: they are the extensions'.  It runs
+    by `_chunks`, each with its own u*w, u^3 and F, F formed again for the residual; one
+    chunk, a whole vector, takes the state's u*w and keeps F."""
     if state._record is None or state._record[0] is not problem:
         if state.h_norm_sq == 0:
             raise NormalizationError("residual of the zero vector is undefined")
-        u, wu, neg_lap, beta = state.coeffs, state.wu, state.neg_lap, problem.beta
-        u3 = u * u  # products, not pow: libm pow is slow on negative entries
-        u3 *= u
-        Au = problem.potential * u
-        k, p, q = (float(np.dot(wu, x)) for x in (neg_lap, Au, u3))
-        Au += neg_lap
-        Au = daxpy(u3, Au, a=beta)
+        u, w, neg_lap, beta = state.coeffs, state.disc.weights, state.neg_lap, problem.beta
+        mu, chunks = getattr(state.disc, "multiplicity", None), _chunks(len(u))
+        sq = lambda x, s: float(np.dot(x, x) if mu is None else np.dot(x * mu[s], x))
+        c = beta * (1.0 / state.h_norm_sq - 1.0)  # F(u/|u|_h)|u|_h = A_u u + c u^3: F's direction
+        Au, sums = np.empty_like(u), np.zeros(6)  # k, p, q, <u, A_u u>_h, |F|^2, |u|^2
+        for s in chunks:
+            wu = state.wu if len(chunks) == 1 else u[s] * w[s]
+            u3 = u[s] * u[s]  # products, not pow: libm pow is slow on negative entries
+            u3 *= u[s]
+            A = np.multiply(problem.potential[s], u[s], out=Au[s])
+            k, p, q = (float(np.dot(wu, x)) for x in (neg_lap[s], A, u3))
+            A += neg_lap[s]
+            daxpy(u3, A, a=beta)
+            u3 *= c
+            F = daxpy(A, u3)
+            sums += (k, p, q, float(np.dot(wu, A)), sq(F, s), sq(u[s], s))
+            wu = u3 = None  # before the next chunk's, with F unless it is the only one
+            F = F if len(chunks) == 1 else None
         state._Au_u = (problem, Au)
-        # F(u / |u|_h) |u|_h = A_u u + beta (1/|u|_h^2 - 1) u^3 has F's direction
-        u3 *= beta * (1.0 / state.h_norm_sq - 1.0)
-        F = daxpy(Au, u3)
-        mu = getattr(state.disc, "multiplicity", None)
-        norm = np.linalg.norm if mu is None else lambda x: np.sqrt(np.dot(x * mu, x))
-        Fn, un, r = float(norm(F)), float(norm(u)), 1.0
+        Fn, un, r = *np.sqrt(sums[4:]).tolist(), 1.0
         if Fn != 0:  # || u/|u| - F/|F| || explicitly: 1 - cos loses digits below 1e-8
-            F *= -un / Fn
-            F += u
-            r = float(norm(F)) / un
-        state._record = (problem, Record(0.5 * k + 0.5 * p + 0.25 * beta * q, r,
-                                         float(np.dot(wu, Au))), (k, p, q))
+            r = 0.0
+            for s in chunks:
+                if F is None:  # F again, as above
+                    F = u[s] * u[s]
+                    F *= u[s]
+                    F *= c
+                    daxpy(Au[s], F)
+                F *= -un / Fn
+                F += u[s]
+                r, F = r + sq(F, s), None
+            r = np.sqrt(r) / un
+        k, p, q, lam = sums[:4].tolist()
+        state._record = (problem, Record(0.5 * k + 0.5 * p + 0.25 * beta * q, float(r), lam),
+                         (k, p, q))
     return state._record[1]
 
 
@@ -188,26 +213,48 @@ class Gradient(NamedTuple):
     transformed: np.ndarray | None
 
 
-def riemannian_gradient(state: State, problem: Problem, G) -> Gradient:
+def riemannian_gradient(state: State, problem: Problem, G, tau: float | None = None) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere (<u, g>_h = 0) for any inverse metric G with a .solve method, and
     -Delta_h g.  A G with a `denominator` D (a FastSolver) uses <u, G x>_h =
     T(u)^T D^{-1} T(x), T = disc.transform and T(u) kept on the state: one
-    transform of A_u u and one inverse transform.  A G with a shift alpha inverts
-    -Delta_h + alpha I, so -Delta_h g = A_u u - gamma u - alpha g is free;
-    any other G applies -Delta_h to g once."""
+    transform of A_u u and one inverse transform, gamma's sums by `_chunks`.  A G with
+    a shift alpha inverts -Delta_h + alpha I, so -Delta_h g = A_u u - gamma u - alpha g
+    is free; any other G applies -Delta_h to g once.  Given a fixed step tau, a FastSolver
+    returns u' = (u - tau g) / |u - tau g|_h, -Delta_h u' and T(u') in g's fields, in buffers
+    the state gives up: L = -Delta_h u - tau A_u u, so that -Delta_h u' = (L + tau gamma u +
+    tau alpha g) / |u - tau g|_h, and both transforms consume their input."""
     state.require_normalized()
     u, disc = state.coeffs, state.disc
     if hasattr(G, "denominator"):
         if state.transformed is None:
             state.transformed = disc.transform(u)
-        c_u, D = state.transformed, G.denominator
-        c = disc.transform(euclidean_gradient(state, problem))
-        t = c_u / D  # transform(G u)
-        gamma = float(np.dot(t, c)) / float(np.dot(t, c_u))
-        c /= D  # transform(G A_u u)
-        c = daxpy(t, c, a=-gamma)
-        del t  # before the inverse transform
+        c_u, D, c = state.transformed, G.denominator, euclidean_gradient(state, problem)
+        if tau is not None:  # A_u u's last use: its transform consumes it
+            L = daxpy(c, state.neg_lap, a=-tau)
+            state._Au_u = state._neg_lap = state.transformed = None
+        c, chunks = disc.transform(c, consume=tau is not None), _chunks(len(u))
+        tGu = lambda s: c_u[s] / D[s]  # transform(G u)
+        sums = np.zeros(4)  # <G u, A_u u>_h, <G u, u>_h, then the step's <g, u>_h, <g, g>_h
+        for s in chunks:
+            t = tGu(s)
+            sums[:2] += (np.dot(t, c[s]), np.dot(t, c_u[s]))
+        gamma = float(sums[0] / sums[1])
+        for s in chunks:
+            x = c[s]
+            x /= D[s]  # transform(G A_u u)
+            daxpy(t if len(chunks) == 1 else tGu(s), x, a=-gamma)
+            if tau is not None:
+                sums[2:] += (np.dot(x, c_u[s]), np.dot(x, x))
+        t = None  # before the inverse transform
+        if tau is not None:  # by linearity, with |u - tau g|_h^2 by Parseval
+            nrm = np.sqrt(max(state.h_norm_sq - 2.0 * tau * sums[2] + tau * tau * sums[3], 0.0))
+            c *= -tau / nrm
+            c_u = daxpy(c, np.multiply(c_u, 1.0 / nrm, out=c_u))  # T(u')
+            g = disc.transform(c, inverse=True, consume=True)  # -tau g / nrm
+            L = np.multiply(daxpy(u, L, a=tau * gamma), 1.0 / nrm, out=L)
+            L = daxpy(g, L, a=-G.alpha)  # -Delta_h u'
+            return Gradient(daxpy(u, g, a=1.0 / nrm), L, c_u)
         g = disc.transform(c, inverse=True)
     else:
         grad = G.solve(euclidean_gradient(state, problem))

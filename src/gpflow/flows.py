@@ -11,8 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .energy import (Problem, State, _record, apply_Au, au_preconditioner, energy,
-                     eigenvalue_estimate, euclidean_gradient, residual,
+from .energy import (WHOLE, Problem, State, _record, apply_Au, au_preconditioner,
+                     energy, eigenvalue_estimate, euclidean_gradient, residual,
                      retract, riemannian_gradient)
 from .grids import TensorOperator, checked_vector
 from .linalg import SolverError, daxpy, pcg, shifted_solver
@@ -188,12 +188,17 @@ def gradient_step(state: State, problem: Problem, G,
     max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <r, v>_h, r = A_u u - lambda u), or
     d = g if <r, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u' and
     transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`; it
-    drops the old state's carried values before it allocates u'*w."""
+    drops the old state's carried values before it allocates u'*w (if ndof <= WHOLE).
+    Under a FastSolver, `riemannian_gradient` takes a fixed step itself (it folds A_u u in)."""
     u, weights = state.coeffs, state.disc.weights
+    kept_wu = lambda w: w * weights if len(w) <= WHOLE else None  # u'*w, for u''s record
     prev, state.direction = state.direction, None
     if prev is not None:  # P v = v - <u, v>_h u
         sd, sg = float(np.dot(state.wu, prev.d)), float(np.dot(state.wu, prev.g))
     state._wu = None  # the record's u*w: free it before the transforms
+    if isinstance(policy, FixedStep) and hasattr(G, "denominator"):
+        w, *carried = riemannian_gradient(state, problem, G, policy.tau)
+        return State(w, state.disc, *carried, kept_wu(w)), policy.tau
     g, lap_g, c = d, lap_d, c_d = riemannian_gradient(state, problem, G)
     if isinstance(policy, FixedStep):
         tau, out, direction = policy.tau, (g, lap_g, c), None
@@ -235,7 +240,7 @@ def gradient_step(state: State, problem: Problem, G,
                for x, old, o in ((lap_d, state.neg_lap, out[1]),
                                  (c_d, state.transformed, out[2]))]
     state._neg_lap = state.transformed = None  # the old ones go before u'*w is allocated
-    return State(w, state.disc, *carried, w * weights, direction), tau
+    return State(w, state.disc, *carried, kept_wu(w), direction), tau
 
 
 def line_energy(state: State, problem: Problem, d: np.ndarray,

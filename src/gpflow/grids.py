@@ -193,6 +193,11 @@ def checked_vector(x, ndof: int) -> np.ndarray:
 # x0.74, 199 x0.80, 299 x0.72, 479 x0.66 (3D, a prototype: 39 x1.33, 47 x~1.5,
 # 79 x~1.15, 99 x~1.45, 149 x~1.0)
 FOLD_MIN_N = 100
+# Axis 0's column block where a 3D pass consumes its input.  The last block takes the
+# rest, BLOCK to 2 BLOCK - 1 columns, which keeps the one GEMM's bits at every n from 3 to
+# 149 (OpenBLAS 0.3.31, 1 and 2 threads); a narrower last block breaks them (n = 33, 39,
+# 47, 79, ...).  A block's temporary is at most 0.21 vector at 99^3.
+BLOCK = 1024
 
 
 class TensorOperator:
@@ -298,15 +303,21 @@ class TensorOperator:
         Z = self.eigen.vectors
         return [self._pair(m) for m in (Z.T * self.op.weights, Z)]
 
-    def _passes(self, x: np.ndarray, m: np.ndarray, mt: np.ndarray, add=False) -> np.ndarray:
+    def _passes(self, x: np.ndarray, m: np.ndarray, mt: np.ndarray, add=False,
+                consume=False) -> np.ndarray:
         """m along every axis of a grid array x (the Kronecker product), or with `add` the
         Kronecker sum, into a new array y by a GEMM per axis: y = m x on axis 0 and slabs
         times mt, the `_pair`'s, on the last.  3D runs axes 1 and 2 in place in y per chunk c
         of n // 8 slabs: y[c] <- m y[c] mt, or y[c] + m x[c] + x[c] mt (3.3 ms at 99^3,
-        4.6 ms as one tall GEMM; temporaries of 1/8 vector at most)."""
+        4.6 ms as one tall GEMM; temporaries of 1/8 vector at most).  With `consume`, 3D
+        y is x: axis 0 runs in place by column blocks (temporaries of 2 n BLOCK at most)."""
         if self.dim == 1:
             return np.matmul(x, mt)
-        y = np.matmul(m, x.reshape(self.n, -1)).reshape(self.shape)
+        X, consume = x.reshape(self.n, -1), consume and self.dim == 3
+        e = [*range(0, max(X.shape[1] - BLOCK, 0) + 1, BLOCK), X.shape[1]] if consume else []
+        for a, b in zip(e, e[1:]):
+            X[:, a:b] = np.matmul(m, X[:, a:b])
+        y = x if consume else np.matmul(m, X).reshape(self.shape)
         if self.dim == 2:
             return np.add(y, np.matmul(x, mt), out=y) if add else np.matmul(y, mt)
         k = max(1, self.n // 8)
@@ -318,14 +329,16 @@ class TensorOperator:
                 np.matmul(np.matmul(m, y[c]), mt, out=y[c])
         return y
 
-    def transform(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    def transform(self, x: np.ndarray, inverse: bool = False, consume=False) -> np.ndarray:
         """Z^T M x, or its inverse Z x (Z^T M Z = I), with Z = `eigen.vectors`
         applied along every axis by `_passes`.  A grid with half blocks (`mirror`)
-        splits each pass in two halves, each into a fresh array."""
+        splits each pass in two halves, each into a fresh array.  With `consume`, a 3D
+        or folded grid writes into x's buffer (the caller's x is then lost), with the
+        same bits."""
         x, f, h = checked_vector(x, self.ndof), self.mirror, (self.n + 1) // 2
         x = x.reshape(self.shape)
         if f is None:
-            return self._passes(x, *self._plain[inverse]).reshape(-1)
+            return self._passes(x, *self._plain[inverse], consume=consume).reshape(-1)
         # the fold's GEMMs: b along axis 0 of a 2D array X, or along axis 1 as X b^T
         mul = lambda b, X, axis, out=None: (np.matmul(X, b.T, out=out) if axis
                                             else np.matmul(b, X, out=out))
@@ -333,8 +346,9 @@ class TensorOperator:
             head, tail = ((slice(None),) * axis + (s,) for s in (slice(h), slice(h, None)))
             S, A = ((mul(f.be, x[head], axis), mul(f.bo, x[tail], axis)) if inverse
                     else (x[head] + np.flip(x, axis)[head], x[head] - np.flip(x, axis)[head]))
-            del x  # frees the pass's input unless a caller holds it
-            x = np.empty(self.shape)
+            if not consume:
+                del x  # frees the pass's input unless a caller holds it
+                x = np.empty(self.shape)
             if inverse:  # [E + O | J(E - O)] with E = be c_even and O = bo c_odd
                 np.subtract(S, A, out=np.flip(x, axis)[head])
                 np.add(S, A, out=x[head])  # last: an odd n's centre row is E + O

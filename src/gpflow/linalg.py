@@ -75,10 +75,10 @@ class FastSolver:
         if np.any(self.denominator <= 0):
             raise SolverError("shifted operator is singular")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        # the quotient stays unnamed so that a folded grid's first inverse pass frees
-        # it (held, it costs a solve ~2%); the plain passes hold their input to the end
-        return self.op.transform(self.op.transform(b) / self.denominator, inverse=True)
+    def solve(self, b: np.ndarray) -> np.ndarray:  # the quotient's buffer is the inverse's
+        c = self.op.transform(b)
+        c /= self.denominator
+        return self.op.transform(c, inverse=True, consume=True)
 
 
 def shifted_solver(disc, alpha: float):

@@ -5,9 +5,11 @@ the tests only; each builds an ndof x ndof matrix.  Beside them, the 1D set-up a
 products and loops: the per-cell assembly and the mirror sectors' restriction and
 extension by the dense n x k matrix P, which `gpflow.grids` does by index arithmetic,
 and the tensor passes axis by axis, each into a new array (`gpflow.grids` runs a 3D
-grid's axes 1 and 2 in place per chunk)."""
+grid's axes 1 and 2 in place per chunk).  Last, the memory tests' one tracemalloc
+measure."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,3 +192,18 @@ def convexity_check(disc, problem: Problem, samples: int = 20,
         if energy(State(u, disc), problem) < energy(State(np.abs(u), disc), problem) - 1e-12:
             abs_ok = False
     return ConvexityReport(True, min_eig >= -1e-8 * max(scale, 1.0), abs_ok)
+
+
+def traced_in_vectors(f, ndof: int):
+    """(f(), peak, kept): tracemalloc's peak over f() and what f() left allocated, each
+    above what was allocated before it and in ndof-sized float64 vectors (numpy reports
+    its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = f()
+        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, peak / (8 * ndof), kept / (8 * ndof)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from gpflow.energy import (NormalizationError, Problem, State, apply_Au,
                            retract, riemannian_gradient)
 from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver
+from gpflow.potentials import sin2_product
 
 from test_tensor import dense, dense_lap
 
@@ -264,6 +267,28 @@ def test_record_matches_textbook_formulas(scale):
     else:
         with pytest.raises(NormalizationError):
             eigenvalue_estimate(s, problem)
+
+
+@pytest.mark.parametrize("sector", [False, True], ids=["full-23^3", "even-sector-12^3"])
+def test_chunked_record_matches_the_one_chunk_record(monkeypatch, sector):
+    """By chunks of 1,000 nodes (13 on the 23^3 grid; 2 on its even sector, whose
+    `multiplicity` weighs the residual's norms) the record gives the whole-vector
+    record's E, residual, Rayleigh value and A_u u to 1e-14 relative."""
+    disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
+    disc = disc.even if sector else disc
+    problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
+    u = retract(disc, 1.0 + 0.1 * np.random.default_rng(4).standard_normal(disc.ndof))
+    whole = State(u, disc)
+    want = (energy(whole, problem), residual(whole, problem),
+            eigenvalue_estimate(whole, problem))
+    for name in ("WHOLE", "CHUNK"):
+        monkeypatch.setattr(importlib.import_module("gpflow.energy"), name, 1000)
+    chunked = State(u, disc)
+    got = (energy(chunked, problem), residual(chunked, problem),
+           eigenvalue_estimate(chunked, problem))
+    assert want[1] > 1e-3 and got == pytest.approx(want, rel=1e-14, abs=0)
+    Au, want_Au = euclidean_gradient(chunked, problem), euclidean_gradient(whole, problem)
+    assert np.linalg.norm(Au - want_Au) <= 1e-14 * np.linalg.norm(want_Au)
 
 
 def test_record_of_the_zero_state_raises():

@@ -2,7 +2,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from gpflow.analysis import exact_case, solve_exact_case
-from gpflow.energy import (Problem, State, _record, energy, eigenvalue_estimate,
+from gpflow.energy import (CHUNK, WHOLE, Problem, State, _record, energy, eigenvalue_estimate,
                            euclidean_gradient, inner_h, norm_h, residual,
                            retract, riemannian_gradient)
 from gpflow import flows
@@ -23,7 +22,7 @@ from gpflow.linalg import FastSolver, SolverError, lobpcg, shifted_solver
 from gpflow.meshes import p1_assemble, structured_right_triangle_mesh
 from gpflow.potentials import exact_case_potential, harmonic_lattice, sin2_product
 
-from oracles import dense_neg_laplacian
+from oracles import dense_neg_laplacian, traced_in_vectors
 from test_energy import norm_X
 from test_tensor import dense, dense_lap
 
@@ -772,15 +771,8 @@ def linear_start_peak_in_vectors():
     disc = TensorOperator(GridSpec(8.0, 2, 300, Scheme.FD2))
     problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
     shifted_solver(disc, 0.15).solve(np.ones(disc.ndof))  # the grid's 1D matrices
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        default_initial_state(disc, "linear", problem)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * disc.ndof)
+    return traced_in_vectors(lambda: default_initial_state(disc, "linear", problem),
+                             disc.ndof)[1]
 
 
 def test_linear_start_peak_memory_in_vectors():
@@ -957,9 +949,9 @@ def test_operator_counts_per_iteration(monkeypatch, kind, policy, tol):
                         counted(counts, TensorOperator.apply_neg_laplacian, "lap"))
     transform = TensorOperator.transform
 
-    def counted_transform(self, x, inverse=False):
+    def counted_transform(self, x, inverse=False, **kwargs):
         counts["backward" if inverse else "forward"] += 1
-        return transform(self, x, inverse)
+        return transform(self, x, inverse, **kwargs)
     monkeypatch.setattr(TensorOperator, "transform", counted_transform)
     monkeypatch.setattr(FastSolver, "solve", counted(counts, FastSolver.solve, "solve"))
     report = run(FlowConfig(kind=kind, alpha=problem.alpha, step=policy), problem, u0,
@@ -1042,63 +1034,60 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="LineSearchStep()"),
     pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 6,
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="BFSP"),
-    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 10,
-                 GridSpec(8.0, 2, 300, Scheme.FD2), id="folded-2D-FixedStep(tau=1.0)")])
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 9,
+                 GridSpec(8.0, 2, 300, Scheme.FD2), id="folded-2D-FixedStep(tau=1.0)"),
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 5,
+                 GridSpec(8.0, 3, 27, Scheme.SEM, 3), id="multi-chunk-FixedStep(tau=1.0)")])
 def test_run_peak_memory_in_vectors(flow, vectors, spec):
     """The most ndof-sized arrays a run() holds at once, above its inputs
-    (numpy reports its buffers to tracemalloc), stays at its count.  A fixed
-    step's peak is in its inverse 3D transform: u, -Delta_h u, transform(u), the
-    solver's denominator, the pass's input and output and one chunk of the
-    in-place passes (7.40 vectors here, the chunk 2/23 of one).  Two transform
-    outputs at once, or u'*w allocated before the old state's carried values go,
-    would add a vector (8.34 here with both); so would a state's u*w held through
-    the transforms, or a BFSP rhs formed beside the record's A_u u, not in it.  The line
-    search adds the four vectors its conjugate
-    direction keeps across a step: d, -Delta_h d, transform(d) and g.  A state
-    built from coefficients holds no vector of its own until a diagnostic
-    asks for one.  On the 2D lattice grid a 1D matrix is as large as a
-    vector, so its count also holds the 1D eigenbasis and the half blocks
-    (the plain passes' forward matrix before the fold): 10, as with the
-    plain passes (10.01 vectors then, 10.12 folded)."""
+    (numpy reports its buffers to tracemalloc), stays at its count.  On the 23^3
+    grid (at most WHOLE nodes: whole vectors) a fixed step's peak is in the record:
+    u, -Delta_h u, transform(u), u*w, the solver's denominator and the record's Vu
+    and u^3 (7.37 vectors; 7.44 when its peak was in the inverse transform, whose
+    output was a fresh array).  On the 80^3 grid (16 chunks of CHUNK nodes) no state
+    carries u*w and the step's transforms consume their input: the peak, 5.24, is in
+    the forward transform of A_u u (u, -Delta_h u - tau A_u u, transform(u), the
+    denominator and A_u u's buffer, beside one column block), the record's 5.17
+    (A_u u beside two chunks) next; 7.17 with whole-vector records and fresh transform
+    outputs.  A transform that did not consume its input, u'*w allocated before the old
+    state's carried values go, or u*w carried on a chunked grid would each add a vector;
+    so would a BFSP rhs formed beside the record's A_u u, not in it.  BFSP's peak is in
+    its record: u, -Delta_h u, u*w, the denominator, Vu and u^3 (6.24; 6.31 when its
+    solve's quotient was a fresh array).  The line search adds the four vectors its
+    conjugate direction keeps across a step: d, -Delta_h d, transform(d) and g.  A state
+    built from coefficients holds no vector of its own until a diagnostic asks for one.
+    On the 2D lattice grid a 1D matrix is as large as a vector, so its count also holds
+    the 1D eigenbasis and the half blocks (the plain passes' forward matrix before the
+    fold): 9 (8.53 vectors; 9.62 before the step's forward transform consumed A_u u)."""
     disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     u0 = default_initial_state(disc)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        report = run(flow, problem, u0, StopRule(max_iter=15))
-        peak = tracemalloc.get_traced_memory()[1] - start
-        start = tracemalloc.get_traced_memory()[0]
-        held = State(u0.coeffs, disc)
-        kept = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
+    report, peak, _ = traced_in_vectors(lambda: run(flow, problem, u0, StopRule(max_iter=15)),
+                                        disc.ndof)
+    held, _, kept = traced_in_vectors(lambda: State(u0.coeffs, disc), disc.ndof)
     assert report.iterations == 15
-    assert peak / (8 * disc.ndof) < vectors + 0.5
-    assert kept / (8 * disc.ndof) < 0.5 and held.h_norm_sq == u0.h_norm_sq
+    assert peak < vectors + 0.5
+    assert kept < 0.5 and held.h_norm_sq == u0.h_norm_sq
 
 
-def test_record_memory_in_vectors():
-    """A record of a state that holds -Delta_h u and u*w allocates at most two
-    ndof-sized arrays at once (u^3, which becomes F, and Vu, which becomes
-    A_u u) and keeps one, A_u u, for the step."""
-    disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
+@pytest.mark.parametrize("spec", [GridSpec(8.0, 3, 8, Scheme.SEM, 3),
+                                  GridSpec(8.0, 3, 27, Scheme.SEM, 3)],
+                         ids=["one-chunk", "multi-chunk"])
+def test_record_memory_in_vectors(spec):
+    """A record of a state that holds -Delta_h u and u*w keeps one ndof-sized array,
+    A_u u, for the step.  On the 23^3 grid (whole vectors) it allocates at most two
+    at once (u^3, which becomes F, and Vu, which becomes A_u u); on the 80^3 grid (16
+    chunks) only A_u u and, beside it, one chunk's u*w and u^3 (1.13 vectors)."""
+    disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     state = default_initial_state(disc)
     held = (state.neg_lap, state.wu)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        values = (energy(state, problem), residual(state, problem),
-                  eigenvalue_estimate(state, problem))
-        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    record = lambda: (energy(state, problem), residual(state, problem),
+                      eigenvalue_estimate(state, problem))
+    values, peak, kept = traced_in_vectors(record, disc.ndof)
     assert all(np.isfinite(values)) and len(held) == 2
-    assert peak / (8 * disc.ndof) < 2.5
-    assert 0.5 < kept / (8 * disc.ndof) < 1.5
+    assert peak < (2.5 if disc.ndof <= WHOLE else 1 + 2 * CHUNK / disc.ndof + 0.05)
+    assert 0.5 < kept < 1.5
     assert euclidean_gradient(state, problem) is state._Au_u[1]
 
 
@@ -1113,17 +1102,11 @@ def test_line_energy_memory_in_vectors():
     held = (state.neg_lap, state.wu)
     d = retract(disc, np.random.default_rng(5).standard_normal(disc.ndof))
     lap_d = disc.apply_neg_laplacian(d)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        A, Q, n = line_energy(state, problem, d, lap_d)
-        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    (A, Q, n), peak, kept = traced_in_vectors(lambda: line_energy(state, problem, d, lap_d),
+                                              disc.ndof)
     assert np.isfinite(np.concatenate((A, Q, n))).all() and len(held) == 2
-    assert peak / (8 * disc.ndof) < 2.5
-    assert kept / (8 * disc.ndof) < 0.5
+    assert peak < 2.5
+    assert kept < 0.5
 
 
 def test_tol_stop_reports_exact_record_and_final_state():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gpflow.grids import FOLD_MIN_N, GridSpec, Scheme, TensorOperator, build_1d
 from gpflow.potentials import (_u_star, constant, exact_case_potential, from_file,
                                harmonic_lattice, sin2_product)
-from oracles import kron_product, kron_sum
+from oracles import kron_product, kron_sum, traced_in_vectors
 
 
 def dense_lap(disc: TensorOperator) -> np.ndarray:
@@ -266,6 +266,25 @@ def test_1d_and_2d_passes_have_the_per_axis_bits(spec):
     disc = TensorOperator(spec)
     disc = disc.even if disc.n >= FOLD_MIN_N and spec.dim == 2 else disc
     assert_per_axis_bits(disc)
+
+
+@pytest.mark.parametrize("spec, vectors", [
+    (GridSpec(8.0, 3, 80), 0.25), (GridSpec(16.0, 3, 20, Scheme.SEM, 5), 0.25),
+    (GridSpec(8.0, 2, 300), 1.25)], ids=["n79", "n99", "folded-2D-n299"])
+def test_consuming_transform_has_the_transform_bits(spec, vectors):
+    """A transform that consumes its input returns `transform`'s bits, either way,
+    in its input's buffer.  3D runs axis 0 in place by BLOCK columns, the last
+    block 1024 to 2047 wide (a narrower one breaks the one GEMM's bits at n = 79),
+    beside it a block's or a chunk's temporary: under 1/4 vector.  A folded 2D
+    grid writes each pass into x, beside the two half blocks."""
+    disc = TensorOperator(spec)
+    x = np.random.default_rng(3).standard_normal(disc.ndof)
+    for inverse in (False, True):
+        want, y = disc.transform(x, inverse=inverse), x.copy()
+        got, peak, _ = traced_in_vectors(
+            lambda: disc.transform(y, inverse=inverse, consume=True), disc.ndof)
+        assert np.array_equal(got, want) and np.shares_memory(got, y)
+        assert peak < vectors
 
 
 @pytest.mark.parametrize("spec", IN_PLACE_SPECS, ids=["n23", "n47", "n99"])
