@@ -4,9 +4,9 @@ Everything here is a pure function of (coefficients, discretization,
 problem).  The discretization handle only needs `weights` and
 `apply_neg_laplacian` (and `transform` under a FastSolver metric), so tensor
 grids and P1 meshes are interchangeable.
--Delta_h u is held on the state (u*w too on a grid of at most WHOLE nodes).  One record
-per state takes the energy, the residual and the Rayleigh value from one u^3 and one Vu,
-and holds A_u u, built from the same two, for the gradient.
+-Delta_h u is held on the state.  One record per state takes the energy, the residual
+and the Rayleigh value from one u^3 and one Vu, by flat chunks of CHUNK nodes, and holds
+A_u u, built from the same two, for the gradient.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import numpy as np
 from .linalg import daxpy, shifted_solver
 
 NORMALIZATION_TOL = 1e-10
-# On a grid of more than WHOLE nodes the record's and gamma's elementwise work runs by
-# flat chunks of CHUNK nodes, whose few arrays a core's L2 cache holds; a smaller grid
-# takes whole vectors, with the bits they give
-WHOLE, CHUNK = 1 << 17, 1 << 15
+# The record's, gamma's and <.,.>_h's elementwise work runs by flat chunks of CHUNK
+# nodes, whose few arrays a core's L2 cache holds; a grid of at most CHUNK nodes is one
+CHUNK = 1 << 15
 
 
 def _chunks(n: int) -> list[slice]:
-    return [slice(0, n)] if n <= WHOLE else [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
+    return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
 class NormalizationError(ValueError):
@@ -56,9 +55,9 @@ class Problem:
 class State:
     """Coefficient vector on interior nodes with its discretization handle.
 
-    <u, u>_h is cached at construction; -Delta_h u, which every step carries in, u*w
-    (a step's, if ndof <= WHOLE) and the record with A_u u on first use, so `coeffs`
-    must not be mutated; a caller that clears `_Au_u` owns A_u u's buffer.
+    <u, u>_h is cached at construction, by `_chunks` like every <u, .>_h of the record;
+    -Delta_h u, which every step carries in, and the record with A_u u on first use, so
+    `coeffs` must not be mutated; a caller that clears `_Au_u` owns A_u u's buffer.
     `transformed` is disc.transform(u), carried in by a gradient step or set
     by `riemannian_gradient`, and `direction` is a line-search step's.  Carried
     values follow u only to round-off: `flows.run` stops on a fresh state.
@@ -68,7 +67,6 @@ class State:
     disc: object
     _neg_lap: np.ndarray | None = field(default=None, repr=False)
     transformed: np.ndarray | None = field(default=None, repr=False)
-    _wu: np.ndarray | None = field(default=None, repr=False)
     direction: tuple | None = field(default=None, repr=False)
     h_norm_sq: float = field(init=False, repr=False)
     _Au_u: tuple | None = field(default=None, init=False, repr=False)
@@ -76,17 +74,9 @@ class State:
 
     def __post_init__(self):
         self.coeffs = u = np.asarray(self.coeffs, dtype=float)
-        self.h_norm_sq = (inner_h(self.disc, u, u) if self._wu is None
-                          else float(np.dot(self._wu, u)))
+        self.h_norm_sq = inner_h(self.disc, u, u)
         if not np.isfinite(self.h_norm_sq):  # NaN and +-inf in u propagate into it
             raise ValueError("state coefficients must be finite")
-
-    @property
-    def wu(self) -> np.ndarray:
-        """u*w, so <u, v>_h = dot(wu, v), for the line search and a whole-vector record."""
-        if self._wu is None:
-            self._wu = self.coeffs * self.disc.weights
-        return self._wu
 
     @property
     def neg_lap(self) -> np.ndarray:
@@ -128,8 +118,7 @@ def _record(state: State, problem: Problem) -> Record:
     q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check;
     (k, p, q) is held after the Record for the line search's phi(0).  A sector
     grid's `multiplicity` weighs the residual's norms: they are the extensions'.  It runs
-    by `_chunks`, each with its own u*w, u^3 and F, F formed again for the residual; one
-    chunk, a whole vector, takes the state's u*w and keeps F."""
+    by `_chunks`, each with its own u*w, u^3 and F, F formed again for the residual."""
     if state._record is None or state._record[0] is not problem:
         if state.h_norm_sq == 0:
             raise NormalizationError("residual of the zero vector is undefined")
@@ -139,7 +128,7 @@ def _record(state: State, problem: Problem) -> Record:
         c = beta * (1.0 / state.h_norm_sq - 1.0)  # F(u/|u|_h)|u|_h = A_u u + c u^3: F's direction
         Au, sums = np.empty_like(u), np.zeros(6)  # k, p, q, <u, A_u u>_h, |F|^2, |u|^2
         for s in chunks:
-            wu = state.wu if len(chunks) == 1 else u[s] * w[s]
+            wu = u[s] * w[s]
             u3 = u[s] * u[s]  # products, not pow: libm pow is slow on negative entries
             u3 *= u[s]
             A = np.multiply(problem.potential[s], u[s], out=Au[s])
@@ -149,18 +138,16 @@ def _record(state: State, problem: Problem) -> Record:
             u3 *= c
             F = daxpy(A, u3)
             sums += (k, p, q, float(np.dot(wu, A)), sq(F, s), sq(u[s], s))
-            wu = u3 = None  # before the next chunk's, with F unless it is the only one
-            F = F if len(chunks) == 1 else None
+            wu = u3 = F = None  # before the next chunk's
         state._Au_u = (problem, Au)
         Fn, un, r = *np.sqrt(sums[4:]).tolist(), 1.0
         if Fn != 0:  # || u/|u| - F/|F| || explicitly: 1 - cos loses digits below 1e-8
             r = 0.0
-            for s in chunks:
-                if F is None:  # F again, as above
-                    F = u[s] * u[s]
-                    F *= u[s]
-                    F *= c
-                    daxpy(Au[s], F)
+            for s in chunks:  # F again, as above
+                F = u[s] * u[s]
+                F *= u[s]
+                F *= c
+                daxpy(Au[s], F)
                 F *= -un / Fn
                 F += u[s]
                 r, F = r + sq(F, s), None
@@ -239,14 +226,13 @@ def riemannian_gradient(state: State, problem: Problem, G, tau: float | None = N
         for s in chunks:
             t = tGu(s)
             sums[:2] += (np.dot(t, c[s]), np.dot(t, c_u[s]))
-        gamma = float(sums[0] / sums[1])
+        gamma, t = float(sums[0] / sums[1]), None
         for s in chunks:
             x = c[s]
             x /= D[s]  # transform(G A_u u)
-            daxpy(t if len(chunks) == 1 else tGu(s), x, a=-gamma)
+            daxpy(tGu(s), x, a=-gamma)
             if tau is not None:
                 sums[2:] += (np.dot(x, c_u[s]), np.dot(x, x))
-        t = None  # before the inverse transform
         if tau is not None:  # by linearity, with |u - tau g|_h^2 by Parseval
             nrm = np.sqrt(max(state.h_norm_sq - 2.0 * tau * sums[2] + tau * tau * sums[3], 0.0))
             c *= -tau / nrm

@@ -11,8 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .energy import (WHOLE, Problem, State, _record, apply_Au, au_preconditioner,
-                     energy, eigenvalue_estimate, euclidean_gradient, residual,
+from .energy import (Problem, State, _chunks, _record, apply_Au, au_preconditioner,
+                     energy, eigenvalue_estimate, euclidean_gradient, norm_h, residual,
                      retract, riemannian_gradient)
 from .grids import TensorOperator, checked_vector
 from .linalg import SolverError, daxpy, pcg, shifted_solver
@@ -127,18 +127,17 @@ class RunReport:
 
 def step_bfsp(state: State, problem: Problem, solver) -> State:
     """BFSP: R_h(x), x = solve(rhs), rhs = s u - (V + beta u^2) u = s u - (A_u u + Delta_h u)
-    in the record's A_u u, s = bfsp_shift + 1/dt; carries -Delta_h x = rhs - s x and R_h(x)*w."""
+    in the record's A_u u, s = bfsp_shift + 1/dt; carries -Delta_h R_h(x) from rhs - s x."""
     state.require_normalized()
     rhs = euclidean_gradient(state, problem)  # its last use: take its buffer
-    state._Au_u = state._wu = None  # and free u*w before the solve
+    state._Au_u = None
     rhs = daxpy(state.coeffs, np.subtract(state.neg_lap, rhs, out=rhs), a=solver.alpha)
     x = solver.solve(rhs)
-    t = np.multiply(x, state.disc.weights)  # x*w, then R_h(x)*w
-    nrm = np.sqrt(max(float(np.dot(t, x)), 0.0))  # norm_h(disc, x)
+    nrm = norm_h(state.disc, x)
     rhs = daxpy(x, rhs, a=-solver.alpha)  # -Delta_h x, in rhs's buffer
     x /= nrm  # R_h(x), as `retract` computes it
     rhs /= nrm  # -Delta_h R_h(x), carried to the next record
-    return State(x, state.disc, rhs, _wu=np.multiply(x, state.disc.weights, out=t))
+    return State(x, state.disc, rhs)
 
 
 def bfsp_shift(problem: Problem, u0: State) -> float:
@@ -187,18 +186,20 @@ def gradient_step(state: State, problem: Problem, G,
     P the h-projection onto u's tangent space, (d', g') = `state.direction`, beta =
     max(0, <g, g - P g'>_X / <g', g'>_X), <g, v>_X = <r, v>_h, r = A_u u - lambda u), or
     d = g if <r, d>_h <= 0 or E does not fall along d.  The new state carries -Delta_h u' and
-    transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`; it
-    drops the old state's carried values before it allocates u'*w (if ndof <= WHOLE).
-    Under a FastSolver, `riemannian_gradient` takes a fixed step itself (it folds A_u u in)."""
+    transform(u') by linearity from (u - tau d) / |u - tau d|_h, and a `Direction`; the old
+    state's carried values go before the new state's <u', u'>_h.  Under a FastSolver,
+    `riemannian_gradient` takes a fixed step itself (it folds A_u u in)."""
     u, weights = state.coeffs, state.disc.weights
-    kept_wu = lambda w: w * weights if len(w) <= WHOLE else None  # u'*w, for u''s record
     prev, state.direction = state.direction, None
-    if prev is not None:  # P v = v - <u, v>_h u
-        sd, sg = float(np.dot(state.wu, prev.d)), float(np.dot(state.wu, prev.g))
-    state._wu = None  # the record's u*w: free it before the transforms
+    if prev is not None:  # P v = v - <u, v>_h u, <u, d'>_h and <u, g'>_h by one `_chunks` pass
+        sd = sg = 0.0
+        for s in _chunks(len(u)):
+            wu = u[s] * weights[s]
+            sd, sg = sd + float(np.dot(wu, prev.d[s])), sg + float(np.dot(wu, prev.g[s]))
+        wu = None
     if isinstance(policy, FixedStep) and hasattr(G, "denominator"):
         w, *carried = riemannian_gradient(state, problem, G, policy.tau)
-        return State(w, state.disc, *carried, kept_wu(w)), policy.tau
+        return State(w, state.disc, *carried), policy.tau
     g, lap_g, c = d, lap_d, c_d = riemannian_gradient(state, problem, G)
     if isinstance(policy, FixedStep):
         tau, out, direction = policy.tau, (g, lap_g, c), None
@@ -239,8 +240,8 @@ def gradient_step(state: State, problem: Problem, G,
                daxpy(old, np.multiply(x, -tau / nrm, out=o), a=1.0 / nrm)
                for x, old, o in ((lap_d, state.neg_lap, out[1]),
                                  (c_d, state.transformed, out[2]))]
-    state._neg_lap = state.transformed = None  # the old ones go before u'*w is allocated
-    return State(w, state.disc, *carried, kept_wu(w), direction), tau
+    state._neg_lap = state.transformed = None  # the old ones go before <u', u'>_h's chunks
+    return State(w, state.disc, *carried, direction), tau
 
 
 def line_energy(state: State, problem: Problem, d: np.ndarray,

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from gpflow.analysis import exact_case, solve_exact_case
-from gpflow.energy import (CHUNK, WHOLE, Problem, State, _record, energy, eigenvalue_estimate,
+from gpflow.energy import (CHUNK, Problem, State, _record, energy, eigenvalue_estimate,
                            euclidean_gradient, inner_h, norm_h, residual,
                            retract, riemannian_gradient)
 from gpflow import flows
@@ -187,17 +187,6 @@ def test_bfsp_matches_dense_formula():
     want = np.linalg.solve(A, rhs)
     want /= norm_h(disc, want)
     assert np.allclose(nxt.coeffs, want, atol=1e-11)
-
-
-def test_bfsp_state_holds_its_u_times_w():
-    """step_bfsp hands the new state R_h(x)*w: neither the state's <u, u>_h nor
-    its record forms u*w again."""
-    disc, problem, _ = exact_problem(GridSpec(1.0, 2, 8, Scheme.FD2), 2.0)
-    u = retract(disc, np.random.default_rng(1).standard_normal(disc.ndof))
-    nxt = step_bfsp(State(u, disc), problem, shifted_solver(disc, 0.7 + 1.0 / 0.2))
-    assert nxt._wu is not None
-    assert np.array_equal(nxt._wu, nxt.coeffs * disc.weights)
-    assert nxt.h_norm_sq == float(np.dot(nxt.coeffs * disc.weights, nxt.coeffs))
 
 
 def test_bfsp_takes_its_rhs_from_the_record(monkeypatch):
@@ -511,7 +500,7 @@ def test_line_search_run_iteration_count_close_to_fixed():
 def h_residual(state, problem):
     """r = A_u u - <u, A_u u>_h u, so <r, d>_h < 0 makes d no descent direction."""
     r = euclidean_gradient(state, problem).copy()
-    r -= float(np.dot(state.wu, r)) * state.coeffs
+    r -= float(np.dot(state.coeffs * state.disc.weights, r)) * state.coeffs
     return r
 
 
@@ -572,7 +561,7 @@ def stale_direction(state, problem, G, rule):
     is round-off (`no_decrease_below_round_off` reads it as none)."""
     disc = state.disc
     r = h_residual(state, problem)
-    rr = float(np.dot(state.wu, r * r))
+    rr = float(np.dot(state.coeffs * state.disc.weights, r * r))
     if rule == "ascent":
         zero = np.zeros_like(r)
         return flows.Direction(-2.0 * r, zero, zero.copy(), zero.copy(), rr)
@@ -1034,31 +1023,30 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="LineSearchStep()"),
     pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 6,
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="BFSP"),
-    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 9,
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 8,
                  GridSpec(8.0, 2, 300, Scheme.FD2), id="folded-2D-FixedStep(tau=1.0)"),
     pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 5,
                  GridSpec(8.0, 3, 27, Scheme.SEM, 3), id="multi-chunk-FixedStep(tau=1.0)")])
 def test_run_peak_memory_in_vectors(flow, vectors, spec):
     """The most ndof-sized arrays a run() holds at once, above its inputs
-    (numpy reports its buffers to tracemalloc), stays at its count.  On the 23^3
-    grid (at most WHOLE nodes: whole vectors) a fixed step's peak is in the record:
-    u, -Delta_h u, transform(u), u*w, the solver's denominator and the record's Vu
-    and u^3 (7.37 vectors; 7.44 when its peak was in the inverse transform, whose
-    output was a fresh array).  On the 80^3 grid (16 chunks of CHUNK nodes) no state
-    carries u*w and the step's transforms consume their input: the peak, 5.24, is in
-    the forward transform of A_u u (u, -Delta_h u - tau A_u u, transform(u), the
-    denominator and A_u u's buffer, beside one column block), the record's 5.17
-    (A_u u beside two chunks) next; 7.17 with whole-vector records and fresh transform
-    outputs.  A transform that did not consume its input, u'*w allocated before the old
-    state's carried values go, or u*w carried on a chunked grid would each add a vector;
-    so would a BFSP rhs formed beside the record's A_u u, not in it.  BFSP's peak is in
-    its record: u, -Delta_h u, u*w, the denominator, Vu and u^3 (6.24; 6.31 when its
-    solve's quotient was a fresh array).  The line search adds the four vectors its
-    conjugate direction keeps across a step: d, -Delta_h d, transform(d) and g.  A state
-    built from coefficients holds no vector of its own until a diagnostic asks for one.
-    On the 2D lattice grid a 1D matrix is as large as a vector, so its count also holds
-    the 1D eigenbasis and the half blocks (the plain passes' forward matrix before the
-    fold): 9 (8.53 vectors; 9.62 before the step's forward transform consumed A_u u)."""
+    (numpy reports its buffers to tracemalloc), stays at its count.  No state carries
+    u*w: the record forms it, with u^3, per chunk of CHUNK nodes.  On the 23^3 grid (one
+    chunk) a fixed step's peak is in the record: u, -Delta_h u, transform(u), the solver's
+    denominator, A_u u and the chunk's u*w and u^3 (7.34 vectors; 7.32 with a carried u*w
+    in place of the chunk's).  On the 80^3 grid (16 chunks) the step's transforms consume
+    their input: the peak, 5.24, is in the forward transform of A_u u (u, -Delta_h u -
+    tau A_u u, transform(u), the denominator and A_u u's buffer, beside one column
+    block), the record's 5.17 (A_u u beside two chunks) next; 7.17 with whole-vector
+    records and fresh transform outputs.  A transform that did not consume its input or
+    a carried u*w would each add a vector; so would a BFSP rhs formed beside the record's
+    A_u u, not in it.  BFSP's peak is in its record: u, -Delta_h u, the denominator, A_u u
+    and the chunk's u*w and u^3 (6.24; 6.31 when its solve's quotient was a fresh array).
+    The line search adds the four vectors its conjugate direction keeps across a step:
+    d, -Delta_h d, transform(d) and g.  A state built from coefficients holds no vector of
+    its own until a diagnostic asks for one.  On the 2D lattice grid a 1D matrix is as
+    large as a vector, so its count also holds the 1D eigenbasis and the half blocks (the
+    plain passes' forward matrix before the fold): 8 (7.71 vectors; 8.53 with a carried
+    u*w, 9.62 before the step's forward transform consumed A_u u)."""
     disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     u0 = default_initial_state(disc)
@@ -1073,38 +1061,74 @@ def test_run_peak_memory_in_vectors(flow, vectors, spec):
 @pytest.mark.parametrize("spec", [GridSpec(8.0, 3, 8, Scheme.SEM, 3),
                                   GridSpec(8.0, 3, 27, Scheme.SEM, 3)],
                          ids=["one-chunk", "multi-chunk"])
+@pytest.mark.parametrize("flow, vectors", [
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 3, id="FixedStep(tau=1.0)"),
+    pytest.param(FlowConfig(alpha=0.15, step=LineSearchStep()), 3, id="LineSearchStep()"),
+    pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 2, id="BFSP")])
+def test_a_step_hands_on_u_its_laplacian_and_transform_only(flow, vectors, spec):
+    """The state a step returns keeps u', -Delta_h u' and, under a FastSolver,
+    transform(u') (a line search's direction aside): 3 vectors, 2 for BFSP, on the
+    23^3 grid (one chunk) and on the 80^3 grid (16 chunks).  No u'*w rides along: its
+    <u', u'>_h, like its record, forms u'*w by chunks.  A carried u'*w was a fourth
+    vector (a third for BFSP, on both grids)."""
+    disc = TensorOperator(spec)
+    problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
+    u = default_initial_state(disc).coeffs
+    if flow.kind is FlowKind.BFSP:
+        solver = shifted_solver(disc, flow.alpha + 1.0 / flow.dt)
+        step = lambda: step_bfsp(State(u, disc), problem, solver)
+    else:
+        G = shifted_solver(disc, flow.alpha)
+
+        def step():
+            nxt, _ = gradient_step(State(u, disc), problem, G, flow.step)
+            nxt.direction = None  # a line search's d, -Delta_h d, transform(d) and g
+            return nxt
+    step()  # what the grid and the solver build on first use, outside the trace
+    nxt, _, kept = traced_in_vectors(step, disc.ndof)
+    assert vectors - 0.5 < kept < vectors + 0.5
+    assert nxt._neg_lap is not None and nxt._record is None
+    assert (nxt.transformed is None) == (flow.kind is FlowKind.BFSP)
+    want = float(np.dot(nxt.coeffs * disc.weights, nxt.coeffs))
+    if disc.ndof <= CHUNK:
+        assert nxt.h_norm_sq == want
+    assert nxt.h_norm_sq == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(8.0, 3, 8, Scheme.SEM, 3),
+                                  GridSpec(8.0, 3, 27, Scheme.SEM, 3)],
+                         ids=["one-chunk", "multi-chunk"])
 def test_record_memory_in_vectors(spec):
-    """A record of a state that holds -Delta_h u and u*w keeps one ndof-sized array,
-    A_u u, for the step.  On the 23^3 grid (whole vectors) it allocates at most two
-    at once (u^3, which becomes F, and Vu, which becomes A_u u); on the 80^3 grid (16
-    chunks) only A_u u and, beside it, one chunk's u*w and u^3 (1.13 vectors)."""
+    """A record of a state that holds -Delta_h u keeps one ndof-sized array, A_u u,
+    for the step, and allocates beside it only one chunk's u*w and u^3 (which becomes
+    F): 3.02 vectors on the 23^3 grid (one chunk), 1.13 on the 80^3 grid (16 chunks)."""
     disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     state = default_initial_state(disc)
-    held = (state.neg_lap, state.wu)
+    held = state.neg_lap
     record = lambda: (energy(state, problem), residual(state, problem),
                       eigenvalue_estimate(state, problem))
     values, peak, kept = traced_in_vectors(record, disc.ndof)
-    assert all(np.isfinite(values)) and len(held) == 2
-    assert peak < (2.5 if disc.ndof <= WHOLE else 1 + 2 * CHUNK / disc.ndof + 0.05)
+    assert all(np.isfinite(values)) and held is state.neg_lap
+    assert peak < 1 + 2 * min(CHUNK, disc.ndof) / disc.ndof + 0.05
     assert 0.5 < kept < 1.5
     assert euclidean_gradient(state, problem) is state._Au_u[1]
 
 
 def test_line_energy_memory_in_vectors():
-    """The line energy of a state that holds its record, -Delta_h u and u*w
+    """The line energy of a state that holds its record and -Delta_h u
     allocates at most two ndof-sized arrays at once (w d and V w d, then
     w d u^2) and keeps none."""
     disc = TensorOperator(GridSpec(8.0, 3, 8, Scheme.SEM, 3))
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     state = default_initial_state(disc)
     energy(state, problem)
-    held = (state.neg_lap, state.wu)
+    held = state.neg_lap
     d = retract(disc, np.random.default_rng(5).standard_normal(disc.ndof))
     lap_d = disc.apply_neg_laplacian(d)
     (A, Q, n), peak, kept = traced_in_vectors(lambda: line_energy(state, problem, d, lap_d),
                                               disc.ndof)
-    assert np.isfinite(np.concatenate((A, Q, n))).all() and len(held) == 2
+    assert np.isfinite(np.concatenate((A, Q, n))).all() and held is state.neg_lap
     assert peak < 2.5
     assert kept < 0.5
 
