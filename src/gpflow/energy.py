@@ -16,12 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import daxpy, shifted_solver
+from .linalg import CHUNK, daxpy, shifted_solver
 
 NORMALIZATION_TOL = 1e-10
-# The record's, gamma's and <.,.>_h's elementwise work runs by flat chunks of CHUNK
-# nodes, whose few arrays a core's L2 cache holds; a grid of at most CHUNK nodes is one
-CHUNK = 1 << 15
 
 
 def _chunks(n: int) -> list[slice]:
@@ -203,9 +200,10 @@ class Gradient(NamedTuple):
 def riemannian_gradient(state: State, problem: Problem, G, tau: float | None = None) -> Gradient:
     """Metric gradient G A_u u projected onto the tangent space of the h-unit
     sphere (<u, g>_h = 0) for any inverse metric G with a .solve method, and
-    -Delta_h g.  A G with a `denominator` D (a FastSolver) uses <u, G x>_h =
-    T(u)^T D^{-1} T(x), T = disc.transform and T(u) kept on the state: one
-    transform of A_u u and one inverse transform, gamma's sums by `_chunks`.  A G with
+    -Delta_h g.  A G with `denominator_blocks` of D (a FastSolver) uses <u, G x>_h =
+    T(u)^T D^{-1} T(x), T = disc.transform and T(u) kept on the state: one transform of
+    A_u u and one inverse transform, gamma's sums and then T(g) = (T(A_u u) - gamma T(u)) / D,
+    one division, by the same blocks, each forming its D once.  A G with
     a shift alpha inverts -Delta_h + alpha I, so -Delta_h g = A_u u - gamma u - alpha g
     is free; any other G applies -Delta_h to g once.  Given a fixed step tau, a FastSolver
     returns u' = (u - tau g) / |u - tau g|_h, -Delta_h u' and T(u') in g's fields, in buffers
@@ -213,26 +211,26 @@ def riemannian_gradient(state: State, problem: Problem, G, tau: float | None = N
     tau alpha g) / |u - tau g|_h, and both transforms consume their input."""
     state.require_normalized()
     u, disc = state.coeffs, state.disc
-    if hasattr(G, "denominator"):
+    if hasattr(G, "denominator_blocks"):
         if state.transformed is None:
             state.transformed = disc.transform(u)
-        c_u, D, c = state.transformed, G.denominator, euclidean_gradient(state, problem)
+        c_u, c = state.transformed, euclidean_gradient(state, problem)
         if tau is not None:  # A_u u's last use: its transform consumes it
             L = daxpy(c, state.neg_lap, a=-tau)
             state._Au_u = state._neg_lap = state.transformed = None
-        c, chunks = disc.transform(c, consume=tau is not None), _chunks(len(u))
-        tGu = lambda s: c_u[s] / D[s]  # transform(G u)
+        c = disc.transform(c, consume=tau is not None)
         sums = np.zeros(4)  # <G u, A_u u>_h, <G u, u>_h, then the step's <g, u>_h, <g, g>_h
-        for s in chunks:
-            t = tGu(s)
+        for s, D in G.denominator_blocks():
+            t = np.divide(c_u[s], D, out=D)  # transform(G u)
             sums[:2] += (np.dot(t, c[s]), np.dot(t, c_u[s]))
-        gamma, t = float(sums[0] / sums[1]), None
-        for s in chunks:
-            x = c[s]
-            x /= D[s]  # transform(G A_u u)
-            daxpy(tGu(s), x, a=-gamma)
+        gamma = float(sums[0] / sums[1])
+        t = D = None  # each loop holds one block at a time
+        for s, D in G.denominator_blocks():
+            x = daxpy(c_u[s], c[s], a=-gamma)
+            x /= D  # transform(g)
             if tau is not None:
                 sums[2:] += (np.dot(x, c_u[s]), np.dot(x, x))
+        D = None  # the last block goes before the inverse transform
         if tau is not None:  # by linearity, with |u - tau g|_h^2 by Parseval
             nrm = np.sqrt(max(state.h_norm_sq - 2.0 * tau * sums[2] + tau * tau * sums[3], 0.0))
             c *= -tau / nrm
@@ -286,5 +284,8 @@ def eigenvalue_from_energy(state: State, problem: Problem) -> float:
     """Check value 2 E_h(u) + (beta/2) <u^2, u^2>_h; equals the Rayleigh value
     for any h-normalized u."""
     state.require_normalized()
-    u2 = state.coeffs ** 2
-    return 2.0 * energy(state, problem) + 0.5 * problem.beta * inner_h(state.disc, u2, u2)
+    u, w, q = state.coeffs, state.disc.weights, 0.0
+    for s in _chunks(len(u)):  # <u^2, u^2>_h as `inner_h` sums it, with no whole u^2
+        u2 = u[s] ** 2
+        q += float(np.dot(u2 * w[s], u2))
+    return 2.0 * energy(state, problem) + 0.5 * problem.beta * q

@@ -197,7 +197,7 @@ def gradient_step(state: State, problem: Problem, G,
             wu = u[s] * weights[s]
             sd, sg = sd + float(np.dot(wu, prev.d[s])), sg + float(np.dot(wu, prev.g[s]))
         wu = None
-    if isinstance(policy, FixedStep) and hasattr(G, "denominator"):
+    if isinstance(policy, FixedStep) and hasattr(G, "denominator_blocks"):
         w, *carried = riemannian_gradient(state, problem, G, policy.tau)
         return State(w, state.disc, *carried), policy.tau
     g, lap_g, c = d, lap_d, c_d = riemannian_gradient(state, problem, G)

@@ -4,7 +4,8 @@
 On a tensor grid it is a FastSolver, by fast diagonalization (Lynch, Rice &
 Thomas 1964): the grid's transform into the eigenbasis of its 1D pencil
 S z = mu M z (one pass per axis), division by the Kronecker-sum eigenvalues
-plus alpha, and the inverse transform.  Cost is
+plus alpha, formed block by block from the 1D ones and never held whole, and the
+inverse transform.  Cost is
 O(d n^{d+1}) per solve and no d-dimensional matrix is ever formed.  On an
 assembled P1 mesh it is one sparse LU of S + alpha M, and
 solve(b) = (S + alpha M)^{-1} M b.  The shifted solver is also the
@@ -24,6 +25,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .grids import TensorOperator
+
+
+# Flat chunks of CHUNK nodes, whose few arrays a core's L2 cache holds: the energy's
+# elementwise work and the solver's denominator blocks run by them
+CHUNK = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -61,23 +67,40 @@ def daxpy(x, y: np.ndarray, a: float = 1.0) -> np.ndarray:
 class FastSolver:
     """Direct tensor-product solver for (-Delta_h + alpha I) x = b by fast
     diagonalization: solve(b) = Z (D^{-1} Z^T M b), Z^T M and Z the grid's
-    `transform` and its inverse, D = `denominator` the Kronecker sum of the
-    grid's 1D eigenvalues `eigen.values` ([even | odd] on each axis) plus alpha."""
+    `transform` and its inverse, D the Kronecker sum of the grid's 1D eigenvalues
+    `eigen.values` ([even | odd] on each axis) plus alpha.  D is never held whole:
+    it is `left` @ `right`, left = [lam | 1] (n x 2) and right = [1 ; rest] (2 x n^{d-1}),
+    rest the sum over the other d - 1 axes plus alpha, and `denominator_blocks` forms
+    it by blocks of axis-0 slabs, one GEMM each."""
 
     def __init__(self, op: TensorOperator, alpha: float):
         if not 0 <= alpha < np.inf:
             raise ValueError(f"shift alpha must be >= 0, got {alpha}")
         self.op, self.alpha = op, alpha
-        # the transforms' matrices first, or they split the heap hole `total` leaves
-        op.mirror or op._plain
-        total = reduce(np.add.outer, [op.eigen.values] * op.dim)
-        self.denominator = (total + alpha).reshape(-1)
-        if np.any(self.denominator <= 0):
+        lam = op.eigen.values
+        rest = np.ravel(reduce(np.add.outer, [lam] * (op.dim - 1), 0.0) + alpha)
+        # fl(a + b) is monotone in each term, so D's least entry is this sum
+        if not lam.min() + rest.min() > 0:
             raise SolverError("shifted operator is singular")
+        self.left = np.column_stack((lam, np.ones_like(lam)))
+        self.right = np.vstack((np.ones_like(rest), rest))
+
+    def denominator_blocks(self):
+        """(s, D[s]) for flat slices s of whole axis-0 slabs, at most CHUNK nodes and at
+        most half the grid's slabs each, D[s] = left[slabs] @ right in a temporary:
+        lam_i * 1 + 1 * rest_j has exact products and one rounding, the bits of
+        lam_i + rest_j (numpy's broadcast sum buffers rows shorter than 4096 values,
+        3x slower there, with 128 KiB beside the block)."""
+        m, n = self.right.shape[1], self.op.n
+        k = max(1, min(CHUNK // m, n // 2))
+        for i in range(0, n, k):
+            yield slice(i * m, min(i + k, n) * m), np.matmul(self.left[i:i + k], self.right).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:  # the quotient's buffer is the inverse's
         c = self.op.transform(b)
-        c /= self.denominator
+        for s, D in self.denominator_blocks():
+            c[s] /= D
+        D = None  # the last block goes before the inverse transform
         return self.op.transform(c, inverse=True, consume=True)
 
 

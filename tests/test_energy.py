@@ -12,6 +12,7 @@ from gpflow.grids import GridSpec, Scheme, TensorOperator
 from gpflow.linalg import FastSolver
 from gpflow.potentials import sin2_product
 
+from oracles import traced_in_vectors
 from test_tensor import dense, dense_lap
 
 
@@ -296,6 +297,25 @@ def test_record_of_the_zero_state_raises():
     disc, problem, _ = make()
     with pytest.raises(NormalizationError, match="zero vector"):
         residual(State(np.zeros(disc.ndof), disc), problem)
+
+
+def test_eigenvalue_from_energy_takes_u2_by_chunks():
+    """The check value's <u^2, u^2>_h runs by `_chunks`: on the 80^3 grid (16 chunks)
+    it allocates a chunk's u^2 and u^2 w, not a whole u^2 beside them (1.06 vectors), and
+    keeps the whole-vector sum's bits."""
+    disc = TensorOperator(GridSpec(8.0, 3, 27, Scheme.SEM, 3))
+    problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
+    state = State(retract(disc, 1.0 + 0.1 * np.random.default_rng(6).random(disc.ndof)), disc)
+    energy(state, problem)  # the record, outside the count
+
+    def whole():
+        u2 = state.coeffs ** 2
+        return 2.0 * energy(state, problem) + 0.5 * problem.beta * inner_h(disc, u2, u2)
+
+    want, before, _ = traced_in_vectors(whole, disc.ndof)
+    got, peak, kept = traced_in_vectors(lambda: eigenvalue_from_energy(state, problem),
+                                        disc.ndof)
+    assert got == want and peak <= before - 0.9 and kept < 0.01
 
 
 def test_energy_does_not_read_Au_u():

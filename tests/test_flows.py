@@ -1023,30 +1023,36 @@ def test_carried_values_stay_exact_over_20_steps(kind, policy):
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="LineSearchStep()"),
     pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 6,
                  GridSpec(8.0, 3, 8, Scheme.SEM, 3), id="BFSP"),
-    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 8,
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 7,
                  GridSpec(8.0, 2, 300, Scheme.FD2), id="folded-2D-FixedStep(tau=1.0)"),
-    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 5,
-                 GridSpec(8.0, 3, 27, Scheme.SEM, 3), id="multi-chunk-FixedStep(tau=1.0)")])
+    pytest.param(FlowConfig(alpha=0.15, step=FixedStep(1.0)), 4,
+                 GridSpec(8.0, 3, 27, Scheme.SEM, 3), id="multi-chunk-FixedStep(tau=1.0)"),
+    pytest.param(FlowConfig(alpha=0.15, step=LineSearchStep()), 11,
+                 GridSpec(8.0, 3, 27, Scheme.SEM, 3), id="multi-chunk-LineSearchStep()"),
+    pytest.param(FlowConfig(kind=FlowKind.BFSP, alpha=1.0, dt=0.1), 4,
+                 GridSpec(8.0, 3, 27, Scheme.SEM, 3), id="multi-chunk-BFSP")])
 def test_run_peak_memory_in_vectors(flow, vectors, spec):
     """The most ndof-sized arrays a run() holds at once, above its inputs
     (numpy reports its buffers to tracemalloc), stays at its count.  No state carries
-    u*w: the record forms it, with u^3, per chunk of CHUNK nodes.  On the 23^3 grid (one
-    chunk) a fixed step's peak is in the record: u, -Delta_h u, transform(u), the solver's
-    denominator, A_u u and the chunk's u*w and u^3 (7.34 vectors; 7.32 with a carried u*w
-    in place of the chunk's).  On the 80^3 grid (16 chunks) the step's transforms consume
-    their input: the peak, 5.24, is in the forward transform of A_u u (u, -Delta_h u -
-    tau A_u u, transform(u), the denominator and A_u u's buffer, beside one column
-    block), the record's 5.17 (A_u u beside two chunks) next; 7.17 with whole-vector
-    records and fresh transform outputs.  A transform that did not consume its input or
-    a carried u*w would each add a vector; so would a BFSP rhs formed beside the record's
-    A_u u, not in it.  BFSP's peak is in its record: u, -Delta_h u, the denominator, A_u u
-    and the chunk's u*w and u^3 (6.24; 6.31 when its solve's quotient was a fresh array).
+    u*w: the record forms it, with u^3, per chunk of CHUNK nodes.  The solver holds no
+    denominator: it forms D by blocks of at most CHUNK nodes and half the grid's slabs
+    (a whole D was one vector more at the peaks of the 80^3 and 2D grids, and the 23^3
+    fixed step peaked at 7.31, BFSP at 6.24, the line search at 12.33).  On the 23^3 grid
+    (one chunk) a fixed step's peak is in the record: u, -Delta_h u, transform(u), A_u u
+    and the chunk's u*w and u^3 (6.47 vectors).  On the 80^3 grid (16 chunks) the step's
+    transforms consume their input: the peak, 4.27, is in a transform of the step (u,
+    -Delta_h u - tau A_u u, transform(u) and A_u u's buffer or the gradient's transform,
+    beside one column block); 7.17 with whole-vector records and fresh transform
+    outputs.  A transform that did not consume its input or a carried u*w would each add
+    a vector; so would a BFSP rhs formed beside the record's A_u u, not in it.  BFSP's
+    peak is in its solve's transforms (5.32 on the 23^3 grid, 4.27 on the 80^3 grid).
     The line search adds the four vectors its conjugate direction keeps across a step:
-    d, -Delta_h d, transform(d) and g.  A state built from coefficients holds no vector of
+    d, -Delta_h d, transform(d) and g (its peak is in the line energy: 11.38 on the
+    23^3 grid, 11.07 on the 80^3 grid).  A state built from coefficients holds no vector of
     its own until a diagnostic asks for one.  On the 2D lattice grid a 1D matrix is as
     large as a vector, so its count also holds the 1D eigenbasis and the half blocks (the
-    plain passes' forward matrix before the fold): 8 (7.71 vectors; 8.53 with a carried
-    u*w, 9.62 before the step's forward transform consumed A_u u)."""
+    plain passes' forward matrix before the fold): 7 (6.72 vectors; 7.71 with a whole D,
+    8.53 with a carried u*w, 9.62 before the step's forward transform consumed A_u u)."""
     disc = TensorOperator(spec)
     problem = Problem(sin2_product(disc.node_coordinates()), 10.0, 0.15)
     u0 = default_initial_state(disc)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from gpflow.linalg import (FastSolver, SolverError, daxpy,
                            lowest_two_eigenpairs, pcg)
 from gpflow.potentials import sin2_product
 
+from oracles import traced_in_vectors
 from test_tensor import dense, dense_lap
 
 
@@ -108,6 +110,32 @@ def test_fast_solver_matches_dense(spec):
                            atol=1e-11 * max(1.0, np.abs(b).max()))
 
 
+def oracle_denominator(disc, alpha):
+    """D as one array: the Kronecker sum of the grid's 1D eigenvalues plus alpha."""
+    return (reduce(np.add.outer, [disc.eigen.values] * disc.dim) + alpha).ravel()
+
+
+def assert_solve_divides_by_the_oracle(monkeypatch, fs, b):
+    """fs.solve(b) = T^{-1}(T(b) / D) bit for bit, T the grid's transform and D the
+    solver's blocks, which are the oracle Kronecker sum to 2 ulp (its association differs)."""
+    seen, transform = [], fs.op.transform
+
+    def spy(x, inverse=False, consume=False):
+        if inverse:
+            seen.append(x.copy())
+        return transform(x, inverse=inverse, consume=consume)
+
+    monkeypatch.setattr(fs.op, "transform", spy)
+    x = fs.solve(b)
+    monkeypatch.undo()
+    (q,) = seen
+    D = np.concatenate([D for _, D in fs.denominator_blocks()])
+    want = oracle_denominator(fs.op, fs.alpha)
+    assert np.all(np.abs(D - want) <= 2 * np.spacing(want))
+    assert np.array_equal(q, transform(b) / D)
+    assert np.array_equal(x, transform(q, inverse=True))
+
+
 @pytest.mark.parametrize("spec", [
     GridSpec(1.0, 2, 8, Scheme.FD2),
     GridSpec(1.0, 3, 6, Scheme.COMPACT4),
@@ -115,19 +143,52 @@ def test_fast_solver_matches_dense(spec):
     GridSpec(8.0, 2, 128, Scheme.FD2),  # folded, n = 127 odd
     GridSpec(8.0, 2, 101, Scheme.COMPACT4),  # folded, n = 100 even
 ], ids=str)
-def test_fast_solver_is_its_two_transform_halves(spec):
-    """solve(b) = T^{-1}(T(b) / D) bit for bit with T the grid's transform, and
-    the inverse transform inverts it: T(T^{-1}(c)) = c since Z^T M Z = I."""
+def test_fast_solver_is_its_two_transform_halves(monkeypatch, spec):
+    """solve(b) = T^{-1}(T(b) / D) bit for bit with T the grid's transform and D the
+    oracle Kronecker sum to 2 ulp, and the inverse transform inverts it:
+    T(T^{-1}(c)) = c since Z^T M Z = I."""
     disc = TensorOperator(spec)
     fs = FastSolver(disc, 0.15)
     rng = np.random.default_rng(3)
     for _ in range(3):
-        b = rng.standard_normal(disc.ndof)
-        assert np.array_equal(fs.solve(b),
-                              disc.transform(disc.transform(b) / fs.denominator, inverse=True))
+        assert_solve_divides_by_the_oracle(monkeypatch, fs, rng.standard_normal(disc.ndof))
         c = rng.standard_normal(disc.ndof)
         assert np.allclose(disc.transform(disc.transform(c, inverse=True)), c,
                            rtol=0, atol=1e-13 * np.abs(c).max())
+
+
+@pytest.mark.parametrize("spec, sector", [
+    (GridSpec(1.0, 1, 40, Scheme.SEM, 2), False),  # 1D, n = 79
+    (GridSpec(8.0, 2, 64, Scheme.FD2), False),  # plain 2D, n = 63
+    (GridSpec(8.0, 2, 300, Scheme.FD2), False),  # folded, n = 299
+    (GridSpec(8.0, 3, 8, Scheme.SEM, 3), False),  # n = 23: one chunk
+    (GridSpec(8.0, 3, 27, Scheme.SEM, 3), False),  # n = 80: 16 chunks
+    (GridSpec(8.0, 3, 8, Scheme.SEM, 3), True),  # its even sector, n = 12
+], ids=["1D-n79", "2D-n63", "folded-2D-n299", "3D-n23", "3D-n80", "3D-even-n12"])
+def test_fast_solver_divides_block_by_block(monkeypatch, spec, sector):
+    """The solver forms D by blocks of whole axis-0 slabs, in order, each of at most
+    CHUNK nodes and at most half the grid's slabs, and its solve divides by the
+    oracle Kronecker sum to 2 ulp."""
+    disc = TensorOperator(spec)
+    disc = disc.even if sector else disc
+    fs = FastSolver(disc, 0.15)
+    slab, ends = disc.ndof // disc.n, [0]
+    for s, D in fs.denominator_blocks():
+        assert s.start == ends[-1] and len(D) == s.stop - s.start
+        assert len(D) <= linalg.CHUNK and len(D) // slab <= max(1, disc.n // 2)
+        ends.append(s.stop)
+    assert ends[-1] == disc.ndof
+    assert_solve_divides_by_the_oracle(monkeypatch, fs,
+                                       np.random.default_rng(8).standard_normal(disc.ndof))
+
+
+def test_fast_solver_keeps_no_vector():
+    """On the 80^3 grid whose eigenbasis and transform matrices exist, a solver keeps
+    2 (n + n^2) values: not D, which a solve forms by blocks (a whole D was 1.0 vector)."""
+    disc = TensorOperator(GridSpec(8.0, 3, 27, Scheme.SEM, 3))
+    disc.transform(np.ones(disc.ndof))
+    fs, _, kept = traced_in_vectors(lambda: FastSolver(disc, 0.15), disc.ndof)
+    assert kept < 0.1 and fs.left.shape == (disc.n, 2) and fs.right.shape == (2, disc.n ** 2)
 
 
 @pytest.mark.parametrize("spec", [
@@ -136,9 +197,16 @@ def test_fast_solver_is_its_two_transform_halves(spec):
     GridSpec(8.0, 2, 128, Scheme.FD2),  # folded
 ], ids=str)
 def test_fast_solver_keeps_only_its_shift(spec):
-    """A solver holds its grid, its shift and its denominator; the transforms
-    and everything they read belong to the grid."""
-    assert set(vars(FastSolver(TensorOperator(spec), 0.15))) == {"op", "alpha", "denominator"}
+    """A solver holds its grid, its shift and D's two factors: [lam | 1] and [1 ; rest],
+    rest the Kronecker sum over d - 1 axes plus that shift; the transforms and
+    everything they read belong to the grid."""
+    disc = TensorOperator(spec)
+    fs = FastSolver(disc, 0.15)
+    assert set(vars(fs)) == {"op", "alpha", "left", "right"}
+    lam = disc.eigen.values
+    rest = (reduce(np.add.outer, [lam] * (disc.dim - 1)) + 0.15).ravel()
+    assert np.array_equal(fs.left, np.column_stack((lam, np.ones(disc.n))))
+    assert np.array_equal(fs.right, np.vstack((np.ones(len(rest)), rest)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -167,7 +235,7 @@ def test_fast_solver_decomposes_the_1d_pencil_once(monkeypatch, spec):
     b = np.random.default_rng(5).standard_normal(disc.ndof)
     for fs in solvers:
         alone = FastSolver(TensorOperator(spec), fs.alpha)
-        assert np.array_equal(fs.denominator, alone.denominator)
+        assert np.array_equal(fs.left, alone.left) and np.array_equal(fs.right, alone.right)
         assert np.array_equal(fs.solve(b), alone.solve(b))
 
 
@@ -242,7 +310,7 @@ def test_zero_stiffness_at_zero_shift_is_singular():
     disc = TensorOperator(GridSpec(1.0, 2, n + 1, Scheme.FD2), op)
     with pytest.raises(SolverError, match="shifted operator is singular"):
         FastSolver(disc, 0.0)
-    assert np.all(FastSolver(disc, 0.5).denominator == 0.5)
+    assert all(np.all(D == 0.5) for _, D in FastSolver(disc, 0.5).denominator_blocks())
 
 
 def test_folded_grid_shares_its_blocks_and_spectral_order(monkeypatch):
