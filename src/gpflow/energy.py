@@ -6,7 +6,8 @@ problem).  The discretization handle only needs `weights` and
 grids and P1 meshes are interchangeable.
 -Delta_h u is held on the state.  One record per state takes the energy, the residual
 and the Rayleigh value from one u^3 and one Vu, by flat chunks of CHUNK nodes, and holds
-A_u u, built from the same two, for the gradient.
+A_u u, built from the same two, for the gradient.  E is taken at any u; the residual and
+the Rayleigh value on the h-unit sphere, where F(u) = A_u u.
 """
 
 from __future__ import annotations
@@ -113,17 +114,17 @@ def _record(state: State, problem: Problem) -> Record:
     state with A_u u = Vu - Delta_h u + beta u^3 for the last problem asked.
     E = k/2 + p/2 + (beta/4) q from k = <u, -Delta_h u>_h, p = <u, Vu>_h and
     q = <u, u^3>_h reads no A_u u, so `eigenvalue_from_energy` stays a check;
-    (k, p, q) is held after the Record for the line search's phi(0).  A sector
-    grid's `multiplicity` weighs the residual's norms: they are the extensions'.  It runs
-    by `_chunks`, each with its own u*w, u^3 and F, F formed again for the residual."""
+    (k, p, q) is held after the Record for the line search's phi(0).  The residual reads
+    A_u u as F, which it is on the h-unit sphere.  A sector grid's `multiplicity` weighs the
+    residual's norms: they are the extensions'.  It runs by `_chunks`, each with its own
+    u*w and u^3; the residual's pass reads A_u u back and forms no u^3."""
     if state._record is None or state._record[0] is not problem:
         if state.h_norm_sq == 0:
             raise NormalizationError("residual of the zero vector is undefined")
         u, w, neg_lap, beta = state.coeffs, state.disc.weights, state.neg_lap, problem.beta
         mu, chunks = getattr(state.disc, "multiplicity", None), _chunks(len(u))
         sq = lambda x, s: float(np.dot(x, x) if mu is None else np.dot(x * mu[s], x))
-        c = beta * (1.0 / state.h_norm_sq - 1.0)  # F(u/|u|_h)|u|_h = A_u u + c u^3: F's direction
-        Au, sums = np.empty_like(u), np.zeros(6)  # k, p, q, <u, A_u u>_h, |F|^2, |u|^2
+        Au, sums = np.empty_like(u), np.zeros(6)  # k, p, q, <u, A_u u>_h, |A_u u|^2, |u|^2
         for s in chunks:
             wu = u[s] * w[s]
             u3 = u[s] * u[s]  # products, not pow: libm pow is slow on negative entries
@@ -132,20 +133,14 @@ def _record(state: State, problem: Problem) -> Record:
             k, p, q = (float(np.dot(wu, x)) for x in (neg_lap[s], A, u3))
             A += neg_lap[s]
             daxpy(u3, A, a=beta)
-            u3 *= c
-            F = daxpy(A, u3)
-            sums += (k, p, q, float(np.dot(wu, A)), sq(F, s), sq(u[s], s))
-            wu = u3 = F = None  # before the next chunk's
+            sums += (k, p, q, float(np.dot(wu, A)), sq(A, s), sq(u[s], s))
+            wu = u3 = None  # before the next chunk's
         state._Au_u = (problem, Au)
         Fn, un, r = *np.sqrt(sums[4:]).tolist(), 1.0
         if Fn != 0:  # || u/|u| - F/|F| || explicitly: 1 - cos loses digits below 1e-8
             r = 0.0
-            for s in chunks:  # F again, as above
-                F = u[s] * u[s]
-                F *= u[s]
-                F *= c
-                daxpy(Au[s], F)
-                F *= -un / Fn
+            for s in chunks:
+                F = np.multiply(Au[s], -un / Fn)
                 F += u[s]
                 r, F = r + sq(F, s), None
             r = np.sqrt(r) / un
@@ -263,15 +258,14 @@ def retract(disc, u: np.ndarray) -> np.ndarray:
 
 
 def residual(state: State, problem: Problem) -> float:
-    """Relative residue || u/|u| - F(u)/|F(u)| || with F = -Delta_h u + Vu + beta u^3.
-
-    F is evaluated at the h-normalized state (the manifold the flow lives
-    on; the cubic term is not scale invariant), and the misalignment of the
-    two unit directions is measured in the plain Euclidean coefficient norm,
-    on a sector grid weighed by each node's multiplicity: the extended state's.
-    Exact eigenpairs give 0 and rescaling u changes nothing; a zero F gives 1.
-    """
-    return _record(state, problem).residual
+    """Relative residue || u/|u| - F(u)/|F(u)| || with F = -Delta_h u + Vu + beta u^3 at an
+    h-normalized state (the manifold the flow lives on), measured in the plain Euclidean
+    coefficient norm, on a sector grid weighed by each node's multiplicity: the extended
+    state's.  Exact eigenpairs give 0 and a zero F gives 1.  F is read at u itself, so a
+    state at the NORMALIZATION_TOL edge carries an error of order beta |<u, u>_h - 1|."""
+    rec = _record(state, problem)  # first, so the zero state is refused as such
+    state.require_normalized()
+    return rec.residual
 
 
 def eigenvalue_estimate(state: State, problem: Problem) -> float:

@@ -198,12 +198,13 @@ def test_residual_nonlinear_exact_eigenpair_zero():
     assert residual(State(u, disc), problem) <= 1e-13
 
 
-def test_residual_scale_invariant():
+def test_residual_refuses_a_state_off_the_sphere():
+    """The residual reads A_u u as F(u), which it is only on the h-unit sphere."""
     disc, problem, rng = make()
-    u = rng.standard_normal(disc.ndof)
-    r1 = residual(State(u, disc), problem)
-    r2 = residual(State(5.0 * u, disc), problem)
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    u = retract(disc, rng.standard_normal(disc.ndof))
+    assert residual(State(u, disc), problem) > 0
+    with pytest.raises(NormalizationError, match="not h-normalized"):
+        residual(State(5.0 * u, disc), problem)
 
 
 def test_residual_brute_force_oracle():
@@ -214,7 +215,7 @@ def test_residual_brute_force_oracle():
         v = u / np.sqrt(u @ np.diag(disc.weights) @ u)
         F = A @ v + problem.potential * v + problem.beta * v ** 3
         want = np.linalg.norm(v / np.linalg.norm(v) - F / np.linalg.norm(F))
-        got = residual(State(u, disc), problem)
+        got = residual(State(v, disc), problem)
         assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -250,8 +251,8 @@ def test_apply_Au_dense_oracle():
 @pytest.mark.parametrize("scale", [1.0, 1.7])
 def test_record_matches_textbook_formulas(scale):
     """E, the residual and the Rayleigh value, which one record shares u^3
-    and Vu between, against formulas built here from -Delta_h, V and u; the
-    residual of u scaled by 1.7 is that of the h-normalized u."""
+    and Vu between, against formulas built here from -Delta_h, V and u; u scaled
+    by 1.7 keeps its E, and its residual and Rayleigh value are refused."""
     disc, problem, rng = make(GridSpec(1.0, 2, 8, Scheme.SEM, 3))
     u = retract(disc, rng.standard_normal(disc.ndof))
     V, beta, h = problem.potential, problem.beta, lambda a, b: inner_h(disc, a, b)
@@ -262,12 +263,13 @@ def test_record_matches_textbook_formulas(scale):
     want_r = np.linalg.norm(u / np.linalg.norm(u) - F / np.linalg.norm(F))
     s = State(v, disc)
     assert energy(s, problem) == pytest.approx(want_e, rel=1e-13)
-    assert residual(s, problem) == pytest.approx(want_r, rel=1e-13)
     if scale == 1.0:
+        assert residual(s, problem) == pytest.approx(want_r, rel=1e-13)
         assert eigenvalue_estimate(s, problem) == pytest.approx(h(u, F), rel=1e-13)
     else:
-        with pytest.raises(NormalizationError):
-            eigenvalue_estimate(s, problem)
+        for value in residual, eigenvalue_estimate:
+            with pytest.raises(NormalizationError):
+                value(s, problem)
 
 
 @pytest.mark.parametrize("sector", [False, True], ids=["full-23^3", "even-sector-12^3"])

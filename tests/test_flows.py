@@ -878,6 +878,31 @@ def test_sector_and_full_grid_runs_stop_alike(step):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [GridSpec(8.0, 2, 40, Scheme.FD2),
+                                  GridSpec(8.0, 3, 6, Scheme.SEM, 3)], ids=str)
+def test_every_recorded_state_is_h_unit(monkeypatch, spec):
+    """The record reads A_u u as F(u), which it is on the h-unit sphere: every state `run`
+    records is h-unit to 1e-13, in the linear start's beta = 0 flow on its even sector
+    and in a fixed step's, a line search's and BFSP's run from that start."""
+    disc = TensorOperator(spec)
+    problem = Problem(sin2_product(disc.node_coordinates()), 5.0, 0.15)
+    seen = []
+
+    def spy(state, problem):
+        seen.append((state.disc, abs(state.h_norm_sq - 1.0)))
+        return residual(state, problem)
+
+    monkeypatch.setattr(flows, "residual", spy)
+    u0 = default_initial_state(disc, "linear", problem)
+    assert {grid for grid, _ in seen} == {disc.even}
+    for flow in (FlowConfig(), FlowConfig(step=LineSearchStep()),
+                 FlowConfig(kind=FlowKind.BFSP)):
+        count = len(seen)
+        report = run(flow, problem, u0, StopRule(1e-10, max_iter=200))
+        assert len(seen) - count >= len(report.records) > 5
+    assert max(err for _, err in seen) <= 1e-13
+
+
 def test_linear_flow_whose_energy_falls_does_not_stall():
     """On this grid the beta = 0 line-search flow's residual rises (0.36 to
     0.66) before it falls, while E falls from 87.6: a stall window over a
